@@ -27,7 +27,8 @@ import numpy as np
 
 from .blocks import build_divergent_family, default_delta_schedule, weighted
 from .catalog import get_function
-from .errors import (BadParams, ConfigError, SpecshiftError, UnknownFunction)
+from .errors import (BadInterval, BadParams, ConfigError, SpecshiftError,
+                     UnknownFunction)
 from .hermitian import (HermitianOperator, apply_function, decompose,
                         increment_ratio, operator_scale, schatten_norm,
                         spectral_truncation, trace_transfer_check)
@@ -122,9 +123,16 @@ def _get_int(cfg: dict, key: str, minimum: int, default=None) -> int:
 
 
 def _get_output(cfg: dict) -> str:
+    """The report path; checked before any computation so an unwritable
+    location fails fast with a configuration error."""
     output = cfg.get("output")
     if not isinstance(output, str) or not output:
         raise ConfigError('config needs "output": a file path for the report')
+    parent = os.path.dirname(os.path.abspath(output))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output directory {parent!r} does not exist")
+    if os.path.isdir(output):
+        raise ConfigError(f"output {output!r} is a directory")
     return output
 
 
@@ -151,7 +159,10 @@ def run_ratio_search(cfg: dict) -> int:
     count = grid_cfg.get("count")
     if not isinstance(count, int) or count < 2:
         raise ConfigError(f"grid count must be an integer >= 2, got {count!r}")
-    grid = restrict_to_grid(grid_cfg["interval"], count)
+    try:
+        grid = restrict_to_grid(grid_cfg["interval"], count)
+    except BadInterval as exc:
+        raise ConfigError(f"grid interval: {exc}") from None
     budget = _get_int(cfg, "budget", 1)
     seed = _get_int(cfg, "seed", 0)
     output = _get_output(cfg)
@@ -188,7 +199,8 @@ def run_divergence(cfg: dict) -> int:
     seed = _get_int(cfg, "seed", 0)
     dim = _get_int(cfg, "dim", 1, default=2)
     delta0 = cfg.get("delta0", 1.0)
-    if not (isinstance(delta0, (int, float)) and delta0 > 0 and math.isfinite(delta0)):
+    if not (isinstance(delta0, (int, float)) and not isinstance(delta0, bool)
+            and delta0 > 0 and math.isfinite(delta0)):
         raise ConfigError(f"delta0 must be a positive real, got {delta0!r}")
     output = _get_output(cfg)
     fmt = _get_format(cfg)

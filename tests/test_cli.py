@@ -122,6 +122,16 @@ class TestRatioSearchCommand:
             "budget": 1, "seed": 0, "output": "x.csv"})
         assert main(["ratio-search", cfg]) == 2
 
+    @pytest.mark.parametrize("interval", [[1.0, -1.0], [0.0, float("inf")]])
+    def test_bad_interval_exits_2(self, tmp_path, interval):
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "abs"}, "dims": [1],
+            "grid": {"interval": interval, "count": 5},
+            "budget": 1, "seed": 0, "output": str(out)})
+        assert main(["ratio-search", cfg]) == 2
+        assert not out.exists()
+
 
 class TestDivergenceCommand:
     def _cfg(self, tmp_path, fid, levels, out_name="report.csv"):
@@ -176,6 +186,16 @@ class TestDivergenceCommand:
         first = out.read_bytes()
         assert main(["divergence", cfg]) == 0
         assert out.read_bytes() == first
+
+
+    def test_bool_delta0_exits_2(self, tmp_path):
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "sqrt_abs", "params": []},
+            "K": 2, "delta0": True, "budget": 1, "seed": 0,
+            "output": str(out)})
+        assert main(["divergence", cfg]) == 2
+        assert not out.exists()
 
 
 class TestCommutingCommand:
@@ -251,6 +271,38 @@ class TestVerifyCommand:
         assert main(["verify", cfg]) == 0
         _, rows = _read_rows(out)
         assert any(r["check"] == "fixture_0_reconstruction" for r in rows)
+
+
+class TestOutputPath:
+    CONFIGS = {
+        "ratio-search": {"function": {"id": "abs"}, "dims": [1],
+                         "grid": {"interval": [-1, 1], "count": 5},
+                         "budget": 1, "seed": 0},
+        "divergence": {"function": {"id": "sqrt_abs"}, "K": 2, "budget": 1,
+                       "seed": 0},
+        "commuting": {"function": {"id": "sqrt_abs"}, "K": 30,
+                      "search_grid": 2001, "seed": 0},
+        "verify": {"seed": 0},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_missing_directory_exits_2_before_running(self, tmp_path,
+                                                      command, capsys):
+        cfg = _write_cfg(tmp_path / "cfg.json", dict(
+            self.CONFIGS[command],
+            output=str(tmp_path / "missing" / "report.csv")))
+        assert main([command, cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_directory_as_output_exits_2(self, tmp_path):
+        (tmp_path / "report.csv").mkdir()
+        cfg = _write_cfg(tmp_path / "cfg.json", dict(
+            self.CONFIGS["commuting"], output=str(tmp_path / "report.csv")))
+        assert main(["commuting", cfg]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                              "report.csv"]
+        assert not (tmp_path / "report_witness.json").exists()
 
 
 class TestFlagsAndFormats:

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshift import (DegenerateIncrement, InvariantViolation, NotFound,
                        SequenceWitness, diagonal_embedding, divergence_check,
                        get_function, make_sequence_witness,
                        multiplicity_sequence, partial_sums,
                        scalar_ratio_witnesses)
+from specshift.sequences import _best_level_pair
 
 
 def _canonical_sqrt_witness(levels):
@@ -111,6 +114,90 @@ class TestScalarRatioWitnesses:
             scalar_ratio_witnesses(f, 0, 101, 0)
         with pytest.raises(ValueError):
             scalar_ratio_witnesses(f, 1, 2, 0)
+
+
+def _naive_level_pair(f, pts, radius):
+    """Oracle: first strict maximum in row-major order over j > i."""
+    pts = [float(x) for x in pts]
+    vals = [f(x) for x in pts]
+    best_q, best_pair = -math.inf, None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dx = pts[j] - pts[i]
+            if 0.0 < abs(dx) < radius:
+                q = abs(vals[j] - vals[i]) / abs(dx)
+                if q > best_q:
+                    best_q, best_pair = q, (pts[i], pts[j])
+    return best_q, best_pair
+
+
+_ORACLE_FUNCTIONS = [("abs", ()), ("identity", ()), ("constant", (1.0,)),
+                     ("sqrt_abs", ()), ("xsin_inv", ()), ("signed_square", ())]
+
+# Integer multiples of 1/32 make exact ties (abs, identity, constant); free
+# floats exercise the rounding at the band edge.
+_point_sets = st.one_of(
+    st.lists(st.integers(-64, 64), max_size=100).map(
+        lambda xs: np.unique(np.array(xs, dtype=float) / 32.0)),
+    st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), max_size=100).map(
+        lambda xs: np.unique(np.array(xs, dtype=float))),
+)
+
+
+class TestBestLevelPair:
+    @settings(max_examples=300, deadline=None)
+    @given(pts=_point_sets,
+           fn=st.sampled_from(_ORACLE_FUNCTIONS),
+           radius=st.one_of(st.sampled_from([2.0 ** -k for k in range(8)]),
+                            st.floats(1e-3, 2.5)))
+    def test_matches_naive_double_loop(self, pts, fn, radius):
+        f = get_function(*fn)
+        assert _best_level_pair(f, pts, radius) == _naive_level_pair(f, pts, radius)
+
+    @pytest.mark.parametrize("fid,params", _ORACLE_FUNCTIONS)
+    def test_radius_excluding_every_pair(self, fid, params):
+        pts = np.unique(np.random.default_rng(5).uniform(-1.0, 1.0, 90))
+        radius = float(np.diff(pts).min())
+        assert _best_level_pair(get_function(fid, params), pts, radius) == (
+            -math.inf, None)
+
+    def test_tie_keeps_first_pair_in_row_major_order(self):
+        # abs on a symmetric grid: every pair on one side has quotient 1,
+        # and the first of them in row-major order is (-1, -0.975).
+        pts = np.linspace(-1.0, 1.0, 81)
+        assert _best_level_pair(get_function("abs"), pts, 0.6) == (1.0, (-1.0, -0.975))
+
+    def test_point_at_rounded_down_band_edge_counts(self):
+        # 0.45 + 0.25 rounds down, so the point fl(0.45 + 0.25) still lies
+        # strictly within the radius of 0.45 and must be scanned.
+        p, radius = 0.45, 0.25
+        edge = p + radius
+        assert Fraction(edge) < Fraction(p) + Fraction(radius)
+        pts = np.array([p, edge])
+        assert _best_level_pair(get_function("identity"), pts, radius) == (
+            1.0, (p, edge))
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_fewer_than_two_points(self, size):
+        assert _best_level_pair(get_function("abs"), np.zeros(size), 1.0) == (
+            -math.inf, None)
+
+
+class TestFrozenWitnesses:
+    """Outputs recorded before the level scan was rewritten; the scan must
+    reproduce them bit for bit."""
+
+    def test_sqrt_abs_grid_801_seed_1(self):
+        w = scalar_ratio_witnesses(get_function("sqrt_abs"), 12, 801, 1)
+        assert isinstance(w, SequenceWitness)
+        assert [(t.hex(), s.hex()) for t, s in zip(w.t, w.s)] == [
+            ("0x0.0p+0", f"-0x1.0000000000000p-{64 + k}") for k in range(1, 13)]
+
+    def test_xsin_inv_grid_2001_seed_1(self):
+        out = scalar_ratio_witnesses(get_function("xsin_inv"), 30, 2001, 1)
+        assert isinstance(out, NotFound)
+        assert (out.level, out.levels_found) == (17, 16)
+        assert out.best_quotient.hex() == "0x1.7ee74b0652a93p+15"
 
 
 class TestMultiplicitySequence:
