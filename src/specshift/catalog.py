@@ -8,8 +8,9 @@ reports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -232,15 +233,26 @@ def get_function(fid: str, params=()) -> ScalarFunction:
     return builder(clean)
 
 
+def interval_bounds(interval) -> Tuple[float, float]:
+    """Endpoints of an interval given as a list or tuple of two real numbers
+    a < b, both finite; anything else raises BadInterval."""
+    if (not isinstance(interval, (list, tuple)) or len(interval) != 2
+            or any(isinstance(x, bool) or not isinstance(x, numbers.Real)
+                   for x in interval)):
+        raise BadInterval(f"need a list of two numbers [a, b], got {interval!r}")
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise BadInterval(f"need finite a < b, got [{a}, {b}]")
+    return a, b
+
+
 def lipschitz_seminorm_estimate(f: ScalarFunction, interval, grid_n: int) -> float:
     """Largest difference quotient of ``f`` over an equispaced grid.
 
     Exhaustive over all grid pairs for grid_n <= 2000, adjacent pairs only
     above that (the adjacent sweep dominates as the grid refines).
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise BadInterval(f"need finite a < b, got [{a}, {b}]")
+    a, b = interval_bounds(interval)
     if grid_n < 2:
         raise BadInterval(f"grid_n must be >= 2, got {grid_n}")
     xs = np.linspace(a, b, grid_n)

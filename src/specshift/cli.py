@@ -11,9 +11,9 @@ significant digits, row order is fixed, line endings are "\\n".
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 
-The environment variable SPECSHIFT_THREADS caps internal parallelism (the
-seminorm search distributes its restarts over that many threads); results do
-not depend on the thread count.
+The environment variable SPECSHIFT_THREADS, when set, must be a positive
+integer (otherwise exit 2).  The seminorm search always scores its restarts
+batched in one thread, so results do not depend on it.
 """
 from __future__ import annotations
 

@@ -10,12 +10,11 @@ identity is the main cross-check on the functional calculus.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ScalarFunction
+from .catalog import ScalarFunction, interval_bounds
 from .errors import BadInterval, InvariantViolation
 from .hermitian import HermitianOperator, decompose
 
@@ -62,9 +61,7 @@ class FiniteSpectrumSet:
 
 def restrict_to_grid(interval, n: int) -> FiniteSpectrumSet:
     """n equispaced points spanning [a, b], endpoints included."""
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise BadInterval(f"need finite a < b, got [{a}, {b}]")
+    a, b = interval_bounds(interval)
     if n < 2:
         raise BadInterval(f"need n >= 2 grid points, got {n}")
     return FiniteSpectrumSet(np.linspace(a, b, n))

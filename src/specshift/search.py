@@ -13,10 +13,12 @@ Search phases, in deterministic order:
      attained;
   1. exhaustive sweep of all diagonal assignments when |grid|**(2*dim) is at
      most 10**4;
-  2. a Givens coordinate-ascent polish of the best candidate so far;
+  2. a Givens coordinate-ascent polish of the best candidate so far, and
   3+. `budget` seeded random restarts, each drawing (a, b, Q0) from substream
-     (seed, r) and refining Q by per-angle coordinate ascent with a coarse
-     scan plus golden-section line search.
+     (seed, r).  The polish and the restarts refine Q by per-angle coordinate
+     ascent (a coarse scan plus golden-section line search) in one lockstep
+     batch: every step scores one candidate of each of them with a single
+     stacked SVD, in one thread.
 
 The incumbent is the best value with the earliest phase index, so the result
 is deterministic given (seed, budget), independent of evaluation order, and
@@ -29,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,7 +68,11 @@ class SeminormLowerBound:
 
 
 def max_workers() -> int:
-    """Thread cap from SPECSHIFT_THREADS; defaults to 1 (serial)."""
+    """Validated SPECSHIFT_THREADS value; defaults to 1.
+
+    A bad value is a ConfigError.  The search itself scores its restarts
+    batched in one thread, so results do not depend on the value.
+    """
     raw = os.environ.get("SPECSHIFT_THREADS")
     if raw is None:
         return 1
@@ -89,6 +94,16 @@ def _diag_norms(vec: np.ndarray, kind: str) -> float:
 def _dense_norm(m: np.ndarray, kind: str) -> float:
     s = np.linalg.svd(m, compute_uv=False)
     return float(s.sum()) if kind == "schatten1" else float(s[0])
+
+
+@dataclass(frozen=True)
+class _Lanes:
+    """Spectra of L candidate families scored together: lane l pairs
+    diag(a_l) with Q diag(b_l) Q^T for whatever Q the ascent proposes."""
+
+    spec: np.ndarray   # (2, L, n): b and f(b) per lane
+    diag: np.ndarray   # (2, L, n): a and f(a) per lane
+    floor: np.ndarray  # (L, 1): degeneracy floor per lane
 
 
 class _Evaluator:
@@ -121,100 +136,127 @@ class _Evaluator:
             return 0.0
         return num / den
 
-    def rotated(self, ia: np.ndarray, ib: np.ndarray, q: np.ndarray) -> float:
-        """Ratio of the pair diag(a), Q diag(b) Q^T."""
-        self.count += 1
+    def lanes(self, starts) -> _Lanes:
+        """Lanes for a list of candidates (ia, ib, ...), one lane each."""
+        ia = np.array([c[0] for c in starts])
+        ib = np.array([c[1] for c in starts])
         a, b = self.pts[ia], self.pts[ib]
-        den_m = (q * b) @ q.T - np.diag(a)
-        den = _dense_norm(den_m, self.kind)
-        if den <= self.floor(a, b):
-            return -math.inf
-        num_m = (q * self.fvals[ib]) @ q.T - np.diag(self.fvals[ia])
-        num = _dense_norm(num_m, self.kind)
-        if num <= self.floor(a, b):
-            return 0.0
-        return num / den
+        floor = [self.floor(a[l], b[l]) for l in range(len(starts))]
+        return _Lanes(np.stack([b, self.fvals[ib]]), np.stack([a, self.fvals[ia]]),
+                      np.array(floor)[:, None])
+
+    def rotated(self, lanes: _Lanes, qs: np.ndarray) -> np.ndarray:
+        """Ratios of the pairs diag(a_l), Q diag(b_l) Q^T for each Q in the
+        (L, k, n, n) stack ``qs``; returns an (L, k) array.
+
+        Denominator and numerator matrices of every candidate go through one
+        stacked SVD.  Each slice runs the same matmul and SVD kernels as a
+        single candidate would, so the ratios are bit-identical to scoring
+        the candidates one at a time.
+        """
+        self.count += qs.shape[0] * qs.shape[1]
+        m = (qs * lanes.spec[:, :, None, None, :]) @ qs.swapaxes(-1, -2)
+        d = np.arange(qs.shape[-1])
+        m[..., d, d] -= lanes.diag[:, :, None, :]
+        s = np.linalg.svd(m, compute_uv=False)
+        den, num = s.sum(axis=-1) if self.kind == "schatten1" else s[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den <= lanes.floor, -np.inf,
+                            np.where(num <= lanes.floor, 0.0, num / den))
 
 
-def _givens(dim: int, i: int, j: int, theta: float) -> np.ndarray:
-    g = np.eye(dim)
-    c, s = math.cos(theta), math.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
+def _givens(dim: int, i: int, j: int, thetas) -> np.ndarray:
+    """Rotations in the (i, j) plane, one per angle: shape (*thetas.shape, dim, dim)."""
+    thetas = np.asarray(thetas, dtype=float)
+    g = np.broadcast_to(np.eye(dim), thetas.shape + (dim, dim)).copy()
+    # math.cos/sin rather than np.cos/sin, which need not round the same way
+    c = np.array([math.cos(t) for t in thetas.flat]).reshape(thetas.shape)
+    s = np.array([math.sin(t) for t in thetas.flat]).reshape(thetas.shape)
+    g[..., i, i] = c
+    g[..., j, j] = c
+    g[..., i, j] = -s
+    g[..., j, i] = s
     return g
 
 
-def _golden_max(g, lo: float, hi: float, iters: int = 18):
-    """Golden-section maximisation on [lo, hi]; returns (best_x, best_value)."""
+def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 18):
+    """Golden-section maximisation on [lo[l], hi[l]] for every lane l at once.
+
+    ``g`` maps an (L, k) array of angles to an (L, k) array of values.
+    Returns the arrays (best_x, best_value)."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    best_x, best_v = (x1, f1) if f1 >= f2 else (x2, f2)
+    f1, f2 = g(np.stack([x1, x2], axis=1)).T
+    first = f1 >= f2
+    best_x, best_v = np.where(first, x1, x2), np.where(first, f1, f2)
     for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = g(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = g(x1)
-        if f1 >= best_v:
-            best_x, best_v = x1, f1
-        if f2 >= best_v:
-            best_x, best_v = x2, f2
+        # lanes with f1 < f2 keep [x1, hi] and probe a new x2; the others
+        # keep [lo, x2] and probe a new x1
+        right = f1 < f2
+        lo, hi = np.where(right, x1, lo), np.where(right, hi, x2)
+        x1, x2 = (np.where(right, x2, hi - _GOLDEN * (hi - lo)),
+                  np.where(right, lo + _GOLDEN * (hi - lo), x1))
+        v = g(np.where(right, x2, x1)[:, None])[:, 0]
+        f1, f2 = np.where(right, f2, v), np.where(right, v, f1)
+        for x, fx in ((x1, f1), (x2, f2)):
+            take = fx >= best_v
+            best_x, best_v = np.where(take, x, best_x), np.where(take, fx, best_v)
     return best_x, best_v
 
 
-def _ascent(ev: _Evaluator, ia: np.ndarray, ib: np.ndarray, q0: np.ndarray,
-            sweeps: int):
-    """Per-angle coordinate ascent over Givens rotations applied to Q.
+def _ascent(ev: _Evaluator, starts, sweeps: int):
+    """Per-angle coordinate ascent over Givens rotations applied to Q, run
+    in lockstep from each starting candidate (ia, ib, Q0) in ``starts``.
 
-    The objective is pi-periodic in each angle (a sign flip of two columns
-    leaves Q diag(b) Q^T unchanged), so [-pi/2, pi/2] covers each coordinate.
+    Every lane makes the same sequence of evaluations (one start, then per
+    coordinate an 8-angle coarse scan and a golden-section search), so each
+    step scores one candidate per lane per angle with a single stacked
+    evaluation.  The objective is pi-periodic in each angle (a sign flip of
+    two columns leaves Q diag(b) Q^T unchanged), so [-pi/2, pi/2] covers each
+    coordinate.  Returns the per-lane best values and final rotations.
     """
-    dim = ia.size
-    best = ev.rotated(ia, ib, q0)
-    q = q0
+    lanes = ev.lanes(starts)
+    q = np.stack([c[2] for c in starts])
+    dim = q.shape[-1]
+    best = ev.rotated(lanes, q[:, None])[:, 0]
     if dim == 1:
-        return best, q
+        return best.tolist(), q
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
     window = math.pi / 8
     for _ in range(sweeps):
         for i in range(dim - 1):
             for j in range(i + 1, dim):
-                def g(theta):
-                    return ev.rotated(ia, ib, q @ _givens(dim, i, j, theta))
+                def g(thetas):
+                    return ev.rotated(lanes, q[:, None] @ _givens(dim, i, j, thetas))
 
-                coarse_vals = [g(t) for t in coarse]
-                k = int(np.argmax(coarse_vals))
+                coarse_vals = g(np.tile(coarse, (len(q), 1)))
+                k = np.argmax(coarse_vals, axis=1)
+                coarse_best = coarse_vals.max(axis=1)
                 theta, val = _golden_max(g, coarse[k] - window, coarse[k] + window)
-                if coarse_vals[k] > val:
-                    theta, val = float(coarse[k]), coarse_vals[k]
-                if val > best:
-                    best = val
-                    q = q @ _givens(dim, i, j, theta)
-    return best, q
+                use_coarse = coarse_best > val
+                theta = np.where(use_coarse, coarse[k], theta)
+                val = np.where(use_coarse, coarse_best, val)
+                better = val > best
+                if better.any():
+                    q[better] = q[better] @ _givens(dim, i, j, theta[better])
+                best = np.where(better, val, best)
+    return best.tolist(), q
 
 
 def _scalar_probe(ev: _Evaluator, dim: int):
     """Best quotient over all pairs of grid points, embedded at ``dim``
-    by padding both spectra with the first point of the pair."""
+    by padding both spectra with the first point of the pair.  Ties go to
+    the first pair in row-major (i, j) order."""
     pts, fvals = ev.pts, ev.fvals
-    best_val, best_pair = -math.inf, (0, 1)
-    for i in range(pts.size - 1):
-        for j in range(i + 1, pts.size):
-            ev.count += 1
-            quotient = abs(fvals[j] - fvals[i]) / abs(pts[j] - pts[i])
-            if quotient > best_val:
-                best_val, best_pair = quotient, (i, j)
-    i, j = best_pair
+    iu, ju = np.triu_indices(pts.size, 1)
+    ev.count += iu.size
+    quotients = np.abs(fvals[ju] - fvals[iu]) / np.abs(pts[ju] - pts[iu])
+    best = int(np.argmax(quotients))
+    i, j = int(iu[best]), int(ju[best])
     ia = np.full(dim, i, dtype=np.intp)
     ib = ia.copy()
     ib[0] = j
-    return best_val, (ia, ib, None)
+    return float(quotients[best]), (ia, ib, None)
 
 
 def _diagonal_sweep(ev: _Evaluator, dim: int):
@@ -232,12 +274,10 @@ def _diagonal_sweep(ev: _Evaluator, dim: int):
     return best_val, best_cand
 
 
-def _random_restart(pts, fvals, kind, dim, seed, index, sweeps):
-    """One seeded restart; runs on a private evaluator so the eval count is
-    race-free under threaded execution."""
-    ev = _Evaluator(pts, fvals, kind)
+def _restart_start(n_pts: int, dim: int, seed: int, index: int):
+    """Starting candidate (ia, ib, Q0) of restart ``index``, drawn from
+    substream (seed, index)."""
     rng = np.random.default_rng([seed, index])
-    n_pts = pts.size
     ia = rng.integers(0, n_pts, size=dim)
     ib = rng.integers(0, n_pts, size=dim)
     for _ in range(16):
@@ -250,8 +290,7 @@ def _random_restart(pts, fvals, kind, dim, seed, index, sweeps):
     z = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-    value, q = _ascent(ev, ia, ib, q, sweeps)
-    return value, (ia, ib, q), ev.count
+    return ia, ib, q
 
 
 def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
@@ -315,22 +354,14 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
         if cand is not None:
             candidates.append((value, 1, cand))
 
+    # the polish of the incumbent and the restarts run as one lockstep batch
     _, _, (ia0, ib0, _) = max(candidates, key=lambda c: (c[0], -c[1]))
-    polish_value, polish_q = _ascent(ev, ia0, ib0, np.eye(dim), sweeps)
-    candidates.append((polish_value, 2, (ia0, ib0, polish_q)))
-
-    workers = max_workers()
-    if workers > 1 and budget > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda r: _random_restart(pts, fvals, norm_kind, dim, seed, r, sweeps),
-                range(budget)))
-    else:
-        results = [_random_restart(pts, fvals, norm_kind, dim, seed, r, sweeps)
-                   for r in range(budget)]
-    for r, (value, cand, used) in enumerate(results):
-        ev.count += used
-        candidates.append((value, 3 + r, cand))
+    max_workers()  # validates SPECSHIFT_THREADS; restarts always run batched
+    starts = [(ia0, ib0, np.eye(dim))] + [
+        _restart_start(pts.size, dim, seed, r) for r in range(budget)]
+    values, qs = _ascent(ev, starts, sweeps)
+    for lane, ((ia, ib, _), value) in enumerate(zip(starts, values)):
+        candidates.append((value, 2 + lane, (ia, ib, qs[lane])))
 
     best_value, _, best_cand = max(candidates, key=lambda c: (c[0], -c[1]))
     witness = _witness_from_candidate(f, ev, *best_cand)

@@ -122,7 +122,8 @@ class TestRatioSearchCommand:
             "budget": 1, "seed": 0, "output": "x.csv"})
         assert main(["ratio-search", cfg]) == 2
 
-    @pytest.mark.parametrize("interval", [[1.0, -1.0], [0.0, float("inf")]])
+    @pytest.mark.parametrize("interval", [[1.0, -1.0], [0.0, float("inf")],
+                                          "ab", [1], [None, 1], [True, 2]])
     def test_bad_interval_exits_2(self, tmp_path, interval):
         out = tmp_path / "report.csv"
         cfg = _write_cfg(tmp_path / "cfg.json", {

@@ -1,13 +1,21 @@
 """Tests for the seminorm lower-bound search."""
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshift import (FiniteSpectrumSet, get_function, increment_ratio,
                        lipschitz_seminorm_estimate, restrict_to_grid,
                        seminorm_lower_bound)
+from specshift.blocks import _block_grid, _block_seed
+from specshift.search import (_GOLDEN, _ascent, _dense_norm, _diagonal_sweep,
+                              _Evaluator, _restart_start, _SWEEP_LIMIT,
+                              _witness_from_candidate)
 
 
 def _grid9():
@@ -141,3 +149,236 @@ def test_threaded_restarts_match_serial(monkeypatch):
     threaded = seminorm_lower_bound(f, grid, 3, "schatten1", 6, 31)
     assert threaded.value == serial.value
     assert np.array_equal(threaded.witness.b.matrix, serial.witness.b.matrix)
+
+
+def _fingerprint(res):
+    """(value as hex, budget_used, sha256 of the witness B matrix bytes)."""
+    digest = hashlib.sha256(res.witness.b.matrix.tobytes()).hexdigest()
+    return res.value.hex(), res.budget_used, digest
+
+
+class TestFrozenWitnesses:
+    """Outputs recorded before the ascent was batched; the lockstep search
+    must reproduce them bit for bit."""
+
+    ABS_GRID_17 = {
+        (2, "operator"): ("0x1.0000000000001p+0", 281,
+                          "eb10251f1f5255735e37db2257d3f23e46615f92f6baeec1258d66f27bf65815"),
+        (2, "schatten1"): ("0x1.0000000000001p+0", 281,
+                           "eb10251f1f5255735e37db2257d3f23e46615f92f6baeec1258d66f27bf65815"),
+        (4, "operator"): ("0x1.00005078bbd9bp+0", 981,
+                          "4c4e370eb8d2007bb23805dba61d5f498df40b739dcaf4468c31208c0a72ad46"),
+        (4, "schatten1"): ("0x1.0000000000001p+0", 981,
+                           "ac9a7cbb1958c72aa7aa7b4c33571b3a66703e1120f6f96d1b46b6ccf7ae1ac5"),
+        (8, "operator"): ("0x1.0000000000001p+0", 4061,
+                          "f2bbd09337a99589757b7ce0179be60cf27c4c7cfabea494c7d6ba700536e2d4"),
+        (8, "schatten1"): ("0x1.0000000000001p+0", 4061,
+                           "f2bbd09337a99589757b7ce0179be60cf27c4c7cfabea494c7d6ba700536e2d4"),
+        (16, "operator"): ("0x1.0000000000001p+0", 16941,
+                           "79dcecd25cd8303e0f6b6c140c515e275af067c28640db5092cf35e644ac055f"),
+        (16, "schatten1"): ("0x1.0000000000001p+0", 16941,
+                            "79dcecd25cd8303e0f6b6c140c515e275af067c28640db5092cf35e644ac055f"),
+    }
+
+    SQRT_ABS_BLOCKS = {
+        1: ("0x1.0000000000001p+6", 6700,
+            "e0bf27dbc81ed977e6c1913c245946b5642d6c5769a95b4eb9c1e2cf8f3ada83"),
+        2: ("0x1.6a09e667f3bd8p+7", 7006,
+            "11fe34e6e832b8b31c6f3418e0d644e5b679b125ce686a51bf14d2e731ffc011"),
+        3: ("0x1.0000000000001p+9", 7328,
+            "d5cbafce1dd104d57cdd35e3cfd2f0ac8a70f50cd0b68905c67b77ad5217eb81"),
+    }
+
+    @pytest.mark.parametrize("dim,kind", sorted(ABS_GRID_17))
+    def test_abs_grid_17_seed_17(self, dim, kind):
+        res = seminorm_lower_bound(get_function("abs"), restrict_to_grid((-1, 1), 17),
+                                   dim, kind, 4, 17)
+        assert _fingerprint(res) == self.ABS_GRID_17[dim, kind]
+
+    @pytest.mark.parametrize("level", sorted(SQRT_ABS_BLOCKS))
+    def test_sqrt_abs_block_grids_dim_8(self, level):
+        res = seminorm_lower_bound(get_function("sqrt_abs"), _block_grid(2.0 ** -level, level),
+                                   8, "schatten1", 4, _block_seed(1, level))
+        assert _fingerprint(res) == self.SQRT_ABS_BLOCKS[level]
+
+    def test_smoothed_abs_grid9_seed_31(self):
+        res = seminorm_lower_bound(get_function("smoothed_abs", (0.05,)), _grid9(),
+                                   3, "schatten1", 6, 31)
+        assert _fingerprint(res) == (
+            "0x1.ff261b387116bp-1", 631,
+            "a6d7bbfed5dd9518a0377b1b6f16cbd5df063fa622c4afccf24b518da567e972")
+
+
+# One-candidate-at-a-time reference: every candidate gets its own matmuls
+# and SVDs and every ascent runs alone.  The lockstep search must match it
+# bit for bit.
+
+def _oracle_rotated(ev, ia, ib, q):
+    ev.count += 1
+    a, b = ev.pts[ia], ev.pts[ib]
+    den = _dense_norm((q * b) @ q.T - np.diag(a), ev.kind)
+    if den <= ev.floor(a, b):
+        return -math.inf
+    num = _dense_norm((q * ev.fvals[ib]) @ q.T - np.diag(ev.fvals[ia]), ev.kind)
+    if num <= ev.floor(a, b):
+        return 0.0
+    return num / den
+
+
+def _oracle_givens(dim, i, j, theta):
+    g = np.eye(dim)
+    c, s = math.cos(theta), math.sin(theta)
+    g[i, i] = c
+    g[j, j] = c
+    g[i, j] = -s
+    g[j, i] = s
+    return g
+
+
+def _oracle_golden_max(g, lo, hi, iters=18):
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = g(x1), g(x2)
+    best_x, best_v = (x1, f1) if f1 >= f2 else (x2, f2)
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = g(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = g(x1)
+        if f1 >= best_v:
+            best_x, best_v = x1, f1
+        if f2 >= best_v:
+            best_x, best_v = x2, f2
+    return best_x, best_v
+
+
+def _oracle_ascent(ev, ia, ib, q0, sweeps=1):
+    dim = ia.size
+    best = _oracle_rotated(ev, ia, ib, q0)
+    q = q0
+    if dim == 1:
+        return best, q
+    coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
+    window = math.pi / 8
+    for _ in range(sweeps):
+        for i in range(dim - 1):
+            for j in range(i + 1, dim):
+                def g(theta):
+                    return _oracle_rotated(ev, ia, ib, q @ _oracle_givens(dim, i, j, theta))
+
+                coarse_vals = [g(t) for t in coarse]
+                k = int(np.argmax(coarse_vals))
+                theta, val = _oracle_golden_max(g, coarse[k] - window, coarse[k] + window)
+                if coarse_vals[k] > val:
+                    theta, val = float(coarse[k]), coarse_vals[k]
+                if val > best:
+                    best = val
+                    q = q @ _oracle_givens(dim, i, j, theta)
+    return best, q
+
+
+def _oracle_search(f, grid, dim, kind, budget, seed):
+    """The search with the scalar probe loop and one ascent per start."""
+    pts = grid.points
+    ev = _Evaluator(pts, np.array([f(x) for x in pts]), kind)
+    best_val, best_pair = -math.inf, (0, 1)
+    for i in range(pts.size - 1):
+        for j in range(i + 1, pts.size):
+            ev.count += 1
+            quotient = abs(ev.fvals[j] - ev.fvals[i]) / abs(pts[j] - pts[i])
+            if quotient > best_val:
+                best_val, best_pair = quotient, (i, j)
+    ia = np.full(dim, best_pair[0], dtype=np.intp)
+    ib = ia.copy()
+    ib[0] = best_pair[1]
+    candidates = [(best_val, 0, (ia, ib, None))]
+    if float(pts.size) ** (2 * dim) <= _SWEEP_LIMIT:
+        value, cand = _diagonal_sweep(ev, dim)
+        if cand is not None:
+            candidates.append((value, 1, cand))
+    _, _, (ia0, ib0, _) = max(candidates, key=lambda c: (c[0], -c[1]))
+    starts = [(ia0, ib0, np.eye(dim))] + [
+        _restart_start(pts.size, dim, seed, r) for r in range(budget)]
+    for phase, (ia, ib, q0) in enumerate(starts, start=2):
+        value, q = _oracle_ascent(ev, ia, ib, q0)
+        candidates.append((value, phase, (ia, ib, q)))
+    _, _, best_cand = max(candidates, key=lambda c: (c[0], -c[1]))
+    witness = _witness_from_candidate(f, ev, *best_cand)
+    value = witness.ratio_s1 if kind == "schatten1" else witness.ratio_op
+    return value, ev.count, witness.b.matrix
+
+
+_ORACLE_FUNCTIONS = (("abs", ()), ("sqrt_abs", ()), ("smoothed_abs", (0.05,)),
+                     ("sin", ()), ("signed_square", ()), ("identity", ()),
+                     ("constant", (1.0,)))
+
+
+class TestLockstepMatchesOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(fn=st.sampled_from(_ORACLE_FUNCTIONS),
+           interval=st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0)]),
+           count=st.integers(2, 9), dim=st.integers(1, 5),
+           budget=st.integers(1, 4), seed=st.integers(0, 2**31),
+           kind=st.sampled_from(["operator", "schatten1"]))
+    def test_search_bit_identical(self, fn, interval, count, dim, budget, seed, kind):
+        f = get_function(*fn)
+        grid = restrict_to_grid(interval, count)
+        res = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
+        value, used, b_matrix = _oracle_search(f, grid, dim, kind, budget, seed)
+        assert res.value.hex() == value.hex()
+        assert res.budget_used == used
+        assert res.witness.b.matrix.tobytes() == b_matrix.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4), lanes=st.integers(1, 4),
+           kind=st.sampled_from(["operator", "schatten1"]))
+    def test_ascent_lanes_bit_identical(self, data, dim, lanes, kind):
+        # lanes whose b is a permutation of a reach a degenerate denominator
+        # (-inf) on the coarse angle -pi/2
+        grid = restrict_to_grid((-1, 1), 5)
+        ev = _Evaluator(grid.points, np.abs(grid.points), kind)
+        starts = []
+        for _ in range(lanes):
+            ia = np.array(data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim)))
+            ib = np.array(data.draw(st.permutations(ia.tolist())))
+            if data.draw(st.booleans()):
+                ib = np.array(data.draw(st.lists(st.integers(0, 4),
+                                                 min_size=dim, max_size=dim)))
+            q0 = _restart_start(5, dim, data.draw(st.integers(0, 1000)), 0)[2]
+            starts.append((ia, ib, np.eye(dim) if data.draw(st.booleans()) else q0))
+        values, qs = _ascent(ev, starts, 1)
+        oracle = _Evaluator(ev.pts, ev.fvals, kind)
+        for lane, (ia, ib, q0) in enumerate(starts):
+            value, q = _oracle_ascent(oracle, ia, ib, q0)
+            assert values[lane] == value
+            assert qs[lane].tobytes() == np.asarray(q).tobytes()
+        assert ev.count == oracle.count
+
+    def test_degenerate_denominator_scores_minus_inf(self):
+        grid = FiniteSpectrumSet([-1.0, 1.0])
+        ev = _Evaluator(grid.points, grid.points.copy(), "schatten1")
+        ia, ib = np.array([0, 1]), np.array([1, 0])
+        lanes = ev.lanes([(ia, ib, None)])
+        swap = _oracle_givens(2, 0, 1, -math.pi / 2)
+        assert ev.rotated(lanes, swap[None, None])[0, 0] == -math.inf
+        assert _oracle_rotated(ev, ia, ib, swap) == -math.inf
+
+    def test_constant_function_scores_exact_zero(self):
+        f = get_function("constant", (1.0,))
+        for dim in (1, 3):
+            res = seminorm_lower_bound(f, _grid9(), dim, "schatten1", 3, 5)
+            value, used, b_matrix = _oracle_search(f, _grid9(), dim, "schatten1", 3, 5)
+            assert res.value == value == 0.0
+            assert res.budget_used == used
+            assert res.witness.b.matrix.tobytes() == b_matrix.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 8, 16])
+    def test_identity_exactly_one(self, dim):
+        for kind in ("operator", "schatten1"):
+            res = seminorm_lower_bound(get_function("identity"),
+                                       restrict_to_grid((-1, 1), 17), dim, kind, 2, 3)
+            assert res.value == 1.0
