@@ -94,24 +94,12 @@ class DirectSumPair:
     function: ScalarFunction
     blocks: Tuple[SumBlock, ...]
 
-    @property
-    def sum_blocks(self) -> Tuple[SumBlock, ...]:
-        return self.blocks
-
-    def aggregate_delta_s1(self) -> float:
-        total = 0.0
-        for blk in self.blocks:
-            total += blk.weighted_delta_s1
-        return total
-
     def aggregate_increment_s1(self) -> float:
-        total = 0.0
-        for blk in self.blocks:
-            total += blk.weighted_increment_s1
-        return total
+        return partial_sums(self, len(self.blocks))[1]
 
     def aggregate_ratio(self) -> float:
-        return self.aggregate_increment_s1() / self.aggregate_delta_s1()
+        delta_s1, increment_s1 = partial_sums(self, len(self.blocks))
+        return increment_s1 / delta_s1
 
 
 def _path_point(a: HermitianOperator, diff: np.ndarray, t: float) -> HermitianOperator:
@@ -226,10 +214,6 @@ class DivergentFamily:
                     f"block {rec.index}: aggregate increment {agg!r} outside [1/2, 1]")
 
     @property
-    def sum_blocks(self) -> Tuple[SumBlock, ...]:
-        return tuple(rec.block for rec in self.records)
-
-    @property
     def all_records(self) -> Tuple[BlockRecord, ...]:
         if self.failure is None:
             return self.records
@@ -309,7 +293,10 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
 def partial_sums(family, upto: int) -> Tuple[float, float]:
     """(sum of N_n ||B_n - A_n||_1, sum of N_n ||f(B_n) - f(A_n)||_1) over the
     first ``upto`` blocks.  Accepts a DirectSumPair or a DivergentFamily."""
-    blocks = family.sum_blocks
+    if isinstance(family, DivergentFamily):
+        blocks = [rec.block for rec in family.records]
+    else:
+        blocks = family.blocks
     if not 0 <= upto <= len(blocks):
         raise IndexError(
             f"upto = {upto} outside [0, {len(blocks)}] available blocks")

@@ -20,12 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blocks import build_divergent_family, default_delta_schedule, weighted
+from .blocks import build_divergent_family, default_delta_schedule, partial_sums
 from .catalog import get_function
 from .errors import (BadInterval, BadParams, ConfigError, SpecshiftError,
                      UnknownFunction)
@@ -33,11 +35,11 @@ from .hermitian import (HermitianOperator, apply_function, decompose,
                         increment_ratio, operator_scale, schatten_norm,
                         spectral_truncation, trace_transfer_check)
 from .loewner import divided_difference, perturbation_identity_residual, restrict_to_grid
-from .search import NORM_KINDS, seminorm_lower_bound
+from .search import NORM_KINDS, random_orthogonal, seminorm_lower_bound
 from .sequences import (NotFound, divergence_check, multiplicity_sequence,
                         scalar_ratio_witnesses)
 from .serialize import (dump_json, family_to_json, matrix_from_json,
-                        sequence_witness_to_json, witness_to_json)
+                        sequence_witness_to_json, witness_to_json, write_text)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,13 +59,10 @@ def _write_report(path: str, columns, rows, fmt: str) -> None:
     if fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(str(c) for c in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        write_text(path, "\n".join(lines) + "\n")
     else:
-        doc = {"columns": list(columns),
-               "rows": [dict(zip(columns, row)) for row in rows]}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        dump_json({"columns": list(columns),
+                   "rows": [dict(zip(columns, row)) for row in rows]}, path)
 
 
 def _sidecar(output: str, suffix: str) -> str:
@@ -75,14 +74,20 @@ def _sidecar(output: str, suffix: str) -> str:
 # configuration handling
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """A JSON input file; a missing, unreadable or malformed file is a
+    configuration error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
+
+
+def _load_config(path: str) -> dict:
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
@@ -113,13 +118,17 @@ def _get_function(cfg: dict):
         raise ConfigError(str(exc)) from None
 
 
+def _check_int(value, minimum: int, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _get_int(cfg: dict, key: str, minimum: int, default=None) -> int:
     value = cfg.get(key, default)
     if value is None:
         raise ConfigError(f"config needs integer field {key!r}")
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return value
+    return _check_int(value, minimum, key)
 
 
 def _get_output(cfg: dict) -> str:
@@ -150,15 +159,14 @@ def _get_format(cfg: dict) -> str:
 def run_ratio_search(cfg: dict) -> int:
     f = _get_function(cfg)
     dims = cfg.get("dims")
-    if (not isinstance(dims, list) or not dims
-            or any(not isinstance(d, int) or d < 1 for d in dims)):
+    if not isinstance(dims, list) or not dims:
         raise ConfigError('config needs "dims": a list of positive integers')
+    for dim in dims:
+        _check_int(dim, 1, "each dim")
     grid_cfg = cfg.get("grid")
     if not isinstance(grid_cfg, dict) or "interval" not in grid_cfg:
         raise ConfigError('config needs "grid": {"interval": [a, b], "count": n}')
-    count = grid_cfg.get("count")
-    if not isinstance(count, int) or count < 2:
-        raise ConfigError(f"grid count must be an integer >= 2, got {count!r}")
+    count = _check_int(grid_cfg.get("count"), 2, "grid count")
     try:
         grid = restrict_to_grid(grid_cfg["interval"], count)
     except BadInterval as exc:
@@ -213,16 +221,12 @@ def run_divergence(cfg: dict) -> int:
                "increment_s1", "perturbation_partial_sum",
                "increment_partial_sum", "status")
     rows = []
-    pert_sum = 0.0
-    incr_sum = 0.0
+    ok_blocks = len(family.records)
     for rec in family.all_records:
-        if rec.status == "ok":
-            blk = rec.block
-            pert_sum += blk.weighted_delta_s1
-            incr_sum += blk.weighted_increment_s1
+        # a failed block comes last and adds nothing to the partial sums
+        pert_sum, incr_sum = partial_sums(family, min(rec.index, ok_blocks))
         mult = str(rec.block.multiplicity) if rec.block is not None else "0"
-        agg_inc = (weighted(rec.block.multiplicity, rec.block.increment_s1)
-                   if rec.block is not None else 0.0)
+        agg_inc = rec.block.weighted_increment_s1 if rec.block is not None else 0.0
         rows.append((rec.index, _fmt(rec.delta), _fmt(rec.target_ratio),
                      _fmt(rec.achieved_ratio), mult, _fmt(agg_inc),
                      _fmt(pert_sum), _fmt(incr_sum), rec.status))
@@ -271,148 +275,147 @@ def _random_hermitian(rng, dim: int) -> HermitianOperator:
     return HermitianOperator(rng.uniform(-1.0, 1.0, (dim, dim)))
 
 
-def _haarish_orthogonal(rng, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+_SCHATTEN_PS = (1, 2, np.inf)
+_POLY4 = (0.5, -1.0, 2.0, 0.0, 1.5)
+_TRIALS = 12
+
+
+def _unitary_invariance(rng, dim: int, _) -> list:
+    x = rng.uniform(-1.0, 1.0, (dim, dim))
+    q = random_orthogonal(rng, dim)
+    residuals = []
+    for p in _SCHATTEN_PS:
+        base = schatten_norm(x, p)
+        residuals.append(abs(schatten_norm(q @ x @ q.T, p) - base) / base)
+    return residuals
+
+
+def _norm_ordering(rng, dim: int, _) -> list:
+    x = rng.uniform(-1.0, 1.0, (dim, dim))
+    n1, n2, ninf = (schatten_norm(x, p) for p in _SCHATTEN_PS)
+    return [max((ninf - n2) / n1, (n2 - n1) / n1, (n1 - dim * ninf) / n1)]
+
+
+def _triangle_inequality(rng, dim: int, _) -> list:
+    x = rng.uniform(-1.0, 1.0, (dim, dim))
+    y = rng.uniform(-1.0, 1.0, (dim, dim))
+    violations = []
+    for p in _SCHATTEN_PS:
+        rhs = schatten_norm(x, p) + schatten_norm(y, p)
+        violations.append((schatten_norm(x + y, p) - rhs) / rhs)
+    return [max(violations)]
+
+
+def _poly4_calculus(rng, dim: int, poly4) -> list:
+    a = _random_hermitian(rng, dim)
+    direct = np.zeros_like(a.matrix)
+    power = np.eye(dim)
+    for c in _POLY4:
+        direct = direct + c * power
+        power = power @ a.matrix
+    err = np.abs(apply_function(poly4, a).matrix - direct).max()
+    return [err / (1.0 + schatten_norm(a, np.inf)) ** 4]
+
+
+def _scalar_reduction(rng, dim: int, f) -> list:
+    diag_vals = rng.uniform(-2.0, 2.0, dim)
+    fa = apply_function(f, HermitianOperator(np.diag(diag_vals))).matrix
+    return [float(np.abs(fa - np.diag(np.abs(diag_vals))).max())]
+
+
+def _truncation_rank(rng, dim: int, _) -> list:
+    a = _random_hermitian(rng, dim)
+    delta = float(rng.uniform(0.2, 1.5))
+    a_d, discarded = spectral_truncation(a, delta)
+    eigs = decompose(a).eigenvalues
+    kept = decompose(a_d).eigenvalues
+    return [int(discarded != int(np.count_nonzero(np.abs(eigs) > delta)))
+            + int(np.any((np.abs(kept) > delta) & (kept != 0.0)))]
+
+
+def _identity_ratio(rng, dim: int, identity) -> list:
+    a = _random_hermitian(rng, dim)
+    b = _random_hermitian(rng, dim)
+    return [abs(increment_ratio(identity, a, b).ratio_s1 - 1.0)]
+
+
+def _loewner_identity(rng, dim: int, f) -> list:
+    a = _random_hermitian(rng, dim)
+    b = _random_hermitian(rng, dim)
+    return [perturbation_identity_residual(f, a, b) / operator_scale(a, b)]
+
+
+def _trace_transfer(rng, dim: int, f) -> list:
+    a = _random_hermitian(rng, dim)
+    b = _random_hermitian(rng, dim)
+    delta = float(rng.uniform(0.2, 1.5))
+    report = trace_transfer_check(f, delta, a, b)
+    return [report.reassembly_residual_s1 / report.scale]
+
+
+class _Check(NamedTuple):
+    """A verify check: ``_TRIALS`` calls trial(rng, dim, f) per entry f of
+    ``functions``, all drawn from substream (seed, *stream).  Each call
+    returns one residual per row in ``names``; a row's residuals start at
+    0.0 and are folded with ``combine``."""
+
+    stream: tuple
+    names: tuple
+    tolerance: float
+    trial: Callable
+    functions: tuple = (None,)
+    combine: Callable = max
 
 
 def _verify_checks(seed: int, fixtures) -> list:
     """Run the invariant suites; returns rows (check, residual, tolerance, ok)."""
-    checks = []
-
-    def add(name: str, residual: float, tolerance: float) -> None:
-        checks.append((name, residual, tolerance, residual <= tolerance))
-
-    trials = 12
-    rng = np.random.default_rng([seed, 1])
-    worst = {1: 0.0, 2: 0.0, np.inf: 0.0}
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        x = rng.uniform(-1.0, 1.0, (dim, dim))
-        q = _haarish_orthogonal(rng, dim)
-        for p in worst:
-            base = schatten_norm(x, p)
-            worst[p] = max(worst[p], abs(schatten_norm(q @ x @ q.T, p) - base) / base)
-    add("unitary_invariance_s1", worst[1], 1e-9)
-    add("unitary_invariance_s2", worst[2], 1e-9)
-    add("unitary_invariance_sinf", worst[np.inf], 1e-9)
-
-    rng = np.random.default_rng([seed, 2])
-    violation = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        x = rng.uniform(-1.0, 1.0, (dim, dim))
-        n1, n2, ninf = (schatten_norm(x, 1), schatten_norm(x, 2),
-                        schatten_norm(x, np.inf))
-        violation = max(violation, (ninf - n2) / n1, (n2 - n1) / n1,
-                        (n1 - dim * ninf) / n1)
-    add("norm_ordering", max(violation, 0.0), 1e-12)
-
-    rng = np.random.default_rng([seed, 3])
-    violation = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        x = rng.uniform(-1.0, 1.0, (dim, dim))
-        y = rng.uniform(-1.0, 1.0, (dim, dim))
-        for p in (1, 2, np.inf):
-            lhs = schatten_norm(x + y, p)
-            rhs = schatten_norm(x, p) + schatten_norm(y, p)
-            violation = max(violation, (lhs - rhs) / rhs)
-    add("triangle_inequality", max(violation, 0.0), 1e-10)
-
-    rng = np.random.default_rng([seed, 4])
-    coeffs = (0.5, -1.0, 2.0, 0.0, 1.5)
-    poly4 = get_function("poly", coeffs)
-    worst_resid = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        a = _random_hermitian(rng, dim)
-        m = a.matrix
-        direct = np.zeros_like(m)
-        power = np.eye(dim)
-        for c in coeffs:
-            direct = direct + c * power
-            power = power @ m
-        err = np.abs(apply_function(poly4, a).matrix - direct).max()
-        worst_resid = max(worst_resid, err / (1.0 + schatten_norm(a, np.inf)) ** 4)
-    add("functional_calculus_poly4", worst_resid, 1e-9)
-
-    rng = np.random.default_rng([seed, 5])
-    worst_resid = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        diag_vals = rng.uniform(-2.0, 2.0, dim)
-        a = HermitianOperator(np.diag(diag_vals))
-        fa = apply_function(get_function("abs"), a).matrix
-        expected = np.diag(np.abs(diag_vals))
-        worst_resid = max(worst_resid, float(np.abs(fa - expected).max()))
-    add("scalar_reduction_diagonal", worst_resid, 0.0)
-
-    rng = np.random.default_rng([seed, 6])
-    mismatches = 0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        a = _random_hermitian(rng, dim)
-        delta = float(rng.uniform(0.2, 1.5))
-        a_d, discarded = spectral_truncation(a, delta)
-        eigs = decompose(a).eigenvalues
-        if discarded != int(np.count_nonzero(np.abs(eigs) > delta)):
-            mismatches += 1
-        kept = decompose(a_d).eigenvalues
-        if np.any((np.abs(kept) > delta) & (kept != 0.0)):
-            mismatches += 1
-    add("spectral_truncation_rank", float(mismatches), 0.0)
-
-    rng = np.random.default_rng([seed, 7])
-    identity = get_function("identity")
-    worst_resid = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        a = _random_hermitian(rng, dim)
-        b = _random_hermitian(rng, dim)
-        worst_resid = max(worst_resid,
-                          abs(increment_ratio(identity, a, b).ratio_s1 - 1.0))
-    add("identity_ratio", worst_resid, 1e-12)
-
+    square = get_function("poly", (0.0, 0.0, 1.0))
+    table = [
+        _Check((1,), ("unitary_invariance_s1", "unitary_invariance_s2",
+                      "unitary_invariance_sinf"), 1e-9, _unitary_invariance),
+        _Check((2,), ("norm_ordering",), 1e-12, _norm_ordering),
+        _Check((3,), ("triangle_inequality",), 1e-10, _triangle_inequality),
+        _Check((4,), ("functional_calculus_poly4",), 1e-9, _poly4_calculus,
+               (get_function("poly", _POLY4),)),
+        _Check((5,), ("scalar_reduction_diagonal",), 0.0, _scalar_reduction,
+               (get_function("abs"),)),
+        # counts mismatches rather than keeping the worst trial
+        _Check((6,), ("spectral_truncation_rank",), 0.0, _truncation_rank,
+               combine=operator.add),
+        _Check((7,), ("identity_ratio",), 1e-12, _identity_ratio,
+               (get_function("identity"),)),
+    ]
     for sub, (name, fn) in enumerate((
             ("loewner_identity_poly", get_function("poly", (1.0, -2.0, 0.0, 3.0))),
             ("loewner_identity_sin", get_function("sin")),
             ("loewner_identity_exp", get_function("exp")))):
-        rng = np.random.default_rng([seed, 8, sub])
-        worst_resid = 0.0
-        for _ in range(trials):
-            dim = int(rng.integers(2, 9))
-            a = _random_hermitian(rng, dim)
-            b = _random_hermitian(rng, dim)
-            resid = perturbation_identity_residual(fn, a, b)
-            worst_resid = max(worst_resid, resid / operator_scale(a, b))
-        add(name, worst_resid, 1e-8)
+        table.append(_Check((8, sub), (name,), 1e-8, _loewner_identity, (fn,)))
+    table.append(_Check((9,), ("trace_transfer_reassembly",), 1e-9, _trace_transfer,
+                        (get_function("abs"), square,
+                         get_function("smoothed_abs", (0.05,)))))
 
-    rng = np.random.default_rng([seed, 9])
-    worst_resid = 0.0
-    for fn in (get_function("abs"), get_function("poly", (0.0, 0.0, 1.0)),
-               get_function("smoothed_abs", (0.05,))):
-        for _ in range(trials):
-            dim = int(rng.integers(2, 9))
-            a = _random_hermitian(rng, dim)
-            b = _random_hermitian(rng, dim)
-            delta = float(rng.uniform(0.2, 1.5))
-            report = trace_transfer_check(fn, delta, a, b)
-            worst_resid = max(worst_resid,
-                              report.reassembly_residual_s1 / report.scale)
-    add("trace_transfer_reassembly", worst_resid, 1e-9)
+    results = []  # (check, residual, tolerance)
+    for check in table:
+        rng = np.random.default_rng([seed, *check.stream])
+        worst = [0.0] * len(check.names)
+        for f in check.functions:
+            for _ in range(_TRIALS):
+                residuals = check.trial(rng, int(rng.integers(2, 9)), f)
+                worst = [check.combine(w, r) for w, r in zip(worst, residuals)]
+        results.extend((name, residual, check.tolerance)
+                       for name, residual in zip(check.names, worst))
 
-    square = get_function("poly", (0.0, 0.0, 1.0))
-    add("divided_difference_tie",
-        abs(divided_difference(square, 2.0, 2.0) - 4.0), 1e-12)
+    results.append(("divided_difference_tie",
+                    abs(divided_difference(square, 2.0, 2.0) - 4.0), 1e-12))
 
     for idx, fixture in enumerate(fixtures):
         dec = decompose(fixture)
         recon = np.abs((dec.eigenvectors * dec.eigenvalues)
                        @ dec.eigenvectors.conj().T - fixture.matrix).max()
-        add(f"fixture_{idx}_reconstruction", float(recon),
-            1e-10 * max(1.0, float(np.abs(fixture.matrix).max())))
-    return checks
+        results.append((f"fixture_{idx}_reconstruction", float(recon),
+                        1e-10 * max(1.0, float(np.abs(fixture.matrix).max()))))
+    return [(name, residual, tolerance, residual <= tolerance)
+            for name, residual, tolerance in results]
 
 
 def run_verify(cfg: dict) -> int:
@@ -425,8 +428,7 @@ def run_verify(cfg: dict) -> int:
         raise ConfigError('"matrices" must be a list of matrix objects or paths')
     for entry in raw_fixtures:
         if isinstance(entry, str):
-            with open(entry, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            entry = _read_json(entry, "fixture")
         fixtures.append(matrix_from_json(entry))
 
     checks = _verify_checks(seed, fixtures)
@@ -481,10 +483,6 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         _merge_overrides(cfg, args)
         _check_experiment(cfg, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

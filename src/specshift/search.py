@@ -24,7 +24,10 @@ The incumbent is the best value with the earliest phase index, so the result
 is deterministic given (seed, budget), independent of evaluation order, and
 nondecreasing in budget.  Candidate ratios reuse the construction
 decomposition of B (no fresh eigensolve), which keeps trivial identities
-exact: the identity function scores 1.0 bit for bit.
+exact: the identity function scores 1.0 bit for bit.  The winner's two
+ratios (operator and Schatten-1) are rescored by the kernel that scored it:
+exact diagonal sums for a diagonal candidate, the evaluator's stacked SVD
+for a rotated one, so the reported value equals the searched one.
 """
 from __future__ import annotations
 
@@ -91,11 +94,6 @@ def _diag_norms(vec: np.ndarray, kind: str) -> float:
     return float(av.sum()) if kind == "schatten1" else float(av.max())
 
 
-def _dense_norm(m: np.ndarray, kind: str) -> float:
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s.sum()) if kind == "schatten1" else float(s[0])
-
-
 @dataclass(frozen=True)
 class _Lanes:
     """Spectra of L candidate families scored together: lane l pairs
@@ -145,6 +143,16 @@ class _Evaluator:
         return _Lanes(np.stack([b, self.fvals[ib]]), np.stack([a, self.fvals[ia]]),
                       np.array(floor)[:, None])
 
+    @staticmethod
+    def singular_values(lanes: _Lanes, qs: np.ndarray) -> np.ndarray:
+        """Singular values of Q diag(b_l) Q^T - diag(a_l) and of
+        Q diag(f(b_l)) Q^T - diag(f(a_l)) for each Q in the (L, k, n, n)
+        stack ``qs``, as a (2, L, k, n) array: the dense norm kernel."""
+        m = (qs * lanes.spec[:, :, None, None, :]) @ qs.swapaxes(-1, -2)
+        d = np.arange(qs.shape[-1])
+        m[..., d, d] -= lanes.diag[:, :, None, :]
+        return np.linalg.svd(m, compute_uv=False)
+
     def rotated(self, lanes: _Lanes, qs: np.ndarray) -> np.ndarray:
         """Ratios of the pairs diag(a_l), Q diag(b_l) Q^T for each Q in the
         (L, k, n, n) stack ``qs``; returns an (L, k) array.
@@ -155,10 +163,7 @@ class _Evaluator:
         the candidates one at a time.
         """
         self.count += qs.shape[0] * qs.shape[1]
-        m = (qs * lanes.spec[:, :, None, None, :]) @ qs.swapaxes(-1, -2)
-        d = np.arange(qs.shape[-1])
-        m[..., d, d] -= lanes.diag[:, :, None, :]
-        s = np.linalg.svd(m, compute_uv=False)
+        s = self.singular_values(lanes, qs)
         den, num = s.sum(axis=-1) if self.kind == "schatten1" else s[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den <= lanes.floor, -np.inf,
@@ -287,28 +292,30 @@ def _restart_start(n_pts: int, dim: int, seed: int, index: int):
     else:
         ib = ia.copy()
         ib[0] = (ia[0] + 1) % n_pts
-    z = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-    return ia, ib, q
+    return ia, ib, random_orthogonal(rng, dim)
+
+
+def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Orthogonal matrix from the QR factors of a standard normal draw, with
+    the signs of R's diagonal folded into Q (Haar distributed)."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
 def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
     """Materialise the candidate pair with both ratios computed along the
     same arithmetic path the search used to score it."""
     a, b = ev.pts[ia], ev.pts[ib]
-    fa, fb = ev.fvals[ia], ev.fvals[ib]
     if q is None:
         b_mat = np.diag(b)
+        fa, fb = ev.fvals[ia], ev.fvals[ib]
         den_s1, den_op = _diag_norms(b - a, "schatten1"), _diag_norms(b - a, "operator")
         num_s1 = _diag_norms(fb - fa, "schatten1")
         num_op = _diag_norms(fb - fa, "operator")
     else:
         b_mat = (q * b) @ q.T
-        den_m = b_mat - np.diag(a)
-        num_m = (q * fb) @ q.T - np.diag(fa)
-        den_s1, den_op = _dense_norm(den_m, "schatten1"), _dense_norm(den_m, "operator")
-        num_s1, num_op = _dense_norm(num_m, "schatten1"), _dense_norm(num_m, "operator")
+        s = ev.singular_values(ev.lanes([(ia, ib)]), q[None, None])[:, 0, 0]
+        (den_s1, num_s1), (den_op, num_op) = s.sum(axis=-1).tolist(), s[:, 0].tolist()
     floor = ev.floor(a, b)
     return RatioWitness(
         a=HermitianOperator(np.diag(a)),

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockRecord, DivergentFamily, weighted
+from .blocks import BlockRecord, DivergentFamily
 from .errors import DomainError, NonFinite
 from .hermitian import HermitianOperator
 from .search import SeminormLowerBound
@@ -94,7 +94,7 @@ def _record_to_json(rec: BlockRecord) -> dict:
     else:
         doc.update({
             "multiplicity": str(rec.block.multiplicity),
-            "increment_s1": weighted(rec.block.multiplicity, rec.block.increment_s1),
+            "increment_s1": rec.block.weighted_increment_s1,
             "A": matrix_to_json(rec.block.a),
             "B": matrix_to_json(rec.block.b),
         })
@@ -120,9 +120,14 @@ def sequence_witness_to_json(witness, function_ref: dict, levels: int) -> dict:
     return doc
 
 
+def write_text(path: str, text: str) -> None:
+    """Write a report or sidecar as UTF-8 with "\\n" line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def dump_json(doc, path: Optional[str] = None) -> str:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(path, text)
     return text

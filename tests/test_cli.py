@@ -114,6 +114,25 @@ class TestRatioSearchCommand:
         assert main(["ratio-search", unknown]) == 2
         assert main(["ratio-search", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("dims, count", [([True], 5), ([1, True], 5),
+                                             ([1, 2.0], 5), ([1], True),
+                                             ([1], 5.0)])
+    def test_bad_dims_or_count_exits_2(self, tmp_path, capsys, dims, count):
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "abs"}, "dims": dims,
+            "grid": {"interval": [-1, 1], "count": count},
+            "budget": 1, "seed": 0, "output": str(out)})
+        assert main(["ratio-search", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["ratio-search", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_experiment_mismatch_exit_2(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.json", {
             "experiment": "divergence",
@@ -261,6 +280,29 @@ class TestVerifyCommand:
         cfg = _write_cfg(tmp_path / "cfg.json", {
             "seed": 1, "output": str(out),
             "matrices": [{"dim": 1, "re": [[None]]}]})
+        assert main(["verify", cfg]) == 3
+
+    @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"])
+    def test_unreadable_fixture_path_exits_2(self, tmp_path, capsys, content):
+        fixture = tmp_path / "fixture.json"
+        if isinstance(content, str):
+            fixture.write_text(content, encoding="utf-8")
+        elif content is not None:
+            fixture.write_bytes(content)
+        out = tmp_path / "out" / "report.csv"
+        out.parent.mkdir()
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "seed": 1, "output": str(out), "matrices": [str(fixture)]})
+        assert main(["verify", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_asymmetric_fixture_path_exits_3(self, tmp_path):
+        fixture = _write_cfg(tmp_path / "fixture.json",
+                             {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]})
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "seed": 1, "output": str(tmp_path / "report.csv"),
+            "matrices": [fixture]})
         assert main(["verify", cfg]) == 3
 
     def test_good_fixture_gets_a_row(self, tmp_path, rng):

@@ -1,0 +1,88 @@
+"""Frozen reports and sidecars: one small config per CLI command.
+
+The sha256 of every file a run writes was recorded from the code before the
+norm, partial-sum, sampler and writer paths were merged.  A refactor that
+changes a single byte of a verify residual, a divergence partial sum, a
+witness matrix or the JSON layout fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from specshift.cli import main
+
+FIXTURE = {"dim": 3, "re": [[0.5, -0.25, 0.125], [-0.25, 1.0, 0.75],
+                            [0.125, 0.75, -2.0]]}
+
+CONFIGS = {
+    "verify": ("verify", {"seed": 42, "matrices": [FIXTURE]}),
+    "divergence": ("divergence", {"function": {"id": "sqrt_abs"}, "K": 4,
+                                  "dim": 2, "budget": 1, "seed": 0}),
+    "ratio-search-csv": ("ratio-search", {
+        "function": {"id": "abs"}, "dims": [1, 2], "budget": 1, "seed": 0,
+        "grid": {"interval": [-1, 1], "count": 5}, "format": "csv"}),
+    "ratio-search-json": ("ratio-search", {
+        "function": {"id": "abs"}, "dims": [1, 2], "budget": 1, "seed": 0,
+        "grid": {"interval": [-1, 1], "count": 5}, "format": "json"}),
+    "commuting": ("commuting", {"function": {"id": "sqrt_abs"}, "K": 6,
+                                "search_grid": 201, "seed": 0}),
+}
+
+EXPECTED = {
+    "commuting": {
+        "report.csv":
+            "5bd7127d4a490f950f2e64ef23b3d0f901eb3303685b3cfe0b4569c0c13c680f",
+        "report_witness.json":
+            "4bba66da1ebda4b52bdb95998d899af2945dac902f05d9e142d646689a1d50f4",
+    },
+    "divergence": {
+        "report.csv":
+            "cdd52cd9c62583d95cd31f5bf9e9cd89b37bdc5926a4b8d364e8706900e04be5",
+        "report_family.json":
+            "fe65eda4b709afb5b3444c95460f4fbb8dda5ce1c4e7b55d81a07c0f048c9939",
+    },
+    "ratio-search-csv": {
+        "report.csv":
+            "02cf2b1915781a110c8189c0bbcda31fa21f28c3e5ff447e4eee00a9c5952f09",
+        "report_dim1_operator.json":
+            "611c4dd807c3f628f6b96fe655434258b152d8b3ab85cca9de9079c929220c3a",
+        "report_dim1_schatten1.json":
+            "b906ab58136f50ff6be40d1659e0c8c2233e94a5918488ed27345ea21ad82dd8",
+        "report_dim2_operator.json":
+            "4b245cf63c6f9cfb547c6925f2540dde69d79868b2032f4d2d921d79c69525fa",
+        "report_dim2_schatten1.json":
+            "9f5e04ac22628e2bd5f56e0ccd61df187e373c132db440eeec7e87ed7786dbd5",
+    },
+    "ratio-search-json": {
+        "report.json":
+            "8fccc444e81cca62ca5b6bc9d174482286338df3e9b7cebd8f94a00ab66a3b97",
+        "report_dim1_operator.json":
+            "611c4dd807c3f628f6b96fe655434258b152d8b3ab85cca9de9079c929220c3a",
+        "report_dim1_schatten1.json":
+            "b906ab58136f50ff6be40d1659e0c8c2233e94a5918488ed27345ea21ad82dd8",
+        "report_dim2_operator.json":
+            "4b245cf63c6f9cfb547c6925f2540dde69d79868b2032f4d2d921d79c69525fa",
+        "report_dim2_schatten1.json":
+            "9f5e04ac22628e2bd5f56e0ccd61df187e373c132db440eeec7e87ed7786dbd5",
+    },
+    "verify": {
+        "report.csv":
+            "100ce85b3ceee511444bc6f5b6d8c2e7ed0461f386c3254f478b6e2a6394537a",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_outputs_match_recorded_hashes(tmp_path, case):
+    command, cfg = CONFIGS[case]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cfg_path = tmp_path / "cfg.json"
+    report = out_dir / ("report." + cfg.get("format", "csv"))
+    cfg_path.write_text(json.dumps(dict(cfg, output=str(report))), encoding="utf-8")
+    assert main([command, str(cfg_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out_dir.iterdir())}
+    assert got == EXPECTED[case]

@@ -13,7 +13,7 @@ from specshift import (FiniteSpectrumSet, get_function, increment_ratio,
                        lipschitz_seminorm_estimate, restrict_to_grid,
                        seminorm_lower_bound)
 from specshift.blocks import _block_grid, _block_seed
-from specshift.search import (_GOLDEN, _ascent, _dense_norm, _diagonal_sweep,
+from specshift.search import (_GOLDEN, _ascent, _diagonal_sweep,
                               _Evaluator, _restart_start, _SWEEP_LIMIT,
                               _witness_from_candidate)
 
@@ -212,6 +212,11 @@ class TestFrozenWitnesses:
 # One-candidate-at-a-time reference: every candidate gets its own matmuls
 # and SVDs and every ascent runs alone.  The lockstep search must match it
 # bit for bit.
+
+def _dense_norm(m, kind):
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s.sum()) if kind == "schatten1" else float(s[0])
+
 
 def _oracle_rotated(ev, ia, ib, q):
     ev.count += 1

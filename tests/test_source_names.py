@@ -1,0 +1,76 @@
+"""Static checks on the package sources with the stdlib `ast` module.
+
+Every top-level name a module defines must be used somewhere in the package
+beyond its definition, or be exported through the module's ``__all__``: a
+helper that only tests call is a second path that the package no longer
+needs.  No module may import a name it does not use (``__init__`` is the
+package's export list, so its imports are exempt).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "specshift"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _used_names(tree) -> set:
+    """Names read anywhere in ``tree``, as bare names or attributes."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def _top_level_definitions(tree) -> list:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _imported_names(tree) -> list:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.extend((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(a.asname or a.name for a in node.names)
+    return names
+
+
+USED_IN_PACKAGE = set().union(*(_used_names(tree) for tree in MODULES.values()))
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_top_level_name_is_used_or_exported(module):
+    tree = MODULES[module]
+    exported = _exported(tree)
+    unused = [name for name in _top_level_definitions(tree)
+              if name not in exported and name not in USED_IN_PACKAGE]
+    assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__.py"}))
+def test_no_unused_imports(module):
+    tree = MODULES[module]
+    used = _used_names(tree) | _exported(tree)
+    assert [name for name in _imported_names(tree) if name not in used] == []
