@@ -22,6 +22,7 @@ __all__ = [
     "get_function",
     "catalog_ids",
     "lipschitz_seminorm_estimate",
+    "max_quotient",
 ]
 
 
@@ -228,38 +229,84 @@ def get_function(fid: str, params=()) -> ScalarFunction:
             f"unknown function id {fid!r}; known: {', '.join(catalog_ids())}") from None
     try:
         clean = tuple(float(p) for p in params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"parameters for {fid!r} must be real numbers: {exc}") from None
     return builder(clean)
 
 
 def interval_bounds(interval) -> Tuple[float, float]:
     """Endpoints of an interval given as a list or tuple of two real numbers
-    a < b, both finite; anything else raises BadInterval."""
+    a < b whose width b - a is a finite float; anything else raises
+    BadInterval."""
     if (not isinstance(interval, (list, tuple)) or len(interval) != 2
             or any(isinstance(x, bool) or not isinstance(x, numbers.Real)
                    for x in interval)):
         raise BadInterval(f"need a list of two numbers [a, b], got {interval!r}")
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise BadInterval(f"need finite a < b, got [{a}, {b}]")
+    try:
+        a, b = float(interval[0]), float(interval[1])
+    except OverflowError:
+        raise BadInterval(f"interval endpoints too large for a float: {interval!r}") from None
+    if not (a < b and math.isfinite(b - a)):
+        raise BadInterval(f"need finite a < b with a finite width, got [{a}, {b}]")
     return a, b
 
 
+def max_quotient(pts: np.ndarray, vals: np.ndarray, radius: float = math.inf):
+    """Largest difference quotient |vals[j] - vals[i]| / (pts[j] - pts[i])
+    over index pairs i < j with pts[j] - pts[i] < radius, as (q, i, j);
+    (-inf, None, None) when no pair qualifies.
+
+    ``pts`` must be sorted and unique.  Scans the radius band of the upper
+    triangle in row-major chunks; the first maximum in row-major (i, j)
+    order wins, so the outcome is deterministic."""
+    size = pts.size
+    best = (-math.inf, None, None)
+    chunk = 32  # rows; small enough for the temporaries to stay in cache
+    # Row r, column c of a chunk is the pair (lo + r, lo + 1 + c).  c < r
+    # marks the lower-left square, where j <= i and dx <= 0: its quotients,
+    # 0/0 on the diagonal included, are overwritten, so their warnings are
+    # silenced.
+    below = np.tri(chunk, chunk - 1, k=-1, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, size - 1, chunk):
+            hi = min(lo + chunk, size - 1)
+            rows = hi - lo
+            # No column past the band edge of the chunk's last (largest)
+            # row passes dx < radius.  With p = pts[hi - 1]: pts[j] >
+            # fl(p + radius) gives pts[j] >= p + radius exactly, because no
+            # float lies strictly between p + radius and its rounding; so
+            # pts[j] - pts[i] >= radius for every i < hi, and monotone
+            # rounding with radius representable keeps fl(dx) >= radius.
+            end = int(np.searchsorted(pts, pts[hi - 1] + radius, "right"))
+            if end <= lo + 1:
+                continue
+            dx = pts[lo + 1:end] - pts[lo:hi, None]
+            q = np.abs(vals[lo + 1:end] - vals[lo:hi, None])
+            q /= dx
+            np.copyto(q, -math.inf, where=dx >= radius)
+            np.copyto(q[:, :rows - 1], -math.inf,
+                      where=below[:rows, :rows - 1])
+            flat = int(np.argmax(q))
+            if q.flat[flat] > best[0]:
+                i, j = divmod(flat, q.shape[1])
+                best = (float(q.flat[flat]), lo + i, lo + 1 + j)
+    return best
+
+
 def lipschitz_seminorm_estimate(f: ScalarFunction, interval, grid_n: int) -> float:
-    """Largest difference quotient of ``f`` over an equispaced grid.
+    """Largest difference quotient of ``f`` over an equispaced grid
+    (points that round together are merged).
 
     Exhaustive over all grid pairs for grid_n <= 2000, adjacent pairs only
-    above that (the adjacent sweep dominates as the grid refines).
+    above that.  The threshold is part of the results: the two rules give
+    different values on the same grid, and the adjacent sweep is the one
+    that dominates as the grid refines.
     """
     a, b = interval_bounds(interval)
     if grid_n < 2:
         raise BadInterval(f"grid_n must be >= 2, got {grid_n}")
-    xs = np.linspace(a, b, grid_n)
+    xs = np.unique(np.linspace(a, b, grid_n))
     vals = np.array([f(x) for x in xs])
     if grid_n <= 2000:
-        iu = np.triu_indices(grid_n, k=1)
-        dx = (xs[None, :] - xs[:, None])[iu]
-        df = (vals[None, :] - vals[:, None])[iu]
-        return float(np.max(np.abs(df) / np.abs(dx)))
+        return max_quotient(xs, vals)[0]
     return float(np.max(np.abs(np.diff(vals)) / np.diff(xs)))

@@ -10,10 +10,6 @@ Reports are byte-deterministic for a fixed config: floats are printed with 17
 significant digits, row order is fixed, line endings are "\\n".
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
-
-The environment variable SPECSHIFT_THREADS, when set, must be a positive
-integer (otherwise exit 2).  The seminorm search always scores its restarts
-batched in one thread, so results do not depend on it.
 """
 from __future__ import annotations
 
@@ -207,8 +203,11 @@ def run_divergence(cfg: dict) -> int:
     seed = _get_int(cfg, "seed", 0)
     dim = _get_int(cfg, "dim", 1, default=2)
     delta0 = cfg.get("delta0", 1.0)
-    if not (isinstance(delta0, (int, float)) and not isinstance(delta0, bool)
-            and delta0 > 0 and math.isfinite(delta0)):
+    try:  # isfinite raises on a non-number and on an int too large for a float
+        ok = not isinstance(delta0, bool) and math.isfinite(delta0) and delta0 > 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
         raise ConfigError(f"delta0 must be a positive real, got {delta0!r}")
     output = _get_output(cfg)
     fmt = _get_format(cfg)

@@ -10,6 +10,7 @@ identity is the main cross-check on the functional calculus.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import BadInterval, InvariantViolation
 from .hermitian import HermitianOperator, decompose
 
 __all__ = [
-    "DEFAULT_TIE_EPS",
+    "TIE_EPS",
     "FiniteSpectrumSet",
     "LoewnerMatrix",
     "restrict_to_grid",
@@ -28,8 +29,9 @@ __all__ = [
     "perturbation_identity_residual",
 ]
 
-#: relative gap under which two grid points count as a tie
-DEFAULT_TIE_EPS = 1e-9
+#: relative gap under which two points count as a tie, and the step of the
+#: central difference used at a tie without a declared derivative
+TIE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,10 @@ class FiniteSpectrumSet:
             raise InvariantViolation("a spectrum set needs at least one point")
         if not np.isfinite(pts).all():
             raise InvariantViolation("spectrum points must be finite")
-        if np.any(np.diff(pts) <= 0):
+        if np.any(pts[1:] <= pts[:-1]):
             raise InvariantViolation("spectrum points must be strictly increasing")
+        if not math.isfinite(float(pts[-1]) - float(pts[0])):
+            raise InvariantViolation("spectrum points must span a finite width")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -67,24 +71,20 @@ def restrict_to_grid(interval, n: int) -> FiniteSpectrumSet:
     return FiniteSpectrumSet(np.linspace(a, b, n))
 
 
-def _divided(f: ScalarFunction, x: float, y: float, tie_eps: float):
+def _divided(f: ScalarFunction, x: float, y: float):
     """Divided difference with tie handling; returns (value, used_fallback)."""
-    if abs(x - y) > tie_eps * (1.0 + abs(x) + abs(y)):
+    if abs(x - y) > TIE_EPS * (1.0 + abs(x) + abs(y)):
         return (f(x) - f(y)) / (x - y), False
     d = f.derivative_at(x)
     if d is not None:
         return d, False
-    return (f(x + tie_eps) - f(x - tie_eps)) / (2.0 * tie_eps), True
+    return (f(x + TIE_EPS) - f(x - TIE_EPS)) / (2.0 * TIE_EPS), True
 
 
-def divided_difference(f: ScalarFunction, x: float, y: float,
-                       tie_eps: float = DEFAULT_TIE_EPS) -> float:
+def divided_difference(f: ScalarFunction, x: float, y: float) -> float:
     """(f(x) - f(y)) / (x - y); near ties, the analytic derivative at x, or
-    a central difference with step tie_eps when no derivative is declared."""
-    if not (tie_eps > 0.0):
-        raise ValueError(f"tie_eps must be positive, got {tie_eps!r}")
-    value, _ = _divided(f, float(x), float(y), tie_eps)
-    return value
+    a central difference with step TIE_EPS when no derivative is declared."""
+    return _divided(f, float(x), float(y))[0]
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ class LoewnerMatrix:
     tie_fallback_used: bool
 
 
-def loewner_matrix(f: ScalarFunction, lam, mu,
-                   tie_eps: float = DEFAULT_TIE_EPS) -> LoewnerMatrix:
+def loewner_matrix(f: ScalarFunction, lam, mu) -> LoewnerMatrix:
     """Entrywise divided differences L[j][k] = dd(f, lam[j], mu[k])."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
@@ -110,15 +109,14 @@ def loewner_matrix(f: ScalarFunction, lam, mu,
     fallback = False
     for j, x in enumerate(lam):
         for k, y in enumerate(mu):
-            entries[j, k], used = _divided(f, float(x), float(y), tie_eps)
+            entries[j, k], used = _divided(f, float(x), float(y))
             fallback = fallback or used
     entries.setflags(write=False)
     return LoewnerMatrix(lam, mu, entries, fallback)
 
 
 def perturbation_identity_residual(f: ScalarFunction, a: HermitianOperator,
-                                   b: HermitianOperator,
-                                   tie_eps: float = DEFAULT_TIE_EPS) -> float:
+                                   b: HermitianOperator) -> float:
     """Max-entry residual of the mixed-basis identity relating f(A)-f(B)
     to the Loewner matrix acting entrywise on A-B."""
     if a.dim != b.dim:
@@ -131,5 +129,5 @@ def perturbation_identity_residual(f: ScalarFunction, a: HermitianOperator,
     f_incr = (u * fa) @ u.conj().T - (v * fb) @ v.conj().T
     lhs = u.conj().T @ f_incr @ v
     rhs = u.conj().T @ (a.matrix - b.matrix) @ v
-    loewner = loewner_matrix(f, da.eigenvalues, db.eigenvalues, tie_eps)
+    loewner = loewner_matrix(f, da.eigenvalues, db.eigenvalues)
     return float(np.abs(lhs - loewner.entries * rhs).max())

@@ -8,9 +8,9 @@ always be absorbed.
 
 Search phases, in deterministic order:
 
-  0. scalar probe: every unordered pair of grid points as a 1x1 quotient
-     (embedded at the requested dimension), so the scalar floor is always
-     attained;
+  0. scalar probe: the largest quotient over every unordered pair of grid
+     points, scanned by ``catalog.max_quotient`` and embedded at the
+     requested dimension, so the scalar floor is always attained;
   1. exhaustive sweep of all diagonal assignments when |grid|**(2*dim) is at
      most 10**4;
   2. a Givens coordinate-ascent polish of the best candidate so far, and
@@ -33,18 +33,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .catalog import ScalarFunction
-from .errors import ConfigError
+from .catalog import ScalarFunction, max_quotient
 from .hermitian import DEGENERATE_REL, HermitianOperator, RatioWitness
 from .loewner import FiniteSpectrumSet
 
-__all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound", "max_workers"]
+__all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound"]
 
 NORM_KINDS = ("operator", "schatten1")
 
@@ -68,25 +66,6 @@ class SeminormLowerBound:
     seed: int
     budget: int
     degenerate: bool = False
-
-
-def max_workers() -> int:
-    """Validated SPECSHIFT_THREADS value; defaults to 1.
-
-    A bad value is a ConfigError.  The search itself scores its restarts
-    batched in one thread, so results do not depend on the value.
-    """
-    raw = os.environ.get("SPECSHIFT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"SPECSHIFT_THREADS must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"SPECSHIFT_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _diag_norms(vec: np.ndarray, kind: str) -> float:
@@ -209,9 +188,10 @@ def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 18):
     return best_x, best_v
 
 
-def _ascent(ev: _Evaluator, starts, sweeps: int):
-    """Per-angle coordinate ascent over Givens rotations applied to Q, run
-    in lockstep from each starting candidate (ia, ib, Q0) in ``starts``.
+def _ascent(ev: _Evaluator, starts):
+    """One sweep of per-angle coordinate ascent over Givens rotations applied
+    to Q, run in lockstep from each starting candidate (ia, ib, Q0) in
+    ``starts``.
 
     Every lane makes the same sequence of evaluations (one start, then per
     coordinate an 8-angle coarse scan and a golden-section search), so each
@@ -228,23 +208,22 @@ def _ascent(ev: _Evaluator, starts, sweeps: int):
         return best.tolist(), q
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
     window = math.pi / 8
-    for _ in range(sweeps):
-        for i in range(dim - 1):
-            for j in range(i + 1, dim):
-                def g(thetas):
-                    return ev.rotated(lanes, q[:, None] @ _givens(dim, i, j, thetas))
+    for i in range(dim - 1):
+        for j in range(i + 1, dim):
+            def g(thetas):
+                return ev.rotated(lanes, q[:, None] @ _givens(dim, i, j, thetas))
 
-                coarse_vals = g(np.tile(coarse, (len(q), 1)))
-                k = np.argmax(coarse_vals, axis=1)
-                coarse_best = coarse_vals.max(axis=1)
-                theta, val = _golden_max(g, coarse[k] - window, coarse[k] + window)
-                use_coarse = coarse_best > val
-                theta = np.where(use_coarse, coarse[k], theta)
-                val = np.where(use_coarse, coarse_best, val)
-                better = val > best
-                if better.any():
-                    q[better] = q[better] @ _givens(dim, i, j, theta[better])
-                best = np.where(better, val, best)
+            coarse_vals = g(np.tile(coarse, (len(q), 1)))
+            k = np.argmax(coarse_vals, axis=1)
+            coarse_best = coarse_vals.max(axis=1)
+            theta, val = _golden_max(g, coarse[k] - window, coarse[k] + window)
+            use_coarse = coarse_best > val
+            theta = np.where(use_coarse, coarse[k], theta)
+            val = np.where(use_coarse, coarse_best, val)
+            better = val > best
+            if better.any():
+                q[better] = q[better] @ _givens(dim, i, j, theta[better])
+            best = np.where(better, val, best)
     return best.tolist(), q
 
 
@@ -252,16 +231,12 @@ def _scalar_probe(ev: _Evaluator, dim: int):
     """Best quotient over all pairs of grid points, embedded at ``dim``
     by padding both spectra with the first point of the pair.  Ties go to
     the first pair in row-major (i, j) order."""
-    pts, fvals = ev.pts, ev.fvals
-    iu, ju = np.triu_indices(pts.size, 1)
-    ev.count += iu.size
-    quotients = np.abs(fvals[ju] - fvals[iu]) / np.abs(pts[ju] - pts[iu])
-    best = int(np.argmax(quotients))
-    i, j = int(iu[best]), int(ju[best])
+    value, i, j = max_quotient(ev.pts, ev.fvals)
+    ev.count += ev.pts.size * (ev.pts.size - 1) // 2
     ia = np.full(dim, i, dtype=np.intp)
     ib = ia.copy()
     ib[0] = j
-    return float(quotients[best]), (ia, ib, None)
+    return value, (ia, ib, None)
 
 
 def _diagonal_sweep(ev: _Evaluator, dim: int):
@@ -328,8 +303,7 @@ def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
 
 
 def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
-                         norm_kind: str, budget: int, seed: int,
-                         sweeps: int = 1) -> SeminormLowerBound:
+                         norm_kind: str, budget: int, seed: int) -> SeminormLowerBound:
     """Maximise the increment ratio of ``f`` over pairs with spectra in ``f0``.
 
     ``budget`` counts random restarts; ``budget_used`` reports total candidate
@@ -363,10 +337,9 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
 
     # the polish of the incumbent and the restarts run as one lockstep batch
     _, _, (ia0, ib0, _) = max(candidates, key=lambda c: (c[0], -c[1]))
-    max_workers()  # validates SPECSHIFT_THREADS; restarts always run batched
     starts = [(ia0, ib0, np.eye(dim))] + [
         _restart_start(pts.size, dim, seed, r) for r in range(budget)]
-    values, qs = _ascent(ev, starts, sweeps)
+    values, qs = _ascent(ev, starts)
     for lane, ((ia, ib, _), value) in enumerate(zip(starts, values)):
         candidates.append((value, 2 + lane, (ia, ib, qs[lane])))
 

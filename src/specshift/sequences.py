@@ -13,7 +13,6 @@ weighted perturbations stay below the geometric majorant 2**(1-k) per level.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -21,7 +20,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .blocks import DirectSumPair, make_block, weighted
-from .catalog import ScalarFunction
+from .catalog import ScalarFunction, max_quotient
 from .errors import DegenerateIncrement, InvariantViolation
 from .hermitian import HermitianOperator
 
@@ -113,46 +112,11 @@ def _level_points(level: int, search_grid: int, total_levels: int,
 
 
 def _best_level_pair(f: ScalarFunction, pts: np.ndarray, radius: float):
-    """Best difference quotient over point pairs with |t - s| < radius.
-
-    ``pts`` must be sorted and unique, as ``_level_points`` returns them.
-    Scans the radius band of the upper triangle in row-major chunks; the
-    first maximum wins, so the outcome is deterministic."""
-    vals = np.array([f(x) for x in pts])
-    size = pts.size
-    best_q = -math.inf
-    best_pair = None
-    chunk = 32  # rows; small enough for the temporaries to stay in cache
-    # Row r, column c of a chunk is the pair (lo + r, lo + 1 + c).  c < r
-    # marks the lower-left square, where j <= i and dx <= 0: its quotients,
-    # 0/0 on the diagonal included, are overwritten, so their warnings are
-    # silenced.
-    below = np.tri(chunk, chunk - 1, k=-1, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, size - 1, chunk):
-            hi = min(lo + chunk, size - 1)
-            rows = hi - lo
-            # No column past the band edge of the chunk's last (largest)
-            # row passes |dx| < radius.  With p = pts[hi - 1]: pts[j] >
-            # fl(p + radius) gives pts[j] >= p + radius exactly, because no
-            # float lies strictly between p + radius and its rounding; so
-            # pts[j] - pts[i] >= radius for every i < hi, and monotone
-            # rounding with radius representable keeps fl(dx) >= radius.
-            end = int(np.searchsorted(pts, pts[hi - 1] + radius, "right"))
-            if end <= lo + 1:
-                continue
-            dx = pts[lo + 1:end] - pts[lo:hi, None]
-            q = np.abs(vals[lo + 1:end] - vals[lo:hi, None])
-            q /= dx
-            np.copyto(q, -math.inf, where=dx >= radius)
-            np.copyto(q[:, :rows - 1], -math.inf,
-                      where=below[:rows, :rows - 1])
-            flat = int(np.argmax(q))
-            if q.flat[flat] > best_q:
-                i, j = divmod(flat, q.shape[1])
-                best_q = float(q.flat[flat])
-                best_pair = (float(pts[lo + i]), float(pts[lo + 1 + j]))
-    return best_q, best_pair
+    """Best difference quotient over point pairs with |t - s| < radius, as
+    (quotient, (t, s)), or (-inf, None) when no pair qualifies.  ``pts``
+    must be sorted and unique, as ``_level_points`` returns them."""
+    q, i, j = max_quotient(pts, np.array([f(x) for x in pts]), radius)
+    return q, None if i is None else (float(pts[i]), float(pts[j]))
 
 
 def scalar_ratio_witnesses(f: ScalarFunction, levels: int,

@@ -1,12 +1,15 @@
 """Tests for the scalar function catalog."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from specshift import (BadInterval, BadParams, DomainError, UnknownFunction,
-                       get_function, lipschitz_seminorm_estimate)
+                       catalog_ids, get_function, lipschitz_seminorm_estimate)
+from specshift.blocks import _block_grid
+from specshift.search import _Evaluator, _scalar_probe
 
 
 def test_identity_entry():
@@ -57,6 +60,7 @@ def test_unknown_function():
     ("smoothed_abs", [-0.1]),
     ("smoothed_abs", [0.1, 0.2]),
     ("poly", ["x"]),
+    ("poly", [10**400]),
 ])
 def test_bad_params(fid, params):
     with pytest.raises(BadParams):
@@ -136,10 +140,18 @@ class TestLipschitzEstimate:
         f = get_function("identity")
         assert lipschitz_seminorm_estimate(f, (0, 1), 4001) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("grid_n", [2000, 4001])
+    def test_points_that_round_together_are_merged(self, grid_n):
+        # the grid step is below one ulp of 1, so linspace repeats points
+        f = get_function("identity")
+        assert lipschitz_seminorm_estimate(f, (1, 1 + 1e-13), grid_n) == 1.0
+
     def test_bad_interval(self):
         f = get_function("identity")
         with pytest.raises(BadInterval):
             lipschitz_seminorm_estimate(f, (1, 1), 10)
+        with pytest.raises(BadInterval):
+            lipschitz_seminorm_estimate(f, (-1e308, 1e308), 10)
         with pytest.raises(BadInterval):
             lipschitz_seminorm_estimate(f, (0, 1), 1)
 
@@ -156,3 +168,59 @@ def test_metadata_is_plain_data():
     f = get_function("sin")
     assert isinstance(f.metadata.citation_note, str)
     assert f.reference() == {"id": "sin", "params": []}
+
+
+_FROZEN_PARAMS = {"constant": (0.5,), "poly": (0.5, -1.0, 2.0, 0.0, 1.5),
+                  "smoothed_abs": (0.05,)}
+
+
+class TestFrozenQuotientScans:
+    """Outputs recorded before the probe and the Lipschitz estimate shared
+    one quotient scan; both must reproduce them bit for bit."""
+
+    # sha256 of repr([(value.hex(), i, j) for k = 1..10]), the probe on
+    # _block_grid(2**-k, k)
+    PROBE = {
+        "abs": "85973d18bac76e31058f27c900820e3475e3936f1f79f0ee99d4b1354548afd7",
+        "constant": "7926450c3d5e050897fd1261f3442d5f312a17f6af579a17e0c4d5ea031427b4",
+        "exp": "f4dc19ddf2eaa2eb1a0ede2cccd5298f74e70bafe83a49e01a0101c4bbd32be2",
+        "identity": "85973d18bac76e31058f27c900820e3475e3936f1f79f0ee99d4b1354548afd7",
+        "poly": "c5b9243c92ae16aa96e9d6b28d2105f26e161dd43193dce26c26d74d94107229",
+        "signed_square": "853bbd5f1bae918897ce7381f6fde81e3243f078315b519203f208a20efd197b",
+        "sin": "a51c2ba8b64a9f1add97c34246fcb4994066e4b0ac0512fc4088f93989ddbd61",
+        "smoothed_abs": "83980ba5720db66c5b8e7fc15c969b7b8efe282270d2752c2ec0ecd9dbeb1ca6",
+        "sqrt_abs": "a534ee8d88abfd49fd0d782714c4f93c530c61b82b28188ffe082ce01f75b70a",
+        "xsin_inv": "b63be6488bab8d65af2960adaf6acb8297683c1e5b69dcb6d9a3b9162d5e7bc0",
+    }
+
+    # lipschitz_seminorm_estimate(f, (-1, 1), n).hex() for n = 101, 2000, 2001
+    LIPSCHITZ = {
+        "abs": ("0x1.0000000000000p+0",) * 3,
+        "sqrt_abs": ("0x1.c48c6001f0abcp+2", "0x1.05d74a15aad3fp+4",
+                     "0x1.f9f6e4990f223p+4"),
+        "xsin_inv": ("0x1.0167627be6fcfp+3", "0x1.2630b4b562cc2p+5",
+                     "0x1.222e5c434a88ep+5"),
+        "sin": ("0x1.fff7431525a21p-1", "0x1.fffffe99ba565p-1",
+                "0x1.fffffa6858247p-1"),
+        "smoothed_abs": ("0x1.ff5922b3ee358p-1", "0x1.ff5c4d973f511p-1",
+                         "0x1.ff5c4d9c9bf0fp-1"),
+    }
+
+    @pytest.mark.parametrize("fid", catalog_ids())
+    def test_scalar_probe(self, fid):
+        f = get_function(fid, _FROZEN_PARAMS.get(fid, ()))
+        rows = []
+        for k in range(1, 11):
+            pts = _block_grid(2.0 ** -k, k).points
+            ev = _Evaluator(pts, np.array([f(x) for x in pts]), "schatten1")
+            value, (ia, ib, _) = _scalar_probe(ev, 3)
+            assert ev.count == pts.size * (pts.size - 1) // 2
+            assert (ia == ia[0]).all() and (ib[1:] == ia[0]).all()
+            rows.append((value.hex(), int(ia[0]), int(ib[0])))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.PROBE[fid]
+
+    @pytest.mark.parametrize("fid", sorted(LIPSCHITZ))
+    def test_lipschitz_estimate(self, fid):
+        f = get_function(fid, _FROZEN_PARAMS.get(fid, ()))
+        assert tuple(lipschitz_seminorm_estimate(f, (-1, 1), n).hex()
+                     for n in (101, 2000, 2001)) == self.LIPSCHITZ[fid]

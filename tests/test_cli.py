@@ -142,7 +142,8 @@ class TestRatioSearchCommand:
         assert main(["ratio-search", cfg]) == 2
 
     @pytest.mark.parametrize("interval", [[1.0, -1.0], [0.0, float("inf")],
-                                          "ab", [1], [None, 1], [True, 2]])
+                                          "ab", [1], [None, 1], [True, 2],
+                                          [0, 10**400], [-1e308, 1e308]])
     def test_bad_interval_exits_2(self, tmp_path, interval):
         out = tmp_path / "report.csv"
         cfg = _write_cfg(tmp_path / "cfg.json", {
@@ -210,12 +211,14 @@ class TestDivergenceCommand:
 
     def test_bool_delta0_exits_2(self, tmp_path):
         out = tmp_path / "report.csv"
-        cfg = _write_cfg(tmp_path / "cfg.json", {
-            "function": {"id": "sqrt_abs", "params": []},
-            "K": 2, "delta0": True, "budget": 1, "seed": 0,
-            "output": str(out)})
-        assert main(["divergence", cfg]) == 2
-        assert not out.exists()
+        # 10**400 is a JSON integer too large for a float
+        for delta0 in (True, 10**400):
+            cfg = _write_cfg(tmp_path / "cfg.json", {
+                "function": {"id": "sqrt_abs", "params": []},
+                "K": 2, "delta0": delta0, "budget": 1, "seed": 0,
+                "output": str(out)})
+            assert main(["divergence", cfg]) == 2
+            assert not out.exists()
 
 
 class TestCommutingCommand:
@@ -394,13 +397,3 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
-
-
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECSHIFT_THREADS", "zero")
-    out = tmp_path / "report.csv"
-    cfg = _write_cfg(tmp_path / "cfg.json", {
-        "function": {"id": "identity", "params": []},
-        "dims": [1], "grid": {"interval": [-1, 1], "count": 3},
-        "budget": 1, "seed": 0, "output": str(out)})
-    assert main(["ratio-search", cfg]) == 2

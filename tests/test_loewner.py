@@ -29,10 +29,6 @@ class TestDividedDifference:
         # no derivative at 0: the symmetric central difference of abs is 0
         assert divided_difference(get_function("abs"), 0.0, 0.0) == 0.0
 
-    def test_rejects_bad_tie_eps(self):
-        with pytest.raises(ValueError):
-            divided_difference(get_function("abs"), 1.0, 2.0, tie_eps=0.0)
-
 
 class TestLoewnerMatrix:
     def test_square_grid_formula(self):
@@ -87,6 +83,11 @@ class TestFiniteSpectrumSet:
     def test_rejects_empty(self):
         with pytest.raises(InvariantViolation):
             FiniteSpectrumSet([])
+
+    def test_rejects_width_overflow(self):
+        # the only pair's gap overflows, so no quotient over it is finite
+        with pytest.raises(InvariantViolation):
+            FiniteSpectrumSet([-1e308, 1e308])
 
     def test_hull(self):
         assert FiniteSpectrumSet([-2.0, 0.5, 3.0]).hull == (-2.0, 3.0)

@@ -355,7 +355,7 @@ class TestLockstepMatchesOracle:
                                                  min_size=dim, max_size=dim)))
             q0 = _restart_start(5, dim, data.draw(st.integers(0, 1000)), 0)[2]
             starts.append((ia, ib, np.eye(dim) if data.draw(st.booleans()) else q0))
-        values, qs = _ascent(ev, starts, 1)
+        values, qs = _ascent(ev, starts)
         oracle = _Evaluator(ev.pts, ev.fvals, kind)
         for lane, (ia, ib, q0) in enumerate(starts):
             value, q = _oracle_ascent(oracle, ia, ib, q0)

@@ -148,7 +148,8 @@ class TestBestLevelPair:
     @settings(max_examples=300, deadline=None)
     @given(pts=_point_sets,
            fn=st.sampled_from(_ORACLE_FUNCTIONS),
-           radius=st.one_of(st.sampled_from([2.0 ** -k for k in range(8)]),
+           radius=st.one_of(st.sampled_from([2.0 ** -k for k in range(8)]
+                                            + [math.inf]),
                             st.floats(1e-3, 2.5)))
     def test_matches_naive_double_loop(self, pts, fn, radius):
         f = get_function(*fn)
