@@ -209,6 +209,10 @@ def run_divergence(cfg: dict) -> int:
         ok = False
     if not ok:
         raise ConfigError(f"delta0 must be a positive real, got {delta0!r}")
+    # delta0 * 2**-n as the schedule computes it must stay positive and halving
+    last, prev = (delta0 * math.ldexp(1.0, -n) for n in (block_count, block_count - 1))
+    if not 0.0 < last < prev:
+        raise ConfigError(f"K = {block_count} is too large: delta0 * 2**-K underflows")
     output = _get_output(cfg)
     fmt = _get_format(cfg)
 

@@ -68,7 +68,10 @@ def restrict_to_grid(interval, n: int) -> FiniteSpectrumSet:
     a, b = interval_bounds(interval)
     if n < 2:
         raise BadInterval(f"need n >= 2 grid points, got {n}")
-    return FiniteSpectrumSet(np.linspace(a, b, n))
+    pts = np.linspace(a, b, n)
+    if np.any(pts[1:] <= pts[:-1]):
+        raise BadInterval(f"[{a}, {b}] holds no {n} distinct equispaced floats")
+    return FiniteSpectrumSet(pts)
 
 
 def _divided(f: ScalarFunction, x: float, y: float):

@@ -10,11 +10,10 @@ Search phases, in deterministic order:
 
   0. scalar probe: the largest quotient over every unordered pair of grid
      points, scanned by ``catalog.max_quotient`` and embedded at the
-     requested dimension, so the scalar floor is always attained;
-  1. exhaustive sweep of all diagonal assignments when |grid|**(2*dim) is at
-     most 10**4;
-  2. a Givens coordinate-ascent polish of the best candidate so far, and
-  3+. `budget` seeded random restarts, each drawing (a, b, Q0) from substream
+     requested dimension.  By the mediant inequality no diagonal pair
+     scores higher, in either norm;
+  1. a Givens coordinate-ascent polish of the probe pair, and
+  2+. `budget` seeded random restarts, each drawing (a, b, Q0) from substream
      (seed, r).  The polish and the restarts refine Q by per-angle coordinate
      ascent (a coarse scan plus golden-section line search) in one lockstep
      batch: every step scores one candidate of each of them with a single
@@ -26,12 +25,11 @@ nondecreasing in budget.  Candidate ratios reuse the construction
 decomposition of B (no fresh eigensolve), which keeps trivial identities
 exact: the identity function scores 1.0 bit for bit.  The winner's two
 ratios (operator and Schatten-1) are rescored by the kernel that scored it:
-exact diagonal sums for a diagonal candidate, the evaluator's stacked SVD
-for a rotated one, so the reported value equals the searched one.
+the probe's single-entry quotient, or the evaluator's stacked SVD for a
+rotated candidate, so the reported value equals the searched one.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -46,8 +44,8 @@ __all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound"]
 
 NORM_KINDS = ("operator", "schatten1")
 
-_SWEEP_LIMIT = 10_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 18
 
 
 @dataclass(frozen=True)
@@ -66,11 +64,6 @@ class SeminormLowerBound:
     seed: int
     budget: int
     degenerate: bool = False
-
-
-def _diag_norms(vec: np.ndarray, kind: str) -> float:
-    av = np.abs(vec)
-    return float(av.sum()) if kind == "schatten1" else float(av.max())
 
 
 @dataclass(frozen=True)
@@ -100,18 +93,6 @@ class _Evaluator:
     def floor(self, a: np.ndarray, b: np.ndarray) -> float:
         scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
         return DEGENERATE_REL * a.size * scale
-
-    def diagonal(self, ia: np.ndarray, ib: np.ndarray) -> float:
-        """Ratio of the pair diag(a), diag(b); exact diagonal norms."""
-        self.count += 1
-        a, b = self.pts[ia], self.pts[ib]
-        den = _diag_norms(b - a, self.kind)
-        if den <= self.floor(a, b):
-            return -math.inf
-        num = _diag_norms(self.fvals[ib] - self.fvals[ia], self.kind)
-        if num <= self.floor(a, b):
-            return 0.0
-        return num / den
 
     def lanes(self, starts) -> _Lanes:
         """Lanes for a list of candidates (ia, ib, ...), one lane each."""
@@ -163,7 +144,7 @@ def _givens(dim: int, i: int, j: int, thetas) -> np.ndarray:
     return g
 
 
-def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 18):
+def _golden_max(g, lo: np.ndarray, hi: np.ndarray):
     """Golden-section maximisation on [lo[l], hi[l]] for every lane l at once.
 
     ``g`` maps an (L, k) array of angles to an (L, k) array of values.
@@ -173,7 +154,7 @@ def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 18):
     f1, f2 = g(np.stack([x1, x2], axis=1)).T
     first = f1 >= f2
     best_x, best_v = np.where(first, x1, x2), np.where(first, f1, f2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         # lanes with f1 < f2 keep [x1, hi] and probe a new x2; the others
         # keep [lo, x2] and probe a new x1
         right = f1 < f2
@@ -239,21 +220,6 @@ def _scalar_probe(ev: _Evaluator, dim: int):
     return value, (ia, ib, None)
 
 
-def _diagonal_sweep(ev: _Evaluator, dim: int):
-    """Exhaust all diagonal spectra assignments (Q = I)."""
-    best_val, best_cand = -math.inf, None
-    assignments = list(itertools.product(range(ev.pts.size), repeat=dim))
-    for ta in assignments:
-        ia = np.array(ta, dtype=np.intp)
-        for tb in assignments:
-            if ta == tb:
-                continue
-            v = ev.diagonal(ia, np.array(tb, dtype=np.intp))
-            if v > best_val:
-                best_val, best_cand = v, (ia, np.array(tb, dtype=np.intp), None)
-    return best_val, best_cand
-
-
 def _restart_start(n_pts: int, dim: int, seed: int, index: int):
     """Starting candidate (ia, ib, Q0) of restart ``index``, drawn from
     substream (seed, index)."""
@@ -282,11 +248,10 @@ def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
     same arithmetic path the search used to score it."""
     a, b = ev.pts[ia], ev.pts[ib]
     if q is None:
+        # the probe pair differs only in entry 0: both norms are its modulus
         b_mat = np.diag(b)
-        fa, fb = ev.fvals[ia], ev.fvals[ib]
-        den_s1, den_op = _diag_norms(b - a, "schatten1"), _diag_norms(b - a, "operator")
-        num_s1 = _diag_norms(fb - fa, "schatten1")
-        num_op = _diag_norms(fb - fa, "operator")
+        den_s1 = den_op = abs(float(b[0] - a[0]))
+        num_s1 = num_op = abs(float(ev.fvals[ib[0]] - ev.fvals[ia[0]]))
     else:
         b_mat = (q * b) @ q.T
         s = ev.singular_values(ev.lanes([(ia, ib)]), q[None, None])[:, 0, 0]
@@ -325,25 +290,16 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
 
     fvals = np.array([f(x) for x in pts])
     ev = _Evaluator(pts, fvals, norm_kind)
-    candidates = []  # (value, phase, (ia, ib, q))
-
-    value, cand = _scalar_probe(ev, dim)
-    candidates.append((value, 0, cand))
-
-    if float(pts.size) ** (2 * dim) <= _SWEEP_LIMIT:
-        value, cand = _diagonal_sweep(ev, dim)
-        if cand is not None:
-            candidates.append((value, 1, cand))
-
-    # the polish of the incumbent and the restarts run as one lockstep batch
-    _, _, (ia0, ib0, _) = max(candidates, key=lambda c: (c[0], -c[1]))
+    probe_value, (ia0, ib0, _) = _scalar_probe(ev, dim)
+    # the polish of the probe pair and the restarts run as one lockstep batch
     starts = [(ia0, ib0, np.eye(dim))] + [
         _restart_start(pts.size, dim, seed, r) for r in range(budget)]
     values, qs = _ascent(ev, starts)
-    for lane, ((ia, ib, _), value) in enumerate(zip(starts, values)):
-        candidates.append((value, 2 + lane, (ia, ib, qs[lane])))
-
-    best_value, _, best_cand = max(candidates, key=lambda c: (c[0], -c[1]))
+    # ties go to the earliest phase: the probe, then the first lane
+    lane = int(np.argmax(values))
+    best_cand = (ia0, ib0, None)
+    if values[lane] > probe_value:
+        best_cand = (starts[lane][0], starts[lane][1], qs[lane])
     witness = _witness_from_candidate(f, ev, *best_cand)
     value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
     return SeminormLowerBound(value, witness, norm_kind, ev.count, seed, budget)

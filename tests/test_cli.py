@@ -143,7 +143,8 @@ class TestRatioSearchCommand:
 
     @pytest.mark.parametrize("interval", [[1.0, -1.0], [0.0, float("inf")],
                                           "ab", [1], [None, 1], [True, 2],
-                                          [0, 10**400], [-1e308, 1e308]])
+                                          [0, 10**400], [-1e308, 1e308],
+                                          [1, 1.0000000000000004]])
     def test_bad_interval_exits_2(self, tmp_path, interval):
         out = tmp_path / "report.csv"
         cfg = _write_cfg(tmp_path / "cfg.json", {
@@ -219,6 +220,18 @@ class TestDivergenceCommand:
                 "output": str(out)})
             assert main(["divergence", cfg]) == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("levels,delta0", [(1080, 1.0), (5000, 1.0), (1074, 0.625)])
+    def test_schedule_underflow_exits_2(self, tmp_path, levels, delta0):
+        # delta0 * 2**-K is 0.0 for the first two; for the third the last two
+        # deltas both round to the smallest subnormal
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "sqrt_abs", "params": []},
+            "K": levels, "delta0": delta0, "budget": 1, "seed": 0,
+            "output": str(out)})
+        assert main(["divergence", cfg]) == 2
+        assert not out.exists()
 
 
 class TestCommutingCommand:

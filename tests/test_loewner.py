@@ -69,6 +69,8 @@ class TestRestrictToGrid:
             restrict_to_grid((1, 0), 5)
         with pytest.raises(BadInterval):
             restrict_to_grid((0, 1), 1)
+        with pytest.raises(BadInterval):  # [1, 1 + 2 ulp] holds three floats
+            restrict_to_grid((1, 1.0000000000000004), 5)
 
 
 class TestFiniteSpectrumSet:

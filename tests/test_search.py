@@ -3,19 +3,19 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specshift import (FiniteSpectrumSet, get_function, increment_ratio,
-                       lipschitz_seminorm_estimate, restrict_to_grid,
-                       seminorm_lower_bound)
+from specshift import (FiniteSpectrumSet, catalog_ids, get_function,
+                       increment_ratio, lipschitz_seminorm_estimate,
+                       restrict_to_grid, seminorm_lower_bound)
 from specshift.blocks import _block_grid, _block_seed
-from specshift.search import (_GOLDEN, _ascent, _diagonal_sweep,
-                              _Evaluator, _restart_start, _SWEEP_LIMIT,
-                              _witness_from_candidate)
+from specshift.search import (_GOLDEN, _ascent, _Evaluator, _restart_start,
+                              _scalar_probe, _witness_from_candidate)
 
 
 def _grid9():
@@ -126,6 +126,20 @@ def test_operator_kind_and_s1_kind_both_search(rng):
 def test_budget_used_counts_evaluations():
     res = seminorm_lower_bound(get_function("abs"), _grid9(), 2, "schatten1", 3, 4)
     assert res.budget_used > 0
+
+
+@pytest.mark.parametrize("count,dim,budget,expected", [
+    (5, 1, 1, 12), (5, 2, 1, 68), (5, 3, 2, 265), (5, 4, 1, 348),
+    (17, 2, 4, 281), (17, 4, 4, 981)])
+@pytest.mark.parametrize("kind", ["operator", "schatten1"])
+def test_budget_used_is_probe_plus_ascent(count, dim, budget, expected, kind):
+    # C(n, 2) probe pairs, then per lane (the polish and `budget` restarts)
+    # one start and, per coordinate pair, 8 coarse angles, 2 golden-section
+    # seeds and 18 golden-section steps
+    res = seminorm_lower_bound(get_function("abs"), restrict_to_grid((-1, 1), count),
+                               dim, kind, budget, 0)
+    assert res.budget_used == expected == (
+        math.comb(count, 2) + (budget + 1) * (1 + 28 * math.comb(dim, 2)))
 
 
 def test_invalid_arguments():
@@ -301,10 +315,6 @@ def _oracle_search(f, grid, dim, kind, budget, seed):
     ib = ia.copy()
     ib[0] = best_pair[1]
     candidates = [(best_val, 0, (ia, ib, None))]
-    if float(pts.size) ** (2 * dim) <= _SWEEP_LIMIT:
-        value, cand = _diagonal_sweep(ev, dim)
-        if cand is not None:
-            candidates.append((value, 1, cand))
     _, _, (ia0, ib0, _) = max(candidates, key=lambda c: (c[0], -c[1]))
     starts = [(ia0, ib0, np.eye(dim))] + [
         _restart_start(pts.size, dim, seed, r) for r in range(budget)]
@@ -387,3 +397,34 @@ class TestLockstepMatchesOracle:
             res = seminorm_lower_bound(get_function("identity"),
                                        restrict_to_grid((-1, 1), 17), dim, kind, 2, 3)
             assert res.value == 1.0
+
+
+_PARAMS = {"constant": (1.0,), "poly": (0.5, -1.0, 2.0), "smoothed_abs": (0.05,)}
+
+
+class TestNoDiagonalPairBeatsTheProbe:
+    """Why the search scores no diagonal pair besides the probe: for
+    diag(a), diag(b) both sum|df_i| / sum|dx_i| (Schatten-1) and
+    max|df_i| / max|dx_i| (operator) are at most max_i |df_i| / |dx_i|,
+    the largest scalar quotient.  Checked in exact rational arithmetic on
+    the stored floats, with room for the probe's own roundings."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), fid=st.sampled_from(catalog_ids()),
+           raw=st.lists(st.floats(-2.0, 2.0, allow_subnormal=False),
+                        min_size=2, max_size=9),
+           dim=st.integers(1, 5))
+    def test_diagonal_ratios_at_most_probe(self, data, fid, raw, dim):
+        pts = np.unique(raw)
+        assume(pts.size >= 2)
+        f = get_function(fid, _PARAMS.get(fid, ()))
+        ev = _Evaluator(pts, np.array([f(x) for x in pts]), "schatten1")
+        probe, _ = _scalar_probe(ev, dim)
+        indices = st.lists(st.integers(0, pts.size - 1), min_size=dim, max_size=dim)
+        ia, ib = data.draw(indices), data.draw(indices)
+        assume(ia != ib)
+        dx = [abs(Fraction(pts[j]) - Fraction(pts[i])) for i, j in zip(ia, ib)]
+        df = [abs(Fraction(ev.fvals[j]) - Fraction(ev.fvals[i])) for i, j in zip(ia, ib)]
+        cap = Fraction(probe) * (1 + Fraction(4, 2**52))
+        assert sum(df) / sum(dx) <= cap
+        assert max(df) / max(dx) <= cap
