@@ -21,7 +21,7 @@ from .errors import (DegeneratePair, InvariantViolation, PreconditionViolated,
 from .hermitian import (HermitianOperator, apply_function, decompose,
                         schatten_norm)
 from .loewner import FiniteSpectrumSet
-from .search import seminorm_lower_bound
+from .search import SeminormLowerBound, seminorm_lower_bounds
 
 __all__ = [
     "SumBlock",
@@ -241,6 +241,23 @@ def _block_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
+def _block_record(f: ScalarFunction, index: int, delta: float,
+                  bound: SeminormLowerBound) -> BlockRecord:
+    """Refine and amplify a block's search winner and score it against 2**index."""
+    target, achieved, block = 2.0 ** index, 0.0, None
+    if bound.witness is not None:
+        try:
+            refined_a, refined_b = segment_refine(f, bound.witness.a, bound.witness.b)
+            amplified = amplify_to_unit(f, refined_a, refined_b)
+        except (PreconditionViolated, DegeneratePair, RefinementOverflow):
+            amplified = None
+        if amplified is not None:
+            block = amplified.blocks[0]
+            achieved = amplified.aggregate_ratio()
+    status = "ok" if block is not None and achieved > target else "failed"
+    return BlockRecord(index, delta, target, achieved, block, status)
+
+
 def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
                            block_count: int, per_block_budget: int, seed: int,
                            dim: int = 2) -> DivergentFamily:
@@ -251,6 +268,11 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
     A block that misses its target truncates the family; the miss is recorded
     as data, not raised.  That outcome is expected for functions whose
     increments stay controlled near 0.
+
+    The searches run in doubling batches, blocks 1, 2-3, 4-7, 8-15, ...,
+    each batch one lockstep ascent (``seminorm_lower_bounds``); refinement
+    and amplification then follow in block order.  A family that stops at
+    block m has searched fewer than 2m blocks.
     """
     if block_count < 1:
         raise ValueError(f"block_count must be >= 1, got {block_count}")
@@ -263,31 +285,19 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
         raise ValueError("delta schedule must be strictly decreasing and positive")
 
     records = []
-    failure = None
-    for index in range(1, block_count + 1):
-        delta = schedule[index - 1]
-        target = 2.0 ** index
-        bound = seminorm_lower_bound(
-            f, _block_grid(delta, index), dim, "schatten1",
-            per_block_budget, _block_seed(seed, index))
-        achieved = 0.0
-        block = None
-        if bound.witness is not None:
-            pair_a, pair_b = bound.witness.a, bound.witness.b
-            try:
-                refined_a, refined_b = segment_refine(f, pair_a, pair_b)
-                amplified = amplify_to_unit(f, refined_a, refined_b)
-            except (PreconditionViolated, DegeneratePair, RefinementOverflow):
-                amplified = None
-            if amplified is not None:
-                block = amplified.blocks[0]
-                achieved = amplified.aggregate_ratio()
-        if block is not None and achieved > target:
-            records.append(BlockRecord(index, delta, target, achieved, block, "ok"))
-        else:
-            failure = BlockRecord(index, delta, target, achieved, block, "failed")
-            break
-    return DivergentFamily(f, tuple(records), failure)
+    first = 1
+    while first <= block_count:
+        batch = range(first, min(2 * first, block_count + 1))
+        bounds = seminorm_lower_bounds(
+            f, [_block_grid(schedule[n - 1], n) for n in batch], dim, "schatten1",
+            per_block_budget, [_block_seed(seed, n) for n in batch])
+        for index, bound in zip(batch, bounds):
+            record = _block_record(f, index, schedule[index - 1], bound)
+            if record.status == "failed":
+                return DivergentFamily(f, tuple(records), record)
+            records.append(record)
+        first *= 2
+    return DivergentFamily(f, tuple(records), None)
 
 
 def partial_sums(family, upto: int) -> Tuple[float, float]:

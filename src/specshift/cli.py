@@ -173,21 +173,24 @@ def run_ratio_search(cfg: dict) -> int:
     fmt = _get_format(cfg)
 
     columns = ("dim", "norm_kind", "budget", "seed", "best_ratio", "witness_file")
-    rows = []
+    results = []
     for dim in dims:
-        by_kind = {}
-        for kind in NORM_KINDS:
-            result = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
-            by_kind[kind] = result.value
-            witness_path = _sidecar(output, f"_dim{dim}_{kind}.json")
-            dump_json(witness_to_json(result, f.reference()), witness_path)
-            rows.append((dim, kind, budget, seed, _fmt(result.value),
-                         os.path.basename(witness_path)))
-        m_op, m_s1 = by_kind["operator"], by_kind["schatten1"]
+        by_kind = {kind: seminorm_lower_bound(f, grid, dim, kind, budget, seed)
+                   for kind in NORM_KINDS}
+        results += [(dim, kind, by_kind[kind]) for kind in NORM_KINDS]
+        m_op, m_s1 = by_kind["operator"].value, by_kind["schatten1"].value
         if m_s1 > 2.0 * m_op * DIAGNOSTIC_SLACK or m_op > 2.0 * m_s1 * DIAGNOSTIC_SLACK:
             print(f"warning: dim {dim}: lower bounds operator={m_op:g} and "
                   f"schatten1={m_s1:g} sit outside the factor-2 band by more "
                   f"than the search-gap heuristic", file=sys.stderr)
+    # every search finishes before the first file is written, so a failed
+    # run leaves no partial set of sidecars
+    rows = []
+    for dim, kind, result in results:
+        witness_path = _sidecar(output, f"_dim{dim}_{kind}.json")
+        dump_json(witness_to_json(result, f.reference()), witness_path)
+        rows.append((dim, kind, budget, seed, _fmt(result.value),
+                     os.path.basename(witness_path)))
     _write_report(output, columns, rows, fmt)
     return EXIT_OK
 
@@ -233,8 +236,9 @@ def run_divergence(cfg: dict) -> int:
         rows.append((rec.index, _fmt(rec.delta), _fmt(rec.target_ratio),
                      _fmt(rec.achieved_ratio), mult, _fmt(agg_inc),
                      _fmt(pert_sum), _fmt(incr_sum), rec.status))
+    family_doc = family_to_json(family)
     _write_report(output, columns, rows, fmt)
-    dump_json(family_to_json(family), _sidecar(output, "_family.json"))
+    dump_json(family_doc, _sidecar(output, "_family.json"))
     return EXIT_OK
 
 

@@ -17,7 +17,10 @@ Search phases, in deterministic order:
      (seed, r).  The polish and the restarts refine Q by per-angle coordinate
      ascent (a coarse scan plus golden-section line search) in one lockstep
      batch: every step scores one candidate of each of them with a single
-     stacked SVD, in one thread.
+     stacked SVD, in one thread.  ``seminorm_lower_bounds`` runs several
+     searches (one per grid, same function, dim, kind and budget) and their
+     lanes all share that one batch; each search's result is bit-identical
+     to running it alone.
 
 The incumbent is the best value with the earliest phase index, so the result
 is deterministic given (seed, budget), independent of evaluation order, and
@@ -40,7 +43,8 @@ from .catalog import ScalarFunction, max_quotient
 from .hermitian import DEGENERATE_REL, HermitianOperator, RatioWitness
 from .loewner import FiniteSpectrumSet
 
-__all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound"]
+__all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound",
+           "seminorm_lower_bounds"]
 
 NORM_KINDS = ("operator", "schatten1")
 
@@ -169,10 +173,10 @@ def _golden_max(g, lo: np.ndarray, hi: np.ndarray):
     return best_x, best_v
 
 
-def _ascent(ev: _Evaluator, starts):
+def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
     """One sweep of per-angle coordinate ascent over Givens rotations applied
-    to Q, run in lockstep from each starting candidate (ia, ib, Q0) in
-    ``starts``.
+    to Q, run in lockstep from each lane of ``lanes`` with starting rotation
+    ``q[l]`` (an (L, n, n) stack, updated in place).
 
     Every lane makes the same sequence of evaluations (one start, then per
     coordinate an 8-angle coarse scan and a golden-section search), so each
@@ -181,8 +185,6 @@ def _ascent(ev: _Evaluator, starts):
     two columns leaves Q diag(b) Q^T unchanged), so [-pi/2, pi/2] covers each
     coordinate.  Returns the per-lane best values and final rotations.
     """
-    lanes = ev.lanes(starts)
-    q = np.stack([c[2] for c in starts])
     dim = q.shape[-1]
     best = ev.rotated(lanes, q[:, None])[:, 0]
     if dim == 1:
@@ -275,31 +277,60 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     evaluations.  Deterministic given (seed, budget), and nondecreasing in
     budget under a fixed seed.
     """
+    return seminorm_lower_bounds(f, [f0], dim, norm_kind, budget, [seed])[0]
+
+
+def seminorm_lower_bounds(f: ScalarFunction, grids, dim: int, norm_kind: str,
+                          budget: int, seeds) -> list:
+    """``seminorm_lower_bound`` of ``f`` on each grid with its seed, with the
+    ascents of all the searches run as one lockstep batch.  Lane arithmetic
+    does not depend on the other lanes, so each result (value, witness and
+    ``budget_used``) equals that of its own single search."""
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if len(grids) != len(seeds):
+        raise ValueError(f"{len(grids)} grids but {len(seeds)} seeds")
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds must be >= 0, got {list(seeds)}")
 
-    pts = f0.points
-    if pts.size == 1:
-        return SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget, degenerate=True)
+    searches = []  # (seed, evaluator, probe value, starts) per grid of 2+ points
+    for grid, seed in zip(grids, seeds):
+        pts = grid.points
+        if pts.size > 1:
+            ev = _Evaluator(pts, np.array([f(x) for x in pts]), norm_kind)
+            probe_value, (ia0, ib0, _) = _scalar_probe(ev, dim)
+            # the polish of the probe pair, then the restarts
+            starts = [(ia0, ib0, np.eye(dim))] + [
+                _restart_start(pts.size, dim, seed, r) for r in range(budget)]
+            searches.append((seed, ev, probe_value, starts))
+    batch = _Evaluator(None, None, norm_kind)
+    values, qs = [], np.empty((0, dim, dim))
+    if searches:
+        parts = [ev.lanes(starts) for _, ev, _, starts in searches]
+        lanes = _Lanes(np.concatenate([p.spec for p in parts], axis=1),
+                       np.concatenate([p.diag for p in parts], axis=1),
+                       np.concatenate([p.floor for p in parts]))
+        q0 = np.stack([c[2] for *_, starts in searches for c in starts])
+        values, qs = _ascent(batch, lanes, q0)
 
-    fvals = np.array([f(x) for x in pts])
-    ev = _Evaluator(pts, fvals, norm_kind)
-    probe_value, (ia0, ib0, _) = _scalar_probe(ev, dim)
-    # the polish of the probe pair and the restarts run as one lockstep batch
-    starts = [(ia0, ib0, np.eye(dim))] + [
-        _restart_start(pts.size, dim, seed, r) for r in range(budget)]
-    values, qs = _ascent(ev, starts)
-    # ties go to the earliest phase: the probe, then the first lane
-    lane = int(np.argmax(values))
-    best_cand = (ia0, ib0, None)
-    if values[lane] > probe_value:
-        best_cand = (starts[lane][0], starts[lane][1], qs[lane])
-    witness = _witness_from_candidate(f, ev, *best_cand)
-    value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
-    return SeminormLowerBound(value, witness, norm_kind, ev.count, seed, budget)
+    found = []
+    shape = (len(searches), budget + 1)
+    for (seed, ev, probe_value, starts), lane_values, lane_qs in zip(
+            searches, np.reshape(values, shape), qs.reshape(shape + (dim, dim))):
+        ev.count += batch.count // len(values) * len(starts)  # same count per lane
+        # ties go to the earliest phase: the probe, then the first lane
+        lane = int(np.argmax(lane_values))
+        best_cand = (starts[0][0], starts[0][1], None)
+        if lane_values[lane] > probe_value:
+            best_cand = (starts[lane][0], starts[lane][1], lane_qs[lane])
+        witness = _witness_from_candidate(f, ev, *best_cand)
+        value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
+        found.append(SeminormLowerBound(value, witness, norm_kind, ev.count, seed, budget))
+    found = iter(found)
+    return [next(found) if grid.points.size > 1 else
+            SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget, degenerate=True)
+            for grid, seed in zip(grids, seeds)]

@@ -7,6 +7,7 @@ arbitrary-precision integers survive CSV/JSON consumers.
 from __future__ import annotations
 
 import json
+import os
 from typing import Optional
 
 import numpy as np
@@ -121,9 +122,20 @@ def sequence_witness_to_json(witness, function_ref: dict, levels: int) -> dict:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write a report or sidecar as UTF-8 with "\\n" line endings."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write a report or sidecar as UTF-8 with "\\n" line endings.
+
+    The text goes to a temporary file in the target directory, which then
+    replaces ``path`` in one step, so a failed write leaves no partial file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def dump_json(doc, path: Optional[str] = None) -> str:

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from specshift import blocks, search
+
 from specshift import (DivergentFamily, HermitianOperator, InvariantViolation,
                        PreconditionViolated, RefinementOverflow, ScalarFunction,
                        amplify_to_unit, apply_function, build_divergent_family,
@@ -212,6 +214,54 @@ class TestBuildDivergentFamily:
                             rec.achieved_ratio, bad_block, "ok")
         with pytest.raises(InvariantViolation):
             DivergentFamily(f, (bad,), None)
+
+
+class TestBatchedBlockSearches:
+    """Deterministic cost guard: the block searches ascend in doubling
+    batches (blocks 1, 2-3, 4-7, ...), counted without timing."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"ascents": 0, "blocks": 0}
+        ascent, bounds = search._ascent, blocks.seminorm_lower_bounds
+
+        def counted_ascent(*args):
+            seen["ascents"] += 1
+            return ascent(*args)
+
+        def counted_bounds(f, grids, *args):
+            seen["blocks"] += len(grids)
+            return bounds(f, grids, *args)
+
+        monkeypatch.setattr(search, "_ascent", counted_ascent)
+        monkeypatch.setattr(blocks, "seminorm_lower_bounds", counted_bounds)
+        return seen
+
+    def test_sqrt_abs_seven_blocks_three_ascents(self, counts):
+        fam = build_divergent_family(get_function("sqrt_abs"),
+                                     default_delta_schedule(7), 7, 1, 0, 2)
+        assert fam.failure is None and len(fam.records) == 7
+        assert counts == {"ascents": 3, "blocks": 7}
+
+    def test_abs_fails_first_block_one_ascent(self, counts):
+        fam = build_divergent_family(get_function("abs"),
+                                     default_delta_schedule(7), 7, 1, 0, 4)
+        assert fam.failure.index == 1
+        assert counts == {"ascents": 1, "blocks": 1}
+
+    @pytest.mark.parametrize("level", range(2, 11))
+    def test_failure_at_block_m_searches_fewer_than_2m(self, counts, level):
+        # sqrt(max(|x|, 4**-level)) is flat below 4**-level, which caps its
+        # quotients near 0: the family fails at a block that grows with level
+        eps = 4.0 ** -level
+        f = ScalarFunction("sqrt_floor", (eps,), lambda x: math.sqrt(max(abs(x), eps)))
+        fam = build_divergent_family(f, default_delta_schedule(9), 9, 1, 0, 2)
+        if fam.failure is None:
+            assert counts["blocks"] == 9
+        else:
+            m = fam.failure.index
+            assert m <= counts["blocks"] < 2 * m
+        assert counts["ascents"] == counts["blocks"].bit_length()
 
 
 class TestPartialSums:

@@ -1,6 +1,7 @@
 """End-to-end tests for the specshift command-line runner."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,8 +10,9 @@ import pytest
 
 from specshift import (DomainError, HermitianOperator, NonFinite,
                        get_function)
+from specshift import cli
 from specshift.cli import main
-from specshift.serialize import matrix_from_json, matrix_to_json
+from specshift.serialize import matrix_from_json, matrix_to_json, write_text
 
 
 def _write_cfg(path, doc):
@@ -362,6 +364,42 @@ class TestOutputPath:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
                                                               "report.csv"]
         assert not (tmp_path / "report_witness.json").exists()
+
+
+class TestNoPartialOutputs:
+    def test_failed_later_dim_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        search = cli.seminorm_lower_bound
+
+        def fail_at_dim_2(f, grid, dim, *args):
+            if dim == 2:
+                raise FloatingPointError("search failed")
+            return search(f, grid, dim, *args)
+
+        monkeypatch.setattr(cli, "seminorm_lower_bound", fail_at_dim_2)
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "abs"}, "dims": [1, 2],
+            "grid": {"interval": [-1, 1], "count": 5},
+            "budget": 1, "seed": 0, "output": str(out_dir / "report.csv")})
+        assert main(["ratio-search", cfg]) == 3
+        assert "search failed" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_write_text_replaces_whole_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.csv"
+        write_text(str(path), "old\n")
+        write_text(str(path), "new\n")
+        assert path.read_bytes() == b"new\n"
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError):
+            write_text(str(path), "partial\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 class TestFlagsAndFormats:

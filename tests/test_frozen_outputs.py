@@ -1,7 +1,9 @@
 """Frozen reports and sidecars: one small config per CLI command.
 
 The sha256 of every file a run writes was recorded from the code before the
-norm, partial-sum, sampler and writer paths were merged.  A refactor that
+norm, partial-sum, sampler and writer paths were merged; those of the three
+larger divergence families, from the code before the block searches were
+batched into shared lockstep ascents.  A refactor that
 changes a single byte of a verify residual, a divergence partial sum, a
 witness matrix or the JSON layout fails here.
 """
@@ -28,6 +30,15 @@ CONFIGS = {
         "grid": {"interval": [-1, 1], "count": 5}, "format": "json"}),
     "commuting": ("commuting", {"function": {"id": "sqrt_abs"}, "K": 6,
                                 "search_grid": 201, "seed": 0}),
+    # divergent families whose block searches run in batches of 1, 2 and 4
+    # blocks: all seven succeed; xsin_inv fails at block 6, inside the last
+    # batch; abs fails at block 1
+    "divergence-sqrt_abs-K7": ("divergence", {"function": {"id": "sqrt_abs"}, "K": 7,
+                                              "dim": 4, "budget": 2, "seed": 0}),
+    "divergence-xsin_inv-K7": ("divergence", {"function": {"id": "xsin_inv"}, "K": 7,
+                                              "dim": 4, "budget": 2, "seed": 0}),
+    "divergence-abs-K3": ("divergence", {"function": {"id": "abs"}, "K": 3,
+                                         "dim": 4, "budget": 2, "seed": 0}),
 }
 
 EXPECTED = {
@@ -42,6 +53,24 @@ EXPECTED = {
             "cdd52cd9c62583d95cd31f5bf9e9cd89b37bdc5926a4b8d364e8706900e04be5",
         "report_family.json":
             "fe65eda4b709afb5b3444c95460f4fbb8dda5ce1c4e7b55d81a07c0f048c9939",
+    },
+    "divergence-sqrt_abs-K7": {
+        "report.csv":
+            "2e33d91f1166a0390c5733744d89c56c973e9dc498d372ed8f21d2f81027cd2e",
+        "report_family.json":
+            "7db55b5d3a7b60619814bfcb3ad24be8cc496e8e31f1ebf555a4c39793ba9b2b",
+    },
+    "divergence-xsin_inv-K7": {
+        "report.csv":
+            "197e6d017b1972c130539a1a08186cf70c9ed8fb55077913b0f31ab43e341ef5",
+        "report_family.json":
+            "cc37edd80c4de0918d2cd685aa87a4b8e2e91086203bdeb8ffcd6ad0f6fe2e36",
+    },
+    "divergence-abs-K3": {
+        "report.csv":
+            "238a5aeeee1cce37b92c3f7a2e40fdacde9b742648e2055adaf0e0d493a821e2",
+        "report_family.json":
+            "37850f196a20675da30cee6671f9ef483a6f3d3eacc18c3dedf06ef34d00c8a1",
     },
     "ratio-search-csv": {
         "report.csv":

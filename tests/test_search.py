@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from specshift import (FiniteSpectrumSet, catalog_ids, get_function,
                        increment_ratio, lipschitz_seminorm_estimate,
-                       restrict_to_grid, seminorm_lower_bound)
+                       restrict_to_grid, seminorm_lower_bound,
+                       seminorm_lower_bounds)
 from specshift.blocks import _block_grid, _block_seed
 from specshift.search import (_GOLDEN, _ascent, _Evaluator, _restart_start,
                               _scalar_probe, _witness_from_candidate)
@@ -365,7 +366,7 @@ class TestLockstepMatchesOracle:
                                                  min_size=dim, max_size=dim)))
             q0 = _restart_start(5, dim, data.draw(st.integers(0, 1000)), 0)[2]
             starts.append((ia, ib, np.eye(dim) if data.draw(st.booleans()) else q0))
-        values, qs = _ascent(ev, starts)
+        values, qs = _ascent(ev, ev.lanes(starts), np.stack([c[2] for c in starts]))
         oracle = _Evaluator(ev.pts, ev.fvals, kind)
         for lane, (ia, ib, q0) in enumerate(starts):
             value, q = _oracle_ascent(oracle, ia, ib, q0)
@@ -397,6 +398,50 @@ class TestLockstepMatchesOracle:
             res = seminorm_lower_bound(get_function("identity"),
                                        restrict_to_grid((-1, 1), 17), dim, kind, 2, 3)
             assert res.value == 1.0
+
+
+class TestBatchMatchesSingle:
+    """Searches batched into one lockstep ascent give, each of them, the
+    result of its own single search, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fn=st.sampled_from(_ORACLE_FUNCTIONS),
+           grids=st.lists(st.tuples(
+               st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (-0.25, 0.0)]),
+               st.integers(2, 9), st.integers(0, 2**31)), min_size=0, max_size=4),
+           degenerate_at=st.integers(0, 4), dim=st.integers(1, 5),
+           budget=st.integers(1, 4), kind=st.sampled_from(["operator", "schatten1"]))
+    def test_each_search_bit_identical(self, fn, grids, degenerate_at, dim, budget, kind):
+        f = get_function(*fn)
+        sets = [restrict_to_grid(interval, count) for interval, count, _ in grids]
+        seeds = [seed for _, _, seed in grids]
+        # one one-point grid among them: 1 to 5 searches in all
+        at = min(degenerate_at, len(sets))
+        sets.insert(at, FiniteSpectrumSet([0.5]))
+        seeds.insert(at, 7)
+        batch = seminorm_lower_bounds(f, sets, dim, kind, budget, seeds)
+        assert len(batch) == len(sets)
+        for grid, seed, res in zip(sets, seeds, batch):
+            single = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
+            assert res.value.hex() == single.value.hex()
+            assert res.budget_used == single.budget_used
+            assert res.degenerate == single.degenerate
+            if single.witness is None:
+                assert res.witness is None
+            else:
+                assert res.witness.b.matrix.tobytes() == single.witness.b.matrix.tobytes()
+
+    def test_all_degenerate_and_argument_checks(self):
+        f = get_function("abs")
+        point = FiniteSpectrumSet([0.5])
+        res = seminorm_lower_bounds(f, [point, point], 3, "schatten1", 2, [1, 2])
+        assert [(r.degenerate, r.seed, r.budget_used) for r in res] == [
+            (True, 1, 0), (True, 2, 0)]
+        assert seminorm_lower_bounds(f, [], 3, "schatten1", 2, []) == []
+        with pytest.raises(ValueError):
+            seminorm_lower_bounds(f, [_grid9()], 2, "schatten1", 1, [0, 1])
+        with pytest.raises(ValueError):
+            seminorm_lower_bounds(f, [_grid9(), _grid9()], 2, "schatten1", 1, [0, -1])
 
 
 _PARAMS = {"constant": (1.0,), "poly": (0.5, -1.0, 2.0), "smoothed_abs": (0.05,)}
