@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .catalog import ScalarFunction
+from .catalog import ScalarFunction, max_quotient
 from .errors import (DegeneratePair, InvariantViolation, PreconditionViolated,
                      RefinementOverflow)
 from .hermitian import (HermitianOperator, apply_function, decompose,
@@ -258,6 +258,26 @@ def _block_record(f: ScalarFunction, index: int, delta: float,
     return BlockRecord(index, delta, target, achieved, block, status)
 
 
+def _batch(f: ScalarFunction, schedule, first: int, last: int) -> range:
+    """Blocks whose searches share one ascent: ``first``, then each next
+    block up to ``last`` while ``f`` evaluates on its grid and the grid's
+    scalar probe, a lower bound on the search value, beats the target 2**n.
+    A block below its probe likely ends the family, so it heads a batch of
+    its own; a grid ``f`` cannot evaluate on raises in its own search, once
+    the blocks before it have succeeded."""
+    end = first + 1
+    while end <= last:
+        pts = _block_grid(schedule[end - 1], end).points
+        try:
+            fvals = np.array([f(x) for x in pts])
+        except Exception:  # raised again by the search of this block
+            break
+        if not max_quotient(pts, fvals)[0] > 2.0 ** end:
+            break
+        end += 1
+    return range(first, end)
+
+
 def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
                            block_count: int, per_block_budget: int, seed: int,
                            dim: int = 2) -> DivergentFamily:
@@ -269,9 +289,11 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
     as data, not raised.  That outcome is expected for functions whose
     increments stay controlled near 0.
 
-    The searches run in doubling batches, blocks 1, 2-3, 4-7, 8-15, ...,
-    each batch one lockstep ascent (``seminorm_lower_bounds``); refinement
-    and amplification then follow in block order.  A family that stops at
+    The searches run in batches of at most doubling size, blocks 1, 2-3,
+    4-7, 8-15, ..., each batch one lockstep ascent (``seminorm_lower_bounds``);
+    refinement and amplification then follow in block order.  A batch ends
+    early before a block whose scalar probe does not beat its target (see
+    ``_batch``), and the next batch starts there.  A family that stops at
     block m has searched fewer than 2m blocks.
     """
     if block_count < 1:
@@ -287,7 +309,7 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
     records = []
     first = 1
     while first <= block_count:
-        batch = range(first, min(2 * first, block_count + 1))
+        batch = _batch(f, schedule, first, min(2 * first - 1, block_count))
         bounds = seminorm_lower_bounds(
             f, [_block_grid(schedule[n - 1], n) for n in batch], dim, "schatten1",
             per_block_budget, [_block_seed(seed, n) for n in batch])
@@ -296,7 +318,7 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
             if record.status == "failed":
                 return DivergentFamily(f, tuple(records), record)
             records.append(record)
-        first *= 2
+        first = batch.stop
     return DivergentFamily(f, tuple(records), None)
 
 

@@ -51,14 +51,20 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_report(path: str, columns, rows, fmt: str) -> None:
+def _report_text(columns, rows, fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(str(c) for c in row) for row in rows)
-        write_text(path, "\n".join(lines) + "\n")
-    else:
-        dump_json({"columns": list(columns),
-                   "rows": [dict(zip(columns, row)) for row in rows]}, path)
+        return "\n".join(lines) + "\n"
+    return dump_json({"columns": list(columns),
+                      "rows": [dict(zip(columns, row)) for row in rows]})
+
+
+def _write_all(files) -> None:
+    """Write (path, text) pairs; every text is serialised before the call,
+    so a failure in the computation or the serialisation writes no file."""
+    for path, text in files:
+        write_text(path, text)
 
 
 def _sidecar(output: str, suffix: str) -> str:
@@ -183,15 +189,14 @@ def run_ratio_search(cfg: dict) -> int:
             print(f"warning: dim {dim}: lower bounds operator={m_op:g} and "
                   f"schatten1={m_s1:g} sit outside the factor-2 band by more "
                   f"than the search-gap heuristic", file=sys.stderr)
-    # every search finishes before the first file is written, so a failed
-    # run leaves no partial set of sidecars
-    rows = []
+    rows, files = [], []
     for dim, kind, result in results:
         witness_path = _sidecar(output, f"_dim{dim}_{kind}.json")
-        dump_json(witness_to_json(result, f.reference()), witness_path)
+        files.append((witness_path,
+                      dump_json(witness_to_json(result, f.reference()))))
         rows.append((dim, kind, budget, seed, _fmt(result.value),
                      os.path.basename(witness_path)))
-    _write_report(output, columns, rows, fmt)
+    _write_all(files + [(output, _report_text(columns, rows, fmt))])
     return EXIT_OK
 
 
@@ -236,9 +241,8 @@ def run_divergence(cfg: dict) -> int:
         rows.append((rec.index, _fmt(rec.delta), _fmt(rec.target_ratio),
                      _fmt(rec.achieved_ratio), mult, _fmt(agg_inc),
                      _fmt(pert_sum), _fmt(incr_sum), rec.status))
-    family_doc = family_to_json(family)
-    _write_report(output, columns, rows, fmt)
-    dump_json(family_doc, _sidecar(output, "_family.json"))
+    _write_all([(output, _report_text(columns, rows, fmt)),
+                (_sidecar(output, "_family.json"), dump_json(family_to_json(family)))])
     return EXIT_OK
 
 
@@ -269,8 +273,8 @@ def run_commuting(cfg: dict) -> int:
                          _fmt(level.weighted_perturbation),
                          _fmt(level.weighted_increment), _fmt(level.bound),
                          "true" if level.ok else "false"))
-    _write_report(output, columns, rows, fmt)
-    dump_json(witness_doc, _sidecar(output, "_witness.json"))
+    _write_all([(output, _report_text(columns, rows, fmt)),
+                (_sidecar(output, "_witness.json"), dump_json(witness_doc))])
     return EXIT_OK
 
 
@@ -442,7 +446,7 @@ def run_verify(cfg: dict) -> int:
     columns = ("check", "residual", "tolerance", "status")
     rows = [(name, _fmt(residual), _fmt(tolerance), "pass" if ok else "fail")
             for name, residual, tolerance, ok in checks]
-    _write_report(output, columns, rows, fmt)
+    write_text(output, _report_text(columns, rows, fmt))
     failed = [name for name, _, _, ok in checks if not ok]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)

@@ -297,31 +297,36 @@ def seminorm_lower_bounds(f: ScalarFunction, grids, dim: int, norm_kind: str,
     if any(seed < 0 for seed in seeds):
         raise ValueError(f"seeds must be >= 0, got {list(seeds)}")
 
-    searches = []  # (seed, evaluator, probe value, starts) per grid of 2+ points
-    for grid, seed in zip(grids, seeds):
+    results = [None] * len(grids)
+    searches = []  # (slot in results, seed, evaluator, probe value, starts)
+    for slot, (grid, seed) in enumerate(zip(grids, seeds)):
         pts = grid.points
-        if pts.size > 1:
-            ev = _Evaluator(pts, np.array([f(x) for x in pts]), norm_kind)
-            probe_value, (ia0, ib0, _) = _scalar_probe(ev, dim)
-            # the polish of the probe pair, then the restarts
-            starts = [(ia0, ib0, np.eye(dim))] + [
-                _restart_start(pts.size, dim, seed, r) for r in range(budget)]
-            searches.append((seed, ev, probe_value, starts))
-    batch = _Evaluator(None, None, norm_kind)
-    values, qs = [], np.empty((0, dim, dim))
-    if searches:
-        parts = [ev.lanes(starts) for _, ev, _, starts in searches]
-        lanes = _Lanes(np.concatenate([p.spec for p in parts], axis=1),
-                       np.concatenate([p.diag for p in parts], axis=1),
-                       np.concatenate([p.floor for p in parts]))
-        q0 = np.stack([c[2] for *_, starts in searches for c in starts])
-        values, qs = _ascent(batch, lanes, q0)
+        if pts.size < 2:
+            results[slot] = SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget,
+                                               degenerate=True)
+            continue
+        ev = _Evaluator(pts, np.array([f(x) for x in pts]), norm_kind)
+        probe_value, (ia0, ib0, _) = _scalar_probe(ev, dim)
+        # the polish of the probe pair, then the restarts
+        starts = [(ia0, ib0, np.eye(dim))] + [
+            _restart_start(pts.size, dim, seed, r) for r in range(budget)]
+        searches.append((slot, seed, ev, probe_value, starts))
+    if not searches:
+        return results
 
-    found = []
+    # the lanes carry their grid values, so the batch evaluator needs no grid
+    batch = _Evaluator(None, None, norm_kind)
+    parts = [ev.lanes(starts) for *_, ev, _, starts in searches]
+    lanes = _Lanes(np.concatenate([p.spec for p in parts], axis=1),
+                   np.concatenate([p.diag for p in parts], axis=1),
+                   np.concatenate([p.floor for p in parts]))
+    q0 = np.stack([c[2] for *_, starts in searches for c in starts])
+    values, qs = _ascent(batch, lanes, q0)
+    per_lane = batch.count // len(values)  # every lane makes the same evaluations
     shape = (len(searches), budget + 1)
-    for (seed, ev, probe_value, starts), lane_values, lane_qs in zip(
+    for (slot, seed, ev, probe_value, starts), lane_values, lane_qs in zip(
             searches, np.reshape(values, shape), qs.reshape(shape + (dim, dim))):
-        ev.count += batch.count // len(values) * len(starts)  # same count per lane
+        ev.count += per_lane * len(starts)
         # ties go to the earliest phase: the probe, then the first lane
         lane = int(np.argmax(lane_values))
         best_cand = (starts[0][0], starts[0][1], None)
@@ -329,8 +334,6 @@ def seminorm_lower_bounds(f: ScalarFunction, grids, dim: int, norm_kind: str,
             best_cand = (starts[lane][0], starts[lane][1], lane_qs[lane])
         witness = _witness_from_candidate(f, ev, *best_cand)
         value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
-        found.append(SeminormLowerBound(value, witness, norm_kind, ev.count, seed, budget))
-    found = iter(found)
-    return [next(found) if grid.points.size > 1 else
-            SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget, degenerate=True)
-            for grid, seed in zip(grids, seeds)]
+        results[slot] = SeminormLowerBound(value, witness, norm_kind, ev.count,
+                                           seed, budget)
+    return results

@@ -124,9 +124,12 @@ def sequence_witness_to_json(witness, function_ref: dict, levels: int) -> dict:
 def write_text(path: str, text: str) -> None:
     """Write a report or sidecar as UTF-8 with "\\n" line endings.
 
-    The text goes to a temporary file in the target directory, which then
-    replaces ``path`` in one step, so a failed write leaves no partial file.
+    The text goes to a temporary file beside the target, which then replaces
+    it in one step, so no file is ever left half-written.  A symlink at
+    ``path`` is followed and the file it points to replaced; the mode of a
+    replaced file is not kept.
     """
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

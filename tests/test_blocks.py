@@ -1,5 +1,6 @@
 """Tests for segment refinement, amplification and divergent families."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,12 +9,15 @@ import pytest
 
 from specshift import blocks, search
 
-from specshift import (DivergentFamily, HermitianOperator, InvariantViolation,
-                       PreconditionViolated, RefinementOverflow, ScalarFunction,
+from specshift import (DivergentFamily, DomainError, HermitianOperator,
+                       InvariantViolation, PreconditionViolated,
+                       RefinementOverflow, ScalarFunction,
                        amplify_to_unit, apply_function, build_divergent_family,
                        decompose, default_delta_schedule, get_function,
                        increment_ratio, make_block, partial_sums,
                        schatten_norm, segment_refine, weighted)
+
+from specshift.serialize import dump_json, family_to_json
 
 from conftest import random_hermitian
 
@@ -250,18 +254,86 @@ class TestBatchedBlockSearches:
         assert counts == {"ascents": 1, "blocks": 1}
 
     @pytest.mark.parametrize("level", range(2, 11))
-    def test_failure_at_block_m_searches_fewer_than_2m(self, counts, level):
+    def test_probe_that_misses_target_ends_batch(self, counts, level):
         # sqrt(max(|x|, 4**-level)) is flat below 4**-level, which caps its
-        # quotients near 0: the family fails at a block that grows with level
+        # quotients near 0: the family fails at a block that grows with level,
+        # and that block's scalar probe already misses its target, so it is
+        # searched alone and no block after it is searched
         eps = 4.0 ** -level
         f = ScalarFunction("sqrt_floor", (eps,), lambda x: math.sqrt(max(abs(x), eps)))
         fam = build_divergent_family(f, default_delta_schedule(9), 9, 1, 0, 2)
         if fam.failure is None:
-            assert counts["blocks"] == 9
+            assert counts == {"ascents": 4, "blocks": 9}
         else:
             m = fam.failure.index
-            assert m <= counts["blocks"] < 2 * m
-        assert counts["ascents"] == counts["blocks"].bit_length()
+            assert counts == {"ascents": (m - 1).bit_length() + 1, "blocks": m}
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_failure_at_block_m_searches_fewer_than_2m(self, counts, monkeypatch, m):
+        # block m fails after its search although its probe beats the target,
+        # so the whole doubling batch that holds it has been searched
+        record = blocks._block_record
+
+        def fail_at_m(f, index, delta, bound):
+            if index == m:
+                return blocks.BlockRecord(index, delta, 2.0 ** index, 0.0, None, "failed")
+            return record(f, index, delta, bound)
+
+        monkeypatch.setattr(blocks, "_block_record", fail_at_m)
+        fam = build_divergent_family(get_function("sqrt_abs"),
+                                     default_delta_schedule(9), 9, 1, 0, 2)
+        assert fam.failure.index == m
+        assert m <= counts["blocks"] == min(9, 2 ** m.bit_length() - 1) < 2 * m
+        assert counts["ascents"] == m.bit_length()
+
+
+def _sqrt_partial(eps, tiny):
+    """sqrt(max(|x|, eps)), undefined on 0 < |x| < tiny."""
+    def fn(x):
+        if 0 < abs(x) < tiny:
+            raise ValueError("outside the domain")
+        return math.sqrt(max(abs(x), eps))
+    return ScalarFunction("sqrt_partial", (eps, tiny), fn)
+
+
+class TestUndefinedLaterGrid:
+    """f may be undefined on the grid of a block after the one where the
+    family stops.  The family must come out as when the blocks were searched
+    one at a time, which never evaluated f there; f's error surfaces only
+    when the family reaches that block."""
+
+    # the grid of block n reaches down to 2**-(3n + 9): blocks 1-4 stay
+    # inside the domain, blocks 5-7 do not
+    TINY = 2.0 ** -22
+
+    def test_family_stopping_before_undefined_grid(self):
+        # fails at block 4; the sha256 of its JSON document was recorded
+        # from the code that searched the blocks one at a time
+        fam = build_divergent_family(_sqrt_partial(4.0 ** -5, self.TINY),
+                                     default_delta_schedule(7), 7, 1, 0, 2)
+        assert fam.failure.index == 4
+        digest = hashlib.sha256(dump_json(family_to_json(fam)).encode()).hexdigest()
+        assert digest == "21e4d9bc944092db24430fc7cf88d9e9c94c7d03f40a013aa55b41d3b72fe23a"
+
+    def test_undefined_grid_inside_a_batch_is_not_searched(self, monkeypatch):
+        # sqrt_abs clears every probe, so without the failure forced at block 4
+        # blocks 4-7 would form one batch holding the undefined grids 5-7
+        record = blocks._block_record
+
+        def fail_at_4(f, index, delta, bound):
+            if index == 4:
+                return blocks.BlockRecord(index, delta, 16.0, 0.0, None, "failed")
+            return record(f, index, delta, bound)
+
+        monkeypatch.setattr(blocks, "_block_record", fail_at_4)
+        fam = build_divergent_family(_sqrt_partial(0.0, self.TINY),
+                                     default_delta_schedule(7), 7, 1, 0, 2)
+        assert fam.failure.index == 4 and len(fam.records) == 3
+
+    def test_reaching_undefined_grid_raises(self):
+        with pytest.raises(DomainError):
+            build_divergent_family(_sqrt_partial(4.0 ** -9, self.TINY),
+                                   default_delta_schedule(7), 7, 1, 0, 2)
 
 
 class TestPartialSums:

@@ -386,6 +386,34 @@ class TestNoPartialOutputs:
         assert "search failed" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    def test_failed_serialisation_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        to_json = cli.witness_to_json
+
+        def fail_at_dim_2(result, ref):
+            if result.witness.a.matrix.shape == (2, 2):
+                raise ValueError("cannot serialise")
+            return to_json(result, ref)
+
+        monkeypatch.setattr(cli, "witness_to_json", fail_at_dim_2)
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "abs"}, "dims": [1, 2],
+            "grid": {"interval": [-1, 1], "count": 5},
+            "budget": 1, "seed": 0, "output": str(out_dir / "report.csv")})
+        assert main(["ratio-search", cfg]) == 3
+        assert "cannot serialise" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_write_text_follows_symlink(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "report.csv"
+        link.symlink_to(target)
+        write_text(str(link), "new\n")
+        assert link.is_symlink() and target.read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "target.csv"]
+
     def test_write_text_replaces_whole_file(self, tmp_path, monkeypatch):
         path = tmp_path / "report.csv"
         write_text(str(path), "old\n")

@@ -1,7 +1,7 @@
 """Frozen reports and sidecars: one small config per CLI command.
 
 The sha256 of every file a run writes was recorded from the code before the
-norm, partial-sum, sampler and writer paths were merged; those of the three
+norm, partial-sum, sampler and writer paths were merged; those of the four
 larger divergence families, from the code before the block searches were
 batched into shared lockstep ascents.  A refactor that
 changes a single byte of a verify residual, a divergence partial sum, a
@@ -39,6 +39,10 @@ CONFIGS = {
                                               "dim": 4, "budget": 2, "seed": 0}),
     "divergence-abs-K3": ("divergence", {"function": {"id": "abs"}, "K": 3,
                                          "dim": 4, "budget": 2, "seed": 0}),
+    # stops at block 1; 1/x overflows on the grid of block 7, never reached
+    "divergence-xsin_inv-delta0-1e-300": ("divergence", {
+        "function": {"id": "xsin_inv"}, "K": 7, "delta0": 1e-300,
+        "dim": 4, "budget": 2, "seed": 0}),
 }
 
 EXPECTED = {
@@ -71,6 +75,12 @@ EXPECTED = {
             "238a5aeeee1cce37b92c3f7a2e40fdacde9b742648e2055adaf0e0d493a821e2",
         "report_family.json":
             "37850f196a20675da30cee6671f9ef483a6f3d3eacc18c3dedf06ef34d00c8a1",
+    },
+    "divergence-xsin_inv-delta0-1e-300": {
+        "report.csv":
+            "a879b3e207c98dcf9c5a812b8f6a4d5d4f2685dc602134879ea08d7bf5d5fe73",
+        "report_family.json":
+            "1fd14e96594cf9ac65b113885cdf8c7e6b59c637f1466442a8d613ca819d65b5",
     },
     "ratio-search-csv": {
         "report.csv":
