@@ -14,13 +14,15 @@ Search phases, in deterministic order:
      scores higher, in either norm;
   1. a Givens coordinate-ascent polish of the probe pair, and
   2+. `budget` seeded random restarts, each drawing (a, b, Q0) from substream
-     (seed, r).  The polish and the restarts refine Q by per-angle coordinate
-     ascent (a coarse scan plus golden-section line search) in one lockstep
-     batch: every step scores one candidate of each of them with a single
-     stacked SVD, in one thread.  ``seminorm_lower_bounds`` runs several
-     searches (one per grid, same function, dim, kind and budget) and their
-     lanes all share that one batch; each search's result is bit-identical
-     to running it alone.
+     (seed, r).  A restart whose a-priori bound from its spectra alone (by
+     Lidskii-Mirsky, ||X - Y|| >= ||sort(x) - sort(y)||) is below the probe
+     can never win and is not ascended.  The polish and the kept restarts
+     refine Q by per-angle coordinate ascent (a coarse scan plus
+     golden-section line search) in one lockstep batch: every step scores
+     one candidate of each of them with a single stacked SVD, in one
+     thread.  ``seminorm_lower_bounds`` runs several searches (one per grid,
+     same function, dim, kind and budget) and their lanes all share that
+     one batch; each search's result is bit-identical to running it alone.
 
 The incumbent is the best value with the earliest phase index, so the result
 is deterministic given (seed, budget), independent of evaluation order, and
@@ -132,6 +134,30 @@ class _Evaluator:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den <= lanes.floor, -np.inf,
                             np.where(num <= lanes.floor, 0.0, num / den))
+
+
+def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
+    """Upper bound on each lane's ratio over every rotation Q.
+
+    Numerator at most sum|f(a_i) - c| + sum|f(b_i) - c| at the median c of
+    f(a) and f(b), i.e. their upper half's sum minus their lower half's
+    (operator norm: their range).  Denominator at least sum|sort(a) -
+    sort(b)| by Lidskii-Mirsky (Weyl: the max); +inf where the slack
+    swallows it.  The slack 1e-9 * n * max(1, |entries|) dwarfs the
+    O(n^3 eps |entries|) rounding of a scored Schatten-1 sum (Q's drift,
+    matmuls, SVD: 5e-13 at n = 16) and is at least 2e-10 of the bound."""
+    n = lanes.spec.shape[-1]
+    gap = np.abs(np.sort(lanes.spec[0], axis=-1) - np.sort(lanes.diag[0], axis=-1))
+    fv = np.sort(np.concatenate([lanes.spec[1], lanes.diag[1]], axis=-1), axis=-1)
+    if kind == "schatten1":
+        den, num = gap.sum(axis=-1), fv[:, n:].sum(axis=-1) - fv[:, :n].sum(axis=-1)
+    else:
+        den, num = gap.max(axis=-1), fv[:, -1] - fv[:, 0]
+    slack = 1e-9 * n * np.maximum(1.0, np.abs(np.concatenate(
+        [lanes.spec, lanes.diag], axis=-1)).max(axis=-1))
+    den = den - slack[0]
+    with np.errstate(divide="ignore"):
+        return np.where(den > 0, (num + slack[1]) / den, np.inf)
 
 
 def _givens(dim: int, i: int, j: int, thetas) -> np.ndarray:
@@ -273,9 +299,10 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
                          norm_kind: str, budget: int, seed: int) -> SeminormLowerBound:
     """Maximise the increment ratio of ``f`` over pairs with spectra in ``f0``.
 
-    ``budget`` counts random restarts; ``budget_used`` reports total candidate
-    evaluations.  Deterministic given (seed, budget), and nondecreasing in
-    budget under a fixed seed.
+    ``budget`` counts random restarts; ``budget_used`` reports the candidates
+    settled: the probe pairs and every lane's ascent candidates, scored or
+    ruled out by the lane's bound.  Deterministic given (seed, budget), and
+    nondecreasing in budget under a fixed seed.
     """
     return seminorm_lower_bounds(f, [f0], dim, norm_kind, budget, [seed])[0]
 
@@ -320,9 +347,16 @@ def seminorm_lower_bounds(f: ScalarFunction, grids, dim: int, norm_kind: str,
     lanes = _Lanes(np.concatenate([p.spec for p in parts], axis=1),
                    np.concatenate([p.diag for p in parts], axis=1),
                    np.concatenate([p.floor for p in parts]))
-    q0 = np.stack([c[2] for *_, starts in searches for c in starts])
-    values, qs = _ascent(batch, lanes, q0)
-    per_lane = batch.count // len(values)  # every lane makes the same evaluations
+    qs = np.stack([c[2] for *_, starts in searches for c in starts])
+    # a lane wins only by a strict > over its probe: a restart whose bound is
+    # below it is not ascended and keeps -inf and its start Q
+    probes = np.repeat([probe for *_, probe, _ in searches], budget + 1)
+    keep = _lane_bounds(lanes, norm_kind) >= probes
+    keep[::budget + 1] = True  # the polish lanes
+    values = np.full(keep.size, -np.inf)
+    values[keep], qs[keep] = _ascent(batch, _Lanes(
+        lanes.spec[:, keep], lanes.diag[:, keep], lanes.floor[keep]), qs[keep])
+    per_lane = batch.count // int(keep.sum())  # every lane makes the same evaluations
     shape = (len(searches), budget + 1)
     for (slot, seed, ev, probe_value, starts), lane_values, lane_qs in zip(
             searches, np.reshape(values, shape), qs.reshape(shape + (dim, dim))):

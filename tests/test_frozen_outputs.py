@@ -3,7 +3,9 @@
 The sha256 of every file a run writes was recorded from the code before the
 norm, partial-sum, sampler and writer paths were merged; those of the four
 larger divergence families, from the code before the block searches were
-batched into shared lockstep ascents.  A refactor that
+batched into shared lockstep ascents; those of the three partial-screen
+configs, from the code before restart lanes were screened by their a-priori
+bound.  A refactor that
 changes a single byte of a verify residual, a divergence partial sum, a
 witness matrix or the JSON layout fails here.
 """
@@ -43,6 +45,19 @@ CONFIGS = {
     "divergence-xsin_inv-delta0-1e-300": ("divergence", {
         "function": {"id": "xsin_inv"}, "K": 7, "delta0": 1e-300,
         "dim": 4, "budget": 2, "seed": 0}),
+    # the restart screen keeps 1-4 of each search's 5 lanes; in the
+    # smoothed_abs run a kept restart wins a search that screened another
+    "ratio-search-xsin_inv": ("ratio-search", {
+        "function": {"id": "xsin_inv"}, "dims": [2, 4, 8], "budget": 4, "seed": 17,
+        "grid": {"interval": [-1, 1], "count": 17}, "format": "csv"}),
+    "ratio-search-smoothed_abs": ("ratio-search", {
+        "function": {"id": "smoothed_abs", "params": [0.05]}, "dims": [2, 4],
+        "budget": 4, "seed": 1, "grid": {"interval": [-0.5, 2], "count": 17},
+        "format": "csv"}),
+    # batch 2-3 keeps two restarts of block 2 and none of block 3
+    "divergence-signed_square-delta0-256": ("divergence", {
+        "function": {"id": "signed_square"}, "K": 3, "delta0": 256,
+        "dim": 2, "budget": 4, "seed": 0}),
 }
 
 EXPECTED = {
@@ -82,6 +97,12 @@ EXPECTED = {
         "report_family.json":
             "1fd14e96594cf9ac65b113885cdf8c7e6b59c637f1466442a8d613ca819d65b5",
     },
+    "divergence-signed_square-delta0-256": {
+        "report.csv":
+            "9b60dd408a023c541dfd96e9818e57b99603bbd2f7118d8e0d053a1f4b53b587",
+        "report_family.json":
+            "66af6c38a500ee1839d1e492b0ebf16a059f48f5c5641efe480df55d3cb81373",
+    },
     "ratio-search-csv": {
         "report.csv":
             "02cf2b1915781a110c8189c0bbcda31fa21f28c3e5ff447e4eee00a9c5952f09",
@@ -105,6 +126,34 @@ EXPECTED = {
             "4b245cf63c6f9cfb547c6925f2540dde69d79868b2032f4d2d921d79c69525fa",
         "report_dim2_schatten1.json":
             "9f5e04ac22628e2bd5f56e0ccd61df187e373c132db440eeec7e87ed7786dbd5",
+    },
+    "ratio-search-xsin_inv": {
+        "report.csv":
+            "7000220629fc673b089377a7368b74cc7843c71f5b582eced8544c968e57e651",
+        "report_dim2_operator.json":
+            "324edb5cbf8348e5dde50fe9fa1959c7732a379d138cd698b9d896489e489ad3",
+        "report_dim2_schatten1.json":
+            "38abe108df0319a7424443c1a7bd2d7079a5f2e21bfe6acb6d1de4fc3abcb827",
+        "report_dim4_operator.json":
+            "24d6d71d2b1ebbcb13fe9f3d737e8495a32682da8d037f0fd668583ef9bb5d89",
+        "report_dim4_schatten1.json":
+            "44a750c23d7df459572f7960afc7ef35397109801b37cb39c631a75127c0b4f0",
+        "report_dim8_operator.json":
+            "af63569ae4cd47f9cae18510b42570188635e7306711c95db87eff7fa594f325",
+        "report_dim8_schatten1.json":
+            "ec994c366a723237db035ad44ec5b1ee4f32b5cd491fe9835be6333d7879b80f",
+    },
+    "ratio-search-smoothed_abs": {
+        "report.csv":
+            "69a74611c8db96c4ae98e28ca5a83b58d79fff1ec330c5bf361fb00723d974e2",
+        "report_dim2_operator.json":
+            "a14c9db41fb419295b095a9bd203766fc1938a0c577d943a2c92ab1e6bf00357",
+        "report_dim2_schatten1.json":
+            "32a4ed5862465997aed99f2d72e8bee8bb976605201e645ec9b900124c4a75c1",
+        "report_dim4_operator.json":
+            "4ffe5e63fd71f1e409469db99292f0efaaf6ab81c02a0260dfa0cf34c2f5ba1e",
+        "report_dim4_schatten1.json":
+            "96808c49feef286bd6aec7a09f26d67ea7ae0831dc54ed97ad82009375f23537",
     },
     "verify": {
         "report.csv":

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from specshift import (FiniteSpectrumSet, catalog_ids, get_function,
                        increment_ratio, lipschitz_seminorm_estimate,
-                       restrict_to_grid, seminorm_lower_bound,
+                       restrict_to_grid, search, seminorm_lower_bound,
                        seminorm_lower_bounds)
-from specshift.blocks import _block_grid, _block_seed
-from specshift.search import (_GOLDEN, _ascent, _Evaluator, _restart_start,
-                              _scalar_probe, _witness_from_candidate)
+from specshift.blocks import (_block_grid, _block_seed, build_divergent_family,
+                              default_delta_schedule)
+from specshift.search import (_GOLDEN, _ascent, _Evaluator, _lane_bounds,
+                              _restart_start, _scalar_probe,
+                              _witness_from_candidate, random_orthogonal)
 
 
 def _grid9():
@@ -473,3 +475,83 @@ class TestNoDiagonalPairBeatsTheProbe:
         cap = Fraction(probe) * (1 + Fraction(4, 2**52))
         assert sum(df) / sum(dx) <= cap
         assert max(df) / max(dx) <= cap
+
+
+class TestLaneBoundIsSound:
+    """The a-priori bound that screens a restart lane out of the ascent is
+    at least every ratio the lane can score: its ascent's value and its
+    score at any rotation, rounding included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), fid=st.sampled_from(catalog_ids()),
+           grid=st.one_of(
+               st.builds(restrict_to_grid, st.sampled_from(
+                   [(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (-3.0, 0.25)]), st.integers(2, 17)),
+               st.builds(lambda level: _block_grid(2.0 ** -level, level), st.integers(1, 6))),
+           dim=st.integers(1, 6), seed=st.integers(0, 2**31),
+           kind=st.sampled_from(["operator", "schatten1"]))
+    def test_scores_never_exceed_bound(self, data, fid, grid, dim, seed, kind):
+        f = get_function(fid, _PARAMS.get(fid, ()))
+        ev = _Evaluator(grid.points, np.array([f(x) for x in grid.points]), kind)
+        _, (ia, ib, _) = _scalar_probe(ev, dim)
+        restarts = [_restart_start(grid.points.size, dim, seed, r) for r in range(2)]
+        # the polish start, two restarts and a restart whose b permutes its a
+        ia_perm, _, q_perm = restarts[0]
+        ib_perm = np.array(data.draw(st.permutations(ia_perm.tolist())))
+        starts = [(ia, ib, np.eye(dim))] + restarts + [(ia_perm, ib_perm, q_perm)]
+        lanes = ev.lanes(starts)
+        bound = _lane_bounds(lanes, kind)
+        values, _ = _ascent(ev, lanes, np.stack([c[2] for c in starts]))
+        assert (np.array(values) <= bound).all()
+        rng = np.random.default_rng(seed)
+        qs = np.array([[random_orthogonal(rng, dim) for _ in range(4)] for _ in starts])
+        assert (ev.rotated(lanes, qs) <= bound[:, None]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(fid=st.sampled_from(catalog_ids()),
+           interval=st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (-3.0, 0.25)]),
+           count=st.integers(2, 17), dim=st.integers(1, 6),
+           kind=st.sampled_from(["operator", "schatten1"]))
+    def test_bound_is_attained_by_the_polish_start(self, fid, interval, count, dim, kind):
+        # Q diag(b) Q^T - diag(a) = (x_j - x_i) q0 q0^T is rank one for the
+        # polish start, so its ratio is the probe for every Q: the bound, up
+        # to its slack, can be no lower, and the median and the sorted
+        # matching make it no higher
+        f = get_function(fid, _PARAMS.get(fid, ()))
+        grid = restrict_to_grid(interval, count)
+        ev = _Evaluator(grid.points, np.array([f(x) for x in grid.points]), kind)
+        probe, (ia, ib, _) = _scalar_probe(ev, dim)
+        bound = _lane_bounds(ev.lanes([(ia, ib)]), kind)[0]
+        assert probe <= bound <= probe + 1e-6 * max(1.0, probe)
+
+
+class TestScreenedLanes:
+    """Which lanes the screen sends into the ascent, counted per ascent call."""
+
+    @staticmethod
+    def _lane_counts(monkeypatch, ascend=True):
+        counts = []
+
+        def spy(ev, lanes, q):
+            counts.append(len(q))
+            return _ascent(ev, lanes, q) if ascend else ([-math.inf] * len(q), q)
+
+        monkeypatch.setattr(search, "_ascent", spy)
+        return counts
+
+    def test_divergence_ascends_only_the_polish_lanes(self, monkeypatch):
+        # blocks 1, 2-3, 4-7 and 8-10: every restart is ruled out
+        counts = self._lane_counts(monkeypatch)
+        family = build_divergent_family(get_function("sqrt_abs"),
+                                        default_delta_schedule(10), 10, 4, 1, dim=8)
+        assert family.failure is None
+        assert counts == [1, 2, 4, 3]
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    @pytest.mark.parametrize("kind", ["operator", "schatten1"])
+    def test_abs_keeps_every_restart(self, monkeypatch, dim, kind):
+        # the screen is decided before the ascent, which is not run here
+        counts = self._lane_counts(monkeypatch, ascend=False)
+        seminorm_lower_bound(get_function("abs"), restrict_to_grid((-1, 1), 17),
+                             dim, kind, 4, 1)
+        assert counts == [5]
