@@ -32,8 +32,7 @@ from .hermitian import (HermitianOperator, RatioWitness, SpectralDecomposition,
 from .loewner import (FiniteSpectrumSet, LoewnerMatrix, divided_difference,
                       loewner_matrix, perturbation_identity_residual,
                       restrict_to_grid)
-from .search import (NORM_KINDS, SeminormLowerBound, seminorm_lower_bound,
-                     seminorm_lower_bounds)
+from .search import NORM_KINDS, SeminormLowerBound, seminorm_lower_bound
 from .sequences import (DivergenceReport, LevelCheck, NotFound, SequenceWitness,
                         diagonal_embedding, divergence_check,
                         make_sequence_witness, multiplicity_sequence,

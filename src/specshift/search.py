@@ -12,17 +12,14 @@ Search phases, in deterministic order:
      points, scanned by ``catalog.max_quotient`` and embedded at the
      requested dimension.  By the mediant inequality no diagonal pair
      scores higher, in either norm;
-  1. a Givens coordinate-ascent polish of the probe pair, and
-  2+. `budget` seeded random restarts, each drawing (a, b, Q0) from substream
+  1+ `budget` seeded random restarts, each drawing (a, b, Q0) from substream
      (seed, r).  A restart whose a-priori bound from its spectra alone (by
      Lidskii-Mirsky, ||X - Y|| >= ||sort(x) - sort(y)||) is below the probe
-     can never win and is not ascended.  The polish and the kept restarts
-     refine Q by per-angle coordinate ascent (a coarse scan plus
-     golden-section line search) in one lockstep batch: every step scores
-     one candidate of each of them with a single stacked SVD, in one
-     thread.  ``seminorm_lower_bounds`` runs several searches (one per grid,
-     same function, dim, kind and budget) and their lanes all share that
-     one batch; each search's result is bit-identical to running it alone.
+     can never win and is not ascended.  The kept restarts refine Q by
+     per-angle coordinate ascent (a coarse scan plus golden-section line
+     search) in one lockstep batch: every step scores one candidate of each
+     of them with a single stacked SVD, in one thread.  When every restart
+     is ruled out no ascent runs.
 
 The incumbent is the best value with the earliest phase index, so the result
 is deterministic given (seed, budget), independent of evaluation order, and
@@ -45,8 +42,7 @@ from .catalog import ScalarFunction, max_quotient
 from .hermitian import DEGENERATE_REL, HermitianOperator, RatioWitness
 from .loewner import FiniteSpectrumSet
 
-__all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound",
-           "seminorm_lower_bounds"]
+__all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound"]
 
 NORM_KINDS = ("operator", "schatten1")
 
@@ -300,74 +296,40 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     """Maximise the increment ratio of ``f`` over pairs with spectra in ``f0``.
 
     ``budget`` counts random restarts; ``budget_used`` reports the candidates
-    settled: the probe pairs and every lane's ascent candidates, scored or
-    ruled out by the lane's bound.  Deterministic given (seed, budget), and
-    nondecreasing in budget under a fixed seed.
+    settled: the probe pairs and every restart's ascent candidates, scored
+    or ruled out by the restart's bound.  Deterministic given (seed, budget),
+    and nondecreasing in budget under a fixed seed.
     """
-    return seminorm_lower_bounds(f, [f0], dim, norm_kind, budget, [seed])[0]
-
-
-def seminorm_lower_bounds(f: ScalarFunction, grids, dim: int, norm_kind: str,
-                          budget: int, seeds) -> list:
-    """``seminorm_lower_bound`` of ``f`` on each grid with its seed, with the
-    ascents of all the searches run as one lockstep batch.  Lane arithmetic
-    does not depend on the other lanes, so each result (value, witness and
-    ``budget_used``) equals that of its own single search."""
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if len(grids) != len(seeds):
-        raise ValueError(f"{len(grids)} grids but {len(seeds)} seeds")
-    if any(seed < 0 for seed in seeds):
-        raise ValueError(f"seeds must be >= 0, got {list(seeds)}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    pts = f0.points
+    if pts.size < 2:
+        return SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget, degenerate=True)
 
-    results = [None] * len(grids)
-    searches = []  # (slot in results, seed, evaluator, probe value, starts)
-    for slot, (grid, seed) in enumerate(zip(grids, seeds)):
-        pts = grid.points
-        if pts.size < 2:
-            results[slot] = SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget,
-                                               degenerate=True)
-            continue
-        ev = _Evaluator(pts, np.array([f(x) for x in pts]), norm_kind)
-        probe_value, (ia0, ib0, _) = _scalar_probe(ev, dim)
-        # the polish of the probe pair, then the restarts
-        starts = [(ia0, ib0, np.eye(dim))] + [
-            _restart_start(pts.size, dim, seed, r) for r in range(budget)]
-        searches.append((slot, seed, ev, probe_value, starts))
-    if not searches:
-        return results
-
-    # the lanes carry their grid values, so the batch evaluator needs no grid
-    batch = _Evaluator(None, None, norm_kind)
-    parts = [ev.lanes(starts) for *_, ev, _, starts in searches]
-    lanes = _Lanes(np.concatenate([p.spec for p in parts], axis=1),
-                   np.concatenate([p.diag for p in parts], axis=1),
-                   np.concatenate([p.floor for p in parts]))
-    qs = np.stack([c[2] for *_, starts in searches for c in starts])
-    # a lane wins only by a strict > over its probe: a restart whose bound is
-    # below it is not ascended and keeps -inf and its start Q
-    probes = np.repeat([probe for *_, probe, _ in searches], budget + 1)
-    keep = _lane_bounds(lanes, norm_kind) >= probes
-    keep[::budget + 1] = True  # the polish lanes
-    values = np.full(keep.size, -np.inf)
-    values[keep], qs[keep] = _ascent(batch, _Lanes(
-        lanes.spec[:, keep], lanes.diag[:, keep], lanes.floor[keep]), qs[keep])
-    per_lane = batch.count // int(keep.sum())  # every lane makes the same evaluations
-    shape = (len(searches), budget + 1)
-    for (slot, seed, ev, probe_value, starts), lane_values, lane_qs in zip(
-            searches, np.reshape(values, shape), qs.reshape(shape + (dim, dim))):
-        ev.count += per_lane * len(starts)
-        # ties go to the earliest phase: the probe, then the first lane
-        lane = int(np.argmax(lane_values))
-        best_cand = (starts[0][0], starts[0][1], None)
-        if lane_values[lane] > probe_value:
-            best_cand = (starts[lane][0], starts[lane][1], lane_qs[lane])
-        witness = _witness_from_candidate(f, ev, *best_cand)
-        value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
-        results[slot] = SeminormLowerBound(value, witness, norm_kind, ev.count,
-                                           seed, budget)
-    return results
+    ev = _Evaluator(pts, np.array([f(x) for x in pts]), norm_kind)
+    probe_value, probe = _scalar_probe(ev, dim)
+    starts = [_restart_start(pts.size, dim, seed, r) for r in range(budget)]
+    lanes = ev.lanes(starts)
+    qs = np.stack([q for *_, q in starts])
+    # a restart wins only by a strict > over the probe: one whose bound is
+    # below it is not ascended and keeps -inf
+    keep = _lane_bounds(lanes, norm_kind) >= probe_value
+    values = np.full(budget, -np.inf)
+    if keep.any():
+        values[keep], qs[keep] = _ascent(ev, _Lanes(
+            lanes.spec[:, keep], lanes.diag[:, keep], lanes.floor[keep]), qs[keep])
+    # a screened restart counts as settled: a start, then per coordinate pair
+    # 8 coarse angles, 2 golden-section seeds and the golden-section steps
+    ev.count += int((~keep).sum()) * (1 + (10 + _GOLDEN_ITERS) * math.comb(dim, 2))
+    # ties go to the earliest phase: the probe, then the first restart
+    r = int(np.argmax(values))
+    best = (*starts[r][:2], qs[r]) if values[r] > probe_value else probe
+    witness = _witness_from_candidate(f, ev, *best)
+    value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
+    return SeminormLowerBound(value, witness, norm_kind, ev.count, seed, budget)

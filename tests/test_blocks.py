@@ -17,6 +17,7 @@ from specshift import (DivergentFamily, DomainError, HermitianOperator,
                        increment_ratio, make_block, partial_sums,
                        schatten_norm, segment_refine, weighted)
 
+from specshift.catalog import max_quotient
 from specshift.serialize import dump_json, family_to_json
 
 from conftest import random_hermitian
@@ -221,31 +222,32 @@ class TestBuildDivergentFamily:
 
 
 class TestBatchedBlockSearches:
-    """Deterministic cost guard: the block searches ascend in doubling
-    batches (blocks 1, 2-3, 4-7, ...), counted without timing."""
+    """Deterministic cost guard: one search per block and none after the
+    block where the family stops, counted without timing."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         seen = {"ascents": 0, "blocks": 0}
-        ascent, bounds = search._ascent, blocks.seminorm_lower_bounds
+        ascent, bound = search._ascent, blocks.seminorm_lower_bound
 
         def counted_ascent(*args):
             seen["ascents"] += 1
             return ascent(*args)
 
-        def counted_bounds(f, grids, *args):
-            seen["blocks"] += len(grids)
-            return bounds(f, grids, *args)
+        def counted_bound(*args):
+            seen["blocks"] += 1
+            return bound(*args)
 
         monkeypatch.setattr(search, "_ascent", counted_ascent)
-        monkeypatch.setattr(blocks, "seminorm_lower_bounds", counted_bounds)
+        monkeypatch.setattr(blocks, "seminorm_lower_bound", counted_bound)
         return seen
 
-    def test_sqrt_abs_seven_blocks_three_ascents(self, counts):
+    def test_sqrt_abs_seven_blocks_no_ascent(self, counts):
+        # every restart is ruled out by the screen
         fam = build_divergent_family(get_function("sqrt_abs"),
                                      default_delta_schedule(7), 7, 1, 0, 2)
         assert fam.failure is None and len(fam.records) == 7
-        assert counts == {"ascents": 3, "blocks": 7}
+        assert counts == {"ascents": 0, "blocks": 7}
 
     def test_abs_fails_first_block_one_ascent(self, counts):
         fam = build_divergent_family(get_function("abs"),
@@ -257,21 +259,21 @@ class TestBatchedBlockSearches:
     def test_probe_that_misses_target_ends_batch(self, counts, level):
         # sqrt(max(|x|, 4**-level)) is flat below 4**-level, which caps its
         # quotients near 0: the family fails at a block that grows with level,
-        # and that block's scalar probe already misses its target, so it is
-        # searched alone and no block after it is searched
+        # whose scalar probe already misses its target, and no block after
+        # it is searched
         eps = 4.0 ** -level
         f = ScalarFunction("sqrt_floor", (eps,), lambda x: math.sqrt(max(abs(x), eps)))
         fam = build_divergent_family(f, default_delta_schedule(9), 9, 1, 0, 2)
-        if fam.failure is None:
-            assert counts == {"ascents": 4, "blocks": 9}
-        else:
-            m = fam.failure.index
-            assert counts == {"ascents": (m - 1).bit_length() + 1, "blocks": m}
+        assert fam.failure is not None
+        m = fam.failure.index
+        pts = blocks._block_grid(2.0 ** -m, m).points
+        assert not max_quotient(pts, np.array([f(x) for x in pts]))[0] > 2.0 ** m
+        assert counts["blocks"] == m
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_failure_at_block_m_searches_fewer_than_2m(self, counts, monkeypatch, m):
-        # block m fails after its search although its probe beats the target,
-        # so the whole doubling batch that holds it has been searched
+        # block m fails after its search although its probe beats the target:
+        # exactly the m blocks up to it have been searched
         record = blocks._block_record
 
         def fail_at_m(f, index, delta, bound):
@@ -283,8 +285,7 @@ class TestBatchedBlockSearches:
         fam = build_divergent_family(get_function("sqrt_abs"),
                                      default_delta_schedule(9), 9, 1, 0, 2)
         assert fam.failure.index == m
-        assert m <= counts["blocks"] == min(9, 2 ** m.bit_length() - 1) < 2 * m
-        assert counts["ascents"] == m.bit_length()
+        assert counts == {"ascents": 0, "blocks": m}
 
 
 def _sqrt_partial(eps, tiny):
@@ -298,9 +299,8 @@ def _sqrt_partial(eps, tiny):
 
 class TestUndefinedLaterGrid:
     """f may be undefined on the grid of a block after the one where the
-    family stops.  The family must come out as when the blocks were searched
-    one at a time, which never evaluated f there; f's error surfaces only
-    when the family reaches that block."""
+    family stops.  f is never evaluated there: its error surfaces only when
+    the family reaches that block."""
 
     # the grid of block n reaches down to 2**-(3n + 9): blocks 1-4 stay
     # inside the domain, blocks 5-7 do not
@@ -308,16 +308,16 @@ class TestUndefinedLaterGrid:
 
     def test_family_stopping_before_undefined_grid(self):
         # fails at block 4; the sha256 of its JSON document was recorded
-        # from the code that searched the blocks one at a time
+        # from the search of the scalar probe and the screened restarts
         fam = build_divergent_family(_sqrt_partial(4.0 ** -5, self.TINY),
                                      default_delta_schedule(7), 7, 1, 0, 2)
         assert fam.failure.index == 4
         digest = hashlib.sha256(dump_json(family_to_json(fam)).encode()).hexdigest()
-        assert digest == "21e4d9bc944092db24430fc7cf88d9e9c94c7d03f40a013aa55b41d3b72fe23a"
+        assert digest == "a318344619f0c6e59711c43f9b0945aae92351d91c1a980c06e3b9677c3055eb"
 
     def test_undefined_grid_inside_a_batch_is_not_searched(self, monkeypatch):
-        # sqrt_abs clears every probe, so without the failure forced at block 4
-        # blocks 4-7 would form one batch holding the undefined grids 5-7
+        # sqrt_abs clears every block, so without the failure forced at
+        # block 4 the family would go on to the undefined grids 5-7
         record = blocks._block_record
 
         def fail_at_4(f, index, delta, bound):

@@ -1,13 +1,10 @@
 """Frozen reports and sidecars: one small config per CLI command.
 
-The sha256 of every file a run writes was recorded from the code before the
-norm, partial-sum, sampler and writer paths were merged; those of the four
-larger divergence families, from the code before the block searches were
-batched into shared lockstep ascents; those of the three partial-screen
-configs, from the code before restart lanes were screened by their a-priori
-bound.  A refactor that
-changes a single byte of a verify residual, a divergence partial sum, a
-witness matrix or the JSON layout fails here.
+The sha256 of every file a run writes was recorded from the search of the
+scalar probe and the restarts screened by their a-priori bound, with no
+ascent of the probe pair.  A refactor that changes a single byte of a verify
+residual, a divergence partial sum, a witness matrix or the JSON layout
+fails here.
 """
 
 import hashlib
@@ -32,9 +29,8 @@ CONFIGS = {
         "grid": {"interval": [-1, 1], "count": 5}, "format": "json"}),
     "commuting": ("commuting", {"function": {"id": "sqrt_abs"}, "K": 6,
                                 "search_grid": 201, "seed": 0}),
-    # divergent families whose block searches run in batches of 1, 2 and 4
-    # blocks: all seven succeed; xsin_inv fails at block 6, inside the last
-    # batch; abs fails at block 1
+    # divergent families at dim 4: all seven sqrt_abs blocks succeed;
+    # xsin_inv fails at block 6; abs fails at block 1
     "divergence-sqrt_abs-K7": ("divergence", {"function": {"id": "sqrt_abs"}, "K": 7,
                                               "dim": 4, "budget": 2, "seed": 0}),
     "divergence-xsin_inv-K7": ("divergence", {"function": {"id": "xsin_inv"}, "K": 7,
@@ -45,7 +41,7 @@ CONFIGS = {
     "divergence-xsin_inv-delta0-1e-300": ("divergence", {
         "function": {"id": "xsin_inv"}, "K": 7, "delta0": 1e-300,
         "dim": 4, "budget": 2, "seed": 0}),
-    # the restart screen keeps 1-4 of each search's 5 lanes; in the
+    # the restart screen keeps 0-4 of each search's 4 restarts; in the
     # smoothed_abs run a kept restart wins a search that screened another
     "ratio-search-xsin_inv": ("ratio-search", {
         "function": {"id": "xsin_inv"}, "dims": [2, 4, 8], "budget": 4, "seed": 17,
@@ -54,10 +50,14 @@ CONFIGS = {
         "function": {"id": "smoothed_abs", "params": [0.05]}, "dims": [2, 4],
         "budget": 4, "seed": 1, "grid": {"interval": [-0.5, 2], "count": 17},
         "format": "csv"}),
-    # batch 2-3 keeps two restarts of block 2 and none of block 3
+    # the screen keeps two restarts of block 2 and none of block 3
     "divergence-signed_square-delta0-256": ("divergence", {
         "function": {"id": "signed_square"}, "K": 3, "delta0": 256,
         "dim": 2, "budget": 4, "seed": 0}),
+    # the perfbench divergence config: ten dim-8 blocks, every restart screened
+    "divergence-sqrt_abs-K10-dim8": ("divergence", {
+        "function": {"id": "sqrt_abs"}, "K": 10, "delta0": 1.0,
+        "dim": 8, "budget": 4, "seed": 1}),
 }
 
 EXPECTED = {
@@ -69,21 +69,21 @@ EXPECTED = {
     },
     "divergence": {
         "report.csv":
-            "cdd52cd9c62583d95cd31f5bf9e9cd89b37bdc5926a4b8d364e8706900e04be5",
+            "31c64323c5072c209f34d9647d4fa7e2171cf8d781e953d1c1ef23376590fe53",
         "report_family.json":
-            "fe65eda4b709afb5b3444c95460f4fbb8dda5ce1c4e7b55d81a07c0f048c9939",
+            "697721aff30939137874a65d2236d95878af8b66d0a0fa91a290818b98cea579",
     },
     "divergence-sqrt_abs-K7": {
         "report.csv":
-            "2e33d91f1166a0390c5733744d89c56c973e9dc498d372ed8f21d2f81027cd2e",
+            "7d649481448ba1f3ea82c06a4784d5984a385541e322e43b6bf7c3996bd195c5",
         "report_family.json":
-            "7db55b5d3a7b60619814bfcb3ad24be8cc496e8e31f1ebf555a4c39793ba9b2b",
+            "91a05885ed73a4101b9f1d07b9c95ff8a020d5319829226596b0650a9cc0a2e6",
     },
     "divergence-xsin_inv-K7": {
         "report.csv":
-            "197e6d017b1972c130539a1a08186cf70c9ed8fb55077913b0f31ab43e341ef5",
+            "a0111f9e4c688f7f5b633a798ae2c6e57d2c5d97943d7af6048f7a8a7d0b6528",
         "report_family.json":
-            "cc37edd80c4de0918d2cd685aa87a4b8e2e91086203bdeb8ffcd6ad0f6fe2e36",
+            "d0b33afb30b09b1e6e7370bbcbbc12a2475cbb797fe792c90ea50309ad156100",
     },
     "divergence-abs-K3": {
         "report.csv":
@@ -99,61 +99,67 @@ EXPECTED = {
     },
     "divergence-signed_square-delta0-256": {
         "report.csv":
-            "9b60dd408a023c541dfd96e9818e57b99603bbd2f7118d8e0d053a1f4b53b587",
+            "158b98962b200b45606fb37a8089aabee42393d63995dc15074c23a4d6b09d27",
         "report_family.json":
-            "66af6c38a500ee1839d1e492b0ebf16a059f48f5c5641efe480df55d3cb81373",
+            "ced77b45c7a43dca257a753d52e7f3fc563b7ba67d156729ab63a943770797f6",
+    },
+    "divergence-sqrt_abs-K10-dim8": {
+        "report.csv":
+            "3d66be32ccef1063073cff2791921ab60cc6c653c6d244f1ed2fe6df6352974b",
+        "report_family.json":
+            "2e2b5863e33bdb462fc5d9f05c4d7537356fe124ae9611aae242d8c3203b50de",
     },
     "ratio-search-csv": {
         "report.csv":
-            "02cf2b1915781a110c8189c0bbcda31fa21f28c3e5ff447e4eee00a9c5952f09",
+            "69c0883bcceaf9357085dc68f991e40e08b0678580599b8426e09198ac322573",
         "report_dim1_operator.json":
             "611c4dd807c3f628f6b96fe655434258b152d8b3ab85cca9de9079c929220c3a",
         "report_dim1_schatten1.json":
             "b906ab58136f50ff6be40d1659e0c8c2233e94a5918488ed27345ea21ad82dd8",
         "report_dim2_operator.json":
-            "4b245cf63c6f9cfb547c6925f2540dde69d79868b2032f4d2d921d79c69525fa",
+            "c0e9c348e4612f1169a83550843675d0a18985cd46eeef4a1a8cbf0e9652fddc",
         "report_dim2_schatten1.json":
-            "9f5e04ac22628e2bd5f56e0ccd61df187e373c132db440eeec7e87ed7786dbd5",
+            "0421e93a821e4ce13e628721a24490d42f5f3137411a6ef2936b440669f08551",
     },
     "ratio-search-json": {
         "report.json":
-            "8fccc444e81cca62ca5b6bc9d174482286338df3e9b7cebd8f94a00ab66a3b97",
+            "a8cb47d662d0248526ac29cbf4c1677684f8072c5d9b022bdb47eb12f765c27a",
         "report_dim1_operator.json":
             "611c4dd807c3f628f6b96fe655434258b152d8b3ab85cca9de9079c929220c3a",
         "report_dim1_schatten1.json":
             "b906ab58136f50ff6be40d1659e0c8c2233e94a5918488ed27345ea21ad82dd8",
         "report_dim2_operator.json":
-            "4b245cf63c6f9cfb547c6925f2540dde69d79868b2032f4d2d921d79c69525fa",
+            "c0e9c348e4612f1169a83550843675d0a18985cd46eeef4a1a8cbf0e9652fddc",
         "report_dim2_schatten1.json":
-            "9f5e04ac22628e2bd5f56e0ccd61df187e373c132db440eeec7e87ed7786dbd5",
+            "0421e93a821e4ce13e628721a24490d42f5f3137411a6ef2936b440669f08551",
     },
     "ratio-search-xsin_inv": {
         "report.csv":
-            "7000220629fc673b089377a7368b74cc7843c71f5b582eced8544c968e57e651",
+            "381d01b7a2cd600c93a7df8772b937788f7b661786ddaaa2074ff59e1c21f331",
         "report_dim2_operator.json":
-            "324edb5cbf8348e5dde50fe9fa1959c7732a379d138cd698b9d896489e489ad3",
+            "f5f9bb711454ce66f89169c47758751aa5a7c2b90a61a5353073a16bc69577a4",
         "report_dim2_schatten1.json":
-            "38abe108df0319a7424443c1a7bd2d7079a5f2e21bfe6acb6d1de4fc3abcb827",
+            "ad803d4fe3a2b960e79519319ef371c8aba18ca75c5396e0e0f0a1c9bdae4a5b",
         "report_dim4_operator.json":
-            "24d6d71d2b1ebbcb13fe9f3d737e8495a32682da8d037f0fd668583ef9bb5d89",
+            "07ffd42c6efe793401f74a1c5384ba0fcf991dea1f60b4176c13c46cd89a20f5",
         "report_dim4_schatten1.json":
-            "44a750c23d7df459572f7960afc7ef35397109801b37cb39c631a75127c0b4f0",
+            "0ebd12d58ae144546e3d22121e8915a61050781993acd0ae45e4bfa04ace803c",
         "report_dim8_operator.json":
-            "af63569ae4cd47f9cae18510b42570188635e7306711c95db87eff7fa594f325",
+            "d83f18009efbbe8b6a70e02afce033d09c2ddcff5563c34fdc9c13eab55a2808",
         "report_dim8_schatten1.json":
-            "ec994c366a723237db035ad44ec5b1ee4f32b5cd491fe9835be6333d7879b80f",
+            "9ae33a13d064af70e727c0b9557ea6e5740219ffa56bde5c4be136e9b9ff5998",
     },
     "ratio-search-smoothed_abs": {
         "report.csv":
-            "69a74611c8db96c4ae98e28ca5a83b58d79fff1ec330c5bf361fb00723d974e2",
+            "1f2b37e139386bda25a2287eca4d3634eb81e2b29c4174d5cdd859bb9479827a",
         "report_dim2_operator.json":
-            "a14c9db41fb419295b095a9bd203766fc1938a0c577d943a2c92ab1e6bf00357",
+            "604e696aa0154a9dbf2b47a8e907badb89cd0db86ba3105f73957bcc13990306",
         "report_dim2_schatten1.json":
             "32a4ed5862465997aed99f2d72e8bee8bb976605201e645ec9b900124c4a75c1",
         "report_dim4_operator.json":
             "4ffe5e63fd71f1e409469db99292f0efaaf6ab81c02a0260dfa0cf34c2f5ba1e",
         "report_dim4_schatten1.json":
-            "96808c49feef286bd6aec7a09f26d67ea7ae0831dc54ed97ad82009375f23537",
+            "d7aa44c79e2a5acf1c8d336dfba08e2c1e4808ab68b365f88d0809b4bc2a2c16",
     },
     "verify": {
         "report.csv":

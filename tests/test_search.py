@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from specshift import (FiniteSpectrumSet, catalog_ids, get_function,
                        increment_ratio, lipschitz_seminorm_estimate,
-                       restrict_to_grid, search, seminorm_lower_bound,
-                       seminorm_lower_bounds)
+                       restrict_to_grid, search, seminorm_lower_bound)
 from specshift.blocks import (_block_grid, _block_seed, build_divergent_family,
                               default_delta_schedule)
 from specshift.search import (_GOLDEN, _ascent, _Evaluator, _lane_bounds,
@@ -132,17 +131,17 @@ def test_budget_used_counts_evaluations():
 
 
 @pytest.mark.parametrize("count,dim,budget,expected", [
-    (5, 1, 1, 12), (5, 2, 1, 68), (5, 3, 2, 265), (5, 4, 1, 348),
-    (17, 2, 4, 281), (17, 4, 4, 981)])
+    (5, 1, 1, 11), (5, 2, 1, 39), (5, 3, 2, 180), (5, 4, 1, 179),
+    (17, 2, 4, 252), (17, 4, 4, 812)])
 @pytest.mark.parametrize("kind", ["operator", "schatten1"])
 def test_budget_used_is_probe_plus_ascent(count, dim, budget, expected, kind):
-    # C(n, 2) probe pairs, then per lane (the polish and `budget` restarts)
-    # one start and, per coordinate pair, 8 coarse angles, 2 golden-section
-    # seeds and 18 golden-section steps
+    # C(n, 2) probe pairs, then per restart, ascended or screened, one start
+    # and, per coordinate pair, 8 coarse angles, 2 golden-section seeds and
+    # 18 golden-section steps
     res = seminorm_lower_bound(get_function("abs"), restrict_to_grid((-1, 1), count),
                                dim, kind, budget, 0)
     assert res.budget_used == expected == (
-        math.comb(count, 2) + (budget + 1) * (1 + 28 * math.comb(dim, 2)))
+        math.comb(count, 2) + budget * (1 + 28 * math.comb(dim, 2)))
 
 
 def test_invalid_arguments():
@@ -158,16 +157,6 @@ def test_invalid_arguments():
         seminorm_lower_bound(f, grid, 1, "schatten1", 1, -1)
 
 
-def test_threaded_restarts_match_serial(monkeypatch):
-    f = get_function("smoothed_abs", (0.05,))
-    grid = _grid9()
-    serial = seminorm_lower_bound(f, grid, 3, "schatten1", 6, 31)
-    monkeypatch.setenv("SPECSHIFT_THREADS", "4")
-    threaded = seminorm_lower_bound(f, grid, 3, "schatten1", 6, 31)
-    assert threaded.value == serial.value
-    assert np.array_equal(threaded.witness.b.matrix, serial.witness.b.matrix)
-
-
 def _fingerprint(res):
     """(value as hex, budget_used, sha256 of the witness B matrix bytes)."""
     digest = hashlib.sha256(res.witness.b.matrix.tobytes()).hexdigest()
@@ -175,35 +164,35 @@ def _fingerprint(res):
 
 
 class TestFrozenWitnesses:
-    """Outputs recorded before the ascent was batched; the lockstep search
-    must reproduce them bit for bit."""
+    """Outputs recorded from the search of the scalar probe and the screened
+    restarts; the search must reproduce them bit for bit."""
 
     ABS_GRID_17 = {
-        (2, "operator"): ("0x1.0000000000001p+0", 281,
-                          "eb10251f1f5255735e37db2257d3f23e46615f92f6baeec1258d66f27bf65815"),
-        (2, "schatten1"): ("0x1.0000000000001p+0", 281,
-                           "eb10251f1f5255735e37db2257d3f23e46615f92f6baeec1258d66f27bf65815"),
-        (4, "operator"): ("0x1.00005078bbd9bp+0", 981,
+        (2, "operator"): ("0x1.0000000000000p+0", 252,
+                          "e4a4874ef08347adcf673e3a0e5ff38c174b3755702ac2306c6f0693ed8d2e8c"),
+        (2, "schatten1"): ("0x1.0000000000000p+0", 252,
+                           "e4a4874ef08347adcf673e3a0e5ff38c174b3755702ac2306c6f0693ed8d2e8c"),
+        (4, "operator"): ("0x1.00005078bbd9bp+0", 812,
                           "4c4e370eb8d2007bb23805dba61d5f498df40b739dcaf4468c31208c0a72ad46"),
-        (4, "schatten1"): ("0x1.0000000000001p+0", 981,
-                           "ac9a7cbb1958c72aa7aa7b4c33571b3a66703e1120f6f96d1b46b6ccf7ae1ac5"),
-        (8, "operator"): ("0x1.0000000000001p+0", 4061,
-                          "f2bbd09337a99589757b7ce0179be60cf27c4c7cfabea494c7d6ba700536e2d4"),
-        (8, "schatten1"): ("0x1.0000000000001p+0", 4061,
-                           "f2bbd09337a99589757b7ce0179be60cf27c4c7cfabea494c7d6ba700536e2d4"),
-        (16, "operator"): ("0x1.0000000000001p+0", 16941,
-                           "79dcecd25cd8303e0f6b6c140c515e275af067c28640db5092cf35e644ac055f"),
-        (16, "schatten1"): ("0x1.0000000000001p+0", 16941,
-                            "79dcecd25cd8303e0f6b6c140c515e275af067c28640db5092cf35e644ac055f"),
+        (4, "schatten1"): ("0x1.0000000000000p+0", 812,
+                           "a314770e5b180cc7bb9a2882fd246bcc053d4e92f8bf273451ef818743458f22"),
+        (8, "operator"): ("0x1.0000000000000p+0", 3276,
+                          "bbd231d85ea03d919bcb6004ba86422770c718f7ad554b27c0b8433380d575c8"),
+        (8, "schatten1"): ("0x1.0000000000000p+0", 3276,
+                           "bbd231d85ea03d919bcb6004ba86422770c718f7ad554b27c0b8433380d575c8"),
+        (16, "operator"): ("0x1.0000000000000p+0", 13580,
+                           "5efc48be61f78b87c87b6852f2871de11a48d820941b1cb794e495f962bd51b1"),
+        (16, "schatten1"): ("0x1.0000000000000p+0", 13580,
+                            "5efc48be61f78b87c87b6852f2871de11a48d820941b1cb794e495f962bd51b1"),
     }
 
     SQRT_ABS_BLOCKS = {
-        1: ("0x1.0000000000001p+6", 6700,
-            "e0bf27dbc81ed977e6c1913c245946b5642d6c5769a95b4eb9c1e2cf8f3ada83"),
-        2: ("0x1.6a09e667f3bd8p+7", 7006,
-            "11fe34e6e832b8b31c6f3418e0d644e5b679b125ce686a51bf14d2e731ffc011"),
-        3: ("0x1.0000000000001p+9", 7328,
-            "d5cbafce1dd104d57cdd35e3cfd2f0ac8a70f50cd0b68905c67b77ad5217eb81"),
+        1: ("0x1.0000000000000p+6", 5915,
+            "69e98c722786fc4c14c0734d1b38c8c927d43901d41137607c5f5afcb83d20b3"),
+        2: ("0x1.6a09e667f3bcdp+7", 6221,
+            "2c79b76cdd5ba4e2e340cb3e6b0a6f0deeae69813909780146a13fbdc58ddcd0"),
+        3: ("0x1.0000000000000p+9", 6543,
+            "85a6c30ea523b8ba4a24f72957577d35309fa433fb5c90868d72f9fbf24dbb12"),
     }
 
     @pytest.mark.parametrize("dim,kind", sorted(ABS_GRID_17))
@@ -222,8 +211,8 @@ class TestFrozenWitnesses:
         res = seminorm_lower_bound(get_function("smoothed_abs", (0.05,)), _grid9(),
                                    3, "schatten1", 6, 31)
         assert _fingerprint(res) == (
-            "0x1.ff261b387116bp-1", 631,
-            "a6d7bbfed5dd9518a0377b1b6f16cbd5df063fa622c4afccf24b518da567e972")
+            "0x1.ff261b3871160p-1", 546,
+            "e29eb53aadcd0d2303b8cda8dc27626a43452c8ffae39f59de980dae72d67d36")
 
 
 # One-candidate-at-a-time reference: every candidate gets its own matmuls
@@ -278,7 +267,7 @@ def _oracle_golden_max(g, lo, hi, iters=18):
     return best_x, best_v
 
 
-def _oracle_ascent(ev, ia, ib, q0, sweeps=1):
+def _oracle_ascent(ev, ia, ib, q0):
     dim = ia.size
     best = _oracle_rotated(ev, ia, ib, q0)
     q = q0
@@ -286,25 +275,25 @@ def _oracle_ascent(ev, ia, ib, q0, sweeps=1):
         return best, q
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
     window = math.pi / 8
-    for _ in range(sweeps):
-        for i in range(dim - 1):
-            for j in range(i + 1, dim):
-                def g(theta):
-                    return _oracle_rotated(ev, ia, ib, q @ _oracle_givens(dim, i, j, theta))
+    for i in range(dim - 1):
+        for j in range(i + 1, dim):
+            def g(theta):
+                return _oracle_rotated(ev, ia, ib, q @ _oracle_givens(dim, i, j, theta))
 
-                coarse_vals = [g(t) for t in coarse]
-                k = int(np.argmax(coarse_vals))
-                theta, val = _oracle_golden_max(g, coarse[k] - window, coarse[k] + window)
-                if coarse_vals[k] > val:
-                    theta, val = float(coarse[k]), coarse_vals[k]
-                if val > best:
-                    best = val
-                    q = q @ _oracle_givens(dim, i, j, theta)
+            coarse_vals = [g(t) for t in coarse]
+            k = int(np.argmax(coarse_vals))
+            theta, val = _oracle_golden_max(g, coarse[k] - window, coarse[k] + window)
+            if coarse_vals[k] > val:
+                theta, val = float(coarse[k]), coarse_vals[k]
+            if val > best:
+                best = val
+                q = q @ _oracle_givens(dim, i, j, theta)
     return best, q
 
 
 def _oracle_search(f, grid, dim, kind, budget, seed):
-    """The search with the scalar probe loop and one ascent per start."""
+    """The search with the scalar probe loop and one ascent per restart,
+    none of them screened."""
     pts = grid.points
     ev = _Evaluator(pts, np.array([f(x) for x in pts]), kind)
     best_val, best_pair = -math.inf, (0, 1)
@@ -317,14 +306,13 @@ def _oracle_search(f, grid, dim, kind, budget, seed):
     ia = np.full(dim, best_pair[0], dtype=np.intp)
     ib = ia.copy()
     ib[0] = best_pair[1]
-    candidates = [(best_val, 0, (ia, ib, None))]
-    _, _, (ia0, ib0, _) = max(candidates, key=lambda c: (c[0], -c[1]))
-    starts = [(ia0, ib0, np.eye(dim))] + [
-        _restart_start(pts.size, dim, seed, r) for r in range(budget)]
-    for phase, (ia, ib, q0) in enumerate(starts, start=2):
+    best_cand = (ia, ib, None)
+    # every restart is ascended; ties go to the probe, then the first restart
+    for r in range(budget):
+        ia, ib, q0 = _restart_start(pts.size, dim, seed, r)
         value, q = _oracle_ascent(ev, ia, ib, q0)
-        candidates.append((value, phase, (ia, ib, q)))
-    _, _, best_cand = max(candidates, key=lambda c: (c[0], -c[1]))
+        if value > best_val:
+            best_val, best_cand = value, (ia, ib, q)
     witness = _witness_from_candidate(f, ev, *best_cand)
     value = witness.ratio_s1 if kind == "schatten1" else witness.ratio_op
     return value, ev.count, witness.b.matrix
@@ -402,50 +390,6 @@ class TestLockstepMatchesOracle:
             assert res.value == 1.0
 
 
-class TestBatchMatchesSingle:
-    """Searches batched into one lockstep ascent give, each of them, the
-    result of its own single search, bit for bit."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(fn=st.sampled_from(_ORACLE_FUNCTIONS),
-           grids=st.lists(st.tuples(
-               st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (-0.25, 0.0)]),
-               st.integers(2, 9), st.integers(0, 2**31)), min_size=0, max_size=4),
-           degenerate_at=st.integers(0, 4), dim=st.integers(1, 5),
-           budget=st.integers(1, 4), kind=st.sampled_from(["operator", "schatten1"]))
-    def test_each_search_bit_identical(self, fn, grids, degenerate_at, dim, budget, kind):
-        f = get_function(*fn)
-        sets = [restrict_to_grid(interval, count) for interval, count, _ in grids]
-        seeds = [seed for _, _, seed in grids]
-        # one one-point grid among them: 1 to 5 searches in all
-        at = min(degenerate_at, len(sets))
-        sets.insert(at, FiniteSpectrumSet([0.5]))
-        seeds.insert(at, 7)
-        batch = seminorm_lower_bounds(f, sets, dim, kind, budget, seeds)
-        assert len(batch) == len(sets)
-        for grid, seed, res in zip(sets, seeds, batch):
-            single = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
-            assert res.value.hex() == single.value.hex()
-            assert res.budget_used == single.budget_used
-            assert res.degenerate == single.degenerate
-            if single.witness is None:
-                assert res.witness is None
-            else:
-                assert res.witness.b.matrix.tobytes() == single.witness.b.matrix.tobytes()
-
-    def test_all_degenerate_and_argument_checks(self):
-        f = get_function("abs")
-        point = FiniteSpectrumSet([0.5])
-        res = seminorm_lower_bounds(f, [point, point], 3, "schatten1", 2, [1, 2])
-        assert [(r.degenerate, r.seed, r.budget_used) for r in res] == [
-            (True, 1, 0), (True, 2, 0)]
-        assert seminorm_lower_bounds(f, [], 3, "schatten1", 2, []) == []
-        with pytest.raises(ValueError):
-            seminorm_lower_bounds(f, [_grid9()], 2, "schatten1", 1, [0, 1])
-        with pytest.raises(ValueError):
-            seminorm_lower_bounds(f, [_grid9(), _grid9()], 2, "schatten1", 1, [0, -1])
-
-
 _PARAMS = {"constant": (1.0,), "poly": (0.5, -1.0, 2.0), "smoothed_abs": (0.05,)}
 
 
@@ -495,7 +439,7 @@ class TestLaneBoundIsSound:
         ev = _Evaluator(grid.points, np.array([f(x) for x in grid.points]), kind)
         _, (ia, ib, _) = _scalar_probe(ev, dim)
         restarts = [_restart_start(grid.points.size, dim, seed, r) for r in range(2)]
-        # the polish start, two restarts and a restart whose b permutes its a
+        # the probe pair, two restarts and a restart whose b permutes its a
         ia_perm, _, q_perm = restarts[0]
         ib_perm = np.array(data.draw(st.permutations(ia_perm.tolist())))
         starts = [(ia, ib, np.eye(dim))] + restarts + [(ia_perm, ib_perm, q_perm)]
@@ -514,9 +458,9 @@ class TestLaneBoundIsSound:
            kind=st.sampled_from(["operator", "schatten1"]))
     def test_bound_is_attained_by_the_polish_start(self, fid, interval, count, dim, kind):
         # Q diag(b) Q^T - diag(a) = (x_j - x_i) q0 q0^T is rank one for the
-        # polish start, so its ratio is the probe for every Q: the bound, up
-        # to its slack, can be no lower, and the median and the sorted
-        # matching make it no higher
+        # probe pair, where a polish of the probe would start, so its ratio
+        # is the probe for every Q: the bound, up to its slack, can be no
+        # lower, and the median and the sorted matching make it no higher
         f = get_function(fid, _PARAMS.get(fid, ()))
         grid = restrict_to_grid(interval, count)
         ev = _Evaluator(grid.points, np.array([f(x) for x in grid.points]), kind)
@@ -539,13 +483,13 @@ class TestScreenedLanes:
         monkeypatch.setattr(search, "_ascent", spy)
         return counts
 
-    def test_divergence_ascends_only_the_polish_lanes(self, monkeypatch):
-        # blocks 1, 2-3, 4-7 and 8-10: every restart is ruled out
+    def test_divergence_makes_no_ascent(self, monkeypatch):
+        # every restart of the 10 block searches is ruled out
         counts = self._lane_counts(monkeypatch)
         family = build_divergent_family(get_function("sqrt_abs"),
                                         default_delta_schedule(10), 10, 4, 1, dim=8)
         assert family.failure is None
-        assert counts == [1, 2, 4, 3]
+        assert counts == []
 
     @pytest.mark.parametrize("dim", [8, 16])
     @pytest.mark.parametrize("kind", ["operator", "schatten1"])
@@ -554,4 +498,4 @@ class TestScreenedLanes:
         counts = self._lane_counts(monkeypatch, ascend=False)
         seminorm_lower_bound(get_function("abs"), restrict_to_grid((-1, 1), 17),
                              dim, kind, 4, 1)
-        assert counts == [5]
+        assert counts == [4]
