@@ -55,6 +55,12 @@ class ScalarFunction:
             raise DomainError(f"{self.id} is not finite at {x!r}")
         return value
 
+    def values_at(self, xs) -> np.ndarray:
+        """Array of f(x) for each point x of ``xs``.  Every point goes
+        through ``__call__``, so values, DomainError messages and the call
+        count are those of a per-point loop."""
+        return np.array([self(x) for x in xs])
+
     def derivative_at(self, x: float) -> Optional[float]:
         """Analytic derivative, or None where no derivative is declared."""
         if self.deriv_fn is None:
@@ -256,57 +262,31 @@ def max_quotient(pts: np.ndarray, vals: np.ndarray, radius: float = math.inf):
     over index pairs i < j with pts[j] - pts[i] < radius, as (q, i, j);
     (-inf, None, None) when no pair qualifies.
 
-    ``pts`` must be sorted and unique.  Scans the radius band of the upper
-    triangle in row-major chunks; the first maximum in row-major (i, j)
-    order wins, so the outcome is deterministic."""
-    size = pts.size
-    best = (-math.inf, None, None)
-    chunk = 32  # rows; small enough for the temporaries to stay in cache
-    # Row r, column c of a chunk is the pair (lo + r, lo + 1 + c).  c < r
-    # marks the lower-left square, where j <= i and dx <= 0: its quotients,
-    # 0/0 on the diagonal included, are overwritten, so their warnings are
-    # silenced.
-    below = np.tri(chunk, chunk - 1, k=-1, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, size - 1, chunk):
-            hi = min(lo + chunk, size - 1)
-            rows = hi - lo
-            # No column past the band edge of the chunk's last (largest)
-            # row passes dx < radius.  With p = pts[hi - 1]: pts[j] >
-            # fl(p + radius) gives pts[j] >= p + radius exactly, because no
-            # float lies strictly between p + radius and its rounding; so
-            # pts[j] - pts[i] >= radius for every i < hi, and monotone
-            # rounding with radius representable keeps fl(dx) >= radius.
-            end = int(np.searchsorted(pts, pts[hi - 1] + radius, "right"))
-            if end <= lo + 1:
-                continue
-            dx = pts[lo + 1:end] - pts[lo:hi, None]
-            q = np.abs(vals[lo + 1:end] - vals[lo:hi, None])
-            q /= dx
-            np.copyto(q, -math.inf, where=dx >= radius)
-            np.copyto(q[:, :rows - 1], -math.inf,
-                      where=below[:rows, :rows - 1])
-            flat = int(np.argmax(q))
-            if q.flat[flat] > best[0]:
-                i, j = divmod(flat, q.shape[1])
-                best = (float(q.flat[flat]), lo + i, lo + 1 + j)
-    return best
+    ``pts`` must be sorted and unique.  Only adjacent pairs (i, i + 1) are
+    scanned, which is enough by the mediant inequality: the quotient of a
+    pair (i, j) is at most the average of the adjacent quotients between
+    them, weighted by their gaps, so at most the largest of them.  Each of
+    those adjacent pairs qualifies too, because rounding is monotone:
+    fl(pts[k + 1] - pts[k]) <= fl(pts[j] - pts[i]) < radius for i <= k < j.
+    So the maximum over all pairs is attained at an adjacent pair, up to the
+    rounding of the quotients themselves.  Ties go to the first adjacent
+    maximiser, so the outcome is deterministic; j is always i + 1."""
+    if pts.size < 2:
+        return -math.inf, None, None
+    dx = np.diff(pts)
+    q = np.abs(np.diff(vals)) / dx
+    q[dx >= radius] = -math.inf
+    i = int(np.argmax(q))
+    if q[i] == -math.inf:
+        return -math.inf, None, None
+    return float(q[i]), i, i + 1
 
 
 def lipschitz_seminorm_estimate(f: ScalarFunction, interval, grid_n: int) -> float:
     """Largest difference quotient of ``f`` over an equispaced grid
-    (points that round together are merged).
-
-    Exhaustive over all grid pairs for grid_n <= 2000, adjacent pairs only
-    above that.  The threshold is part of the results: the two rules give
-    different values on the same grid, and the adjacent sweep is the one
-    that dominates as the grid refines.
-    """
+    (points that round together are merged)."""
     a, b = interval_bounds(interval)
     if grid_n < 2:
         raise BadInterval(f"grid_n must be >= 2, got {grid_n}")
     xs = np.unique(np.linspace(a, b, grid_n))
-    vals = np.array([f(x) for x in xs])
-    if grid_n <= 2000:
-        return max_quotient(xs, vals)[0]
-    return float(np.max(np.abs(np.diff(vals)) / np.diff(xs)))
+    return max_quotient(xs, f.values_at(xs))[0]

@@ -124,7 +124,7 @@ def apply_function(f: ScalarFunction, a: HermitianOperator) -> HermitianOperator
     non-finite at some eigenvalue.
     """
     dec = decompose(a)
-    vals = np.array([f(x) for x in dec.eigenvalues])
+    vals = f.values_at(dec.eigenvalues)
     return HermitianOperator((dec.eigenvectors * vals) @ dec.eigenvectors.conj().T)
 
 

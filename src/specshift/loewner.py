@@ -127,8 +127,8 @@ def perturbation_identity_residual(f: ScalarFunction, a: HermitianOperator,
     da = decompose(a)
     db = decompose(b)
     u, v = da.eigenvectors, db.eigenvectors
-    fa = np.array([f(x) for x in da.eigenvalues])
-    fb = np.array([f(x) for x in db.eigenvalues])
+    fa = f.values_at(da.eigenvalues)
+    fb = f.values_at(db.eigenvalues)
     f_incr = (u * fa) @ u.conj().T - (v * fb) @ v.conj().T
     lhs = u.conj().T @ f_incr @ v
     rhs = u.conj().T @ (a.matrix - b.matrix) @ v

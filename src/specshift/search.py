@@ -9,9 +9,10 @@ always be absorbed.
 Search phases, in deterministic order:
 
   0. scalar probe: the largest quotient over every unordered pair of grid
-     points, scanned by ``catalog.max_quotient`` and embedded at the
-     requested dimension.  By the mediant inequality no diagonal pair
-     scores higher, in either norm;
+     points, embedded at the requested dimension.  By the mediant
+     inequality it is attained at a pair of adjacent points, so
+     ``catalog.max_quotient`` scans only those, and no diagonal pair scores
+     higher, in either norm;
   1+ `budget` seeded random restarts, each drawing (a, b, Q0) from substream
      (seed, r).  A restart whose a-priori bound from its spectra alone (by
      Lidskii-Mirsky, ||X - Y|| >= ||sort(x) - sort(y)||) is below the probe
@@ -139,9 +140,13 @@ def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
     f(a) and f(b), i.e. their upper half's sum minus their lower half's
     (operator norm: their range).  Denominator at least sum|sort(a) -
     sort(b)| by Lidskii-Mirsky (Weyl: the max); +inf where the slack
-    swallows it.  The slack 1e-9 * n * max(1, |entries|) dwarfs the
-    O(n^3 eps |entries|) rounding of a scored Schatten-1 sum (Q's drift,
-    matmuls, SVD: 5e-13 at n = 16) and is at least 2e-10 of the bound."""
+    swallows it.  The slack covers the rounding of a scored norm.  While
+    the arithmetic stays normal that rounding is relative to the entries,
+    O(n^3 eps max|entries|) (Q's drift, matmuls, SVD: 5e-13 max|entries|
+    at n = 16), which 1e-9 * n * max|entries| dwarfs at any scale.  Below
+    the normal range each rounded operation errs by up to 2**-1075
+    absolutely instead; the term n**2 * 2**-1022 = n**2 * 2**53 such quanta
+    dwarfs the O(n^3) of them a scored norm takes."""
     n = lanes.spec.shape[-1]
     gap = np.abs(np.sort(lanes.spec[0], axis=-1) - np.sort(lanes.diag[0], axis=-1))
     fv = np.sort(np.concatenate([lanes.spec[1], lanes.diag[1]], axis=-1), axis=-1)
@@ -149,8 +154,8 @@ def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
         den, num = gap.sum(axis=-1), fv[:, n:].sum(axis=-1) - fv[:, :n].sum(axis=-1)
     else:
         den, num = gap.max(axis=-1), fv[:, -1] - fv[:, 0]
-    slack = 1e-9 * n * np.maximum(1.0, np.abs(np.concatenate(
-        [lanes.spec, lanes.diag], axis=-1)).max(axis=-1))
+    slack = 1e-9 * n * np.abs(np.concatenate(
+        [lanes.spec, lanes.diag], axis=-1)).max(axis=-1) + n * n * 2.0 ** -1022
     den = den - slack[0]
     with np.errstate(divide="ignore"):
         return np.where(den > 0, (num + slack[1]) / den, np.inf)
@@ -234,8 +239,10 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
 
 def _scalar_probe(ev: _Evaluator, dim: int):
     """Best quotient over all pairs of grid points, embedded at ``dim``
-    by padding both spectra with the first point of the pair.  Ties go to
-    the first pair in row-major (i, j) order."""
+    by padding both spectra with the first point of the pair.  The pair is
+    adjacent, and ties go to the first adjacent maximiser.  The count still
+    grows by all C(n, 2) pairs: the mediant inequality settles each of
+    them."""
     value, i, j = max_quotient(ev.pts, ev.fvals)
     ev.count += ev.pts.size * (ev.pts.size - 1) // 2
     ia = np.full(dim, i, dtype=np.intp)
@@ -312,7 +319,7 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     if pts.size < 2:
         return SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget, degenerate=True)
 
-    ev = _Evaluator(pts, np.array([f(x) for x in pts]), norm_kind)
+    ev = _Evaluator(pts, f.values_at(pts), norm_kind)
     probe_value, probe = _scalar_probe(ev, dim)
     starts = [_restart_start(pts.size, dim, seed, r) for r in range(budget)]
     lanes = ev.lanes(starts)

@@ -114,8 +114,10 @@ def _level_points(level: int, search_grid: int, total_levels: int,
 def _best_level_pair(f: ScalarFunction, pts: np.ndarray, radius: float):
     """Best difference quotient over point pairs with |t - s| < radius, as
     (quotient, (t, s)), or (-inf, None) when no pair qualifies.  ``pts``
-    must be sorted and unique, as ``_level_points`` returns them."""
-    q, i, j = max_quotient(pts, np.array([f(x) for x in pts]), radius)
+    must be sorted and unique, as ``_level_points`` returns them.  By the
+    mediant inequality the best pair is adjacent in ``pts``; ties go to the
+    first adjacent maximiser."""
+    q, i, j = max_quotient(pts, f.values_at(pts), radius)
     return q, None if i is None else (float(pts[i]), float(pts[j]))
 
 

@@ -1,3 +1,7 @@
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,35 @@ def random_hermitian(rng, dim, scale=1.0, complex_entries=False):
     if complex_entries:
         m = m + 1j * rng.uniform(-scale, scale, (dim, dim))
     return HermitianOperator(m)
+
+
+def exact_quotient_maxima(pts, vals, radius=math.inf):
+    """Largest |vals[j] - vals[i]| / (pts[j] - pts[i]) in exact rationals on
+    the stored floats, over every pair i < j and over adjacent pairs only,
+    both among the pairs whose rounded gap fl(pts[j] - pts[i]) is below
+    ``radius``; None where no pair qualifies.  By the mediant inequality the
+    two agree."""
+    x = [Fraction(float(p)) for p in pts]
+    v = [Fraction(float(y)) for y in vals]
+
+    def best(pairs):
+        return max((abs(v[j] - v[i]) / (x[j] - x[i]) for i, j in pairs
+                    if float(pts[j]) - float(pts[i]) < radius), default=None)
+
+    n = len(x)
+    return (best((i, j) for i in range(n) for j in range(i + 1, n)),
+            best((i, i + 1) for i in range(n - 1)))
+
+
+def assert_near_exact(q: float, exact: Fraction) -> None:
+    """A quotient from two rounded subtractions and a rounded division lies
+    within 3 ulps relative of the exact one, plus one subnormal quantum; it
+    overflows to inf only if that tolerance reaches past the largest float."""
+    tol = Fraction(3, 2**52) * exact + Fraction(2.0 ** -1074)
+    if q == math.inf:
+        assert exact + tol > Fraction(sys.float_info.max)
+    else:
+        assert abs(Fraction(q) - exact) <= tol
 
 
 @pytest.fixture

@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshift import (BadInterval, BadParams, DomainError, UnknownFunction,
                        catalog_ids, get_function, lipschitz_seminorm_estimate)
 from specshift.blocks import _block_grid
+from specshift.catalog import max_quotient
 from specshift.search import _Evaluator, _scalar_probe
+
+from conftest import assert_near_exact, exact_quotient_maxima
 
 
 def test_identity_entry():
@@ -156,6 +161,29 @@ class TestLipschitzEstimate:
             lipschitz_seminorm_estimate(f, (0, 1), 1)
 
 
+class TestMaxQuotient:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           pts=st.lists(st.floats(-1.0, 1.0), max_size=80).map(
+               lambda xs: np.unique(np.array(xs, dtype=float))))
+    def test_adjacent_scan_attains_exact_maximum(self, data, pts):
+        # any values, not just a catalog function's: the mediant inequality
+        # holds for every table, subnormal points and gaps included
+        vals = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=pts.size,
+                                           max_size=pts.size)), dtype=float)
+        with np.errstate(over="ignore"):  # subnormal gaps: inf quotients
+            q, i, j = max_quotient(pts, vals)
+            adjacent = np.abs(np.diff(vals)) / np.diff(pts)
+        exact_all, exact_adjacent = exact_quotient_maxima(pts, vals)
+        assert exact_all == exact_adjacent
+        if pts.size < 2:
+            assert (q, i, j) == (-math.inf, None, None)
+            return
+        assert (q, j) == (adjacent[i], i + 1)
+        assert i == int(np.flatnonzero(adjacent == adjacent.max())[0])
+        assert_near_exact(q, exact_all)
+
+
 def test_smoothed_abs_converges_to_abs():
     for eps in (0.5, 0.1, 0.01):
         f = get_function("smoothed_abs", (eps,))
@@ -187,7 +215,7 @@ class TestFrozenQuotientScans:
         "identity": "85973d18bac76e31058f27c900820e3475e3936f1f79f0ee99d4b1354548afd7",
         "poly": "c5b9243c92ae16aa96e9d6b28d2105f26e161dd43193dce26c26d74d94107229",
         "signed_square": "853bbd5f1bae918897ce7381f6fde81e3243f078315b519203f208a20efd197b",
-        "sin": "a51c2ba8b64a9f1add97c34246fcb4994066e4b0ac0512fc4088f93989ddbd61",
+        "sin": "7046b17a3cefd54f880828d5e3dd028696e026222f1dc2e66243a9d91efcd946",
         "smoothed_abs": "83980ba5720db66c5b8e7fc15c969b7b8efe282270d2752c2ec0ecd9dbeb1ca6",
         "sqrt_abs": "a534ee8d88abfd49fd0d782714c4f93c530c61b82b28188ffe082ce01f75b70a",
         "xsin_inv": "b63be6488bab8d65af2960adaf6acb8297683c1e5b69dcb6d9a3b9162d5e7bc0",

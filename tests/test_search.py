@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specshift import (FiniteSpectrumSet, catalog_ids, get_function,
-                       increment_ratio, lipschitz_seminorm_estimate,
-                       restrict_to_grid, search, seminorm_lower_bound)
+from specshift import (DomainError, FiniteSpectrumSet, catalog_ids,
+                       get_function, increment_ratio,
+                       lipschitz_seminorm_estimate, restrict_to_grid, search,
+                       seminorm_lower_bound)
 from specshift.blocks import (_block_grid, _block_seed, build_divergent_family,
                               default_delta_schedule)
 from specshift.search import (_GOLDEN, _ascent, _Evaluator, _lane_bounds,
@@ -421,10 +422,19 @@ class TestNoDiagonalPairBeatsTheProbe:
         assert max(df) / max(dx) <= cap
 
 
+def _unfloored(ev, lanes, qs):
+    """The ratios ``ev.rotated`` scores, without its degeneracy floor."""
+    s = ev.singular_values(lanes, qs)
+    den, num = s.sum(axis=-1) if ev.kind == "schatten1" else s[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(den > 0, num / den, -np.inf)
+
+
 class TestLaneBoundIsSound:
     """The a-priori bound that screens a restart lane out of the ascent is
     at least every ratio the lane can score: its ascent's value and its
-    score at any rotation, rounding included."""
+    score at any rotation, rounding included, with or without the
+    degeneracy floor, on grids scaled down into the subnormal range."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), fid=st.sampled_from(catalog_ids()),
@@ -432,11 +442,18 @@ class TestLaneBoundIsSound:
                st.builds(restrict_to_grid, st.sampled_from(
                    [(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (-3.0, 0.25)]), st.integers(2, 17)),
                st.builds(lambda level: _block_grid(2.0 ** -level, level), st.integers(1, 6))),
+           scale=st.sampled_from([0, 1, 27, 60, 500, 1000, 1030, 1060]),
            dim=st.integers(1, 6), seed=st.integers(0, 2**31),
            kind=st.sampled_from(["operator", "schatten1"]))
-    def test_scores_never_exceed_bound(self, data, fid, grid, dim, seed, kind):
+    def test_scores_never_exceed_bound(self, data, fid, grid, scale, dim, seed, kind):
         f = get_function(fid, _PARAMS.get(fid, ()))
-        ev = _Evaluator(grid.points, np.array([f(x) for x in grid.points]), kind)
+        # scaling by 2**-scale is exact until points turn subnormal and merge
+        grid = FiniteSpectrumSet(np.unique(grid.points * 2.0 ** -scale))
+        try:
+            fvals = f.values_at(grid.points)
+        except DomainError:  # xsin_inv: 1/x overflows below 2**-1024
+            assume(False)
+        ev = _Evaluator(grid.points, fvals, kind)
         _, (ia, ib, _) = _scalar_probe(ev, dim)
         restarts = [_restart_start(grid.points.size, dim, seed, r) for r in range(2)]
         # the probe pair, two restarts and a restart whose b permutes its a
@@ -450,6 +467,24 @@ class TestLaneBoundIsSound:
         rng = np.random.default_rng(seed)
         qs = np.array([[random_orthogonal(rng, dim) for _ in range(4)] for _ in starts])
         assert (ev.rotated(lanes, qs) <= bound[:, None]).all()
+        assert (_unfloored(ev, lanes, qs) <= bound[:, None]).all()
+
+    @pytest.mark.parametrize("scale", [1030, 1040, 1050])
+    @pytest.mark.parametrize("kind", ["operator", "schatten1"])
+    def test_subnormal_grid_scores_never_exceed_bound(self, scale, kind):
+        # sqrt lifts a subnormal grid's values into the normal range: the
+        # ratios are huge, and their denominators keep only a few bits,
+        # which a slack relative to the entries alone does not cover
+        f = get_function("sqrt_abs")
+        pts = np.unique(restrict_to_grid((-1.0, 1.0), 17).points * 2.0 ** -scale)
+        ev = _Evaluator(pts, f.values_at(pts), kind)
+        for dim in (2, 3, 4):
+            _, (ia, ib, _) = _scalar_probe(ev, dim)
+            starts = [(ia, ib)] + [_restart_start(pts.size, dim, 7, r)[:2] for r in range(3)]
+            lanes = ev.lanes(starts)
+            rng = np.random.default_rng(dim)
+            qs = np.array([[random_orthogonal(rng, dim) for _ in range(8)] for _ in starts])
+            assert (_unfloored(ev, lanes, qs) <= _lane_bounds(lanes, kind)[:, None]).all()
 
     @settings(max_examples=100, deadline=None)
     @given(fid=st.sampled_from(catalog_ids()),
@@ -488,6 +523,16 @@ class TestScreenedLanes:
         counts = self._lane_counts(monkeypatch)
         family = build_divergent_family(get_function("sqrt_abs"),
                                         default_delta_schedule(10), 10, 4, 1, dim=8)
+        assert family.failure is None
+        assert counts == []
+
+    def test_small_windows_make_no_ascent(self, monkeypatch):
+        # blocks 27-30 search windows 2**-28 wide and less; the screen's
+        # slack scales with their entries, so it still rules out every
+        # restart there
+        counts = self._lane_counts(monkeypatch)
+        family = build_divergent_family(get_function("sqrt_abs"),
+                                        default_delta_schedule(30), 30, 4, 1, dim=4)
         assert family.failure is None
         assert counts == []
 

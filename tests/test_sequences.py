@@ -15,6 +15,8 @@ from specshift import (DegenerateIncrement, InvariantViolation, NotFound,
                        scalar_ratio_witnesses)
 from specshift.sequences import _best_level_pair
 
+from conftest import assert_near_exact, exact_quotient_maxima
+
 
 def _canonical_sqrt_witness(levels):
     """The closed-form witness t_k = 5**-k, s_k = 0: quotient 5**(k/2) > 2**k
@@ -117,17 +119,16 @@ class TestScalarRatioWitnesses:
 
 
 def _naive_level_pair(f, pts, radius):
-    """Oracle: first strict maximum in row-major order over j > i."""
+    """Oracle: first strict maximum over the adjacent pairs (i, i + 1)."""
     pts = [float(x) for x in pts]
     vals = [f(x) for x in pts]
     best_q, best_pair = -math.inf, None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dx = pts[j] - pts[i]
-            if 0.0 < abs(dx) < radius:
-                q = abs(vals[j] - vals[i]) / abs(dx)
-                if q > best_q:
-                    best_q, best_pair = q, (pts[i], pts[j])
+    for i in range(len(pts) - 1):
+        dx = pts[i + 1] - pts[i]
+        if dx < radius:
+            q = abs(vals[i + 1] - vals[i]) / dx
+            if q > best_q:
+                best_q, best_pair = q, (pts[i], pts[i + 1])
     return best_q, best_pair
 
 
@@ -153,7 +154,16 @@ class TestBestLevelPair:
                             st.floats(1e-3, 2.5)))
     def test_matches_naive_double_loop(self, pts, fn, radius):
         f = get_function(*fn)
-        assert _best_level_pair(f, pts, radius) == _naive_level_pair(f, pts, radius)
+        q, pair = _best_level_pair(f, pts, radius)
+        assert (q, pair) == _naive_level_pair(f, pts, radius)
+        # no pair beats the adjacent ones in exact arithmetic on the stored
+        # floats, and the scan's rounded value is within a few ulps of that
+        exact_all, exact_adjacent = exact_quotient_maxima(pts, f.values_at(pts), radius)
+        assert exact_all == exact_adjacent
+        if pair is None:
+            assert exact_all is None
+        else:
+            assert_near_exact(q, exact_all)
 
     @pytest.mark.parametrize("fid,params", _ORACLE_FUNCTIONS)
     def test_radius_excluding_every_pair(self, fid, params):
@@ -163,8 +173,8 @@ class TestBestLevelPair:
             -math.inf, None)
 
     def test_tie_keeps_first_pair_in_row_major_order(self):
-        # abs on a symmetric grid: every pair on one side has quotient 1,
-        # and the first of them in row-major order is (-1, -0.975).
+        # abs on a symmetric grid: every adjacent pair has quotient 1, and
+        # the first of them is (-1, -0.975).
         pts = np.linspace(-1.0, 1.0, 81)
         assert _best_level_pair(get_function("abs"), pts, 0.6) == (1.0, (-1.0, -0.975))
 
