@@ -29,6 +29,8 @@ __all__ = [
     "BlockRecord",
     "DivergentFamily",
     "weighted",
+    "floor_reciprocal",
+    "ladder_grid",
     "make_block",
     "segment_refine",
     "amplify_to_unit",
@@ -44,6 +46,20 @@ MAX_SUBDIVISION = 2 ** 20
 def weighted(multiplicity: int, value: float) -> float:
     """multiplicity * value with the product formed exactly, then rounded."""
     return float(multiplicity * Fraction(value))
+
+
+def floor_reciprocal(value: float) -> int:
+    """floor(1/value) in exact rational arithmetic on the stored float."""
+    return int(Fraction(1) / Fraction(value))
+
+
+def ladder_grid(half: float, count: int, rungs: int, extras=()) -> np.ndarray:
+    """Sorted unique points: ``count`` equispaced on [-half, half], the
+    two-sided dyadic ladder +-half * 2**-r for r = 1..rungs accumulating at
+    0, the point 0 itself, and ``extras``."""
+    ladder = half * 0.5 ** np.arange(1, rungs + 1)
+    return np.unique(np.concatenate([
+        np.linspace(-half, half, count), ladder, -ladder, [0.0], extras]))
 
 
 @dataclass(frozen=True)
@@ -170,7 +186,7 @@ def amplify_to_unit(f: ScalarFunction, a: HermitianOperator,
     if not 0.0 < increment < 1.0:
         raise PreconditionViolated(
             f"increment must lie in (0, 1), got {increment!r}")
-    multiplicity = int(Fraction(1) / Fraction(increment))
+    multiplicity = floor_reciprocal(increment)
     block = make_block(f, a, b, multiplicity,
                        delta_s1=delta_s1, increment_s1=increment)
     return DirectSumPair(f, (block,))
@@ -214,6 +230,10 @@ class DivergentFamily:
                     f"block {rec.index}: aggregate increment {agg!r} outside [1/2, 1]")
 
     @property
+    def blocks(self) -> Tuple[SumBlock, ...]:
+        return tuple(rec.block for rec in self.records)
+
+    @property
     def all_records(self) -> Tuple[BlockRecord, ...]:
         if self.failure is None:
             return self.records
@@ -230,11 +250,7 @@ def default_delta_schedule(count: int, delta0: float = 1.0) -> Tuple[float, ...]
 def _block_grid(delta: float, level: int) -> FiniteSpectrumSet:
     """Grid inside [-delta/2, delta/2]: 65 equispaced points plus a dyadic
     ladder accumulating at 0 so kink quotients can reach the 2**level target."""
-    half = delta / 2.0
-    ladder = half * 0.5 ** np.arange(1, 2 * level + 9)
-    pts = np.unique(np.concatenate([
-        np.linspace(-half, half, 65), ladder, -ladder, [0.0]]))
-    return FiniteSpectrumSet(pts)
+    return FiniteSpectrumSet(ladder_grid(delta / 2.0, 65, 2 * level + 8))
 
 
 def _block_seed(seed: int, index: int) -> int:
@@ -297,11 +313,8 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
 
 def partial_sums(family, upto: int) -> Tuple[float, float]:
     """(sum of N_n ||B_n - A_n||_1, sum of N_n ||f(B_n) - f(A_n)||_1) over the
-    first ``upto`` blocks.  Accepts a DirectSumPair or a DivergentFamily."""
-    if isinstance(family, DivergentFamily):
-        blocks = [rec.block for rec in family.records]
-    else:
-        blocks = family.blocks
+    first ``upto`` blocks of a DirectSumPair or a DivergentFamily."""
+    blocks = family.blocks
     if not 0 <= upto <= len(blocks):
         raise IndexError(
             f"upto = {upto} outside [0, {len(blocks)}] available blocks")

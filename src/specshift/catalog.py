@@ -194,7 +194,7 @@ def _build_smoothed_abs(params):
     if len(params) != 1:
         raise BadParams(f"smoothed_abs takes exactly one parameter, got {params!r}")
     eps = params[0]
-    if not (eps > 0.0 and math.isfinite(eps)):
+    if not eps > 0.0:
         raise BadParams(f"smoothed_abs width must be positive, got {eps!r}")
     return ScalarFunction(
         "smoothed_abs", (eps,),
@@ -237,6 +237,8 @@ def get_function(fid: str, params=()) -> ScalarFunction:
         clean = tuple(float(p) for p in params)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"parameters for {fid!r} must be real numbers: {exc}") from None
+    if not all(math.isfinite(p) for p in clean):
+        raise BadParams(f"parameters for {fid!r} must be finite, got {clean!r}")
     return builder(clean)
 
 

@@ -246,7 +246,7 @@ class TraceTransferReport:
 
 
 def _numerical_rank(m: np.ndarray, scale: float) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
+    s = singular_values(m)
     return int(np.count_nonzero(s > 1e-10 * max(1.0, scale) * m.shape[0]))
 
 

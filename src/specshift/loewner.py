@@ -98,8 +98,6 @@ class LoewnerMatrix:
     by a central difference because no analytic derivative was available.
     """
 
-    row_grid: np.ndarray
-    col_grid: np.ndarray
     entries: np.ndarray
     tie_fallback_used: bool
 
@@ -115,7 +113,7 @@ def loewner_matrix(f: ScalarFunction, lam, mu) -> LoewnerMatrix:
             entries[j, k], used = _divided(f, float(x), float(y))
             fallback = fallback or used
     entries.setflags(write=False)
-    return LoewnerMatrix(lam, mu, entries, fallback)
+    return LoewnerMatrix(entries, fallback)
 
 
 def perturbation_identity_residual(f: ScalarFunction, a: HermitianOperator,

@@ -9,17 +9,18 @@ orthonormal basis, so its increment bookkeeping reduces to scalar sequences
 Choosing the multiplicity n_k = floor(1/|f(t_k) - f(s_k)|) + 1 then makes the
 weighted increments sum past any bound (each term is at least 1) while the
 weighted perturbations stay below the geometric majorant 2**(1-k) per level.
-``diagonal_embedding`` realises the same numbers as 1x1 direct-sum blocks.
+The levels are summed as the 1x1 direct-sum blocks of ``diagonal_embedding``,
+with the multiplicity rule, ladder grid and partial sums of ``blocks``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .blocks import DirectSumPair, make_block, weighted
+from .blocks import (DirectSumPair, floor_reciprocal, ladder_grid, make_block,
+                     partial_sums)
 from .catalog import ScalarFunction, max_quotient
 from .errors import DegenerateIncrement, InvariantViolation
 from .hermitian import HermitianOperator
@@ -103,12 +104,8 @@ def _level_points(level: int, search_grid: int, total_levels: int,
     a dyadic ladder accumulating at 0 (the equispaced grid alone cannot
     resolve quotients past ~2**log2(grid)), and seeded random points."""
     radius = 2.0 ** -level
-    ladder = radius * 0.5 ** np.arange(1, max(64, 2 * total_levels) + 1)
-    rng = np.random.default_rng([seed, level])
-    extras = rng.uniform(-radius, radius, size=64)
-    return np.unique(np.concatenate([
-        np.linspace(-radius, radius, search_grid), ladder, -ladder,
-        [0.0], extras]))
+    extras = np.random.default_rng([seed, level]).uniform(-radius, radius, size=64)
+    return ladder_grid(radius, search_grid, max(64, 2 * total_levels), extras)
 
 
 def _best_level_pair(f: ScalarFunction, pts: np.ndarray, radius: float):
@@ -148,11 +145,6 @@ def scalar_ratio_witnesses(f: ScalarFunction, levels: int,
     return make_sequence_witness(f, t_seq, s_seq)
 
 
-def _floor_reciprocal(value: float) -> int:
-    """floor(1/value) in exact rational arithmetic on the stored float."""
-    return int(Fraction(1) / Fraction(value))
-
-
 def multiplicity_sequence(f: ScalarFunction, witness: SequenceWitness) -> SequenceWitness:
     """Fill n_k = floor(1 / |f(t_k) - f(s_k)|) + 1 with exact integer
     arithmetic on the double-precision increments."""
@@ -161,7 +153,7 @@ def multiplicity_sequence(f: ScalarFunction, witness: SequenceWitness) -> Sequen
         gap = abs(f(tk) - f(sk))
         if gap == 0.0:
             raise DegenerateIncrement(f"level {k}: f(t) = f(s)")
-        mults.append(_floor_reciprocal(gap) + 1)
+        mults.append(floor_reciprocal(gap) + 1)
     return SequenceWitness(witness.function, witness.t, witness.s,
                            tuple(mults), witness.decay_constant)
 
@@ -180,65 +172,49 @@ class LevelCheck:
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Per-level checks plus the two partial sums and their analytic bounds:
-    the perturbation sum stays below sum(2**(1-k)) < 2 while the increment
-    sum is at least the number of levels."""
+    """Per-level checks plus the two partial sums: the perturbation sum stays
+    below sum(2**(1-k)) < 2 while the increment sum is at least the number of
+    levels."""
 
     levels: Tuple[LevelCheck, ...]
     perturbation_sum: float
     increment_sum: float
-    perturbation_majorant: float
-    increment_floor: float
 
 
 def divergence_check(witness: SequenceWitness, upto: int) -> DivergenceReport:
-    """Verify n_k |t_k - s_k| < 2**(1-k) per level and accumulate both
-    weighted partial sums over the first ``upto`` levels.
+    """Verify n_k |t_k - s_k| < 2**(1-k) on each of the first ``upto`` levels,
+    read from the 1x1 blocks of ``diagonal_embedding``, and take both
+    weighted partial sums from ``partial_sums``.
 
     The per-level bound is implied by the witness invariants, so its failure
     raises InvariantViolation naming the level.
     """
+    pair = diagonal_embedding(witness, upto)
+    levels = []
+    for k, blk in enumerate(pair.blocks, start=1):
+        wp = blk.weighted_delta_s1
+        bound = 2.0 ** (1 - k)
+        if not wp < bound:
+            raise InvariantViolation(
+                f"level {k}: n|t-s| = {wp!r} reaches the bound {bound!r}")
+        levels.append(LevelCheck(k, witness.t[k - 1], witness.s[k - 1],
+                                 blk.multiplicity, wp, blk.weighted_increment_s1,
+                                 bound, True))
+    return DivergenceReport(tuple(levels), *partial_sums(pair, upto))
+
+
+def diagonal_embedding(witness: SequenceWitness, upto: int) -> DirectSumPair:
+    """Realise the first ``upto`` levels as 1x1 blocks (t_k) vs (s_k) with
+    multiplicity n_k.  The trace norms of a 1x1 block are |t_k - s_k| and
+    |f(t_k) - f(s_k)|, so they are passed in rather than computed by an
+    eigensolve."""
     if witness.n is None:
         raise ValueError("witness has no multiplicities; fill them first")
     if not 0 <= upto <= witness.length:
         raise IndexError(f"upto = {upto} outside [0, {witness.length}]")
     f = witness.function
-    levels = []
-    perturbation_sum = 0.0
-    increment_sum = 0.0
-    for k in range(1, upto + 1):
-        tk, sk, nk = witness.t[k - 1], witness.s[k - 1], witness.n[k - 1]
-        wp = weighted(nk, abs(tk - sk))
-        wi = weighted(nk, abs(f(tk) - f(sk)))
-        bound = 2.0 ** (1 - k)
-        ok = wp < bound
-        if not ok:
-            raise InvariantViolation(
-                f"level {k}: n|t-s| = {wp!r} reaches the bound {bound!r}")
-        levels.append(LevelCheck(k, tk, sk, nk, wp, wi, bound, ok))
-        perturbation_sum += wp
-        increment_sum += wi
-    return DivergenceReport(
-        levels=tuple(levels),
-        perturbation_sum=perturbation_sum,
-        increment_sum=increment_sum,
-        perturbation_majorant=2.0 - 2.0 ** (1 - upto) if upto else 0.0,
-        increment_floor=float(upto),
-    )
-
-
-def diagonal_embedding(witness: SequenceWitness, upto: int) -> DirectSumPair:
-    """Realise the first ``upto`` levels as 1x1 blocks (t_k) vs (s_k) with
-    multiplicity n_k; partial sums of the result reproduce the divergence
-    report sums exactly (same arithmetic)."""
-    if witness.n is None:
-        raise ValueError("witness has no multiplicities; fill them first")
-    if not 0 <= upto <= witness.length:
-        raise IndexError(f"upto = {upto} outside [0, {witness.length}]")
     blocks = tuple(
-        make_block(witness.function,
-                   HermitianOperator([[witness.t[k]]]),
-                   HermitianOperator([[witness.s[k]]]),
-                   witness.n[k])
-        for k in range(upto))
-    return DirectSumPair(witness.function, blocks)
+        make_block(f, HermitianOperator([[t]]), HermitianOperator([[s]]), n,
+                   delta_s1=abs(t - s), increment_s1=abs(f(t) - f(s)))
+        for t, s, n in zip(witness.t[:upto], witness.s[:upto], witness.n))
+    return DirectSumPair(f, blocks)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,9 @@ def matrix_from_json(doc: dict) -> HermitianOperator:
     """
     if not isinstance(doc, dict) or "dim" not in doc or "re" not in doc:
         raise DomainError("matrix JSON needs at least 'dim' and 're'")
-    dim = int(doc["dim"])
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise DomainError(f"'dim' must be an integer, got {dim!r}")
     re = np.asarray(doc["re"], dtype=np.float64)
     if re.shape != (dim, dim):
         raise DomainError(f"'re' has shape {re.shape}, expected ({dim}, {dim})")
@@ -141,8 +142,5 @@ def write_text(path: str, text: str) -> None:
         raise
 
 
-def dump_json(doc, path: Optional[str] = None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        write_text(path, text)
-    return text
+def dump_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -55,6 +55,13 @@ class TestMatrixJson:
         with pytest.raises(DomainError):
             matrix_from_json({"dim": 3, "re": [[1.0]]})
 
+    @pytest.mark.parametrize("dim, re", [(True, [[1.0]]), (2.9, np.eye(2).tolist()),
+                                         ("2", np.eye(2).tolist()),
+                                         (2.0, np.eye(2).tolist())])
+    def test_rejects_non_integer_dim(self, dim, re):
+        with pytest.raises(DomainError, match="'dim' must be an integer"):
+            matrix_from_json({"dim": dim, "re": re})
+
 
 class TestRatioSearchCommand:
     def test_identity_rows_are_one(self, tmp_path):
@@ -142,6 +149,20 @@ class TestRatioSearchCommand:
             "grid": {"interval": [-1, 1], "count": 5},
             "budget": 1, "seed": 0, "output": "x.csv"})
         assert main(["ratio-search", cfg]) == 2
+
+    @pytest.mark.parametrize("fid, params", [("poly", "1e400"), ("poly", "NaN"),
+                                             ("poly", "-Infinity"), ("poly", "0.5, Infinity"),
+                                             ("constant", "1e400"), ("constant", "NaN")])
+    def test_nonfinite_params_exit_2_before_running(self, tmp_path, capsys, fid, params):
+        # written by hand: json.dumps cannot produce 1e400
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"function": {"id": "%s", "params": [%s]}, "dims": [1, 2], "budget": 1, '
+            '"seed": 0, "grid": {"interval": [-1, 1], "count": 5}, "output": "%s"}'
+            % (fid, params, tmp_path / "report.csv"), encoding="utf-8")
+        assert main(["ratio-search", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("interval", [[1.0, -1.0], [0.0, float("inf")],
                                           "ab", [1], [None, 1], [True, 2],
@@ -313,6 +334,14 @@ class TestVerifyCommand:
             "seed": 1, "output": str(out), "matrices": [str(fixture)]})
         assert main(["verify", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_dim_fixture_exits_3(self, tmp_path):
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "seed": 1, "output": str(out),
+            "matrices": [{"dim": True, "re": [[1.0]]}]})
+        assert main(["verify", cfg]) == 3
         assert not out.exists()
 
     def test_asymmetric_fixture_path_exits_3(self, tmp_path):

@@ -29,6 +29,12 @@ CONFIGS = {
         "grid": {"interval": [-1, 1], "count": 5}, "format": "json"}),
     "commuting": ("commuting", {"function": {"id": "sqrt_abs"}, "K": 6,
                                 "search_grid": 201, "seed": 0}),
+    # the perfbench commuting config: thirty levels summed as 1x1 blocks
+    "commuting-sqrt_abs-K30": ("commuting", {"function": {"id": "sqrt_abs"}, "K": 30,
+                                             "search_grid": 2001, "seed": 1}),
+    # ends not_found at level 17: the report has a header and no rows
+    "commuting-xsin_inv-K30": ("commuting", {"function": {"id": "xsin_inv"}, "K": 30,
+                                             "search_grid": 2001, "seed": 1}),
     # divergent families at dim 4: all seven sqrt_abs blocks succeed;
     # xsin_inv fails at block 6; abs fails at block 1
     "divergence-sqrt_abs-K7": ("divergence", {"function": {"id": "sqrt_abs"}, "K": 7,
@@ -66,6 +72,18 @@ EXPECTED = {
             "5bd7127d4a490f950f2e64ef23b3d0f901eb3303685b3cfe0b4569c0c13c680f",
         "report_witness.json":
             "4bba66da1ebda4b52bdb95998d899af2945dac902f05d9e142d646689a1d50f4",
+    },
+    "commuting-sqrt_abs-K30": {
+        "report.csv":
+            "c2403e52fe2f4e93a130b8c4181a0e66f875f25d1861b87776727737598b3e05",
+        "report_witness.json":
+            "1c4283dbadcb75db30ad77397ef01c242afa2bdab3ea5db2c4655a0681c9adf0",
+    },
+    "commuting-xsin_inv-K30": {
+        "report.csv":
+            "ea2b0b6fed8e371327055fd2b3dfba1f40ee99dc8ebdf3aa2232c748e99edacf",
+        "report_witness.json":
+            "35733a9331c150be46096f64705afc438fe2e356076ab64d164cfdad36e857d1",
     },
     "divergence": {
         "report.csv":

@@ -4,7 +4,9 @@ Every top-level name a module defines must be used somewhere in the package
 beyond its definition, or be exported through the module's ``__all__``: a
 helper that only tests call is a second path that the package no longer
 needs.  No module may import a name it does not use (``__init__`` is the
-package's export list, so its imports are exempt).
+package's export list, so its imports are exempt).  Each kernel with one
+home is reached only from that home: the SVD, the eigensolver, the QR
+sampler and exact rational arithmetic.
 """
 
 import ast
@@ -74,3 +76,64 @@ def test_no_unused_imports(module):
     tree = MODULES[module]
     used = _used_names(tree) | _exported(tree)
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+#: dotted name -> the only functions (module.Class.function) that may use it
+ONE_PATH = {
+    "np.linalg.svd": {"hermitian.singular_values", "search._Evaluator.singular_values"},
+    "np.linalg.eigh": {"hermitian.decompose"},
+    "np.linalg.qr": {"search.random_orthogonal"},
+}
+#: name -> the only module that may use or import it
+ONE_MODULE = {"Fraction": "blocks"}
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _uses(tree, module: str) -> list:
+    """(name, scope) for every bare name, dotted attribute chain and
+    from-import in ``tree``; scope is the enclosing module.Class.function."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((a.name, scope) for a in node.names)
+        name = _dotted(node)
+        if name is not None:
+            found.append((name, scope))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+USES = [(name, scope) for path, tree in MODULES.items()
+        for name, scope in _uses(tree, path[:-3])]
+
+
+@pytest.mark.parametrize("kernel", sorted(ONE_PATH))
+def test_kernel_called_only_from_its_home(kernel):
+    assert {scope for name, scope in USES if name == kernel} == ONE_PATH[kernel]
+
+
+@pytest.mark.parametrize("name", sorted(ONE_MODULE))
+def test_name_used_only_in_its_module(name):
+    assert {scope.split(".")[0] for used, scope in USES if used == name} == {ONE_MODULE[name]}
+
+
+def test_numpy_reached_by_module_attribute_only():
+    # a ``from numpy.linalg import svd`` would hide a call from the checks above
+    modules = {node.module for tree in MODULES.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert not {m for m in modules if m and m.split(".")[0] in ("numpy", "scipy")}
