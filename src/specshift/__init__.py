@@ -16,8 +16,8 @@ Library layout:
 
 from .blocks import (BlockRecord, DirectSumPair, DivergentFamily, SumBlock,
                      amplify_to_unit, build_divergent_family,
-                     default_delta_schedule, make_block, partial_sums,
-                     segment_refine, weighted)
+                     default_delta_schedule, partial_sums, segment_refine,
+                     weighted)
 from .catalog import (FunctionMetadata, ScalarFunction, catalog_ids,
                       get_function, lipschitz_seminorm_estimate)
 from .errors import (BadInterval, BadParams, ConfigError, ConvergenceFailure,

@@ -31,7 +31,6 @@ __all__ = [
     "weighted",
     "floor_reciprocal",
     "ladder_grid",
-    "make_block",
     "segment_refine",
     "amplify_to_unit",
     "default_delta_schedule",
@@ -91,18 +90,6 @@ class SumBlock:
         return weighted(self.multiplicity, self.increment_s1)
 
 
-def make_block(f: ScalarFunction, a: HermitianOperator, b: HermitianOperator,
-               multiplicity: int, delta_s1: Optional[float] = None,
-               increment_s1: Optional[float] = None) -> SumBlock:
-    """Build a block, computing its trace-norm quantities unless supplied."""
-    if delta_s1 is None:
-        delta_s1 = schatten_norm(b.matrix - a.matrix, 1)
-    if increment_s1 is None:
-        increment_s1 = schatten_norm(
-            apply_function(f, b).matrix - apply_function(f, a).matrix, 1)
-    return SumBlock(a, b, int(multiplicity), float(delta_s1), float(increment_s1))
-
-
 @dataclass(frozen=True)
 class DirectSumPair:
     """A list of blocks representing two block-diagonal operators at once."""
@@ -137,6 +124,10 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
     returned.  Its endpoints are dyadic, so the sub-segment length is exactly
     ||B-A||_1 / n, and the maximal sub-increment is at least 1/n of the total
     by the triangle inequality, which preserves the ratio.
+
+    By the same inequality no n' below n * max(increments) can succeed, so
+    RefinementOverflow is raised as soon as that product passes 2 * n_max
+    (n_max with slack for rounding).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
@@ -164,6 +155,8 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
             left = _path_point(a, diff, k / n)
             right = b if k + 1 == n else _path_point(a, diff, (k + 1) / n)
             return left, right
+        if n * increments.max() > 2 * n_max:
+            break
         n *= 2
     raise RefinementOverflow(
         f"no subdivision up to {n_max} brought all increments below 1")
@@ -176,7 +169,7 @@ def amplify_to_unit(f: ScalarFunction, a: HermitianOperator,
     Requires 0 < ||f(B)-f(A)||_1 < 1 (refine first if needed).  The
     multiplicity is the exact floor of the reciprocal increment; the
     aggregate ratio equals the block ratio because both norms scale by the
-    same integer.
+    same integer.  The block carries the two trace norms computed here.
     """
     delta_s1 = schatten_norm(b.matrix - a.matrix, 1)
     if not delta_s1 > 0.0:
@@ -186,9 +179,7 @@ def amplify_to_unit(f: ScalarFunction, a: HermitianOperator,
     if not 0.0 < increment < 1.0:
         raise PreconditionViolated(
             f"increment must lie in (0, 1), got {increment!r}")
-    multiplicity = floor_reciprocal(increment)
-    block = make_block(f, a, b, multiplicity,
-                       delta_s1=delta_s1, increment_s1=increment)
+    block = SumBlock(a, b, floor_reciprocal(increment), delta_s1, increment)
     return DirectSumPair(f, (block,))
 
 

@@ -179,23 +179,21 @@ def run_ratio_search(cfg: dict) -> int:
     fmt = _get_format(cfg)
 
     columns = ("dim", "norm_kind", "budget", "seed", "best_ratio", "witness_file")
-    results = []
+    rows, files = [], []
     for dim in dims:
         by_kind = {kind: seminorm_lower_bound(f, grid, dim, kind, budget, seed)
                    for kind in NORM_KINDS}
-        results += [(dim, kind, by_kind[kind]) for kind in NORM_KINDS]
+        for kind, result in by_kind.items():
+            witness_path = _sidecar(output, f"_dim{dim}_{kind}.json")
+            files.append((witness_path,
+                          dump_json(witness_to_json(result, f.reference()))))
+            rows.append((dim, kind, budget, seed, _fmt(result.value),
+                         os.path.basename(witness_path)))
         m_op, m_s1 = by_kind["operator"].value, by_kind["schatten1"].value
         if m_s1 > 2.0 * m_op * DIAGNOSTIC_SLACK or m_op > 2.0 * m_s1 * DIAGNOSTIC_SLACK:
             print(f"warning: dim {dim}: lower bounds operator={m_op:g} and "
                   f"schatten1={m_s1:g} sit outside the factor-2 band by more "
                   f"than the search-gap heuristic", file=sys.stderr)
-    rows, files = [], []
-    for dim, kind, result in results:
-        witness_path = _sidecar(output, f"_dim{dim}_{kind}.json")
-        files.append((witness_path,
-                      dump_json(witness_to_json(result, f.reference()))))
-        rows.append((dim, kind, budget, seed, _fmt(result.value),
-                     os.path.basename(witness_path)))
     _write_all(files + [(output, _report_text(columns, rows, fmt))])
     return EXIT_OK
 
@@ -420,10 +418,8 @@ def _verify_checks(seed: int, fixtures) -> list:
                     abs(divided_difference(square, 2.0, 2.0) - 4.0), 1e-12))
 
     for idx, fixture in enumerate(fixtures):
-        dec = decompose(fixture)
-        recon = np.abs((dec.eigenvectors * dec.eigenvalues)
-                       @ dec.eigenvectors.conj().T - fixture.matrix).max()
-        results.append((f"fixture_{idx}_reconstruction", float(recon),
+        results.append((f"fixture_{idx}_reconstruction",
+                        decompose(fixture).reconstruction_residual,
                         1e-10 * max(1.0, float(np.abs(fixture.matrix).max()))))
     return [(name, residual, tolerance, residual <= tolerance)
             for name, residual, tolerance in results]
@@ -446,7 +442,7 @@ def run_verify(cfg: dict) -> int:
     columns = ("check", "residual", "tolerance", "status")
     rows = [(name, _fmt(residual), _fmt(tolerance), "pass" if ok else "fail")
             for name, residual, tolerance, ok in checks]
-    write_text(output, _report_text(columns, rows, fmt))
+    _write_all([(output, _report_text(columns, rows, fmt))])
     failed = [name for name, _, _, ok in checks if not ok]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .blocks import (DirectSumPair, floor_reciprocal, ladder_grid, make_block,
+from .blocks import (DirectSumPair, SumBlock, floor_reciprocal, ladder_grid,
                      partial_sums)
 from .catalog import ScalarFunction, max_quotient
 from .errors import DegenerateIncrement, InvariantViolation
@@ -206,15 +206,14 @@ def divergence_check(witness: SequenceWitness, upto: int) -> DivergenceReport:
 def diagonal_embedding(witness: SequenceWitness, upto: int) -> DirectSumPair:
     """Realise the first ``upto`` levels as 1x1 blocks (t_k) vs (s_k) with
     multiplicity n_k.  The trace norms of a 1x1 block are |t_k - s_k| and
-    |f(t_k) - f(s_k)|, so they are passed in rather than computed by an
-    eigensolve."""
+    |f(t_k) - f(s_k)|, so each block is built from them with no eigensolve."""
     if witness.n is None:
         raise ValueError("witness has no multiplicities; fill them first")
     if not 0 <= upto <= witness.length:
         raise IndexError(f"upto = {upto} outside [0, {witness.length}]")
     f = witness.function
     blocks = tuple(
-        make_block(f, HermitianOperator([[t]]), HermitianOperator([[s]]), n,
-                   delta_s1=abs(t - s), increment_s1=abs(f(t) - f(s)))
+        SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
+                 abs(t - s), abs(f(t) - f(s)))
         for t, s, n in zip(witness.t[:upto], witness.s[:upto], witness.n))
     return DirectSumPair(f, blocks)

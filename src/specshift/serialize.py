@@ -7,6 +7,7 @@ arbitrary-precision integers survive CSV/JSON consumers.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 
 import numpy as np
@@ -35,26 +36,34 @@ def matrix_to_json(op: HermitianOperator) -> dict:
     return doc
 
 
+def _entries(doc: dict, key: str, dim: int) -> np.ndarray:
+    """doc[key] as a dim x dim float array.  Every entry must be a JSON
+    number; null reads as NaN and is rejected later as non-finite."""
+    cells = np.asarray(doc[key], dtype=object)
+    if cells.shape != (dim, dim):
+        raise DomainError(f"'{key}' has shape {cells.shape}, expected ({dim}, {dim})")
+    for v in cells.flat:
+        if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+            raise DomainError(f"'{key}' entries must be JSON numbers, got {v!r}")
+    return cells.astype(np.float64)
+
+
 def matrix_from_json(doc: dict) -> HermitianOperator:
     """Strict loader for external matrix data.
 
-    Rejects non-finite entries and matrices that are visibly not Hermitian
-    (asymmetry beyond 1e-8 relative); the constructor's exact symmetrisation
-    is reserved for floating-point dust, not for repairing wrong data.
+    Rejects entries that are not numbers, non-finite entries and matrices
+    that are visibly not Hermitian (asymmetry beyond 1e-8 relative); the
+    constructor's exact symmetrisation is reserved for floating-point dust,
+    not for repairing wrong data.
     """
     if not isinstance(doc, dict) or "dim" not in doc or "re" not in doc:
         raise DomainError("matrix JSON needs at least 'dim' and 're'")
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise DomainError(f"'dim' must be an integer, got {dim!r}")
-    re = np.asarray(doc["re"], dtype=np.float64)
-    if re.shape != (dim, dim):
-        raise DomainError(f"'re' has shape {re.shape}, expected ({dim}, {dim})")
+    re = _entries(doc, "re", dim)
     if "im" in doc and doc["im"] is not None:
-        im = np.asarray(doc["im"], dtype=np.float64)
-        if im.shape != (dim, dim):
-            raise DomainError(f"'im' has shape {im.shape}, expected ({dim}, {dim})")
-        mat = re + 1j * im
+        mat = re + 1j * _entries(doc, "im", dim)
     else:
         mat = re
     if not np.isfinite(mat).all():

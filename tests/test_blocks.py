@@ -11,10 +11,10 @@ from specshift import blocks, search
 
 from specshift import (DivergentFamily, DomainError, HermitianOperator,
                        InvariantViolation, PreconditionViolated,
-                       RefinementOverflow, ScalarFunction,
+                       RefinementOverflow, ScalarFunction, SumBlock,
                        amplify_to_unit, apply_function, build_divergent_family,
                        decompose, default_delta_schedule, get_function,
-                       increment_ratio, make_block, partial_sums,
+                       increment_ratio, partial_sums,
                        schatten_norm, segment_refine, weighted)
 
 from specshift.catalog import max_quotient
@@ -80,6 +80,22 @@ class TestSegmentRefine:
         b = HermitianOperator([[1.0]])
         with pytest.raises(RefinementOverflow):
             segment_refine(step, a, b, n_max=64)
+
+    def test_hopeless_refinement_raises_early(self, monkeypatch):
+        # total increment 1000: the first halving leaves a piece of ~707, so
+        # no n <= 64 can bring every piece below 1
+        calls = []
+        real = blocks.apply_function
+
+        def counting(f, op):
+            calls.append(op)
+            return real(f, op)
+
+        monkeypatch.setattr(blocks, "apply_function", counting)
+        with pytest.raises(RefinementOverflow):
+            segment_refine(get_function("sqrt_abs"), HermitianOperator([[-1e6]]),
+                           HermitianOperator([[0.0]]), n_max=64)
+        assert len(calls) <= 3
 
 
 class TestAmplifyToUnit:
@@ -213,8 +229,8 @@ class TestBuildDivergentFamily:
         fam = build_divergent_family(f, default_delta_schedule(2), 2, 2, 3)
         rec = fam.records[0]
         # a record whose spectra escape the window must be rejected
-        bad_block = make_block(f, HermitianOperator([[0.0]]),
-                               HermitianOperator([[2.0]]), 1)
+        bad_block = SumBlock(HermitianOperator([[0.0]]),
+                             HermitianOperator([[2.0]]), 1, 2.0, math.sqrt(2.0))
         bad = rec.__class__(rec.index, rec.delta, rec.target_ratio,
                             rec.achieved_ratio, bad_block, "ok")
         with pytest.raises(InvariantViolation):
@@ -363,8 +379,8 @@ class TestPartialSums:
         from specshift import DirectSumPair
         f = get_function("sqrt_abs")
         t = 0.01 / 81.0
-        blk = make_block(f, HermitianOperator([[0.0]]),
-                         HermitianOperator([[t]]), 81)
+        blk = SumBlock(HermitianOperator([[0.0]]),
+                       HermitianOperator([[t]]), 81, t, math.sqrt(t))
         ps, is_ = partial_sums(DirectSumPair(f, (blk,)), 1)
         assert ps == pytest.approx(0.01, rel=1e-12)
         assert is_ == pytest.approx(0.9, rel=1e-12)

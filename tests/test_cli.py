@@ -8,11 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from specshift import (DomainError, HermitianOperator, NonFinite,
+from specshift import (DomainError, HermitianOperator, NonFinite, decompose,
                        get_function)
 from specshift import cli
 from specshift.cli import main
 from specshift.serialize import matrix_from_json, matrix_to_json, write_text
+
+from conftest import random_hermitian
 
 
 def _write_cfg(path, doc):
@@ -61,6 +63,15 @@ class TestMatrixJson:
     def test_rejects_non_integer_dim(self, dim, re):
         with pytest.raises(DomainError, match="'dim' must be an integer"):
             matrix_from_json({"dim": dim, "re": re})
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("entry", ["1", True, [1.0]],
+                             ids=["string", "bool", "nested_list"])
+    def test_rejects_entries_that_are_not_numbers(self, key, entry):
+        doc = {"dim": 2, "re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        doc[key][0][0] = entry
+        with pytest.raises(DomainError, match=f"'{key}' entries must be JSON numbers"):
+            matrix_from_json(doc)
 
 
 class TestRatioSearchCommand:
@@ -343,6 +354,33 @@ class TestVerifyCommand:
             "matrices": [{"dim": True, "re": [[1.0]]}]})
         assert main(["verify", cfg]) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("re", [[["1", "0"], ["0", "2"]],
+                                    [[True, False], [False, True]]],
+                             ids=["strings", "bools"])
+    def test_non_number_entries_fixture_exits_3(self, tmp_path, re):
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "seed": 1, "output": str(out), "matrices": [{"dim": 2, "re": re}]})
+        assert main(["verify", cfg]) == 3
+        assert not out.exists()
+
+    def test_fixture_row_reports_decompose_residual(self, tmp_path, rng):
+        out = tmp_path / "report.csv"
+        ops = [random_hermitian(rng, 4), random_hermitian(rng, 5, complex_entries=True)]
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "seed": 3, "output": str(out),
+            "matrices": [matrix_to_json(op) for op in ops]})
+        assert main(["verify", cfg]) == 0
+        _, rows = _read_rows(out)
+        by_name = {r["check"]: r for r in rows}
+        for idx, op in enumerate(ops):
+            dec = decompose(op)
+            recon = np.abs((dec.eigenvectors * dec.eigenvalues)
+                           @ dec.eigenvectors.conj().T - op.matrix).max()
+            row = by_name[f"fixture_{idx}_reconstruction"]
+            assert row["residual"] == f"{float(recon):.17g}"
+            assert row["tolerance"] == f"{1e-10 * max(1.0, float(np.abs(op.matrix).max())):.17g}"
 
     def test_asymmetric_fixture_path_exits_3(self, tmp_path):
         fixture = _write_cfg(tmp_path / "fixture.json",

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshift import (DegeneratePair, HermitianOperator, NonFinite,
-                       apply_function, decompose, get_function,
+                       apply_function, catalog_ids, decompose, get_function,
                        increment_ratio, operator_scale, schatten_norm,
-                       spectral_truncation, trace_transfer_check)
+                       singular_values, spectral_truncation,
+                       trace_transfer_check)
 
 from conftest import random_hermitian
 
@@ -312,3 +315,62 @@ class TestTraceTransfer:
 def test_operator_scale_floor_is_one(rng):
     a = HermitianOperator(np.diag([1e-3, -1e-3]))
     assert operator_scale(a, a) == 1.0
+
+
+_PARAMS = {"constant": (1.0,), "poly": (0.5, -1.0, 2.0), "smoothed_abs": (0.05,)}
+
+
+def _pair(seed, dim, complex_entries, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return (random_hermitian(rng, dim, scale, complex_entries),
+            random_hermitian(rng, dim, scale, complex_entries))
+
+
+class TestOneSpectrumPerMatrix:
+    """Each norm that comes from a shared array of singular values is bit
+    for bit the value of the separate calls it replaced: test-local copies
+    of the earlier formulas serve as the oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(fid=st.sampled_from(catalog_ids()), dim=st.integers(1, 8),
+           complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_increment_ratio_matches_separate_norms(self, fid, dim,
+                                                   complex_entries, seed):
+        f = get_function(fid, _PARAMS.get(fid, ()))
+        a, b = _pair(seed, dim, complex_entries)
+        w = increment_ratio(f, a, b)
+        diff = b.matrix - a.matrix
+        num = apply_function(f, b).matrix - apply_function(f, a).matrix
+        assert w.ratio_s1 == schatten_norm(num, 1) / schatten_norm(diff, 1)
+        assert w.ratio_op == schatten_norm(num, np.inf) / schatten_norm(diff, np.inf)
+        assert w.increment_s1 == schatten_norm(num, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fid=st.sampled_from(catalog_ids()), dim=st.integers(1, 8),
+           complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(0.05, 2.0))
+    def test_tails_match_separate_norm_and_rank(self, fid, dim, complex_entries,
+                                                seed, delta):
+        f = get_function(fid, _PARAMS.get(fid, ()))
+        a, b = _pair(seed, dim, complex_entries, scale=1.5)
+        rep = trace_transfer_check(f, delta, a, b)
+        g = f.shifted(f(0.0))
+        scale = operator_scale(a, b)
+        for op, tail_s1, tail_rank in ((a, rep.tail_a_s1, rep.tail_a_rank),
+                                       (b, rep.tail_b_s1, rep.tail_b_rank)):
+            truncated, _ = spectral_truncation(op, delta)
+            tail = apply_function(g, op).matrix - apply_function(g, truncated).matrix
+            floor = 1e-10 * max(1.0, scale) * tail.shape[0]
+            assert tail_s1 == schatten_norm(tail, 1)
+            assert tail_rank == int(np.count_nonzero(singular_values(tail) > floor))
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(1, 8), complex_entries=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_reconstruction_residual_matches_recomputation(self, dim, complex_entries,
+                                                           seed, scale):
+        op = random_hermitian(np.random.default_rng(seed), dim, scale, complex_entries)
+        dec = decompose(op)
+        recon = np.abs((dec.eigenvectors * dec.eigenvalues)
+                       @ dec.eigenvectors.conj().T - op.matrix).max()
+        assert dec.reconstruction_residual == float(recon)

@@ -6,7 +6,8 @@ helper that only tests call is a second path that the package no longer
 needs.  No module may import a name it does not use (``__init__`` is the
 package's export list, so its imports are exempt).  Each kernel with one
 home is reached only from that home: the SVD, the eigensolver, the QR
-sampler and exact rational arithmetic.
+sampler and exact rational arithmetic.  A function takes each matrix's
+singular values once, and files are written through one function.
 """
 
 import ast
@@ -137,3 +138,41 @@ def test_numpy_reached_by_module_attribute_only():
     modules = {node.module for tree in MODULES.values() for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)}
     assert not {m for m in modules if m and m.split(".")[0] in ("numpy", "scipy")}
+
+
+def _calls(tree, module: str) -> list:
+    """(callee, scope, call) for every call in ``tree``: callee is the last
+    name of the called chain, scope the enclosing module.Class.function."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            if name is not None:
+                found.append((name.rsplit(".", 1)[-1], scope, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+CALLS = [call for path, tree in MODULES.items() for call in _calls(tree, path[:-3])]
+
+
+def test_no_function_takes_the_same_singular_values_twice():
+    # both norms of a matrix come from one array of its singular values
+    seen, repeated = set(), []
+    for callee, scope, call in CALLS:
+        if callee in ("schatten_norm", "singular_values") and call.args:
+            key = (scope, ast.dump(call.args[0]))
+            if key in seen:
+                repeated.append((scope, ast.unparse(call.args[0])))
+            seen.add(key)
+    assert repeated == []
+
+
+def test_files_are_written_only_through_write_all():
+    assert {scope for callee, scope, _ in CALLS if callee == "write_text"} == {"cli._write_all"}
