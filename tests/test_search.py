@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specshift import (DomainError, FiniteSpectrumSet, catalog_ids,
-                       get_function, increment_ratio,
+from specshift import (DomainError, FiniteSpectrumSet, HermitianOperator,
+                       ScalarFunction, catalog_ids, get_function, increment_ratio,
                        lipschitz_seminorm_estimate, restrict_to_grid, search,
                        seminorm_lower_bound)
 from specshift.blocks import (_block_grid, _block_seed, build_divergent_family,
@@ -225,14 +225,22 @@ def _dense_norm(m, kind):
     return float(s.sum()) if kind == "schatten1" else float(s[0])
 
 
+def _oracle_floor(x, y):
+    # noise floor of a norm of an n x n difference whose entries reach
+    # max|x_i|, |y_i|
+    n = x.size
+    return 1e-14 * n * max(np.abs(x).max(), np.abs(y).max()) + n * n * 2.0 ** -1022
+
+
 def _oracle_rotated(ev, ia, ib, q):
     ev.count += 1
     a, b = ev.pts[ia], ev.pts[ib]
+    fa, fb = ev.fvals[ia], ev.fvals[ib]
     den = _dense_norm((q * b) @ q.T - np.diag(a), ev.kind)
-    if den <= ev.floor(a, b):
+    if den <= _oracle_floor(a, b):
         return -math.inf
-    num = _dense_norm((q * ev.fvals[ib]) @ q.T - np.diag(ev.fvals[ia]), ev.kind)
-    if num <= ev.floor(a, b):
+    num = _dense_norm((q * fb) @ q.T - np.diag(fa), ev.kind)
+    if num <= _oracle_floor(fa, fb):
         return 0.0
     return num / den
 
@@ -389,6 +397,77 @@ class TestLockstepMatchesOracle:
             res = seminorm_lower_bound(get_function("identity"),
                                        restrict_to_grid((-1, 1), 17), dim, kind, 2, 3)
             assert res.value == 1.0
+
+
+def _wiggle(x):
+    return abs(x) - 0.3 * x * x + 0.1 * math.sin(3.0 * x)
+
+
+class TestScaleInvariance:
+    """What counts as zero is judged relative to the quantity judged, so
+    scaling the grid, or f, by a power of two scales every norm and every
+    floor exactly and leaves every decision of the search unchanged.  Past
+    |k| of about 440 LAPACK rescales the SVD internally, which can move the
+    operator norm by an ulp; the property stops at 400."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fid=st.sampled_from(["abs", "identity"]),
+           interval=st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0)]),
+           count=st.integers(5, 9), k=st.integers(-400, 400), dim=st.integers(1, 5),
+           budget=st.integers(1, 4), seed=st.integers(0, 2**31),
+           kind=st.sampled_from(["operator", "schatten1"]))
+    def test_scaled_grid_scores_the_same(self, fid, interval, count, k, dim, budget,
+                                         seed, kind):
+        f = get_function(fid)
+        grid = restrict_to_grid(interval, count)
+        scaled = FiniteSpectrumSet(grid.points * 2.0 ** k)
+        res = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
+        res_scaled = seminorm_lower_bound(f, scaled, dim, kind, budget, seed)
+        assert res_scaled.value.hex() == res.value.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(j=st.integers(-400, 400), count=st.integers(5, 9), dim=st.integers(1, 5),
+           budget=st.integers(1, 4), seed=st.integers(0, 2**31),
+           kind=st.sampled_from(["operator", "schatten1"]))
+    def test_scaled_function_scores_scaled(self, j, count, dim, budget, seed, kind):
+        f = ScalarFunction("wiggle", (), _wiggle)
+        f_scaled = ScalarFunction("wiggle-scaled", (), lambda x: 2.0 ** j * _wiggle(x))
+        grid = restrict_to_grid((-1.0, 1.0), count)
+        res = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
+        res_scaled = seminorm_lower_bound(f_scaled, grid, dim, kind, budget, seed)
+        assert res_scaled.value.hex() == (2.0 ** j * res.value).hex()
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("kind", ["operator", "schatten1"])
+    def test_identity_on_a_tiny_grid_is_exactly_one(self, dim, kind):
+        grid = FiniteSpectrumSet(np.linspace(-1.0, 1.0, 9) * 2.0 ** -60)
+        res = seminorm_lower_bound(get_function("identity"), grid, dim, kind, 4, 1)
+        assert res.value == 1.0
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_large_constant_is_exactly_zero(self, dim):
+        res = seminorm_lower_bound(get_function("constant", (1e6,)),
+                                   restrict_to_grid((-1, 1), 17), dim, "operator", 4, 1)
+        assert res.value == 0.0
+
+    def test_increment_ratio_of_a_tiny_pair(self, rng):
+        f = get_function("abs")
+        for _ in range(5):
+            a, b = rng.uniform(-1, 1, (2, 4, 4))
+            w = increment_ratio(f, HermitianOperator(a), HermitianOperator(b))
+            tiny = increment_ratio(f, HermitianOperator(a * 2.0 ** -60),
+                                   HermitianOperator(b * 2.0 ** -60))
+            assert (tiny.ratio_s1, tiny.ratio_op) == (w.ratio_s1, w.ratio_op)
+
+    def test_xsin_inv_search_keeps_its_probe_at_delta0_1e_300(self):
+        # the numerator is judged against the f-values near 1e-300, not 1
+        f = get_function("xsin_inv")
+        grid = _block_grid(1e-300 / 2, 1)
+        probe, _ = _scalar_probe(_Evaluator(grid.points, f.values_at(grid.points),
+                                            "schatten1"), 4)
+        res = seminorm_lower_bound(f, grid, 4, "schatten1", 2, _block_seed(0, 1))
+        assert probe > 1e15
+        assert res.value >= probe
 
 
 _PARAMS = {"constant": (1.0,), "poly": (0.5, -1.0, 2.0), "smoothed_abs": (0.05,)}

@@ -239,7 +239,6 @@ class TestDivergenceCheck:
         f, w = _canonical_sqrt_witness(30)
         filled = multiplicity_sequence(f, w)
         report = divergence_check(filled, 30)
-        assert all(level.ok for level in report.levels)
         for level in report.levels:
             assert level.weighted_perturbation < 2.0 ** (1 - level.k)
             assert level.weighted_increment >= 1.0

@@ -6,7 +6,8 @@ helper that only tests call is a second path that the package no longer
 needs.  No module may import a name it does not use (``__init__`` is the
 package's export list, so its imports are exempt).  Each kernel with one
 home is reached only from that home: the SVD, the eigensolver, the QR
-sampler and exact rational arithmetic.  A function takes each matrix's
+sampler and exact rational arithmetic.  The noise-floor rule and the
+eigensolver tolerance have one owner each.  A function takes each matrix's
 singular values once, and files are written through one function.
 """
 
@@ -84,9 +85,11 @@ ONE_PATH = {
     "np.linalg.svd": {"hermitian.singular_values", "search._Evaluator.singular_values"},
     "np.linalg.eigh": {"hermitian.decompose"},
     "np.linalg.qr": {"search.random_orthogonal"},
+    # its definition, and the check that enforces it
+    "_EIG_TOL": {"hermitian", "hermitian.decompose"},
 }
 #: name -> the only module that may use or import it
-ONE_MODULE = {"Fraction": "blocks"}
+ONE_MODULE = {"Fraction": "blocks", "DEGENERATE_REL": "hermitian"}
 
 
 def _dotted(node):
@@ -131,6 +134,13 @@ def test_kernel_called_only_from_its_home(kernel):
 @pytest.mark.parametrize("name", sorted(ONE_MODULE))
 def test_name_used_only_in_its_module(name):
     assert {scope.split(".")[0] for used, scope in USES if used == name} == {ONE_MODULE[name]}
+
+
+def test_subnormal_quantum_written_only_in_hermitian():
+    # every noise floor adds dim**2 * 2**-1022 through hermitian.noise_floor
+    quantum = ast.dump(ast.parse("2.0 ** -1022", mode="eval").body)
+    assert {path for path, tree in MODULES.items() for node in ast.walk(tree)
+            if ast.dump(node) == quantum} == {"hermitian.py"}
 
 
 def test_numpy_reached_by_module_attribute_only():
