@@ -8,16 +8,17 @@ Library layout:
 - ``loewner``: divided differences, Loewner matrices, grids and the
   mixed-basis perturbation identity;
 - ``search``: seeded lower-bound search for the increment-ratio seminorms;
-- ``blocks``: segment refinement, amplification, divergent block families and
-  direct-sum bookkeeping with symbolic multiplicities;
-- ``sequences``: scalar sequence witnesses for jointly diagonal pairs;
+- ``blocks``: ``SumBlock``, the one direct-sum type (a block pair with a
+  symbolic multiplicity; a direct sum is a tuple of them), segment
+  refinement, amplification, divergent block families and partial sums;
+- ``sequences``: scalar sequence witnesses for jointly diagonal pairs, whose
+  levels are 1x1 ``SumBlock``s;
 - ``cli``: the ``specshift`` experiment runner.
 """
 
-from .blocks import (BlockRecord, DirectSumPair, DivergentFamily, SumBlock,
-                     amplify_to_unit, build_divergent_family,
-                     default_delta_schedule, partial_sums, segment_refine,
-                     weighted)
+from .blocks import (BlockRecord, DivergentFamily, SumBlock, amplify_to_unit,
+                     build_divergent_family, default_delta_schedule,
+                     partial_sums, segment_refine, weighted)
 from .catalog import (FunctionMetadata, ScalarFunction, catalog_ids,
                       get_function, lipschitz_seminorm_estimate)
 from .errors import (BadInterval, BadParams, ConfigError, ConvergenceFailure,
@@ -33,9 +34,8 @@ from .loewner import (FiniteSpectrumSet, LoewnerMatrix, divided_difference,
                       loewner_matrix, perturbation_identity_residual,
                       restrict_to_grid)
 from .search import NORM_KINDS, SeminormLowerBound, seminorm_lower_bound
-from .sequences import (DivergenceReport, LevelCheck, NotFound, SequenceWitness,
-                        diagonal_embedding, divergence_check,
-                        make_sequence_witness, multiplicity_sequence,
-                        scalar_ratio_witnesses)
+from .sequences import (NotFound, SequenceWitness, diagonal_embedding,
+                        divergence_check, make_sequence_witness,
+                        multiplicity_sequence, scalar_ratio_witnesses)
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Direct-sum assembly of operator pairs.
 
-A direct sum of N copies of a block pair is never materialised: trace-norm
-quantities are additive over blocks, so each block carries a symbolic integer
-multiplicity and every aggregate is a sum of multiplicity * block quantity.
+A direct sum is a tuple of ``SumBlock``s, each a pair (A, B) with a symbolic
+integer multiplicity N.  It is never materialised: trace-norm quantities are
+additive over blocks, so every aggregate is a sum of N * block quantity.
 ``weighted`` performs that product exactly (integer times the exact rational
 value of the stored float, rounded once), which keeps bookkeeping identities
 bitwise reproducible and safe for huge multiplicities.
@@ -25,7 +25,6 @@ from .search import SeminormLowerBound, seminorm_lower_bound
 
 __all__ = [
     "SumBlock",
-    "DirectSumPair",
     "BlockRecord",
     "DivergentFamily",
     "weighted",
@@ -90,21 +89,6 @@ class SumBlock:
         return weighted(self.multiplicity, self.increment_s1)
 
 
-@dataclass(frozen=True)
-class DirectSumPair:
-    """A list of blocks representing two block-diagonal operators at once."""
-
-    function: ScalarFunction
-    blocks: Tuple[SumBlock, ...]
-
-    def aggregate_increment_s1(self) -> float:
-        return partial_sums(self, len(self.blocks))[1]
-
-    def aggregate_ratio(self) -> float:
-        delta_s1, increment_s1 = partial_sums(self, len(self.blocks))
-        return increment_s1 / delta_s1
-
-
 def _path_point(a: HermitianOperator, diff: np.ndarray, t: float) -> HermitianOperator:
     if t == 0.0:
         return a
@@ -163,7 +147,7 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
 
 
 def amplify_to_unit(f: ScalarFunction, a: HermitianOperator,
-                    b: HermitianOperator) -> DirectSumPair:
+                    b: HermitianOperator) -> SumBlock:
     """Repeat the pair so the aggregate increment lands in [1/2, 1].
 
     Requires 0 < ||f(B)-f(A)||_1 < 1 (refine first if needed).  The
@@ -179,8 +163,7 @@ def amplify_to_unit(f: ScalarFunction, a: HermitianOperator,
     if not 0.0 < increment < 1.0:
         raise PreconditionViolated(
             f"increment must lie in (0, 1), got {increment!r}")
-    block = SumBlock(a, b, floor_reciprocal(increment), delta_s1, increment)
-    return DirectSumPair(f, (block,))
+    return SumBlock(a, b, floor_reciprocal(increment), delta_s1, increment)
 
 
 @dataclass(frozen=True)
@@ -255,12 +238,10 @@ def _block_record(f: ScalarFunction, index: int, delta: float,
     if bound.witness is not None:
         try:
             refined_a, refined_b = segment_refine(f, bound.witness.a, bound.witness.b)
-            amplified = amplify_to_unit(f, refined_a, refined_b)
+            block = amplify_to_unit(f, refined_a, refined_b)
+            achieved = block.weighted_increment_s1 / block.weighted_delta_s1
         except (PreconditionViolated, DegeneratePair, RefinementOverflow):
-            amplified = None
-        if amplified is not None:
-            block = amplified.blocks[0]
-            achieved = amplified.aggregate_ratio()
+            pass
     status = "ok" if block is not None and achieved > target else "failed"
     return BlockRecord(index, delta, target, achieved, block, status)
 
@@ -302,10 +283,9 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
     return DivergentFamily(f, tuple(records), None)
 
 
-def partial_sums(family, upto: int) -> Tuple[float, float]:
+def partial_sums(blocks: Sequence[SumBlock], upto: int) -> Tuple[float, float]:
     """(sum of N_n ||B_n - A_n||_1, sum of N_n ||f(B_n) - f(A_n)||_1) over the
-    first ``upto`` blocks of a DirectSumPair or a DivergentFamily."""
-    blocks = family.blocks
+    first ``upto`` of ``blocks``."""
     if not 0 <= upto <= len(blocks):
         raise IndexError(
             f"upto = {upto} outside [0, {len(blocks)}] available blocks")

@@ -109,8 +109,9 @@ def _check_experiment(cfg: dict, command: str) -> None:
 
 def _get_function(cfg: dict):
     ref = cfg.get("function")
-    if not isinstance(ref, dict) or "id" not in ref:
-        raise ConfigError('config needs "function": {"id": ..., "params": [...]}')
+    if (not isinstance(ref, dict) or not isinstance(ref.get("id"), str)
+            or not isinstance(ref.get("params", []), list)):
+        raise ConfigError('config needs "function": {"id": "...", "params": [...]}')
     try:
         return get_function(ref["id"], ref.get("params", ()))
     except (UnknownFunction, BadParams) as exc:
@@ -227,10 +228,10 @@ def run_divergence(cfg: dict) -> int:
                "increment_s1", "perturbation_partial_sum",
                "increment_partial_sum", "status")
     rows = []
-    ok_blocks = len(family.records)
+    blocks = family.blocks
     for rec in family.all_records:
         # a failed block comes last and adds nothing to the partial sums
-        pert_sum, incr_sum = partial_sums(family, min(rec.index, ok_blocks))
+        pert_sum, incr_sum = partial_sums(blocks, min(rec.index, len(blocks)))
         mult = str(rec.block.multiplicity) if rec.block is not None else "0"
         agg_inc = rec.block.weighted_increment_s1 if rec.block is not None else 0.0
         rows.append((rec.index, _fmt(rec.delta), _fmt(rec.target_ratio),
@@ -262,12 +263,12 @@ def run_commuting(cfg: dict) -> int:
     else:
         witness = multiplicity_sequence(f, outcome)
         witness_doc = sequence_witness_to_json(witness, f.reference(), levels)
-        report = divergence_check(witness, levels)
-        # always true (divergence_check raises first); frozen reports and perfbench read it
-        for level in report.levels:
-            rows.append((level.k, _fmt(level.t), _fmt(level.s), str(level.n),
-                         _fmt(level.weighted_perturbation),
-                         _fmt(level.weighted_increment), _fmt(level.bound), "true"))
+        blocks = divergence_check(witness, levels)
+        # ok: always true (divergence_check raises first); frozen reports read it
+        for k, (t, s, blk) in enumerate(zip(witness.t, witness.s, blocks), start=1):
+            rows.append((k, _fmt(t), _fmt(s), str(blk.multiplicity),
+                         _fmt(blk.weighted_delta_s1), _fmt(blk.weighted_increment_s1),
+                         _fmt(2.0 ** (1 - k)), "true"))
     _write_all([(output, _report_text(columns, rows, fmt)),
                 (_sidecar(output, "_witness.json"), dump_json(witness_doc))])
     return EXIT_OK

@@ -258,7 +258,8 @@ def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
 
     f is normalised to f - f(0) first, so the tails vanish exactly when
     nothing is discarded.  Each tail's singular values give both its trace
-    norm and its numerical rank: the count above 1e-10 * scale * dim.
+    norm and its numerical rank: the count above ``noise_floor`` at scale
+    max(||A||, ||B||) with rel 1e-10.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
@@ -274,9 +275,10 @@ def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
     core = gad - gbd
     total = ga - gb
     residual = total - (tail_a + core - tail_b)
-    scale = operator_scale(a, b)
+    top = max(schatten_norm(a, np.inf), schatten_norm(b, np.inf))
+    scale = max(1.0, top)
     s_a, s_b = singular_values(tail_a), singular_values(tail_b)
-    rank_floor = 1e-10 * scale * a.dim
+    rank_floor = noise_floor(a.dim, top, 1e-10)
     return TraceTransferReport(
         delta=float(delta),
         tail_a_s1=float(s_a.sum()),

@@ -76,7 +76,7 @@ def restrict_to_grid(interval, n: int) -> FiniteSpectrumSet:
 
 def _divided(f: ScalarFunction, x: float, y: float):
     """Divided difference with tie handling; returns (value, used_fallback)."""
-    if abs(x - y) > TIE_EPS * (1.0 + abs(x) + abs(y)):
+    if abs(x - y) > TIE_EPS * (abs(x) + abs(y)):
         return (f(x) - f(y)) / (x - y), False
     d = f.derivative_at(x)
     if d is not None:

@@ -9,8 +9,9 @@ orthonormal basis, so its increment bookkeeping reduces to scalar sequences
 Choosing the multiplicity n_k = floor(1/|f(t_k) - f(s_k)|) + 1 then makes the
 weighted increments sum past any bound (each term is at least 1) while the
 weighted perturbations stay below the geometric majorant 2**(1-k) per level.
-The levels are summed as the 1x1 direct-sum blocks of ``diagonal_embedding``,
-with the multiplicity rule, ladder grid and partial sums of ``blocks``.
+Level k is the 1x1 direct-sum block (t_k) vs (s_k) with multiplicity n_k, a
+``blocks.SumBlock`` from ``diagonal_embedding``; the multiplicity rule, ladder
+grid and partial sums come from ``blocks``.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .blocks import (DirectSumPair, SumBlock, floor_reciprocal, ladder_grid,
-                     partial_sums)
+from .blocks import SumBlock, floor_reciprocal, ladder_grid
 from .catalog import ScalarFunction, max_quotient
 from .errors import DegenerateIncrement, InvariantViolation
 from .hermitian import HermitianOperator
@@ -31,8 +31,6 @@ __all__ = [
     "make_sequence_witness",
     "scalar_ratio_witnesses",
     "multiplicity_sequence",
-    "LevelCheck",
-    "DivergenceReport",
     "divergence_check",
     "diagonal_embedding",
 ]
@@ -158,51 +156,24 @@ def multiplicity_sequence(f: ScalarFunction, witness: SequenceWitness) -> Sequen
                            tuple(mults), witness.decay_constant)
 
 
-@dataclass(frozen=True)
-class LevelCheck:
-    k: int
-    t: float
-    s: float
-    n: int
-    weighted_perturbation: float
-    weighted_increment: float
-    bound: float  # 2**(1-k)
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Per-level checks plus the two partial sums: the perturbation sum stays
-    below sum(2**(1-k)) < 2 while the increment sum is at least the number of
-    levels."""
-
-    levels: Tuple[LevelCheck, ...]
-    perturbation_sum: float
-    increment_sum: float
-
-
-def divergence_check(witness: SequenceWitness, upto: int) -> DivergenceReport:
-    """Verify n_k |t_k - s_k| < 2**(1-k) on each of the first ``upto`` levels,
-    read from the 1x1 blocks of ``diagonal_embedding``, and take both
-    weighted partial sums from ``partial_sums``.
+def divergence_check(witness: SequenceWitness, upto: int) -> Tuple[SumBlock, ...]:
+    """Verify n_k |t_k - s_k| < 2**(1-k) on each of the first ``upto`` levels
+    and return their 1x1 blocks from ``diagonal_embedding``.
 
     The per-level bound is implied by the witness invariants, so its failure
     raises InvariantViolation naming the level.
     """
-    pair = diagonal_embedding(witness, upto)
-    levels = []
-    for k, blk in enumerate(pair.blocks, start=1):
+    blocks = diagonal_embedding(witness, upto)
+    for k, blk in enumerate(blocks, start=1):
         wp = blk.weighted_delta_s1
         bound = 2.0 ** (1 - k)
         if not wp < bound:
             raise InvariantViolation(
                 f"level {k}: n|t-s| = {wp!r} reaches the bound {bound!r}")
-        levels.append(LevelCheck(k, witness.t[k - 1], witness.s[k - 1],
-                                 blk.multiplicity, wp, blk.weighted_increment_s1,
-                                 bound))
-    return DivergenceReport(tuple(levels), *partial_sums(pair, upto))
+    return blocks
 
 
-def diagonal_embedding(witness: SequenceWitness, upto: int) -> DirectSumPair:
+def diagonal_embedding(witness: SequenceWitness, upto: int) -> Tuple[SumBlock, ...]:
     """Realise the first ``upto`` levels as 1x1 blocks (t_k) vs (s_k) with
     multiplicity n_k.  The trace norms of a 1x1 block are |t_k - s_k| and
     |f(t_k) - f(s_k)|, so each block is built from them with no eigensolve."""
@@ -211,8 +182,7 @@ def diagonal_embedding(witness: SequenceWitness, upto: int) -> DirectSumPair:
     if not 0 <= upto <= witness.length:
         raise IndexError(f"upto = {upto} outside [0, {witness.length}]")
     f = witness.function
-    blocks = tuple(
+    return tuple(
         SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
                  abs(t - s), abs(f(t) - f(s)))
         for t, s, n in zip(witness.t[:upto], witness.s[:upto], witness.n))
-    return DirectSumPair(f, blocks)

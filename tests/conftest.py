@@ -45,6 +45,18 @@ def assert_near_exact(q: float, exact: Fraction) -> None:
         assert abs(Fraction(q) - exact) <= tol
 
 
+def assert_same_blocks(got, want) -> None:
+    """Two tuples of SumBlocks agree field by field: multiplicity, both
+    trace norms and both matrices, bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.multiplicity == w.multiplicity
+        assert g.delta_s1 == w.delta_s1
+        assert g.increment_s1 == w.increment_s1
+        assert np.array_equal(g.a.matrix, w.a.matrix)
+        assert np.array_equal(g.b.matrix, w.b.matrix)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

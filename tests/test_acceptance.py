@@ -21,7 +21,7 @@ from specshift import (FiniteSpectrumSet, HermitianOperator, apply_function,
                        trace_transfer_check)
 from specshift.cli import main
 
-from conftest import random_hermitian
+from conftest import assert_same_blocks, random_hermitian
 
 
 def _report(name: str) -> None:
@@ -101,13 +101,13 @@ def test_criterion_4_amplification_contract():
     f = get_function("identity")
     for _ in range(1000):
         inc = float(rng.uniform(1e-6, 1.0 - 1e-12))
-        pair = amplify_to_unit(f, HermitianOperator([[0.0]]),
-                               HermitianOperator([[inc]]))
-        blk = pair.blocks[0]
-        total = pair.aggregate_increment_s1()
+        blk = amplify_to_unit(f, HermitianOperator([[0.0]]),
+                              HermitianOperator([[inc]]))
+        total = blk.weighted_increment_s1
         assert 0.5 <= total <= 1.0
         block_ratio = blk.increment_s1 / blk.delta_s1
-        assert abs(pair.aggregate_ratio() - block_ratio) <= 1e-12
+        aggregate_ratio = blk.weighted_increment_s1 / blk.weighted_delta_s1
+        assert abs(aggregate_ratio - block_ratio) <= 1e-12
     _report("4 amplification contract (1000 increments)")
 
 
@@ -117,7 +117,7 @@ def test_criterion_5_divergent_family_sqrt_abs():
     fam = build_divergent_family(f, default_delta_schedule(10), 10, 4, 11, dim=2)
     assert fam.failure is None
     assert len(fam.records) == 10
-    pert, incr = partial_sums(fam, 10)
+    pert, incr = partial_sums(fam.blocks, 10)
     assert incr >= 5.0
     assert pert <= 1.1
     # exact-rational oracle for the canonical majorant sum(5**(-n/2) + 5**-n):
@@ -158,14 +158,13 @@ def test_criterion_7_sequence_machinery_sqrt_abs():
     levels = 30
     t = [5.0 ** -k for k in range(1, levels + 1)]
     witness = multiplicity_sequence(f, make_sequence_witness(f, t, [0.0] * levels))
-    report = divergence_check(witness, levels)
-    for level in report.levels:
-        assert level.weighted_perturbation < 2.0 ** (1 - level.k)
-    assert report.perturbation_sum < 2.0
-    assert report.increment_sum >= 30.0
-    pert, incr = partial_sums(diagonal_embedding(witness, levels), levels)
-    assert abs(pert - report.perturbation_sum) <= 1e-12
-    assert abs(incr - report.increment_sum) <= 1e-12
+    blocks = divergence_check(witness, levels)
+    for k, blk in enumerate(blocks, start=1):
+        assert blk.weighted_delta_s1 < 2.0 ** (1 - k)
+    pert, incr = partial_sums(blocks, levels)
+    assert pert < 2.0
+    assert incr >= 30.0
+    assert_same_blocks(blocks, diagonal_embedding(witness, levels))
     _report("7 sequence machinery (30 levels, bridge identity)")
 
 

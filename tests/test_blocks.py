@@ -103,11 +103,10 @@ class TestAmplifyToUnit:
         (0.3, 3, 0.9), (0.6, 1, 0.6), (0.49, 2, 0.98)])
     def test_multiplicity_arithmetic(self, increment, expected_n, expected_total):
         f = get_function("identity")
-        pair = amplify_to_unit(f, HermitianOperator([[0.0]]),
-                               HermitianOperator([[increment]]))
-        blk = pair.blocks[0]
+        blk = amplify_to_unit(f, HermitianOperator([[0.0]]),
+                              HermitianOperator([[increment]]))
         assert blk.multiplicity == expected_n
-        assert pair.aggregate_increment_s1() == pytest.approx(expected_total, rel=1e-15)
+        assert blk.weighted_increment_s1 == pytest.approx(expected_total, rel=1e-15)
 
     def test_rejects_increment_at_least_one(self):
         f = get_function("identity")
@@ -123,9 +122,9 @@ class TestAmplifyToUnit:
         f = get_function("identity")
         for _ in range(300):
             inc = float(rng.uniform(1e-6, 1.0 - 1e-9))
-            pair = amplify_to_unit(f, HermitianOperator([[0.0]]),
-                                   HermitianOperator([[inc]]))
-            total = pair.aggregate_increment_s1()
+            blk = amplify_to_unit(f, HermitianOperator([[0.0]]),
+                                  HermitianOperator([[inc]]))
+            total = blk.weighted_increment_s1
             assert 0.5 <= total <= 1.0
 
     def test_ratio_invariance_under_multiplicity(self, rng):
@@ -135,10 +134,10 @@ class TestAmplifyToUnit:
             b = random_hermitian(rng, 3, scale=0.4)
             if not 0.0 < _increment(f, a, b) < 1.0:
                 continue
-            pair = amplify_to_unit(f, a, b)
-            blk = pair.blocks[0]
+            blk = amplify_to_unit(f, a, b)
             block_ratio = blk.increment_s1 / blk.delta_s1
-            assert pair.aggregate_ratio() == pytest.approx(block_ratio, abs=1e-12)
+            aggregate_ratio = blk.weighted_increment_s1 / blk.weighted_delta_s1
+            assert aggregate_ratio == pytest.approx(block_ratio, abs=1e-12)
 
 
 class TestWeighted:
@@ -356,32 +355,30 @@ class TestPartialSums:
     def test_empty_prefix(self):
         fam = build_divergent_family(get_function("sqrt_abs"),
                                      default_delta_schedule(2), 2, 2, 3)
-        assert partial_sums(fam, 0) == (0.0, 0.0)
+        assert partial_sums(fam.blocks, 0) == (0.0, 0.0)
 
     def test_rejects_out_of_range(self):
         fam = build_divergent_family(get_function("sqrt_abs"),
                                      default_delta_schedule(2), 2, 2, 3)
         with pytest.raises(IndexError):
-            partial_sums(fam, 3)
+            partial_sums(fam.blocks, 3)
 
     def test_single_block_bookkeeping(self):
         f = get_function("sqrt_abs")
         # increment sqrt(0.81) = 0.9, perturbation 0.81, multiplicity 1
-        pair = amplify_to_unit(f, HermitianOperator([[0.0]]),
-                               HermitianOperator([[0.81]]))
-        ps, is_ = partial_sums(pair, 1)
+        blk = amplify_to_unit(f, HermitianOperator([[0.0]]),
+                              HermitianOperator([[0.81]]))
+        ps, is_ = partial_sums((blk,), 1)
         assert is_ == pytest.approx(0.9, rel=1e-15)
         assert ps == pytest.approx(0.81, rel=1e-15)
 
     def test_multiplicity_bookkeeping(self):
         # one block repeated 81 times: t = 0.01/81 gives aggregate
         # perturbation 0.01 and aggregate increment sqrt(t) * 81 = 0.9
-        from specshift import DirectSumPair
-        f = get_function("sqrt_abs")
         t = 0.01 / 81.0
         blk = SumBlock(HermitianOperator([[0.0]]),
                        HermitianOperator([[t]]), 81, t, math.sqrt(t))
-        ps, is_ = partial_sums(DirectSumPair(f, (blk,)), 1)
+        ps, is_ = partial_sums((blk,), 1)
         assert ps == pytest.approx(0.01, rel=1e-12)
         assert is_ == pytest.approx(0.9, rel=1e-12)
 
@@ -389,7 +386,7 @@ class TestPartialSums:
         count = 8
         fam = build_divergent_family(get_function("sqrt_abs"),
                                      default_delta_schedule(count), count, 3, 11)
-        ps, is_ = partial_sums(fam, count)
+        ps, is_ = partial_sums(fam.blocks, count)
         assert is_ >= count / 2
         # every successful block has N * ||B-A||_1 <= 1/ratio < 2**-n, so the
         # perturbation sum is below the geometric series, and in particular
@@ -407,6 +404,6 @@ class TestPartialSums:
         count = 6
         fam = build_divergent_family(get_function("sqrt_abs"),
                                      default_delta_schedule(count), count, 3, 11)
-        sums = [partial_sums(fam, k)[1] for k in range(count + 1)]
+        sums = [partial_sums(fam.blocks, k)[1] for k in range(count + 1)]
         for k in range(1, count + 1):
             assert sums[k] - sums[k - 1] >= 0.5 - 1e-9

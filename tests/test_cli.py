@@ -147,6 +147,22 @@ class TestRatioSearchCommand:
         assert "config error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("ref", [{"id": "constant", "params": "5"},
+                                     {"id": "poly", "params": {"1": 2}},
+                                     {"id": ["abs"]}, {"id": 5}],
+                             ids=["params_string", "params_object", "id_list", "id_number"])
+    def test_malformed_function_exits_2(self, tmp_path, capsys, ref, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "seminorm_lower_bound", no_search)
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": ref, "dims": [1], "grid": {"interval": [-1, 1], "count": 5},
+            "budget": 1, "seed": 0, "output": str(tmp_path / "report.csv")})
+        assert main(["ratio-search", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xff\xfe")

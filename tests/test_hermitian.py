@@ -303,6 +303,23 @@ class TestTraceTransfer:
             assert rep.tail_b_rank <= rep.discarded_rank_b
             assert rep.within_tolerance
 
+    @pytest.mark.parametrize("k", [30, 60])
+    def test_tail_ranks_are_scale_invariant(self, k):
+        # abs is positively homogeneous: scaling A, B and delta by s scales
+        # every tail by s, so its numerical rank must not change
+        f, s = get_function("abs"), 2.0 ** -k
+        rng = np.random.default_rng(20261018)
+        for _ in range(5):
+            a = random_hermitian(rng, 4)
+            b = random_hermitian(rng, 4)
+            plain = trace_transfer_check(f, 0.5, a, b)
+            scaled = trace_transfer_check(f, 0.5 * s, HermitianOperator(s * a.matrix),
+                                          HermitianOperator(s * b.matrix))
+            assert (scaled.tail_a_rank, scaled.tail_b_rank) == \
+                (plain.tail_a_rank, plain.tail_b_rank)
+            assert (scaled.discarded_rank_a, scaled.discarded_rank_b) == \
+                (plain.discarded_rank_a, plain.discarded_rank_b)
+
     def test_shift_invariance(self, rng):
         # functions differing by a constant produce identical reports
         a = random_hermitian(rng, 4)
@@ -355,12 +372,12 @@ class TestOneSpectrumPerMatrix:
         a, b = _pair(seed, dim, complex_entries, scale=1.5)
         rep = trace_transfer_check(f, delta, a, b)
         g = f.shifted(f(0.0))
-        scale = operator_scale(a, b)
+        top = max(schatten_norm(a, np.inf), schatten_norm(b, np.inf))
         for op, tail_s1, tail_rank in ((a, rep.tail_a_s1, rep.tail_a_rank),
                                        (b, rep.tail_b_s1, rep.tail_b_rank)):
             truncated, _ = spectral_truncation(op, delta)
             tail = apply_function(g, op).matrix - apply_function(g, truncated).matrix
-            floor = 1e-10 * max(1.0, scale) * tail.shape[0]
+            floor = 1e-10 * dim * top + dim * dim * 2.0 ** -1022
             assert tail_s1 == schatten_norm(tail, 1)
             assert tail_rank == int(np.count_nonzero(singular_values(tail) > floor))
 

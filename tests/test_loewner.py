@@ -25,6 +25,14 @@ class TestDividedDifference:
     def test_abs_antipodal(self):
         assert divided_difference(get_function("abs"), 1.0, -1.0) == 0.0
 
+    def test_ties_are_relative_below_scale_one(self):
+        # points 2e-10 apart across the kink are no tie: abs is even, so the
+        # quotient is exactly 0
+        assert divided_difference(get_function("abs"), -1e-10, 1e-10) == 0.0
+        # (1 - 2) / (1 - 4) * 1e6 = 1e6 / 3
+        assert divided_difference(get_function("sqrt_abs"), 1e-12, 4e-12) == \
+            pytest.approx(1e6 / 3, rel=1e-12)
+
     def test_abs_tie_at_kink_falls_back(self):
         # no derivative at 0: the symmetric central difference of abs is 0
         assert divided_difference(get_function("abs"), 0.0, 0.0) == 0.0
@@ -134,6 +142,19 @@ class TestPerturbationIdentity:
                 series = _taylor_sin(op.matrix)
                 assert np.abs(apply_function(f, op).matrix - series).max() <= 1e-12
             assert perturbation_identity_residual(f, a, b) <= 1e-8
+
+    @pytest.mark.parametrize("k", [0, 30, 60])
+    def test_abs_residual_is_scale_covariant(self, k):
+        # abs is positively homogeneous, so the identity holds at every scale
+        # with a residual proportional to it
+        rng = np.random.default_rng(20261018)
+        f, s = get_function("abs"), 2.0 ** -k
+        for _ in range(5):
+            a = random_hermitian(rng, 4)
+            b = random_hermitian(rng, 4)
+            scaled = perturbation_identity_residual(
+                f, HermitianOperator(s * a.matrix), HermitianOperator(s * b.matrix))
+            assert scaled / s <= 1e-12
 
     def test_catalog_smooth_functions(self, rng):
         fns = [get_function("poly", (1.0, -2.0, 0.0, 3.0, 0.5)),

@@ -15,7 +15,7 @@ from specshift import (DegenerateIncrement, InvariantViolation, NotFound,
                        scalar_ratio_witnesses)
 from specshift.sequences import _best_level_pair
 
-from conftest import assert_near_exact, exact_quotient_maxima
+from conftest import assert_near_exact, assert_same_blocks, exact_quotient_maxima
 
 
 def _canonical_sqrt_witness(levels):
@@ -238,29 +238,31 @@ class TestDivergenceCheck:
     def test_canonical_witness_30_levels(self):
         f, w = _canonical_sqrt_witness(30)
         filled = multiplicity_sequence(f, w)
-        report = divergence_check(filled, 30)
-        for level in report.levels:
-            assert level.weighted_perturbation < 2.0 ** (1 - level.k)
-            assert level.weighted_increment >= 1.0
-        assert report.perturbation_sum < 2.0
-        assert report.increment_sum >= 30.0
+        blocks = divergence_check(filled, 30)
+        levels = list(zip(filled.t, filled.s, blocks))
+        for k, (_, _, blk) in enumerate(levels, start=1):
+            assert blk.weighted_delta_s1 < 2.0 ** (1 - k)
+            assert blk.weighted_increment_s1 >= 1.0
+        perturbation_sum, increment_sum = partial_sums(blocks, 30)
+        assert perturbation_sum < 2.0
+        assert increment_sum >= 30.0
         # exact-rational oracle over the stored floats
         rational_pert = sum(
-            (Fraction(level.n) * Fraction(abs(level.t - level.s))
-             for level in report.levels), Fraction(0))
+            (Fraction(blk.multiplicity) * Fraction(abs(t - s))
+             for t, s, blk in levels), Fraction(0))
         assert rational_pert < 2
         rational_incr = sum(
-            (Fraction(level.n) * Fraction(abs(f(level.t) - f(level.s)))
-             for level in report.levels), Fraction(0))
+            (Fraction(blk.multiplicity) * Fraction(abs(f(t) - f(s)))
+             for t, s, blk in levels), Fraction(0))
         assert rational_incr >= 30
-        assert report.perturbation_sum == pytest.approx(float(rational_pert), rel=1e-12)
+        assert perturbation_sum == pytest.approx(float(rational_pert), rel=1e-12)
 
     def test_zero_levels(self):
         f, w = _canonical_sqrt_witness(5)
         filled = multiplicity_sequence(f, w)
-        report = divergence_check(filled, 0)
-        assert report.perturbation_sum == 0.0
-        assert report.increment_sum == 0.0
+        perturbation_sum, increment_sum = partial_sums(divergence_check(filled, 0), 0)
+        assert perturbation_sum == 0.0
+        assert increment_sum == 0.0
 
     def test_hand_built_unit_products(self):
         # t_k = 4**-(k+1) with sqrt_abs: |df| = 2**-(k+1), quotient 2**(k+1),
@@ -271,10 +273,10 @@ class TestDivergenceCheck:
         s = [0.0] * levels
         n = [2 ** (k + 1) for k in range(1, levels + 1)]
         w = make_sequence_witness(f, t, s, n)
-        report = divergence_check(w, levels)
-        for level in report.levels:
-            assert level.weighted_increment == 1.0
-        assert report.increment_sum == float(levels)
+        blocks = divergence_check(w, levels)
+        for blk in blocks:
+            assert blk.weighted_increment_s1 == 1.0
+        assert partial_sums(blocks, levels)[1] == float(levels)
 
     def test_requires_multiplicities(self):
         f, w = _canonical_sqrt_witness(3)
@@ -293,25 +295,20 @@ class TestDiagonalEmbedding:
     def test_single_level_bookkeeping(self):
         f = get_function("identity")
         w = SequenceWitness(f, (0.2,), (0.0,), (3,), 1.0)
-        pair = diagonal_embedding(w, 1)
-        ps, is_ = partial_sums(pair, 1)
+        ps, is_ = partial_sums(diagonal_embedding(w, 1), 1)
         assert ps == pytest.approx(0.6, rel=1e-15)
         assert is_ == pytest.approx(0.6, rel=1e-15)
 
     def test_identity_aggregate_ratio_one(self):
         f = get_function("identity")
         w = SequenceWitness(f, (0.2, 0.1), (0.0, 0.0), (2, 5), 1.0)
-        pair = diagonal_embedding(w, 2)
-        assert pair.aggregate_ratio() == pytest.approx(1.0, rel=1e-15)
+        ps, is_ = partial_sums(diagonal_embedding(w, 2), 2)
+        assert is_ / ps == pytest.approx(1.0, rel=1e-15)
 
     def test_bridge_identity_exact(self):
         f, w = _canonical_sqrt_witness(30)
         filled = multiplicity_sequence(f, w)
-        report = divergence_check(filled, 30)
-        pair = diagonal_embedding(filled, 30)
-        ps, is_ = partial_sums(pair, 30)
-        assert ps == report.perturbation_sum
-        assert is_ == report.increment_sum
+        assert_same_blocks(divergence_check(filled, 30), diagonal_embedding(filled, 30))
 
     def test_requires_multiplicities(self):
         f, w = _canonical_sqrt_witness(2)
