@@ -233,6 +233,8 @@ def get_function(fid: str, params=()) -> ScalarFunction:
     except KeyError:
         raise UnknownFunction(
             f"unknown function id {fid!r}; known: {', '.join(catalog_ids())}") from None
+    if any(isinstance(p, (bool, np.bool_)) for p in params):
+        raise BadParams(f"parameters for {fid!r} must be real numbers, got {params!r}")
     try:
         clean = tuple(float(p) for p in params)
     except (TypeError, ValueError, OverflowError) as exc:

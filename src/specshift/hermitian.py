@@ -79,13 +79,15 @@ class HermitianOperator:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues in ascending order, a unitary matrix of column
-    eigenvectors, and the max-entry reconstruction residual
-    |U diag(lambda) U* - A| with the tolerance ``decompose`` held it to."""
+    eigenvectors, the max-entry reconstruction residual
+    |U diag(lambda) U* - A| with the tolerance ``decompose`` held it to, and
+    the max-entry orthonormality residual |U* U - I| (held to 1e-10)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     reconstruction_residual: float
     reconstruction_tolerance: float
+    orthonormality_residual: float
 
 
 def operator_scale(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -96,9 +98,9 @@ def operator_scale(a: HermitianOperator, b: HermitianOperator) -> float:
 def decompose(a: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition A = U diag(lambda) U* with verified accuracy.
 
-    Raises ConvergenceFailure if the reconstruction or orthonormality
-    residual exceeds 1e-10 relative to max(1, max-entry of A).  The
-    reconstruction residual and its tolerance are returned with it.
+    Raises ConvergenceFailure if the orthonormality residual exceeds 1e-10
+    or the reconstruction residual 1e-10 relative to max(1, max-entry of A).
+    Both residuals, and the reconstruction tolerance, are returned with it.
     """
     m = a.matrix
     try:
@@ -117,7 +119,7 @@ def decompose(a: HermitianOperator) -> SpectralDecomposition:
         w, u = w[order], u[:, order]
     w.setflags(write=False)
     u.setflags(write=False)
-    return SpectralDecomposition(w, u, float(recon), float(tol))
+    return SpectralDecomposition(w, u, float(recon), float(tol), float(ortho))
 
 
 def noise_floor(dim: int, scale, rel: float = DEGENERATE_REL):

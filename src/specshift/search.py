@@ -19,8 +19,8 @@ Search phases, in deterministic order:
      can never win and is not ascended.  The kept restarts refine Q by
      per-angle coordinate ascent (a coarse scan plus golden-section line
      search) in one lockstep batch: every step scores one candidate of each
-     of them with a single stacked SVD, in one thread.  When every restart
-     is ruled out no ascent runs.
+     of them with a single stacked ``eigvalsh`` in the frame of its current
+     rotation, in one thread.  When every restart is ruled out no ascent runs.
 
 The incumbent is the best value with the earliest phase index, so the result
 is deterministic given (seed, budget), independent of evaluation order, and
@@ -28,8 +28,8 @@ nondecreasing in budget.  Candidate ratios reuse the construction
 decomposition of B (no fresh eigensolve), which keeps trivial identities
 exact: the identity function scores 1.0 bit for bit.  The winner's two
 ratios (operator and Schatten-1) are rescored by the kernel that scored it:
-the probe's single-entry quotient, or the evaluator's stacked SVD for a
-rotated candidate, so the reported value equals the searched one.
+the probe's single-entry quotient, or ``_norms`` on a restart's final frame,
+so the reported value equals the searched one.
 """
 from __future__ import annotations
 
@@ -107,31 +107,48 @@ class _Evaluator:
         floor = noise_floor(ia.shape[1], _magnitudes(spec, diag))
         return _Lanes(spec, diag, floor[..., None])
 
-    @staticmethod
-    def singular_values(lanes: _Lanes, qs: np.ndarray) -> np.ndarray:
-        """Singular values of Q diag(b_l) Q^T - diag(a_l) and of
-        Q diag(f(b_l)) Q^T - diag(f(a_l)) for each Q in the (L, k, n, n)
-        stack ``qs``, as a (2, L, k, n) array: the dense norm kernel."""
-        m = (qs * lanes.spec[:, :, None, None, :]) @ qs.swapaxes(-1, -2)
-        d = np.arange(qs.shape[-1])
-        m[..., d, d] -= lanes.diag[:, :, None, :]
-        return np.linalg.svd(m, compute_uv=False)
-
-    def rotated(self, lanes: _Lanes, qs: np.ndarray) -> np.ndarray:
-        """Ratios of the pairs diag(a_l), Q diag(b_l) Q^T for each Q in the
-        (L, k, n, n) stack ``qs``; returns an (L, k) array.
-
-        Denominator and numerator matrices of every candidate go through one
-        stacked SVD.  Each slice runs the same matmul and SVD kernels as a
-        single candidate would, so the ratios are bit-identical to scoring
-        the candidates one at a time.
-        """
-        self.count += qs.shape[0] * qs.shape[1]
-        s = self.singular_values(lanes, qs)
-        den, num = s.sum(axis=-1) if self.kind == "schatten1" else s[..., 0]
+    def ratios(self, lanes: _Lanes, m: np.ndarray) -> np.ndarray:
+        """(L, k) ratios of the (2, L, k, n, n) stack ``m`` of denominator
+        and numerator matrices; counts nothing."""
+        s1, op = _norms(m)
+        den, num = s1 if self.kind == "schatten1" else op
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den <= lanes.floor[0], -np.inf,
                             np.where(num <= lanes.floor[1], 0.0, num / den))
+
+    def turned(self, lanes: _Lanes, frames: np.ndarray, i: int, j: int,
+               thetas: np.ndarray) -> np.ndarray:
+        """Ratios of each lane's frame turned by the (i, j) Givens rotation G
+        by each angle of the (L, k) array ``thetas``.  G diag(b) G^T adds
+        -s^2 D at (i, i), s^2 D at (j, j) and cs D at (i, j) and (j, i), with
+        D = b_i - b_j: each candidate patches its own copy of the frame, so it
+        scores bit for bit as it would alone."""
+        self.count += thetas.size
+        c, s = _cos_sin(thetas)
+        gap = (lanes.spec[..., i] - lanes.spec[..., j])[..., None]
+        ss, cs = s * s * gap, c * s * gap
+        m = np.repeat(frames[:, :, None], thetas.shape[1], axis=2)
+        m[..., i, i] -= ss
+        m[..., j, j] += ss
+        m[..., i, j] += cs
+        m[..., j, i] += cs
+        return self.ratios(lanes, m)
+
+
+def _frames(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
+    """(2, L, n, n) stack of diag(b) - Q^T diag(a) Q and its f-valued twin for
+    each lane and its Q in ``q``: orthogonally similar to the candidate."""
+    m = -(q.swapaxes(-1, -2) * lanes.diag[..., None, :]) @ q
+    d = np.arange(q.shape[-1])
+    m[..., d, d] += lanes.spec
+    return m
+
+
+def _norms(m: np.ndarray):
+    """Schatten-1 and operator norms of each symmetric matrix of the stack
+    ``m`` (lower triangles read): the sum and the max of |eigenvalues|."""
+    lam = np.abs(np.linalg.eigvalsh(m))
+    return lam.sum(axis=-1), lam.max(axis=-1)
 
 
 def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
@@ -143,8 +160,8 @@ def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
     sort(b)| by Lidskii-Mirsky (Weyl: the max); +inf where the slack
     swallows it.  The slack, ``noise_floor`` at rel 1e-9 per side, covers
     the rounding of a scored norm: while the arithmetic stays normal that
-    is O(n^3 eps max|entries|) (Q's drift, matmuls, SVD: 5e-13 max|entries|
-    at n = 16), which 1e-9 * n * max|entries| dwarfs at any scale."""
+    is O(n^3 eps max|entries|) (Q's drift, frame, eigvalsh: 5.4e-15
+    max|entries| measured at n = 16), which 1e-9 * n * max|entries| dwarfs."""
     n = lanes.spec.shape[-1]
     gap = np.abs(np.sort(lanes.spec[0], axis=-1) - np.sort(lanes.diag[0], axis=-1))
     fv = np.sort(np.concatenate([lanes.spec[1], lanes.diag[1]], axis=-1), axis=-1)
@@ -158,13 +175,16 @@ def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
         return np.where(den > 0, (num + slack[1]) / den, np.inf)
 
 
-def _givens(dim: int, i: int, j: int, thetas) -> np.ndarray:
+def _cos_sin(thetas: np.ndarray):
+    """math.cos/sin of each angle (np.cos/sin need not round the same way)."""
+    return tuple(np.fromiter(map(f, thetas.flat), float, thetas.size).reshape(thetas.shape)
+                 for f in (math.cos, math.sin))
+
+
+def _givens(dim: int, i: int, j: int, thetas: np.ndarray) -> np.ndarray:
     """Rotations in the (i, j) plane, one per angle: shape (*thetas.shape, dim, dim)."""
-    thetas = np.asarray(thetas, dtype=float)
     g = np.broadcast_to(np.eye(dim), thetas.shape + (dim, dim)).copy()
-    # math.cos/sin rather than np.cos/sin, which need not round the same way
-    c = np.array([math.cos(t) for t in thetas.flat]).reshape(thetas.shape)
-    s = np.array([math.sin(t) for t in thetas.flat]).reshape(thetas.shape)
+    c, s = _cos_sin(thetas)
     g[..., i, i] = c
     g[..., j, j] = c
     g[..., i, j] = -s
@@ -205,20 +225,22 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
     Every lane makes the same sequence of evaluations (one start, then per
     coordinate an 8-angle coarse scan and a golden-section search), so each
     step scores one candidate per lane per angle with a single stacked
-    evaluation.  The objective is pi-periodic in each angle (a sign flip of
-    two columns leaves Q diag(b) Q^T unchanged), so [-pi/2, pi/2] covers each
-    coordinate.  Returns the per-lane best values and final rotations.
+    evaluation in the lanes' frames, rebuilt only on an accepted move.  The
+    objective is pi-periodic in each angle (a sign flip of two columns leaves
+    Q diag(b) Q^T unchanged), so [-pi/2, pi/2] covers each coordinate.
+    Returns the final frames' uncounted scores, as the witness rescores
+    them, and the final rotations.
     """
     dim = q.shape[-1]
-    best = ev.rotated(lanes, q[:, None])[:, 0]
-    if dim == 1:
-        return best.tolist(), q
+    frames = _frames(lanes, q)
+    ev.count += len(q)
+    best = ev.ratios(lanes, frames[:, :, None])[:, 0]
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
     window = math.pi / 8
     for i in range(dim - 1):
         for j in range(i + 1, dim):
             def g(thetas):
-                return ev.rotated(lanes, q[:, None] @ _givens(dim, i, j, thetas))
+                return ev.turned(lanes, frames, i, j, thetas)
 
             coarse_vals = g(np.tile(coarse, (len(q), 1)))
             k = np.argmax(coarse_vals, axis=1)
@@ -230,8 +252,9 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
             better = val > best
             if better.any():
                 q[better] = q[better] @ _givens(dim, i, j, theta[better])
+                frames = _frames(lanes, q)
             best = np.where(better, val, best)
-    return best.tolist(), q
+    return ev.ratios(lanes, frames[:, :, None])[:, 0].tolist(), q
 
 
 def _scalar_probe(ev: _Evaluator, dim: int):
@@ -284,8 +307,8 @@ def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
         num_s1 = num_op = abs(float(ev.fvals[ib[0]] - ev.fvals[ia[0]]))
     else:
         b_mat = (q * b) @ q.T
-        s = ev.singular_values(lanes, q[None, None])[:, 0, 0]
-        (den_s1, num_s1), (den_op, num_op) = s.sum(axis=-1).tolist(), s[:, 0].tolist()
+        s1, op = _norms(_frames(lanes, q[None]))
+        (den_s1, num_s1), (den_op, num_op) = s1[:, 0].tolist(), op[:, 0].tolist()
     floor = float(lanes.floor[1, 0, 0])
     return RatioWitness(
         a=HermitianOperator(np.diag(a)),

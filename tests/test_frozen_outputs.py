@@ -169,13 +169,13 @@ EXPECTED = {
     },
     "ratio-search-smoothed_abs": {
         "report.csv":
-            "1f2b37e139386bda25a2287eca4d3634eb81e2b29c4174d5cdd859bb9479827a",
+            "6ee652fed0450609dfa2abbdc1e23e65c696e3260667ba85ad24c2147c7559f6",
         "report_dim2_operator.json":
             "604e696aa0154a9dbf2b47a8e907badb89cd0db86ba3105f73957bcc13990306",
         "report_dim2_schatten1.json":
             "32a4ed5862465997aed99f2d72e8bee8bb976605201e645ec9b900124c4a75c1",
         "report_dim4_operator.json":
-            "4ffe5e63fd71f1e409469db99292f0efaaf6ab81c02a0260dfa0cf34c2f5ba1e",
+            "542bc5b61d5a07b838f6e99786808a28e185bfede8fa9d4f1d9af53bdddd8b0d",
         "report_dim4_schatten1.json":
             "d7aa44c79e2a5acf1c8d336dfba08e2c1e4808ab68b365f88d0809b4bc2a2c16",
     },

@@ -391,3 +391,5 @@ class TestOneSpectrumPerMatrix:
         recon = np.abs((dec.eigenvectors * dec.eigenvalues)
                        @ dec.eigenvectors.conj().T - op.matrix).max()
         assert dec.reconstruction_residual == float(recon)
+        ortho = np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(dim)).max()
+        assert dec.orthonormality_residual == float(ortho) <= 1e-10

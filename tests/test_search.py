@@ -11,13 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specshift import (DomainError, FiniteSpectrumSet, HermitianOperator,
-                       ScalarFunction, catalog_ids, get_function, increment_ratio,
-                       lipschitz_seminorm_estimate, restrict_to_grid, search,
-                       seminorm_lower_bound)
+                       ScalarFunction, apply_function, catalog_ids, get_function,
+                       increment_ratio, lipschitz_seminorm_estimate, restrict_to_grid,
+                       search, seminorm_lower_bound, singular_values)
 from specshift.blocks import (_block_grid, _block_seed, build_divergent_family,
                               default_delta_schedule)
-from specshift.search import (_GOLDEN, _ascent, _Evaluator, _lane_bounds,
-                              _restart_start, _scalar_probe,
+from specshift.search import (_GOLDEN, _ascent, _Evaluator, _frames, _lane_bounds,
+                              _norms, _restart_start, _scalar_probe,
                               _witness_from_candidate, random_orthogonal)
 
 
@@ -72,8 +72,76 @@ def test_scalar_floor_always_probed(rng):
         f = get_function(fid, params)
         floor = max(abs(f(y) - f(x)) / abs(y - x)
                     for x, y in itertools.combinations(pts, 2))
+        probe, _ = _scalar_probe(_Evaluator(pts, f.values_at(pts), "schatten1"), 3)
         res = seminorm_lower_bound(f, grid, 3, "schatten1", 2, 9)
-        assert res.value >= floor - 1e-12
+        assert res.value >= probe >= floor - 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(fid=st.sampled_from(catalog_ids()),
+       interval=st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (-3.0, 0.25)]),
+       count=st.integers(2, 17), dim=st.integers(1, 6), budget=st.integers(1, 4),
+       seed=st.integers(0, 2**31), kind=st.sampled_from(["operator", "schatten1"]))
+def test_search_never_reports_below_its_probe(fid, interval, count, dim, budget, seed, kind):
+    # a restart replaces the probe only when its final frame's score, the
+    # value its witness reports, is strictly above the probe
+    f = get_function(fid, _PARAMS.get(fid, ()))
+    grid = restrict_to_grid(interval, count)
+    probe, _ = _scalar_probe(_Evaluator(grid.points, f.values_at(grid.points), kind), dim)
+    res = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
+    assert res.value >= probe
+
+
+def _quotient_conditioning(f, a, b):
+    """For the Schatten-1 and operator ratios of (A, B): max|entries| / norm
+    of B - A plus the same for f(B) - f(A).  Roundings of relative size eps
+    in the entries move a ratio by up to about eps times this, in any
+    basis."""
+    cond = np.zeros(2)
+    for x, y in ((a.matrix, b.matrix),
+                 (apply_function(f, a).matrix, apply_function(f, b).matrix)):
+        s = singular_values(y - x)
+        with np.errstate(divide="ignore"):
+            cond += max(np.abs(x).max(), np.abs(y).max()) / np.array([s.sum(), s[0]])
+    return cond
+
+
+class TestFrameKernelAccuracy:
+    """The frame kernel's ratios agree with ``increment_ratio``, which
+    rebuilds f(B) from a fresh eigensolve of B in the original basis, to
+    1e-12 relative, on the search's witness and on each ascended restart's
+    final candidate.  Where a norm is small against the entries both sides
+    lose digits to cancellation, so the tolerance grows with
+    ``_quotient_conditioning`` (measured errors stay below 1e-14 of it).
+    sqrt_abs is left out: it is not Lipschitz at 0, a grid point here, so
+    the fresh eigensolve's O(eps) error in an eigenvalue 0 becomes an
+    O(sqrt(eps)) error in f."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fid=st.sampled_from([fid for fid in catalog_ids() if fid != "sqrt_abs"]),
+           interval=st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (-3.0, 0.25)]),
+           count=st.integers(2, 17), dim=st.integers(1, 8),
+           seed=st.integers(0, 2**31), kind=st.sampled_from(["operator", "schatten1"]))
+    def test_ratios_match_a_fresh_eigensolve(self, fid, interval, count, dim, seed, kind):
+        f = get_function(fid, _PARAMS.get(fid, ()))
+        grid = restrict_to_grid(interval, count)
+        res = seminorm_lower_bound(f, grid, dim, kind, 2, seed)
+        witnesses = [(res.value, res.witness)]
+        ev = _Evaluator(grid.points, f.values_at(grid.points), kind)
+        starts = [_restart_start(count, dim, seed, r) for r in range(2)]
+        values, qs = _ascent(ev, ev.lanes(starts), np.stack([c[2] for c in starts]))
+        witnesses += [(value, _witness_from_candidate(f, ev, ia, ib, q))
+                      for (ia, ib, _), value, q in zip(starts, values, qs)]
+        for value, w in witnesses:
+            # a floored numerator scores an exact 0.0 and a floored
+            # denominator -inf: neither is a ratio to compare
+            if value > 0:
+                assert value == (w.ratio_s1 if kind == "schatten1" else w.ratio_op)
+                fresh = increment_ratio(f, w.a, w.b)
+                cond = _quotient_conditioning(f, w.a, w.b)
+                for got, want, c in ((w.ratio_s1, fresh.ratio_s1, cond[0]),
+                                     (w.ratio_op, fresh.ratio_op, cond[1])):
+                    assert abs(got - want) <= 1e-12 * max(1.0, c) * want
 
 
 def test_budget_monotonicity_fixed_seed():
@@ -173,7 +241,7 @@ class TestFrozenWitnesses:
                           "e4a4874ef08347adcf673e3a0e5ff38c174b3755702ac2306c6f0693ed8d2e8c"),
         (2, "schatten1"): ("0x1.0000000000000p+0", 252,
                            "e4a4874ef08347adcf673e3a0e5ff38c174b3755702ac2306c6f0693ed8d2e8c"),
-        (4, "operator"): ("0x1.00005078bbd9bp+0", 812,
+        (4, "operator"): ("0x1.00005078bbd9dp+0", 812,
                           "4c4e370eb8d2007bb23805dba61d5f498df40b739dcaf4468c31208c0a72ad46"),
         (4, "schatten1"): ("0x1.0000000000000p+0", 812,
                            "a314770e5b180cc7bb9a2882fd246bcc053d4e92f8bf273451ef818743458f22"),
@@ -216,13 +284,14 @@ class TestFrozenWitnesses:
             "e29eb53aadcd0d2303b8cda8dc27626a43452c8ffae39f59de980dae72d67d36")
 
 
-# One-candidate-at-a-time reference: every candidate gets its own matmuls
-# and SVDs and every ascent runs alone.  The lockstep search must match it
+# One-candidate-at-a-time reference: every candidate patches its own copy
+# of its restart's frame diag(b) - Q^T diag(a) Q, gets its own eigenvalue
+# solves, and every ascent runs alone.  The lockstep search must match it
 # bit for bit.
 
 def _dense_norm(m, kind):
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s.sum()) if kind == "schatten1" else float(s[0])
+    lam = np.abs(np.linalg.eigvalsh(m))
+    return float(lam.sum()) if kind == "schatten1" else float(lam.max())
 
 
 def _oracle_floor(x, y):
@@ -232,17 +301,43 @@ def _oracle_floor(x, y):
     return 1e-14 * n * max(np.abs(x).max(), np.abs(y).max()) + n * n * 2.0 ** -1022
 
 
-def _oracle_rotated(ev, ia, ib, q):
-    ev.count += 1
+def _oracle_frame(ev, ia, ib, q):
+    """diag(b) - Q^T diag(a) Q and diag(f(b)) - Q^T diag(f(a)) Q."""
+    frame = []
+    for x in (ev.pts, ev.fvals):
+        m = -(q.T * x[ia]) @ q
+        m[np.diag_indices(ia.size)] += x[ib]
+        frame.append(m)
+    return frame
+
+
+def _oracle_score(ev, ia, ib, frame):
     a, b = ev.pts[ia], ev.pts[ib]
     fa, fb = ev.fvals[ia], ev.fvals[ib]
-    den = _dense_norm((q * b) @ q.T - np.diag(a), ev.kind)
+    den = _dense_norm(frame[0], ev.kind)
     if den <= _oracle_floor(a, b):
         return -math.inf
-    num = _dense_norm((q * fb) @ q.T - np.diag(fa), ev.kind)
+    num = _dense_norm(frame[1], ev.kind)
     if num <= _oracle_floor(fa, fb):
         return 0.0
     return num / den
+
+
+def _oracle_rotated(ev, ia, ib, frame, i, j, theta):
+    """Score of the frame turned by the Givens rotation G(i, j, theta):
+    G diag(b) G^T - diag(b) is nonzero only at (i, i), (j, j), (i, j), (j, i)."""
+    ev.count += 1
+    c, s = math.cos(theta), math.sin(theta)
+    turned = []
+    for m, x in zip(frame, (ev.pts, ev.fvals)):
+        gap = x[ib[i]] - x[ib[j]]
+        m = m.copy()
+        m[i, i] -= s * s * gap
+        m[j, j] += s * s * gap
+        m[i, j] += c * s * gap
+        m[j, i] += c * s * gap
+        turned.append(m)
+    return _oracle_score(ev, ia, ib, turned)
 
 
 def _oracle_givens(dim, i, j, theta):
@@ -278,8 +373,10 @@ def _oracle_golden_max(g, lo, hi, iters=18):
 
 def _oracle_ascent(ev, ia, ib, q0):
     dim = ia.size
-    best = _oracle_rotated(ev, ia, ib, q0)
     q = q0
+    frame = _oracle_frame(ev, ia, ib, q)
+    ev.count += 1
+    best = _oracle_score(ev, ia, ib, frame)
     if dim == 1:
         return best, q
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
@@ -287,7 +384,7 @@ def _oracle_ascent(ev, ia, ib, q0):
     for i in range(dim - 1):
         for j in range(i + 1, dim):
             def g(theta):
-                return _oracle_rotated(ev, ia, ib, q @ _oracle_givens(dim, i, j, theta))
+                return _oracle_rotated(ev, ia, ib, frame, i, j, theta)
 
             coarse_vals = [g(t) for t in coarse]
             k = int(np.argmax(coarse_vals))
@@ -297,7 +394,9 @@ def _oracle_ascent(ev, ia, ib, q0):
             if val > best:
                 best = val
                 q = q @ _oracle_givens(dim, i, j, theta)
-    return best, q
+                frame = _oracle_frame(ev, ia, ib, q)
+    # the final frame's score, which the witness rescores; it is not counted
+    return _oracle_score(ev, ia, ib, frame), q
 
 
 def _oracle_search(f, grid, dim, kind, budget, seed):
@@ -378,9 +477,12 @@ class TestLockstepMatchesOracle:
         ev = _Evaluator(grid.points, grid.points.copy(), "schatten1")
         ia, ib = np.array([0, 1]), np.array([1, 0])
         lanes = ev.lanes([(ia, ib, None)])
-        swap = _oracle_givens(2, 0, 1, -math.pi / 2)
-        assert ev.rotated(lanes, swap[None, None])[0, 0] == -math.inf
-        assert _oracle_rotated(ev, ia, ib, swap) == -math.inf
+        q = np.eye(2)
+        frames = _frames(lanes, q[None])
+        swap = np.array([[-math.pi / 2]])
+        assert ev.turned(lanes, frames, 0, 1, swap)[0, 0] == -math.inf
+        frame = _oracle_frame(ev, ia, ib, q)
+        assert _oracle_rotated(ev, ia, ib, frame, 0, 1, -math.pi / 2) == -math.inf
 
     def test_constant_function_scores_exact_zero(self):
         f = get_function("constant", (1.0,))
@@ -406,9 +508,10 @@ def _wiggle(x):
 class TestScaleInvariance:
     """What counts as zero is judged relative to the quantity judged, so
     scaling the grid, or f, by a power of two scales every norm and every
-    floor exactly and leaves every decision of the search unchanged.  Past
-    |k| of about 440 LAPACK rescales the SVD internally, which can move the
-    operator norm by an ulp; the property stops at 400."""
+    floor exactly and leaves every decision of the search unchanged.  LAPACK's
+    symmetric eigenvalue solver rescales a matrix whose largest entry is
+    below about 2^-405 or above about 2^485, which can move a norm by an ulp;
+    the property stops at |k| = 400."""
 
     @settings(max_examples=60, deadline=None)
     @given(fid=st.sampled_from(["abs", "identity"]),
@@ -501,10 +604,15 @@ class TestNoDiagonalPairBeatsTheProbe:
         assert max(df) / max(dx) <= cap
 
 
+def _rotated_frames(lanes, qs):
+    """The (2, L, k, n, n) frames of the (L, k, n, n) rotations ``qs``."""
+    return np.stack([_frames(lanes, qs[:, t]) for t in range(qs.shape[1])], axis=2)
+
+
 def _unfloored(ev, lanes, qs):
-    """The ratios ``ev.rotated`` scores, without its degeneracy floor."""
-    s = ev.singular_values(lanes, qs)
-    den, num = s.sum(axis=-1) if ev.kind == "schatten1" else s[..., 0]
+    """The ratios ``ev.ratios`` scores, without its degeneracy floor."""
+    s1, op = _norms(_rotated_frames(lanes, qs))
+    den, num = s1 if ev.kind == "schatten1" else op
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(den > 0, num / den, -np.inf)
 
@@ -545,7 +653,7 @@ class TestLaneBoundIsSound:
         assert (np.array(values) <= bound).all()
         rng = np.random.default_rng(seed)
         qs = np.array([[random_orthogonal(rng, dim) for _ in range(4)] for _ in starts])
-        assert (ev.rotated(lanes, qs) <= bound[:, None]).all()
+        assert (ev.ratios(lanes, _rotated_frames(lanes, qs)) <= bound[:, None]).all()
         assert (_unfloored(ev, lanes, qs) <= bound[:, None]).all()
 
     @pytest.mark.parametrize("scale", [1030, 1040, 1050])

@@ -5,10 +5,11 @@ beyond its definition, or be exported through the module's ``__all__``: a
 helper that only tests call is a second path that the package no longer
 needs.  No module may import a name it does not use (``__init__`` is the
 package's export list, so its imports are exempt).  Each kernel with one
-home is reached only from that home: the SVD, the eigensolver, the QR
-sampler and exact rational arithmetic.  The noise-floor rule and the
-eigensolver tolerance have one owner each.  A function takes each matrix's
-singular values once, and files are written through one function.
+home is reached only from that home: the SVD, the eigensolver, the
+search's stacked eigenvalue kernel, the QR sampler and exact rational
+arithmetic.  The noise-floor rule and the eigensolver tolerance have one
+owner each.  A function takes each matrix's singular values once, and files
+are written through one function.
 """
 
 import ast
@@ -82,7 +83,8 @@ def test_no_unused_imports(module):
 
 #: dotted name -> the only functions (module.Class.function) that may use it
 ONE_PATH = {
-    "np.linalg.svd": {"hermitian.singular_values", "search._Evaluator.singular_values"},
+    "np.linalg.svd": {"hermitian.singular_values"},
+    "np.linalg.eigvalsh": {"search._norms"},
     "np.linalg.eigh": {"hermitian.decompose"},
     "np.linalg.qr": {"search.random_orthogonal"},
     # its definition, and the check that enforces it
