@@ -1,6 +1,6 @@
 """Catalog of scalar test functions used by the experiments.
 
-Each entry is a :class:`ScalarFunction`: an evaluation rule, an optional
+Each entry is a :class:`ScalarFunction`: an array rule, an optional
 analytic derivative (``None`` at declared kinks), and advisory theory
 metadata.  Metadata is never consulted by numerical kernels; it only feeds
 reports.
@@ -23,6 +23,7 @@ __all__ = [
     "catalog_ids",
     "lipschitz_seminorm_estimate",
     "max_quotient",
+    "pointwise",
 ]
 
 
@@ -37,29 +38,30 @@ class FunctionMetadata:
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """Evaluatable real-valued function of one real variable."""
+    """Real-valued function of one real variable.  Its rule maps a float64 array
+    to one of the same shape (ufuncs, or :func:`pointwise` maps of ``math``)."""
 
     id: str
     params: tuple
-    eval_fn: Callable[[float], float]
+    rule: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Optional[Callable[[float], Optional[float]]] = None
     kinks: tuple = ()
     metadata: FunctionMetadata = field(default_factory=FunctionMetadata)
 
     def __call__(self, x: float) -> float:
-        try:
-            value = float(self.eval_fn(float(x)))
-        except (ArithmeticError, ValueError) as exc:
-            raise DomainError(f"{self.id} undefined at {x!r}: {exc}") from None
-        if not math.isfinite(value):
-            raise DomainError(f"{self.id} is not finite at {x!r}")
-        return value
+        return float(self.values_at(float(x)))
 
     def values_at(self, xs) -> np.ndarray:
-        """Array of f(x) for each point x of ``xs``.  Every point goes
-        through ``__call__``, so values, DomainError messages and the call
-        count are those of a per-point loop."""
-        return np.array([self(x) for x in xs])
+        """f at each point of ``xs``, from one call of the rule; DomainError
+        names the first point where f has no finite value."""
+        xs = np.asarray(xs, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(self.rule(xs), dtype=np.float64)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            x = float(xs.flat[np.argmin(finite)])
+            raise DomainError(f"{self.id} has no finite value at {x!r}")
+        return vals
 
     def derivative_at(self, x: float) -> Optional[float]:
         """Analytic derivative, or None where no derivative is declared."""
@@ -70,12 +72,12 @@ class ScalarFunction:
 
     def shifted(self, c: float) -> "ScalarFunction":
         """Descriptor for x -> f(x) - c; derivative and kinks unchanged."""
-        base_eval = self.eval_fn
+        rule = self.rule
         c = float(c)
         return ScalarFunction(
             id=f"{self.id}-shifted",
             params=self.params + (c,),
-            eval_fn=lambda x: base_eval(x) - c,
+            rule=lambda x: rule(x) - c,
             deriv_fn=self.deriv_fn,
             kinks=self.kinks,
             metadata=self.metadata,
@@ -86,7 +88,18 @@ class ScalarFunction:
         return {"id": self.id, "params": [float(p) for p in self.params]}
 
 
-def _horner(coeffs: tuple, x: float) -> float:
+def pointwise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array rule applying the scalar ``fn`` to each element in turn; a point
+    where ``fn`` raises ArithmeticError or ValueError maps to NaN."""
+    def at(x):
+        try:
+            return fn(x)
+        except (ArithmeticError, ValueError):
+            return math.nan
+    return lambda xs: np.fromiter(map(at, xs.ravel().tolist()), float).reshape(xs.shape)
+
+
+def _horner(coeffs: tuple, x):
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -101,7 +114,7 @@ def _no_params(fid: str, params: tuple) -> None:
 def _build_identity(params):
     _no_params("identity", params)
     return ScalarFunction(
-        "identity", (), lambda x: x, lambda x: 1.0,
+        "identity", (), np.copy, lambda x: 1.0,
         metadata=FunctionMetadata(1.0, True, "linear"))
 
 
@@ -110,7 +123,7 @@ def _build_constant(params):
         raise BadParams(f"constant takes exactly one parameter, got {params!r}")
     c = params[0]
     return ScalarFunction(
-        "constant", (c,), lambda x: c, lambda x: 0.0,
+        "constant", (c,), lambda x: np.full_like(x, c), lambda x: 0.0,
         metadata=FunctionMetadata(0.0, True, "constant"))
 
 
@@ -129,7 +142,7 @@ def _build_poly(params):
 def _build_abs(params):
     _no_params("abs", params)
     return ScalarFunction(
-        "abs", (), abs,
+        "abs", (), np.abs,
         lambda x: None if x == 0.0 else math.copysign(1.0, x),
         kinks=(0.0,),
         metadata=FunctionMetadata(
@@ -141,14 +154,14 @@ def _build_abs(params):
 def _build_signed_square(params):
     _no_params("signed_square", params)
     return ScalarFunction(
-        "signed_square", (), lambda x: x * abs(x), lambda x: 2.0 * abs(x),
+        "signed_square", (), lambda x: x * np.abs(x), lambda x: 2.0 * abs(x),
         metadata=FunctionMetadata(2.0, True, "x|x|; derivative 2|x| is Lipschitz"))
 
 
 def _build_sqrt_abs(params):
     _no_params("sqrt_abs", params)
     return ScalarFunction(
-        "sqrt_abs", (), lambda x: math.sqrt(abs(x)),
+        "sqrt_abs", (), lambda x: np.sqrt(np.abs(x)),
         lambda x: None if x == 0.0 else math.copysign(0.5 / math.sqrt(abs(x)), x),
         kinks=(0.0,),
         metadata=FunctionMetadata(
@@ -159,16 +172,14 @@ def _build_sqrt_abs(params):
 def _build_xsin_inv(params):
     _no_params("xsin_inv", params)
 
-    def ev(x):
-        return 0.0 if x == 0.0 else x * math.sin(1.0 / x)
-
     def dv(x):
         if x == 0.0:
             return None
         return math.sin(1.0 / x) - math.cos(1.0 / x) / x
 
     return ScalarFunction(
-        "xsin_inv", (), ev, dv, kinks=(0.0,),
+        "xsin_inv", (), pointwise(lambda x: 0.0 if x == 0.0 else x * math.sin(1.0 / x)),
+        dv, kinks=(0.0,),
         metadata=FunctionMetadata(
             None, False,
             "x*sin(1/x) extended by 0; bounded by |x| but the derivative "
@@ -179,14 +190,14 @@ def _build_xsin_inv(params):
 def _build_sin(params):
     _no_params("sin", params)
     return ScalarFunction(
-        "sin", (), math.sin, math.cos,
+        "sin", (), pointwise(math.sin), math.cos,
         metadata=FunctionMetadata(1.0, True, "entire, derivative bounded by 1"))
 
 
 def _build_exp(params):
     _no_params("exp", params)
     return ScalarFunction(
-        "exp", (), math.exp, math.exp,
+        "exp", (), pointwise(math.exp), math.exp,
         metadata=FunctionMetadata(math.e, True, "entire; constant e on [-1,1]"))
 
 
@@ -198,7 +209,7 @@ def _build_smoothed_abs(params):
         raise BadParams(f"smoothed_abs width must be positive, got {eps!r}")
     return ScalarFunction(
         "smoothed_abs", (eps,),
-        lambda x: math.hypot(x, eps),
+        pointwise(lambda x: math.hypot(x, eps)),
         lambda x: x / math.hypot(x, eps),
         metadata=FunctionMetadata(
             1.0, True, "sqrt(x^2 + eps^2), smooth mollification of abs"))

@@ -103,15 +103,16 @@ class LoewnerMatrix:
 
 
 def loewner_matrix(f: ScalarFunction, lam, mu) -> LoewnerMatrix:
-    """Entrywise divided differences L[j][k] = dd(f, lam[j], mu[k])."""
+    """Divided differences L[j][k] = dd(f, lam[j], mu[k]); point by point only at ties."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    entries = np.empty((lam.size, mu.size))
+    x, y = lam[:, None], mu[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entries = (f.values_at(lam)[:, None] - f.values_at(mu)[None, :]) / (x - y)
     fallback = False
-    for j, x in enumerate(lam):
-        for k, y in enumerate(mu):
-            entries[j, k], used = _divided(f, float(x), float(y))
-            fallback = fallback or used
+    for j, k in zip(*np.nonzero(~(np.abs(x - y) > TIE_EPS * (np.abs(x) + np.abs(y))))):
+        entries[j, k], used = _divided(f, float(lam[j]), float(mu[k]))
+        fallback = fallback or used
     entries.setflags(write=False)
     return LoewnerMatrix(entries, fallback)
 

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import ScalarFunction, max_quotient
+from .catalog import ScalarFunction, max_quotient, pointwise
 from .hermitian import HermitianOperator, RatioWitness, noise_floor
 from .loewner import FiniteSpectrumSet
 
@@ -124,7 +124,7 @@ class _Evaluator:
         D = b_i - b_j: each candidate patches its own copy of the frame, so it
         scores bit for bit as it would alone."""
         self.count += thetas.size
-        c, s = _cos_sin(thetas)
+        c, s = _COS(thetas), _SIN(thetas)
         gap = (lanes.spec[..., i] - lanes.spec[..., j])[..., None]
         ss, cs = s * s * gap, c * s * gap
         m = np.repeat(frames[:, :, None], thetas.shape[1], axis=2)
@@ -175,16 +175,13 @@ def _lane_bounds(lanes: _Lanes, kind: str) -> np.ndarray:
         return np.where(den > 0, (num + slack[1]) / den, np.inf)
 
 
-def _cos_sin(thetas: np.ndarray):
-    """math.cos/sin of each angle (np.cos/sin need not round the same way)."""
-    return tuple(np.fromiter(map(f, thetas.flat), float, thetas.size).reshape(thetas.shape)
-                 for f in (math.cos, math.sin))
+_COS, _SIN = pointwise(math.cos), pointwise(math.sin)  # np.cos/sin need not round alike
 
 
 def _givens(dim: int, i: int, j: int, thetas: np.ndarray) -> np.ndarray:
     """Rotations in the (i, j) plane, one per angle: shape (*thetas.shape, dim, dim)."""
     g = np.broadcast_to(np.eye(dim), thetas.shape + (dim, dim)).copy()
-    c, s = _cos_sin(thetas)
+    c, s = _COS(thetas), _SIN(thetas)
     g[..., i, i] = c
     g[..., j, j] = c
     g[..., i, j] = -s

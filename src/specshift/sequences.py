@@ -82,14 +82,15 @@ def make_sequence_witness(f: ScalarFunction, t, s, n=None) -> SequenceWitness:
         if any(x < 1 for x in n):
             raise InvariantViolation("multiplicities must be positive")
     c = 1.0
-    for k, (tk, sk) in enumerate(zip(t, s), start=1):
+    ft, fs = f.values_at(np.array([t, s])).tolist()
+    for k, (tk, sk, ftk, fsk) in enumerate(zip(t, s, ft, fs), start=1):
         level_scale = 2.0 ** -k
         c = max(c, abs(tk) / level_scale, abs(sk) / level_scale)
         gap = abs(tk - sk)
         if not 0.0 < gap < level_scale:
             raise InvariantViolation(
                 f"level {k}: |t-s| = {gap!r} not in (0, 2**-{k})")
-        quotient = abs(f(tk) - f(sk)) / gap
+        quotient = abs(ftk - fsk) / gap
         if not quotient > 2.0 ** k:
             raise InvariantViolation(
                 f"level {k}: quotient {quotient!r} does not exceed 2**{k}")
@@ -147,8 +148,8 @@ def multiplicity_sequence(f: ScalarFunction, witness: SequenceWitness) -> Sequen
     """Fill n_k = floor(1 / |f(t_k) - f(s_k)|) + 1 with exact integer
     arithmetic on the double-precision increments."""
     mults = []
-    for k, (tk, sk) in enumerate(zip(witness.t, witness.s), start=1):
-        gap = abs(f(tk) - f(sk))
+    ft, fs = f.values_at(np.array([witness.t, witness.s])).tolist()
+    for k, gap in enumerate((abs(a - b) for a, b in zip(ft, fs)), start=1):
         if gap == 0.0:
             raise DegenerateIncrement(f"level {k}: f(t) = f(s)")
         mults.append(floor_reciprocal(gap) + 1)
@@ -181,8 +182,8 @@ def diagonal_embedding(witness: SequenceWitness, upto: int) -> Tuple[SumBlock, .
         raise ValueError("witness has no multiplicities; fill them first")
     if not 0 <= upto <= witness.length:
         raise IndexError(f"upto = {upto} outside [0, {witness.length}]")
-    f = witness.function
+    ft, fs = witness.function.values_at(np.array([witness.t, witness.s])).tolist()
     return tuple(
         SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
-                 abs(t - s), abs(f(t) - f(s)))
-        for t, s, n in zip(witness.t[:upto], witness.s[:upto], witness.n))
+                 abs(t - s), abs(a - b))
+        for t, s, n, a, b in zip(witness.t[:upto], witness.s, witness.n, ft, fs))

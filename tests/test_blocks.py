@@ -17,7 +17,7 @@ from specshift import (DivergentFamily, DomainError, HermitianOperator,
                        increment_ratio, partial_sums,
                        schatten_norm, segment_refine, weighted)
 
-from specshift.catalog import max_quotient
+from specshift.catalog import max_quotient, pointwise
 from specshift.serialize import dump_json, family_to_json
 
 from conftest import random_hermitian
@@ -75,7 +75,7 @@ class TestSegmentRefine:
             done += 1
 
     def test_overflow_on_jump_function(self):
-        step = ScalarFunction("step", (), lambda x: 0.0 if x < 0.5 else 2.0)
+        step = ScalarFunction("step", (), pointwise(lambda x: 0.0 if x < 0.5 else 2.0))
         a = HermitianOperator([[0.0]])
         b = HermitianOperator([[1.0]])
         with pytest.raises(RefinementOverflow):
@@ -277,7 +277,8 @@ class TestBatchedBlockSearches:
         # whose scalar probe already misses its target, and no block after
         # it is searched
         eps = 4.0 ** -level
-        f = ScalarFunction("sqrt_floor", (eps,), lambda x: math.sqrt(max(abs(x), eps)))
+        f = ScalarFunction("sqrt_floor", (eps,),
+                           pointwise(lambda x: math.sqrt(max(abs(x), eps))))
         fam = build_divergent_family(f, default_delta_schedule(9), 9, 1, 0, 2)
         assert fam.failure is not None
         m = fam.failure.index
@@ -309,7 +310,7 @@ def _sqrt_partial(eps, tiny):
         if 0 < abs(x) < tiny:
             raise ValueError("outside the domain")
         return math.sqrt(max(abs(x), eps))
-    return ScalarFunction("sqrt_partial", (eps, tiny), fn)
+    return ScalarFunction("sqrt_partial", (eps, tiny), pointwise(fn))
 
 
 class TestUndefinedLaterGrid:

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from specshift import (BadInterval, BadParams, DomainError, UnknownFunction,
                        catalog_ids, get_function, lipschitz_seminorm_estimate)
 from specshift.blocks import _block_grid
-from specshift.catalog import max_quotient
+from specshift.catalog import ScalarFunction, max_quotient, pointwise
 from specshift.search import _Evaluator, _scalar_probe
 
 from conftest import assert_near_exact, exact_quotient_maxima
@@ -111,6 +113,100 @@ def test_domain_error_on_nonfinite_value():
     f = get_function("poly", (0.0, 1e308))
     with pytest.raises(DomainError):
         f(1e10)
+
+
+def _horner_floats(x):
+    acc = 0.0
+    for c in reversed(_FROZEN_PARAMS["poly"]):
+        acc = acc * x + c
+    return acc
+
+
+#: each catalog rule written again as Python-float arithmetic, with the
+#: parameters of _FROZEN_PARAMS
+_ORACLES = {
+    "identity": lambda x: x,
+    "constant": lambda x: 0.5,
+    "poly": _horner_floats,
+    "abs": abs,
+    "signed_square": lambda x: x * abs(x),
+    "sqrt_abs": lambda x: math.sqrt(abs(x)),
+    "xsin_inv": lambda x: 0.0 if x == 0.0 else x * math.sin(1.0 / x),
+    "sin": math.sin,
+    "exp": math.exp,
+    "smoothed_abs": lambda x: math.hypot(x, 0.05),
+}
+
+
+def _oracle_or_none(oracle, x):
+    """oracle(x) as a float, or None where it raises or is not finite."""
+    try:
+        y = float(oracle(x))
+    except (ArithmeticError, ValueError):
+        return None
+    return y if math.isfinite(y) else None
+
+
+_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+              st.floats(1.0, 2.0, exclude_max=True), st.integers(-60, 60),
+              st.sampled_from([-1.0, 1.0])))
+
+
+class TestArrayRules:
+    """Each catalog rule evaluates a whole array at once; its values are
+    those of the scalar formula, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fid=st.sampled_from(sorted(_ORACLES)), shift=st.sampled_from([None, 0.25, -3.0]),
+           xs=st.lists(_MAGNITUDES, max_size=40))
+    def test_values_match_a_float_oracle(self, fid, shift, xs):
+        assert sorted(_ORACLES) == list(catalog_ids())
+        f, oracle = get_function(fid, _FROZEN_PARAMS.get(fid, ())), _ORACLES[fid]
+        if shift is not None:
+            f, oracle = f.shifted(shift), (lambda x, g=oracle: g(x) - shift)
+        want = [_oracle_or_none(oracle, x) for x in xs]
+        if None in want:
+            # the first offending point in input order is the one named
+            bad = xs[want.index(None)]
+            with pytest.raises(DomainError, match=f" at {re.escape(repr(bad))}$"):
+                f.values_at(np.array(xs))
+            return
+        got = f.values_at(np.array(xs))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert [f(x).hex() for x in xs] == [v.hex() for v in want]
+
+    def test_exp_names_its_first_overflow(self):
+        f = get_function("exp")
+        with pytest.raises(DomainError, match=r" at 710\.0$"):
+            f.values_at([0.0, 710.0, 800.0])
+        with pytest.raises(DomainError, match=r" at 710\.0$"):
+            f(710.0)
+
+    def test_poly_names_the_point_where_it_overflows(self):
+        # 1e308 * x: finite at 1, infinite at 10 and beyond; no RuntimeWarning
+        f = get_function("poly", (0.0, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r" at 10\.0$"):
+                f.values_at([1.0, 10.0, 1e10, -1e10])
+
+    def test_values_are_float64_in_the_input_shape(self):
+        for fid in catalog_ids():
+            f = get_function(fid, _FROZEN_PARAMS.get(fid, ()))
+            for xs in (np.linspace(-1.0, 1.0, 6).reshape(2, 3), np.float64(0.5),
+                       np.empty(0), [0.25, -0.5], np.arange(3)):
+                got = f.values_at(xs)
+                assert got.dtype == np.float64
+                assert got.shape == np.shape(xs)
+            assert type(f(1)) is float
+
+    def test_pointwise_maps_a_raising_point_to_a_domain_error(self):
+        f = ScalarFunction("partial", (), pointwise(lambda x: math.log(x)))
+        assert f.values_at([1.0]).tolist() == [0.0]
+        with pytest.raises(DomainError, match=r" at -1\.0$"):
+            f.values_at([1.0, 2.0, -1.0, 0.0])
 
 
 class TestLipschitzEstimate:

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specshift import (BadInterval, FiniteSpectrumSet, HermitianOperator,
-                       InvariantViolation, apply_function, divided_difference,
-                       get_function, loewner_matrix, operator_scale,
+from specshift import (BadInterval, DomainError, FiniteSpectrumSet, HermitianOperator,
+                       InvariantViolation, ScalarFunction, apply_function, catalog_ids,
+                       divided_difference, get_function, loewner_matrix, operator_scale,
                        perturbation_identity_residual, restrict_to_grid)
+from specshift.catalog import pointwise
+from specshift.loewner import TIE_EPS
 
 from conftest import random_hermitian
 
@@ -58,6 +62,48 @@ class TestLoewnerMatrix:
     def test_abs_kink_tie_is_flagged(self):
         lm = loewner_matrix(get_function("abs"), [0.0, 1.0], [0.0, 1.0])
         assert lm.tie_fallback_used
+
+
+_PARAMS = {"constant": (0.5,), "poly": (0.5, -1.0, 2.0, 0.0, 1.5), "smoothed_abs": (0.05,)}
+#: x -> x**3 with no declared derivative: every tie takes the central difference
+_CUBE = ScalarFunction("cube", (), pointwise(lambda x: x * x * x))
+_POINTS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 0.3, -0.7, 1.5, 1e-10, -2e-10])
+
+
+class TestVectorisedLoewnerMatrix:
+    """The matrix agrees bit for bit with ``divided_difference`` entry by
+    entry, ties and near-ties included, and flags the central-difference
+    fallback exactly when some tie entry takes it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fid=st.sampled_from(catalog_ids() + ("cube",)),
+           lam=st.lists(_POINTS, min_size=1, max_size=6),
+           mu=st.lists(_POINTS, min_size=1, max_size=6),
+           nudge=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+           scale=st.sampled_from([1.0, 2.0 ** -60]))
+    def test_entries_are_divided_differences(self, fid, lam, mu, nudge, scale):
+        f = _CUBE if fid == "cube" else get_function(fid, _PARAMS.get(fid, ()))
+        lam = np.array(lam) * scale
+        # exact ties where mu repeats a point of lam, near-ties a few ulps off
+        mu = np.array([y * scale + k * math.ulp(y * scale) for y, k in zip(mu, nudge)])
+        try:
+            want = [[divided_difference(f, x, y) for y in mu] for x in lam]
+        except DomainError:  # xsin_inv at 5e-324: 1/x overflows
+            with pytest.raises(DomainError):
+                loewner_matrix(f, lam, mu)
+            return
+        lm = loewner_matrix(f, lam, mu)
+        assert [[v.hex() for v in row] for row in lm.entries.tolist()] == \
+            [[v.hex() for v in row] for row in want]
+        fallback = any(abs(x - y) <= TIE_EPS * (abs(x) + abs(y)) and f.derivative_at(x) is None
+                       for x in lam for y in mu)
+        assert lm.tie_fallback_used == fallback
+
+    def test_function_without_derivative_flags_its_ties(self):
+        lm = loewner_matrix(_CUBE, [1.0, 2.0], [2.0, 3.0])
+        assert lm.tie_fallback_used
+        assert lm.entries[1, 0] == pytest.approx(12.0, rel=1e-6)
+        assert not loewner_matrix(_CUBE, [1.0], [3.0]).tie_fallback_used
 
 
 class TestRestrictToGrid:

@@ -16,6 +16,7 @@ from specshift import (DomainError, FiniteSpectrumSet, HermitianOperator,
                        search, seminorm_lower_bound, singular_values)
 from specshift.blocks import (_block_grid, _block_seed, build_divergent_family,
                               default_delta_schedule)
+from specshift.catalog import pointwise
 from specshift.search import (_GOLDEN, _ascent, _Evaluator, _frames, _lane_bounds,
                               _norms, _restart_start, _scalar_probe,
                               _witness_from_candidate, random_orthogonal)
@@ -150,6 +151,21 @@ def test_budget_monotonicity_fixed_seed():
     values = [seminorm_lower_bound(f, grid, 3, "schatten1", budget, 13).value
               for budget in range(1, 21)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fid=st.sampled_from(catalog_ids()),
+       interval=st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0)]),
+       count=st.integers(2, 9), dim=st.integers(2, 4), seed=st.integers(0, 2**31),
+       kind=st.sampled_from(["operator", "schatten1"]))
+def test_value_nondecreasing_in_budget(fid, interval, count, dim, seed, kind):
+    # restart r draws from substream (seed, r) whatever the budget, so a
+    # larger budget adds restarts and the best of them can only rise
+    f = get_function(fid, _PARAMS.get(fid, ()))
+    grid = restrict_to_grid(interval, count)
+    values = [seminorm_lower_bound(f, grid, dim, kind, budget, seed).value
+              for budget in (1, 2, 4)]
+    assert values[0] <= values[1] <= values[2]
 
 
 def test_deterministic_given_seed_and_budget():
@@ -533,8 +549,9 @@ class TestScaleInvariance:
            budget=st.integers(1, 4), seed=st.integers(0, 2**31),
            kind=st.sampled_from(["operator", "schatten1"]))
     def test_scaled_function_scores_scaled(self, j, count, dim, budget, seed, kind):
-        f = ScalarFunction("wiggle", (), _wiggle)
-        f_scaled = ScalarFunction("wiggle-scaled", (), lambda x: 2.0 ** j * _wiggle(x))
+        f = ScalarFunction("wiggle", (), pointwise(_wiggle))
+        f_scaled = ScalarFunction("wiggle-scaled", (),
+                                  pointwise(lambda x: 2.0 ** j * _wiggle(x)))
         grid = restrict_to_grid((-1.0, 1.0), count)
         res = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
         res_scaled = seminorm_lower_bound(f_scaled, grid, dim, kind, budget, seed)

@@ -6,10 +6,11 @@ helper that only tests call is a second path that the package no longer
 needs.  No module may import a name it does not use (``__init__`` is the
 package's export list, so its imports are exempt).  Each kernel with one
 home is reached only from that home: the SVD, the eigensolver, the
-search's stacked eigenvalue kernel, the QR sampler and exact rational
-arithmetic.  The noise-floor rule and the eigensolver tolerance have one
-owner each.  A function takes each matrix's singular values once, and files
-are written through one function.
+search's stacked eigenvalue kernel, the QR sampler, exact rational
+arithmetic and the per-element map of scalar functions.  The noise-floor
+rule and the eigensolver tolerance have one owner each.  A function takes
+each matrix's singular values once, and files are written through one
+function.
 """
 
 import ast
@@ -87,6 +88,8 @@ ONE_PATH = {
     "np.linalg.eigvalsh": {"search._norms"},
     "np.linalg.eigh": {"hermitian.decompose"},
     "np.linalg.qr": {"search.random_orthogonal"},
+    # the one per-element map, for math functions NumPy rounds differently
+    "np.fromiter": {"catalog.pointwise"},
     # its definition, and the check that enforces it
     "_EIG_TOL": {"hermitian", "hermitian.decompose"},
 }
