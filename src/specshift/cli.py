@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -28,8 +29,9 @@ from .catalog import get_function
 from .errors import (BadInterval, BadParams, ConfigError, SpecshiftError,
                      UnknownFunction)
 from .hermitian import (HermitianOperator, apply_function, decompose,
-                        increment_ratio, operator_scale, schatten_norm,
-                        spectral_truncation, trace_transfer_check)
+                        increment_ratio, operator_scale, schatten_from_singular,
+                        schatten_norm, singular_values, spectral_truncation,
+                        trace_transfer_check)
 from .loewner import divided_difference, perturbation_identity_residual, restrict_to_grid
 from .search import NORM_KINDS, random_orthogonal, seminorm_lower_bound
 from .sequences import (NotFound, divergence_check, multiplicity_sequence,
@@ -287,30 +289,30 @@ _POLY4 = (0.5, -1.0, 2.0, 0.0, 1.5)
 _TRIALS = 12
 
 
+def _schatten_norms(*mats) -> list:
+    """Per matrix, its norms for each p of ``_SCHATTEN_PS``, from one SVD call."""
+    s = singular_values(np.stack(mats))
+    return np.stack([schatten_from_singular(s, p) for p in _SCHATTEN_PS], -1).tolist()
+
+
 def _unitary_invariance(rng, dim: int, _) -> list:
     x = rng.uniform(-1.0, 1.0, (dim, dim))
     q = random_orthogonal(rng, dim)
-    residuals = []
-    for p in _SCHATTEN_PS:
-        base = schatten_norm(x, p)
-        residuals.append(abs(schatten_norm(q @ x @ q.T, p) - base) / base)
-    return residuals
+    base, turned = _schatten_norms(x, q @ x @ q.T)
+    return [abs(t - b) / b for b, t in zip(base, turned)]
 
 
 def _norm_ordering(rng, dim: int, _) -> list:
     x = rng.uniform(-1.0, 1.0, (dim, dim))
-    n1, n2, ninf = (schatten_norm(x, p) for p in _SCHATTEN_PS)
+    (n1, n2, ninf), = _schatten_norms(x)
     return [max((ninf - n2) / n1, (n2 - n1) / n1, (n1 - dim * ninf) / n1)]
 
 
 def _triangle_inequality(rng, dim: int, _) -> list:
     x = rng.uniform(-1.0, 1.0, (dim, dim))
     y = rng.uniform(-1.0, 1.0, (dim, dim))
-    violations = []
-    for p in _SCHATTEN_PS:
-        rhs = schatten_norm(x, p) + schatten_norm(y, p)
-        violations.append((schatten_norm(x + y, p) - rhs) / rhs)
-    return [max(violations)]
+    norms = zip(*_schatten_norms(x, y, x + y))
+    return [max((nxy - (nx + ny)) / (nx + ny) for nx, ny, nxy in norms)]
 
 
 def _poly4_calculus(rng, dim: int, poly4) -> list:
@@ -462,7 +464,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="specshift",
         description="Trace-norm increment experiments for functions of "

@@ -45,9 +45,12 @@ class HermitianOperator:
     matrices that are already Hermitian and guarantees the storage invariant
     entries[j][k] == conj(entries[k][j]) bit for bit.  Matrices with no
     imaginary part are kept in a real float64 array.
+
+    The entries never change, so ``decompose`` keeps its first success in a
+    slot: read-only arrays, the bits a fresh eigensolve would give again.
     """
 
-    __slots__ = ("_mat",)
+    __slots__ = ("_mat", "_dec")
 
     def __init__(self, entries) -> None:
         arr = np.asarray(entries)
@@ -62,6 +65,7 @@ class HermitianOperator:
             mat = mat.real.copy()
         mat.setflags(write=False)
         self._mat = mat
+        self._dec = None
 
     @property
     def dim(self) -> int:
@@ -92,7 +96,7 @@ class SpectralDecomposition:
 
 def operator_scale(a: HermitianOperator, b: HermitianOperator) -> float:
     """max(1, ||a||, ||b||) in operator norm; normalises relative tolerances."""
-    return max(1.0, schatten_norm(a, np.inf), schatten_norm(b, np.inf))
+    return max(1.0, *singular_values(np.stack([a.matrix, b.matrix]))[:, 0].tolist())
 
 
 def decompose(a: HermitianOperator) -> SpectralDecomposition:
@@ -101,25 +105,25 @@ def decompose(a: HermitianOperator) -> SpectralDecomposition:
     Raises ConvergenceFailure if the orthonormality residual exceeds 1e-10
     or the reconstruction residual 1e-10 relative to max(1, max-entry of A).
     Both residuals, and the reconstruction tolerance, are returned with it.
+    A success is kept on ``a`` and returned by later calls; a failure is not.
     """
+    if a._dec is not None:
+        return a._dec
     m = a.matrix
     try:
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from None
-    dim = a.dim
-    ortho = np.abs(u.conj().T @ u - np.eye(dim)).max()
+    ortho = np.abs(u.conj().T @ u - np.eye(a.dim)).max()
     recon = np.abs((u * w) @ u.conj().T - m).max()
     tol = _EIG_TOL * max(1.0, np.abs(m).max())
     if ortho > _EIG_TOL or recon > tol:
         raise ConvergenceFailure(
             f"eigendecomposition out of tolerance: ortho={ortho:g}, recon={recon:g}")
-    if np.any(np.diff(w) < 0):  # pragma: no cover - eigh returns ascending
-        order = np.argsort(w, kind="stable")
-        w, u = w[order], u[:, order]
     w.setflags(write=False)
     u.setflags(write=False)
-    return SpectralDecomposition(w, u, float(recon), float(tol), float(ortho))
+    a._dec = SpectralDecomposition(w, u, float(recon), float(tol), float(ortho))
+    return a._dec
 
 
 def noise_floor(dim: int, scale, rel: float = DEGENERATE_REL):
@@ -145,29 +149,35 @@ def _coerce_matrix(x) -> np.ndarray:
     if isinstance(x, HermitianOperator):
         return x.matrix
     arr = np.asarray(x)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {arr.shape}")
+    if arr.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFinite("matrix entries must be finite")
     return arr
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values in descending order; accepts arrays or HermitianOperator."""
+    """Singular values in descending order along the last axis; accepts a
+    HermitianOperator, a matrix or a stack (..., m, n) of them, each solved
+    as it would be alone at the stack's dtype."""
     return np.linalg.svd(_coerce_matrix(x), compute_uv=False)
 
 
-def schatten_norm(x, p) -> float:
-    """Schatten p-norm from singular values: p = 1 (trace norm), 2 (Frobenius)
-    or inf (operator norm)."""
-    s = singular_values(x)
+def schatten_from_singular(s: np.ndarray, p):
+    """Schatten p-norms, p = 1 (trace norm), 2 (Frobenius) or inf (operator
+    norm), from singular values in descending order along the last axis."""
     if p == 1:
-        return float(s.sum())
+        return s.sum(axis=-1)
     if p == 2:
-        return float(np.sqrt((s * s).sum()))
+        return np.sqrt((s * s).sum(axis=-1))
     if p == np.inf:
-        return float(s[0])
+        return s[..., 0]
     raise ValueError(f"p must be 1, 2 or inf, got {p!r}")
+
+
+def schatten_norm(x, p) -> float:
+    """Schatten p-norm of one matrix from its singular values."""
+    return float(schatten_from_singular(singular_values(x), p))
 
 
 def spectral_truncation(a: HermitianOperator, delta: float) -> Tuple[HermitianOperator, int]:
@@ -210,10 +220,9 @@ def increment_ratio(f: ScalarFunction, a: HermitianOperator,
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    scale = max(schatten_norm(a, np.inf), schatten_norm(b, np.inf))
-    den = singular_values(b.matrix - a.matrix)
+    s_a, s_b, den = singular_values(np.stack([a.matrix, b.matrix, b.matrix - a.matrix]))
     den_s1 = float(den.sum())
-    if den_s1 <= noise_floor(a.dim, scale):
+    if den_s1 <= noise_floor(a.dim, max(float(s_a[0]), float(s_b[0]))):
         raise DegeneratePair(
             f"||B-A||_1 = {den_s1:g} is below the degeneracy floor")
     num = singular_values(apply_function(f, b).matrix - apply_function(f, a).matrix)
@@ -268,30 +277,28 @@ def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
     g = f.shifted(f(0.0))
     a_d, rank_a = spectral_truncation(a, delta)
     b_d, rank_b = spectral_truncation(b, delta)
-    ga = apply_function(g, a).matrix
-    gb = apply_function(g, b).matrix
-    gad = apply_function(g, a_d).matrix
-    gbd = apply_function(g, b_d).matrix
+    ga, gb, gad, gbd = (apply_function(g, x).matrix for x in (a, b, a_d, b_d))
     tail_a = ga - gad
     tail_b = gb - gbd
     core = gad - gbd
     total = ga - gb
     residual = total - (tail_a + core - tail_b)
-    top = max(schatten_norm(a, np.inf), schatten_norm(b, np.inf))
+    sv = singular_values(np.stack([a.matrix, b.matrix, tail_a, tail_b, core, total, residual]))
+    s1 = schatten_from_singular(sv, 1).tolist()
+    top = max(float(sv[0, 0]), float(sv[1, 0]))
     scale = max(1.0, top)
-    s_a, s_b = singular_values(tail_a), singular_values(tail_b)
     rank_floor = noise_floor(a.dim, top, 1e-10)
     return TraceTransferReport(
         delta=float(delta),
-        tail_a_s1=float(s_a.sum()),
-        tail_b_s1=float(s_b.sum()),
-        tail_a_rank=int(np.count_nonzero(s_a > rank_floor)),
-        tail_b_rank=int(np.count_nonzero(s_b > rank_floor)),
+        tail_a_s1=s1[2],
+        tail_b_s1=s1[3],
+        tail_a_rank=int(np.count_nonzero(sv[2] > rank_floor)),
+        tail_b_rank=int(np.count_nonzero(sv[3] > rank_floor)),
         discarded_rank_a=rank_a,
         discarded_rank_b=rank_b,
-        core_increment_s1=schatten_norm(core, 1),
-        total_increment_s1=schatten_norm(total, 1),
-        reassembly_residual_s1=schatten_norm(residual, 1),
+        core_increment_s1=s1[4],
+        total_increment_s1=s1[5],
+        reassembly_residual_s1=s1[6],
         scale=scale,
         tolerance=1e-9 * scale,
     )

@@ -102,13 +102,15 @@ class LoewnerMatrix:
     tie_fallback_used: bool
 
 
-def loewner_matrix(f: ScalarFunction, lam, mu) -> LoewnerMatrix:
-    """Divided differences L[j][k] = dd(f, lam[j], mu[k]); point by point only at ties."""
+def loewner_matrix(f: ScalarFunction, lam, mu, values=None) -> LoewnerMatrix:
+    """Divided differences L[j][k] = dd(f, lam[j], mu[k]); point by point only
+    at ties.  ``values`` = (f(lam), f(mu)) spares evaluating f when known."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
+    f_lam, f_mu = (f.values_at(lam), f.values_at(mu)) if values is None else values
     x, y = lam[:, None], mu[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        entries = (f.values_at(lam)[:, None] - f.values_at(mu)[None, :]) / (x - y)
+        entries = (f_lam[:, None] - f_mu[None, :]) / (x - y)
     fallback = False
     for j, k in zip(*np.nonzero(~(np.abs(x - y) > TIE_EPS * (np.abs(x) + np.abs(y))))):
         entries[j, k], used = _divided(f, float(lam[j]), float(mu[k]))
@@ -131,5 +133,5 @@ def perturbation_identity_residual(f: ScalarFunction, a: HermitianOperator,
     f_incr = (u * fa) @ u.conj().T - (v * fb) @ v.conj().T
     lhs = u.conj().T @ f_incr @ v
     rhs = u.conj().T @ (a.matrix - b.matrix) @ v
-    loewner = loewner_matrix(f, da.eigenvalues, db.eigenvalues)
+    loewner = loewner_matrix(f, da.eigenvalues, db.eigenvalues, (fa, fb))
     return float(np.abs(lhs - loewner.entries * rhs).max())

@@ -13,10 +13,11 @@ Search phases, in deterministic order:
      inequality it is attained at a pair of adjacent points, so
      ``catalog.max_quotient`` scans only those, and no diagonal pair scores
      higher, in either norm;
-  1+ `budget` seeded random restarts, each drawing (a, b, Q0) from substream
+  1+ `budget` seeded random restarts, each drawing (a, b) from substream
      (seed, r).  A restart whose a-priori bound from its spectra alone (by
      Lidskii-Mirsky, ||X - Y|| >= ||sort(x) - sort(y)||) is below the probe
-     can never win and is not ascended.  The kept restarts refine Q by
+     can never win: it is not ascended and draws no rotation.  The kept
+     restarts draw Q0 next from their substreams and refine Q by
      per-angle coordinate ascent (a coarse scan plus golden-section line
      search) in one lockstep batch: every step scores one candidate of each
      of them with a single stacked ``eigvalsh`` in the frame of its current
@@ -269,8 +270,8 @@ def _scalar_probe(ev: _Evaluator, dim: int):
 
 
 def _restart_start(n_pts: int, dim: int, seed: int, index: int):
-    """Starting candidate (ia, ib, Q0) of restart ``index``, drawn from
-    substream (seed, index)."""
+    """Spectra (ia, ib) of restart ``index`` from substream (seed, index), and
+    that substream's generator: its next draw is Q0, made if ascended."""
     rng = np.random.default_rng([seed, index])
     ia = rng.integers(0, n_pts, size=dim)
     ib = rng.integers(0, n_pts, size=dim)
@@ -281,7 +282,7 @@ def _restart_start(n_pts: int, dim: int, seed: int, index: int):
     else:
         ib = ia.copy()
         ib[0] = (ia[0] + 1) % n_pts
-    return ia, ib, random_orthogonal(rng, dim)
+    return ia, ib, rng
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -342,12 +343,13 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     probe_value, probe = _scalar_probe(ev, dim)
     starts = [_restart_start(pts.size, dim, seed, r) for r in range(budget)]
     lanes = ev.lanes(starts)
-    qs = np.stack([q for *_, q in starts])
     # a restart wins only by a strict > over the probe: one whose bound is
-    # below it is not ascended and keeps -inf
+    # below it is not ascended, draws no rotation and keeps -inf
     keep = _lane_bounds(lanes, norm_kind) >= probe_value
     values = np.full(budget, -np.inf)
+    qs = np.zeros((budget, dim, dim))
     if keep.any():
+        qs[keep] = [random_orthogonal(starts[r][2], dim) for r in np.flatnonzero(keep)]
         values[keep], qs[keep] = _ascent(ev, _Lanes(
             lanes.spec[:, keep], lanes.diag[:, keep], lanes.floor[:, keep]), qs[keep])
     # a screened restart counts as settled: a start, then per coordinate pair

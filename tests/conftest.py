@@ -57,6 +57,20 @@ def assert_same_blocks(got, want) -> None:
         assert np.array_equal(g.b.matrix, w.b.matrix)
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` for the rest of the test; the
+    returned list grows by one entry per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

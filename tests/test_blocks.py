@@ -20,7 +20,7 @@ from specshift import (DivergentFamily, DomainError, HermitianOperator,
 from specshift.catalog import max_quotient, pointwise
 from specshift.serialize import dump_json, family_to_json
 
-from conftest import random_hermitian
+from conftest import count_calls, random_hermitian
 
 
 def _increment(f, a, b):
@@ -177,6 +177,15 @@ class TestBuildDivergentFamily:
             assert rec.achieved_ratio > rec.target_ratio
             agg = rec.block.weighted_increment_s1
             assert 0.5 - 1e-9 <= agg <= 1.0 + 1e-9
+
+    def test_each_block_solves_two_spectra(self, monkeypatch):
+        # refinement, amplification and the family's window check read the
+        # decompositions kept on the block's A and B
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        fam = build_divergent_family(get_function("sqrt_abs"),
+                                     default_delta_schedule(10), 10, 4, 1, dim=8)
+        assert fam.failure is None
+        assert len(calls) == 2 * len(fam.records) == 20
 
     def test_block_spectra_strictly_inside_window(self):
         f = get_function("sqrt_abs")

@@ -528,6 +528,29 @@ class TestNoPartialOutputs:
 
 
 class TestFlagsAndFormats:
+    def test_one_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        verify_out, commuting_out = tmp_path / "verify.json", tmp_path / "commuting.csv"
+        verify_cfg = _write_cfg(tmp_path / "verify_cfg.json",
+                                {"seed": 3, "output": str(tmp_path / "unused.csv")})
+        commuting_cfg = _write_cfg(tmp_path / "commuting_cfg.json", {
+            "function": {"id": "sqrt_abs", "params": []}, "K": 3,
+            "search_grid": 101, "seed": 2, "output": str(commuting_out)})
+        assert main(["verify", verify_cfg, "--format", "json", "--seed", "9",
+                     "--output", str(verify_out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["commuting", commuting_cfg, "--format", "xml"])
+        assert exc.value.code == 2
+        assert main(["commuting", commuting_cfg]) == 0
+        # no flag of an earlier call carries over: the config's csv output
+        assert json.loads(verify_out.read_text())["columns"][0] == "check"
+        header, rows = _read_rows(commuting_out)
+        assert header[0] == "k" and len(rows) == 3
+        assert not (tmp_path / "unused.csv").exists()
+        assert vars(cli.build_parser().parse_args(["commuting", "c.json"])) == {
+            "command": "commuting", "config": "c.json",
+            "seed": None, "output": None, "format": None}
+
     def test_seed_and_output_overrides(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"

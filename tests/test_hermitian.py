@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specshift import (DegeneratePair, HermitianOperator, NonFinite,
-                       apply_function, catalog_ids, decompose, get_function,
-                       increment_ratio, operator_scale, schatten_norm,
-                       singular_values, spectral_truncation,
+from specshift import (ConvergenceFailure, DegeneratePair, HermitianOperator,
+                       NonFinite, apply_function, catalog_ids, decompose,
+                       get_function, increment_ratio, operator_scale,
+                       schatten_norm, singular_values, spectral_truncation,
                        trace_transfer_check)
+from specshift.hermitian import schatten_from_singular
 
-from conftest import random_hermitian
+from conftest import count_calls, random_hermitian
 
 
 class TestHermitianOperator:
@@ -393,3 +394,78 @@ class TestOneSpectrumPerMatrix:
         assert dec.reconstruction_residual == float(recon)
         ortho = np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(dim)).max()
         assert dec.orthonormality_residual == float(ortho) <= 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(1, 8), count=st.integers(1, 7),
+           complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([2.0 ** -60, 1.0, 1e3]))
+    def test_stack_matches_separate_calls(self, dim, count, complex_entries, seed, scale):
+        rng = np.random.default_rng(seed)
+        mats = scale * rng.uniform(-1, 1, (count, dim, dim))
+        if complex_entries:
+            mats = mats + 1j * scale * rng.uniform(-1, 1, (count, dim, dim))
+        stacked = singular_values(mats)
+        for i, m in enumerate(mats):
+            assert stacked[i].tobytes() == singular_values(m).tobytes()
+            for p in (1, 2, np.inf):
+                assert schatten_from_singular(stacked, p)[i] == schatten_norm(m, p)
+
+
+class TestDecompositionIsKept:
+    """``decompose`` solves an operator once; every later call, direct or
+    through a caller, returns the kept result."""
+
+    def test_second_call_returns_the_kept_result(self, rng):
+        op = random_hermitian(rng, 5, complex_entries=True)
+        assert decompose(op) is decompose(op)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_kept_result_is_a_fresh_solve_bit_for_bit(self, rng, complex_entries):
+        op = random_hermitian(rng, 6, complex_entries=complex_entries)
+        decompose(op)
+        kept, fresh = decompose(op), decompose(HermitianOperator(op.matrix))
+        assert kept is not fresh
+        assert kept.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert kept.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+        assert kept.reconstruction_residual == fresh.reconstruction_residual
+        assert not kept.eigenvalues.flags.writeable
+        assert not kept.eigenvectors.flags.writeable
+
+    def test_trace_transfer_solves_four_spectra(self, rng, monkeypatch):
+        # A and B once each (truncation and calculus share them), then the
+        # two truncations
+        a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        trace_transfer_check(get_function("abs"), 0.5, a, b)
+        assert len(calls) == 4
+
+    def test_trace_transfer_takes_one_svd_call(self, rng, monkeypatch):
+        a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        trace_transfer_check(get_function("abs"), 0.5, a, b)
+        assert len(calls) == 1
+
+    def test_increment_ratio_takes_two_svd_calls(self, rng, monkeypatch):
+        # A, B and B - A in one call, the function increment in the other
+        a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        increment_ratio(get_function("sin"), a, b)
+        assert len(calls) == 2
+
+    def test_failure_is_not_kept(self, rng, monkeypatch):
+        op = random_hermitian(rng, 4)
+        real_eigh, solved = np.linalg.eigh, []
+
+        def eigh_failing_once(m):
+            w, u = real_eigh(m)
+            solved.append(m)
+            # the first solve returns vectors far from orthonormal
+            return (w, 2.0 * u) if len(solved) == 1 else (w, u)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_once)
+        with pytest.raises(ConvergenceFailure):
+            decompose(op)
+        dec = decompose(op)
+        assert dec is decompose(op)
+        fresh = decompose(HermitianOperator(op.matrix))
+        assert dec.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()

@@ -14,7 +14,7 @@ from specshift import (BadInterval, DomainError, FiniteSpectrumSet, HermitianOpe
 from specshift.catalog import pointwise
 from specshift.loewner import TIE_EPS
 
-from conftest import random_hermitian
+from conftest import count_calls, random_hermitian
 
 
 class TestDividedDifference:
@@ -98,6 +98,10 @@ class TestVectorisedLoewnerMatrix:
         fallback = any(abs(x - y) <= TIE_EPS * (abs(x) + abs(y)) and f.derivative_at(x) is None
                        for x in lam for y in mu)
         assert lm.tie_fallback_used == fallback
+        # precomputed f-values give the same matrix; ties still go point by point
+        given = loewner_matrix(f, lam, mu, (f.values_at(lam), f.values_at(mu)))
+        assert given.entries.tobytes() == lm.entries.tobytes()
+        assert given.tie_fallback_used == fallback
 
     def test_function_without_derivative_flags_its_ties(self):
         lm = loewner_matrix(_CUBE, [1.0, 2.0], [2.0, 3.0])
@@ -162,6 +166,13 @@ def _taylor_sin(m: np.ndarray, terms: int = 40) -> np.ndarray:
 
 
 class TestPerturbationIdentity:
+    def test_evaluates_f_once_per_spectrum(self, rng, monkeypatch):
+        f = get_function("sin")
+        a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        calls = count_calls(monkeypatch, ScalarFunction, "values_at")
+        perturbation_identity_residual(f, a, b)
+        assert len(calls) == 2
+
     def test_identity_function(self, rng):
         f = get_function("identity")
         for _ in range(5):

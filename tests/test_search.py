@@ -21,9 +21,18 @@ from specshift.search import (_GOLDEN, _ascent, _Evaluator, _frames, _lane_bound
                               _norms, _restart_start, _scalar_probe,
                               _witness_from_candidate, random_orthogonal)
 
+from conftest import count_calls
+
 
 def _grid9():
     return restrict_to_grid((-1, 1), 9)
+
+
+def _ascended_start(n_pts, dim, seed, index):
+    """Restart ``index``'s start (ia, ib, Q0) as it is when ascended: Q0 is
+    the next draw of the generator ``_restart_start`` hands back."""
+    ia, ib, rng = _restart_start(n_pts, dim, seed, index)
+    return ia, ib, random_orthogonal(rng, dim)
 
 
 def test_identity_is_exactly_one():
@@ -129,7 +138,7 @@ class TestFrameKernelAccuracy:
         res = seminorm_lower_bound(f, grid, dim, kind, 2, seed)
         witnesses = [(res.value, res.witness)]
         ev = _Evaluator(grid.points, f.values_at(grid.points), kind)
-        starts = [_restart_start(count, dim, seed, r) for r in range(2)]
+        starts = [_ascended_start(count, dim, seed, r) for r in range(2)]
         values, qs = _ascent(ev, ev.lanes(starts), np.stack([c[2] for c in starts]))
         witnesses += [(value, _witness_from_candidate(f, ev, ia, ib, q))
                       for (ia, ib, _), value, q in zip(starts, values, qs)]
@@ -433,7 +442,7 @@ def _oracle_search(f, grid, dim, kind, budget, seed):
     best_cand = (ia, ib, None)
     # every restart is ascended; ties go to the probe, then the first restart
     for r in range(budget):
-        ia, ib, q0 = _restart_start(pts.size, dim, seed, r)
+        ia, ib, q0 = _ascended_start(pts.size, dim, seed, r)
         value, q = _oracle_ascent(ev, ia, ib, q0)
         if value > best_val:
             best_val, best_cand = value, (ia, ib, q)
@@ -478,7 +487,7 @@ class TestLockstepMatchesOracle:
             if data.draw(st.booleans()):
                 ib = np.array(data.draw(st.lists(st.integers(0, 4),
                                                  min_size=dim, max_size=dim)))
-            q0 = _restart_start(5, dim, data.draw(st.integers(0, 1000)), 0)[2]
+            q0 = _ascended_start(5, dim, data.draw(st.integers(0, 1000)), 0)[2]
             starts.append((ia, ib, np.eye(dim) if data.draw(st.booleans()) else q0))
         values, qs = _ascent(ev, ev.lanes(starts), np.stack([c[2] for c in starts]))
         oracle = _Evaluator(ev.pts, ev.fvals, kind)
@@ -659,7 +668,7 @@ class TestLaneBoundIsSound:
             assume(False)
         ev = _Evaluator(grid.points, fvals, kind)
         _, (ia, ib, _) = _scalar_probe(ev, dim)
-        restarts = [_restart_start(grid.points.size, dim, seed, r) for r in range(2)]
+        restarts = [_ascended_start(grid.points.size, dim, seed, r) for r in range(2)]
         # the probe pair, two restarts and a restart whose b permutes its a
         ia_perm, _, q_perm = restarts[0]
         ib_perm = np.array(data.draw(st.permutations(ia_perm.tolist())))
@@ -739,6 +748,26 @@ class TestScreenedLanes:
                                         default_delta_schedule(30), 30, 4, 1, dim=4)
         assert family.failure is None
         assert counts == []
+
+    def test_screened_restarts_draw_no_rotation(self, monkeypatch):
+        # every restart of the divergence family is ruled out (above), so
+        # no block search factors a random matrix
+        calls = count_calls(monkeypatch, np.linalg, "qr")
+        family = build_divergent_family(get_function("sqrt_abs"),
+                                        default_delta_schedule(10), 10, 4, 1, dim=8)
+        assert family.failure is None
+        assert calls == []
+
+    def test_each_ascended_restart_draws_one_rotation(self, monkeypatch):
+        f, grid, dim, budget = get_function("abs"), restrict_to_grid((-1, 1), 17), 4, 6
+        ev = _Evaluator(grid.points, f.values_at(grid.points), "schatten1")
+        probe, _ = _scalar_probe(ev, dim)
+        lanes = ev.lanes([_restart_start(grid.size, dim, 1, r) for r in range(budget)])
+        kept = int((_lane_bounds(lanes, "schatten1") >= probe).sum())
+        assert 0 < kept < budget
+        calls = count_calls(monkeypatch, np.linalg, "qr")
+        seminorm_lower_bound(f, grid, dim, "schatten1", budget, 1)
+        assert len(calls) == kept
 
     @pytest.mark.parametrize("dim", [8, 16])
     @pytest.mark.parametrize("kind", ["operator", "schatten1"])
