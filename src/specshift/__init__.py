@@ -19,8 +19,7 @@ Library layout:
 from .blocks import (BlockRecord, DivergentFamily, SumBlock, amplify_to_unit,
                      build_divergent_family, default_delta_schedule,
                      partial_sums, segment_refine, weighted)
-from .catalog import (FunctionMetadata, ScalarFunction, catalog_ids,
-                      get_function, lipschitz_seminorm_estimate)
+from .catalog import FunctionMetadata, ScalarFunction, catalog_ids, get_function
 from .errors import (BadInterval, BadParams, ConfigError, ConvergenceFailure,
                      DegenerateIncrement, DegeneratePair, DomainError,
                      InvariantViolation, NonFinite, PreconditionViolated,

@@ -9,6 +9,7 @@ bitwise reproducible and safe for huge multiplicities.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -19,7 +20,7 @@ from .catalog import ScalarFunction
 from .errors import (DegeneratePair, InvariantViolation, PreconditionViolated,
                      RefinementOverflow)
 from .hermitian import (HermitianOperator, apply_function, decompose,
-                        schatten_norm)
+                        schatten_from_singular, singular_values)
 from .loewner import FiniteSpectrumSet
 from .search import SeminormLowerBound, seminorm_lower_bound
 
@@ -101,13 +102,15 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
     """Shrink (A, B) along the straight segment until the function increment
     drops below 1, without decreasing the trace-norm increment ratio.
 
-    If ||f(B)-f(A)||_1 < 1 the pair is returned unchanged.  Otherwise the
-    segment t -> f((1-t)A + tB) is subdivided into n equal parts with n
-    doubling (2, 4, 8, ...) until every consecutive increment is < 1; the
+    The segment t -> f((1-t)A + tB) is subdivided into n equal parts with n
+    doubling (1, 2, 4, ...) until every consecutive increment is < 1; the
     sub-segment with the largest increment (smallest index on ties) is
-    returned.  Its endpoints are dyadic, so the sub-segment length is exactly
+    returned, so a pair with ||f(B)-f(A)||_1 < 1 comes back as (A, B) itself.
+    Its endpoints are dyadic, so the sub-segment length is exactly
     ||B-A||_1 / n, and the maximal sub-increment is at least 1/n of the total
-    by the triangle inequality, which preserves the ratio.
+    by the triangle inequality, which preserves the ratio.  Each level keeps
+    the f-images of the last, evaluates f at the new midpoints only and takes
+    its n increments from one stacked SVD call.
 
     By the same inequality no n' below n * max(increments) can succeed, so
     RefinementOverflow is raised as soon as that product passes 2 * n_max
@@ -116,32 +119,20 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     diff = b.matrix - a.matrix
-    cache = {0.0: apply_function(f, a), 1.0: apply_function(f, b)}
-    if schatten_norm(cache[1.0].matrix - cache[0.0].matrix, 1) < 1.0:
-        return a, b
-
-    def value_at(t: float) -> HermitianOperator:
-        got = cache.get(t)
-        if got is None:
-            got = apply_function(f, _path_point(a, diff, t))
-            cache[t] = got
-        return got
-
-    n = 2
+    images = [apply_function(f, a).matrix, apply_function(f, b).matrix]
+    n = 1
     while n <= n_max:
-        increments = np.empty(n)
-        for k in range(n):
-            lo = value_at(k / n)
-            hi = value_at((k + 1) / n)
-            increments[k] = schatten_norm(hi.matrix - lo.matrix, 1)
+        increments = schatten_from_singular(singular_values(np.diff(images, axis=0)), 1)
         if np.all(increments < 1.0):
             k = int(np.argmax(increments))  # first maximum: smallest k
-            left = _path_point(a, diff, k / n)
             right = b if k + 1 == n else _path_point(a, diff, (k + 1) / n)
-            return left, right
+            return _path_point(a, diff, k / n), right
         if n * increments.max() > 2 * n_max:
             break
         n *= 2
+        mids = (apply_function(f, _path_point(a, diff, k / n)).matrix
+                for k in range(1, n, 2))
+        images[1:] = [x for pair in zip(mids, images[1:]) for x in pair]
     raise RefinementOverflow(
         f"no subdivision up to {n_max} brought all increments below 1")
 
@@ -153,13 +144,16 @@ def amplify_to_unit(f: ScalarFunction, a: HermitianOperator,
     Requires 0 < ||f(B)-f(A)||_1 < 1 (refine first if needed).  The
     multiplicity is the exact floor of the reciprocal increment; the
     aggregate ratio equals the block ratio because both norms scale by the
-    same integer.  The block carries the two trace norms computed here.
+    same integer.  The block carries the two trace norms computed here, both
+    from one stacked SVD call.  f is evaluated before A = B is rejected, so
+    f's DomainError comes first; in a divergent family ``segment_refine`` has
+    already evaluated f on the same pair.
     """
-    delta_s1 = schatten_norm(b.matrix - a.matrix, 1)
+    fb, fa = apply_function(f, b), apply_function(f, a)
+    delta_s1, increment = schatten_from_singular(singular_values(
+        np.stack([b.matrix - a.matrix, fb.matrix - fa.matrix])), 1).tolist()
     if not delta_s1 > 0.0:
         raise DegeneratePair("cannot amplify a pair with A = B")
-    increment = schatten_norm(
-        apply_function(f, b).matrix - apply_function(f, a).matrix, 1)
     if not 0.0 < increment < 1.0:
         raise PreconditionViolated(
             f"increment must lie in (0, 1), got {increment!r}")
@@ -246,11 +240,12 @@ def _block_record(f: ScalarFunction, index: int, delta: float,
     return BlockRecord(index, delta, target, achieved, block, status)
 
 
-def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
-                           block_count: int, per_block_budget: int, seed: int,
-                           dim: int = 2) -> DivergentFamily:
+def build_divergent_family(f: ScalarFunction, block_count: int,
+                           per_block_budget: int, seed: int, dim: int = 2,
+                           delta0: float = 1.0) -> DivergentFamily:
     """For each n <= block_count, search for a pair with ratio above 2**n
-    inside the n-th spectra window, refine it below unit increment, and
+    inside the window of half-width delta_n = delta0 * 2**-n
+    (``default_delta_schedule``), refine it below unit increment, and
     amplify it back into [1/2, 1].
 
     A block that misses its target truncates the family; the miss is recorded
@@ -260,20 +255,18 @@ def build_divergent_family(f: ScalarFunction, delta_schedule: Sequence[float],
     Each block is searched on its own (``seminorm_lower_bound``), then
     refined and amplified, in block order; no block after a failed one is
     searched, so a family that stops at block m has searched exactly m
-    blocks.
+    blocks.  ValueError if block_count < 1, or if the windows do not stay
+    positive, finite and strictly shrinking (delta0 * 2**-n underflows).
     """
     if block_count < 1:
         raise ValueError(f"block_count must be >= 1, got {block_count}")
-    schedule = [float(d) for d in delta_schedule]
-    if len(schedule) < block_count:
-        raise ValueError(
-            f"schedule has {len(schedule)} entries for {block_count} blocks")
-    if any(d <= 0 for d in schedule) or any(
-            schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)):
-        raise ValueError("delta schedule must be strictly decreasing and positive")
+    schedule = default_delta_schedule(block_count, delta0)
+    if not all(0.0 < d < prev for d, prev in zip(schedule, (math.inf,) + schedule)):
+        raise ValueError(f"delta0 * 2**-n is not positive, finite and decreasing "
+                         f"for n = 1..{block_count}")
 
     records = []
-    for index, delta in enumerate(schedule[:block_count], start=1):
+    for index, delta in enumerate(schedule, start=1):
         bound = seminorm_lower_bound(f, _block_grid(delta, index), dim, "schatten1",
                                      per_block_budget, _block_seed(seed, index))
         record = _block_record(f, index, delta, bound)

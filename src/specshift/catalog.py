@@ -21,7 +21,6 @@ __all__ = [
     "ScalarFunction",
     "get_function",
     "catalog_ids",
-    "lipschitz_seminorm_estimate",
     "max_quotient",
     "pointwise",
 ]
@@ -295,13 +294,3 @@ def max_quotient(pts: np.ndarray, vals: np.ndarray, radius: float = math.inf):
     if q[i] == -math.inf:
         return -math.inf, None, None
     return float(q[i]), i, i + 1
-
-
-def lipschitz_seminorm_estimate(f: ScalarFunction, interval, grid_n: int) -> float:
-    """Largest difference quotient of ``f`` over an equispaced grid
-    (points that round together are merged)."""
-    a, b = interval_bounds(interval)
-    if grid_n < 2:
-        raise BadInterval(f"grid_n must be >= 2, got {grid_n}")
-    xs = np.unique(np.linspace(a, b, grid_n))
-    return max_quotient(xs, f.values_at(xs))[0]

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blocks import build_divergent_family, default_delta_schedule, partial_sums
+from .blocks import build_divergent_family, partial_sums
 from .catalog import get_function
 from .errors import (BadInterval, BadParams, ConfigError, SpecshiftError,
                      UnknownFunction)
@@ -222,25 +222,23 @@ def run_divergence(cfg: dict) -> int:
     output = _get_output(cfg)
     fmt = _get_format(cfg)
 
-    family = build_divergent_family(
-        f, default_delta_schedule(block_count, float(delta0)),
-        block_count, budget, seed, dim)
+    family = build_divergent_family(f, block_count, budget, seed, dim, float(delta0))
+    docs = family_to_json(family)
 
     columns = ("n", "delta", "target_ratio", "achieved_ratio", "multiplicity",
                "increment_s1", "perturbation_partial_sum",
                "increment_partial_sum", "status")
     rows = []
     blocks = family.blocks
-    for rec in family.all_records:
+    for doc in docs:
         # a failed block comes last and adds nothing to the partial sums
-        pert_sum, incr_sum = partial_sums(blocks, min(rec.index, len(blocks)))
-        mult = str(rec.block.multiplicity) if rec.block is not None else "0"
-        agg_inc = rec.block.weighted_increment_s1 if rec.block is not None else 0.0
-        rows.append((rec.index, _fmt(rec.delta), _fmt(rec.target_ratio),
-                     _fmt(rec.achieved_ratio), mult, _fmt(agg_inc),
-                     _fmt(pert_sum), _fmt(incr_sum), rec.status))
+        pert_sum, incr_sum = partial_sums(blocks, min(doc["n"], len(blocks)))
+        rows.append((doc["n"], _fmt(doc["delta"]), _fmt(doc["target_ratio"]),
+                     _fmt(doc["achieved_ratio"]), doc["multiplicity"],
+                     _fmt(doc["increment_s1"]), _fmt(pert_sum), _fmt(incr_sum),
+                     doc["status"]))
     _write_all([(output, _report_text(columns, rows, fmt)),
-                (_sidecar(output, "_family.json"), dump_json(family_to_json(family)))])
+                (_sidecar(output, "_family.json"), dump_json(docs))])
     return EXIT_OK
 
 

@@ -205,7 +205,6 @@ class RatioWitness:
 
     a: HermitianOperator
     b: HermitianOperator
-    function: ScalarFunction
     ratio_s1: float
     ratio_op: float
     increment_s1: float
@@ -228,7 +227,7 @@ def increment_ratio(f: ScalarFunction, a: HermitianOperator,
     num = singular_values(apply_function(f, b).matrix - apply_function(f, a).matrix)
     num_s1 = float(num.sum())
     return RatioWitness(
-        a=a, b=b, function=f,
+        a=a, b=b,
         ratio_s1=num_s1 / den_s1,
         ratio_op=float(num[0]) / float(den[0]),
         increment_s1=num_s1,
@@ -256,11 +255,6 @@ class TraceTransferReport:
     total_increment_s1: float
     reassembly_residual_s1: float
     scale: float
-    tolerance: float
-
-    @property
-    def within_tolerance(self) -> bool:
-        return self.reassembly_residual_s1 <= self.tolerance
 
 
 def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
@@ -286,7 +280,6 @@ def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
     sv = singular_values(np.stack([a.matrix, b.matrix, tail_a, tail_b, core, total, residual]))
     s1 = schatten_from_singular(sv, 1).tolist()
     top = max(float(sv[0, 0]), float(sv[1, 0]))
-    scale = max(1.0, top)
     rank_floor = noise_floor(a.dim, top, 1e-10)
     return TraceTransferReport(
         delta=float(delta),
@@ -299,6 +292,5 @@ def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
         core_increment_s1=s1[4],
         total_increment_s1=s1[5],
         reassembly_residual_s1=s1[6],
-        scale=scale,
-        tolerance=1e-9 * scale,
+        scale=max(1.0, top),
     )

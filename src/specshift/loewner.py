@@ -58,10 +58,6 @@ class FiniteSpectrumSet:
     def size(self) -> int:
         return int(self.points.size)
 
-    @property
-    def hull(self) -> tuple:
-        return float(self.points[0]), float(self.points[-1])
-
 
 def restrict_to_grid(interval, n: int) -> FiniteSpectrumSet:
     """n equispaced points spanning [a, b], endpoints included."""

@@ -57,8 +57,8 @@ class SeminormLowerBound:
     """Best increment ratio found, with the pair that attains it.
 
     ``value`` equals the witness's ratio of the requested kind exactly.
-    ``witness`` is None (and ``degenerate`` True) when the grid admits no
-    unequal pair, i.e. it has a single point.
+    ``witness`` is None when the grid admits no unequal pair, i.e. it has a
+    single point.
     """
 
     value: float
@@ -67,7 +67,6 @@ class SeminormLowerBound:
     budget_used: int
     seed: int
     budget: int
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,7 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
-def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
+def _witness_from_candidate(ev: _Evaluator, ia, ib, q):
     """Materialise the candidate pair with both ratios computed along the
     same arithmetic path and floors the search used to score it; the probe's
     denominator is a gap between grid points, so no floor applies to it."""
@@ -311,7 +310,6 @@ def _witness_from_candidate(f: ScalarFunction, ev: _Evaluator, ia, ib, q):
     return RatioWitness(
         a=HermitianOperator(np.diag(a)),
         b=HermitianOperator(b_mat),
-        function=f,
         ratio_s1=0.0 if num_s1 <= floor else num_s1 / den_s1,
         ratio_op=0.0 if num_op <= floor else num_op / den_op,
         increment_s1=num_s1,
@@ -337,7 +335,7 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
         raise ValueError(f"seed must be >= 0, got {seed}")
     pts = f0.points
     if pts.size < 2:
-        return SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget, degenerate=True)
+        return SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget)
 
     ev = _Evaluator(pts, f.values_at(pts), norm_kind)
     probe_value, probe = _scalar_probe(ev, dim)
@@ -358,6 +356,6 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     # ties go to the earliest phase: the probe, then the first restart
     r = int(np.argmax(values))
     best = (*starts[r][:2], qs[r]) if values[r] > probe_value else probe
-    witness = _witness_from_candidate(f, ev, *best)
+    witness = _witness_from_candidate(ev, *best)
     value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
     return SeminormLowerBound(value, witness, norm_kind, ev.count, seed, budget)

@@ -39,16 +39,12 @@ __all__ = [
 @dataclass(frozen=True)
 class SequenceWitness:
     """Finite prefix of sequences violating a uniform difference-quotient
-    bound at every level; ``n`` holds multiplicities once filled.
-
-    ``decay_constant`` is the recorded c with |t_k|, |s_k| <= c * 2**-k.
-    """
+    bound at every level; ``n`` holds multiplicities once filled."""
 
     function: ScalarFunction
     t: Tuple[float, ...]
     s: Tuple[float, ...]
     n: Optional[Tuple[int, ...]]
-    decay_constant: float
 
     @property
     def length(self) -> int:
@@ -69,7 +65,7 @@ class NotFound:
 
 
 def make_sequence_witness(f: ScalarFunction, t, s, n=None) -> SequenceWitness:
-    """Validate the per-level constraints and record the decay constant."""
+    """Validate the per-level constraints."""
     t = tuple(float(x) for x in t)
     s = tuple(float(x) for x in s)
     if len(t) != len(s):
@@ -81,11 +77,9 @@ def make_sequence_witness(f: ScalarFunction, t, s, n=None) -> SequenceWitness:
                 f"multiplicity length mismatch: {len(n)} != {len(t)}")
         if any(x < 1 for x in n):
             raise InvariantViolation("multiplicities must be positive")
-    c = 1.0
     ft, fs = f.values_at(np.array([t, s])).tolist()
     for k, (tk, sk, ftk, fsk) in enumerate(zip(t, s, ft, fs), start=1):
         level_scale = 2.0 ** -k
-        c = max(c, abs(tk) / level_scale, abs(sk) / level_scale)
         gap = abs(tk - sk)
         if not 0.0 < gap < level_scale:
             raise InvariantViolation(
@@ -94,7 +88,7 @@ def make_sequence_witness(f: ScalarFunction, t, s, n=None) -> SequenceWitness:
         if not quotient > 2.0 ** k:
             raise InvariantViolation(
                 f"level {k}: quotient {quotient!r} does not exceed 2**{k}")
-    return SequenceWitness(f, t, s, n, c)
+    return SequenceWitness(f, t, s, n)
 
 
 def _level_points(level: int, search_grid: int, total_levels: int,
@@ -153,8 +147,7 @@ def multiplicity_sequence(f: ScalarFunction, witness: SequenceWitness) -> Sequen
         if gap == 0.0:
             raise DegenerateIncrement(f"level {k}: f(t) = f(s)")
         mults.append(floor_reciprocal(gap) + 1)
-    return SequenceWitness(witness.function, witness.t, witness.s,
-                           tuple(mults), witness.decay_constant)
+    return SequenceWitness(witness.function, witness.t, witness.s, tuple(mults))
 
 
 def divergence_check(witness: SequenceWitness, upto: int) -> Tuple[SumBlock, ...]:

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from specshift import (FiniteSpectrumSet, HermitianOperator, apply_function,
-                       build_divergent_family, default_delta_schedule,
-                       diagonal_embedding, divergence_check, get_function,
+                       build_divergent_family, diagonal_embedding, divergence_check, get_function,
                        increment_ratio, make_sequence_witness,
                        multiplicity_sequence, operator_scale, partial_sums,
                        perturbation_identity_residual, restrict_to_grid,
@@ -114,7 +113,7 @@ def test_criterion_4_amplification_contract():
 def test_criterion_5_divergent_family_sqrt_abs():
     start = time.perf_counter()
     f = get_function("sqrt_abs")
-    fam = build_divergent_family(f, default_delta_schedule(10), 10, 4, 11, dim=2)
+    fam = build_divergent_family(f, 10, 4, 11, dim=2)
     assert fam.failure is None
     assert len(fam.records) == 10
     pert, incr = partial_sums(fam.blocks, 10)
@@ -138,7 +137,7 @@ def test_criterion_6_controlled_functions_fail_fast_and_reassemble():
     identity = get_function("identity")
     square = get_function("poly", (0.0, 0.0, 1.0))
     for f in (identity, square):
-        fam = build_divergent_family(f, default_delta_schedule(2), 2, 3, 11)
+        fam = build_divergent_family(f, 2, 3, 11)
         assert fam.failure is not None
         assert fam.failure.index == 1
         assert len(fam.records) == 0

@@ -43,7 +43,11 @@ def _traced_warmup(name: str, tmp_path, monkeypatch) -> dict:
 
 
 def test_divergence_warmup_counts_its_blocks(tmp_path, monkeypatch):
-    assert _traced_warmup("divergence", tmp_path, monkeypatch)["blocks.ok"] >= 1
+    metrics = _traced_warmup("divergence", tmp_path, monkeypatch)
+    assert metrics["blocks.ok"] >= 1
+    # the tracer reads segment_refine's (f, A, B) arguments and returned pair
+    assert metrics["blocks.refine.calls"] >= 1
+    assert metrics["blocks.refine_depth"] >= 1
 
 
 def test_ratio_search_warmup_counts_its_evaluations(tmp_path, monkeypatch):

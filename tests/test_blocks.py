@@ -13,7 +13,7 @@ from specshift import (DivergentFamily, DomainError, HermitianOperator,
                        InvariantViolation, PreconditionViolated,
                        RefinementOverflow, ScalarFunction, SumBlock,
                        amplify_to_unit, apply_function, build_divergent_family,
-                       decompose, default_delta_schedule, get_function,
+                       decompose, get_function,
                        increment_ratio, partial_sums,
                        schatten_norm, segment_refine, weighted)
 
@@ -39,6 +39,16 @@ class TestSegmentRefine:
         # doubling stops at n = 4, largest increment at the first segment
         np.testing.assert_allclose(a2.matrix, [[0.0]])
         np.testing.assert_allclose(b2.matrix, [[0.75]])
+
+    @pytest.mark.parametrize("end,levels", [(0.5, 1), (3.0, 3), (100.0, 8)])
+    def test_one_svd_call_per_level(self, monkeypatch, end, levels):
+        # n = 1, 2, 4, ... until end / n < 1: each level's n increments come
+        # from one stacked call
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        a2, b2 = segment_refine(get_function("identity"), HermitianOperator([[0.0]]),
+                                HermitianOperator([[end]]))
+        assert len(calls) == levels
+        assert b2.matrix[0, 0] - a2.matrix[0, 0] == end / 2 ** (levels - 1)
 
     def test_small_increment_returned_unchanged(self, rng):
         f = get_function("identity")
@@ -152,8 +162,7 @@ class TestWeighted:
 
 class TestBuildDivergentFamily:
     def test_identity_truncates_at_first_block(self):
-        fam = build_divergent_family(get_function("identity"),
-                                     default_delta_schedule(3), 3, 3, 11)
+        fam = build_divergent_family(get_function("identity"), 3, 3, 11)
         assert len(fam.records) == 0
         assert fam.failure is not None
         assert fam.failure.index == 1
@@ -161,8 +170,7 @@ class TestBuildDivergentFamily:
         assert fam.failure.achieved_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_square_truncates_at_first_block(self):
-        fam = build_divergent_family(get_function("poly", (0, 0, 1)),
-                                     default_delta_schedule(3), 3, 3, 11)
+        fam = build_divergent_family(get_function("poly", (0, 0, 1)), 3, 3, 11)
         assert fam.failure is not None and fam.failure.index == 1
         # on [-delta/2, delta/2] the ratio is capped by delta = 1/2
         assert fam.failure.achieved_ratio <= 2.0 * 0.5
@@ -170,7 +178,7 @@ class TestBuildDivergentFamily:
     def test_sqrt_abs_all_blocks_succeed(self):
         f = get_function("sqrt_abs")
         count = 6
-        fam = build_divergent_family(f, default_delta_schedule(count), count, 3, 11)
+        fam = build_divergent_family(f, count, 3, 11)
         assert fam.failure is None
         assert len(fam.records) == count
         for rec in fam.records:
@@ -182,14 +190,30 @@ class TestBuildDivergentFamily:
         # refinement, amplification and the family's window check read the
         # decompositions kept on the block's A and B
         calls = count_calls(monkeypatch, np.linalg, "eigh")
-        fam = build_divergent_family(get_function("sqrt_abs"),
-                                     default_delta_schedule(10), 10, 4, 1, dim=8)
+        fam = build_divergent_family(get_function("sqrt_abs"), 10, 4, 1, dim=8)
         assert fam.failure is None
         assert len(calls) == 2 * len(fam.records) == 20
 
+    def test_each_block_takes_two_svd_calls(self, monkeypatch):
+        # no block refines: one call for segment_refine's only level, one for
+        # both of amplify_to_unit's trace norms
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        fam = build_divergent_family(get_function("sqrt_abs"), 10, 4, 1, dim=8)
+        assert fam.failure is None
+        assert len(calls) == 2 * len(fam.records) == 20
+
+    def test_refined_blocks_take_one_svd_call_per_level(self, monkeypatch):
+        # the blocks refine at depths 256, 64 and 16: 9 + 7 + 5 levels, plus
+        # one amplification call each
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        fam = build_divergent_family(get_function("signed_square"), 3, 4, 0,
+                                     dim=2, delta0=256.0)
+        assert len(fam.all_records) == 3
+        assert len(calls) == 24
+
     def test_block_spectra_strictly_inside_window(self):
         f = get_function("sqrt_abs")
-        fam = build_divergent_family(f, default_delta_schedule(5), 5, 3, 7)
+        fam = build_divergent_family(f, 5, 3, 7)
         for rec in fam.records:
             for op in (rec.block.a, rec.block.b):
                 assert np.abs(decompose(op).eigenvalues).max() < rec.delta
@@ -217,24 +241,24 @@ class TestBuildDivergentFamily:
                             num = np.abs(np.linalg.svd(num_m, compute_uv=False)).sum()
                             best = max(best, num / den)
         assert best < 2.0
-        fam = build_divergent_family(get_function("abs"),
-                                     default_delta_schedule(5), 5, 3, 11, dim=2)
+        fam = build_divergent_family(get_function("abs"), 5, 3, 11, dim=2)
         assert fam.failure is not None
         assert fam.failure.index == 1
         assert fam.failure.achieved_ratio < fam.failure.target_ratio
 
     def test_schedule_validation(self):
         f = get_function("identity")
-        with pytest.raises(ValueError):
-            build_divergent_family(f, (0.5, 0.5), 2, 1, 0)
-        with pytest.raises(ValueError):
-            build_divergent_family(f, (0.5,), 2, 1, 0)
-        with pytest.raises(ValueError):
-            build_divergent_family(f, (-0.5, -0.7), 2, 1, 0)
+        with pytest.raises(ValueError, match="block_count"):
+            build_divergent_family(f, 0, 1, 0)
+        with pytest.raises(ValueError, match="delta0"):
+            build_divergent_family(f, 2, 1, 0, delta0=-0.5)
+        # delta0 * 2**-1100 underflows to 0: refused before any search
+        with pytest.raises(ValueError, match="n = 1..1100"):
+            build_divergent_family(f, 1100, 1, 0)
 
     def test_family_rejects_bad_records(self):
         f = get_function("sqrt_abs")
-        fam = build_divergent_family(f, default_delta_schedule(2), 2, 2, 3)
+        fam = build_divergent_family(f, 2, 2, 3)
         rec = fam.records[0]
         # a record whose spectra escape the window must be rejected
         bad_block = SumBlock(HermitianOperator([[0.0]]),
@@ -268,14 +292,12 @@ class TestBatchedBlockSearches:
 
     def test_sqrt_abs_seven_blocks_no_ascent(self, counts):
         # every restart is ruled out by the screen
-        fam = build_divergent_family(get_function("sqrt_abs"),
-                                     default_delta_schedule(7), 7, 1, 0, 2)
+        fam = build_divergent_family(get_function("sqrt_abs"), 7, 1, 0, 2)
         assert fam.failure is None and len(fam.records) == 7
         assert counts == {"ascents": 0, "blocks": 7}
 
     def test_abs_fails_first_block_one_ascent(self, counts):
-        fam = build_divergent_family(get_function("abs"),
-                                     default_delta_schedule(7), 7, 1, 0, 4)
+        fam = build_divergent_family(get_function("abs"), 7, 1, 0, 4)
         assert fam.failure.index == 1
         assert counts == {"ascents": 1, "blocks": 1}
 
@@ -288,7 +310,7 @@ class TestBatchedBlockSearches:
         eps = 4.0 ** -level
         f = ScalarFunction("sqrt_floor", (eps,),
                            pointwise(lambda x: math.sqrt(max(abs(x), eps))))
-        fam = build_divergent_family(f, default_delta_schedule(9), 9, 1, 0, 2)
+        fam = build_divergent_family(f, 9, 1, 0, 2)
         assert fam.failure is not None
         m = fam.failure.index
         pts = blocks._block_grid(2.0 ** -m, m).points
@@ -307,8 +329,7 @@ class TestBatchedBlockSearches:
             return record(f, index, delta, bound)
 
         monkeypatch.setattr(blocks, "_block_record", fail_at_m)
-        fam = build_divergent_family(get_function("sqrt_abs"),
-                                     default_delta_schedule(9), 9, 1, 0, 2)
+        fam = build_divergent_family(get_function("sqrt_abs"), 9, 1, 0, 2)
         assert fam.failure.index == m
         assert counts == {"ascents": 0, "blocks": m}
 
@@ -334,8 +355,7 @@ class TestUndefinedLaterGrid:
     def test_family_stopping_before_undefined_grid(self):
         # fails at block 4; the sha256 of its JSON document was recorded
         # from the search of the scalar probe and the screened restarts
-        fam = build_divergent_family(_sqrt_partial(4.0 ** -5, self.TINY),
-                                     default_delta_schedule(7), 7, 1, 0, 2)
+        fam = build_divergent_family(_sqrt_partial(4.0 ** -5, self.TINY), 7, 1, 0, 2)
         assert fam.failure.index == 4
         digest = hashlib.sha256(dump_json(family_to_json(fam)).encode()).hexdigest()
         assert digest == "a318344619f0c6e59711c43f9b0945aae92351d91c1a980c06e3b9677c3055eb"
@@ -351,25 +371,21 @@ class TestUndefinedLaterGrid:
             return record(f, index, delta, bound)
 
         monkeypatch.setattr(blocks, "_block_record", fail_at_4)
-        fam = build_divergent_family(_sqrt_partial(0.0, self.TINY),
-                                     default_delta_schedule(7), 7, 1, 0, 2)
+        fam = build_divergent_family(_sqrt_partial(0.0, self.TINY), 7, 1, 0, 2)
         assert fam.failure.index == 4 and len(fam.records) == 3
 
     def test_reaching_undefined_grid_raises(self):
         with pytest.raises(DomainError):
-            build_divergent_family(_sqrt_partial(4.0 ** -9, self.TINY),
-                                   default_delta_schedule(7), 7, 1, 0, 2)
+            build_divergent_family(_sqrt_partial(4.0 ** -9, self.TINY), 7, 1, 0, 2)
 
 
 class TestPartialSums:
     def test_empty_prefix(self):
-        fam = build_divergent_family(get_function("sqrt_abs"),
-                                     default_delta_schedule(2), 2, 2, 3)
+        fam = build_divergent_family(get_function("sqrt_abs"), 2, 2, 3)
         assert partial_sums(fam.blocks, 0) == (0.0, 0.0)
 
     def test_rejects_out_of_range(self):
-        fam = build_divergent_family(get_function("sqrt_abs"),
-                                     default_delta_schedule(2), 2, 2, 3)
+        fam = build_divergent_family(get_function("sqrt_abs"), 2, 2, 3)
         with pytest.raises(IndexError):
             partial_sums(fam.blocks, 3)
 
@@ -394,8 +410,7 @@ class TestPartialSums:
 
     def test_sqrt_abs_partial_sums_with_rational_majorant(self):
         count = 8
-        fam = build_divergent_family(get_function("sqrt_abs"),
-                                     default_delta_schedule(count), count, 3, 11)
+        fam = build_divergent_family(get_function("sqrt_abs"), count, 3, 11)
         ps, is_ = partial_sums(fam.blocks, count)
         assert is_ >= count / 2
         # every successful block has N * ||B-A||_1 <= 1/ratio < 2**-n, so the
@@ -412,8 +427,7 @@ class TestPartialSums:
 
     def test_increment_sum_grows_linearly(self):
         count = 6
-        fam = build_divergent_family(get_function("sqrt_abs"),
-                                     default_delta_schedule(count), count, 3, 11)
+        fam = build_divergent_family(get_function("sqrt_abs"), count, 3, 11)
         sums = [partial_sums(fam.blocks, k)[1] for k in range(count + 1)]
         for k in range(1, count + 1):
             assert sums[k] - sums[k - 1] >= 0.5 - 1e-9

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specshift import (BadInterval, BadParams, DomainError, UnknownFunction,
-                       catalog_ids, get_function, lipschitz_seminorm_estimate)
+from specshift import (BadParams, DomainError, UnknownFunction, catalog_ids,
+                       get_function)
 from specshift.blocks import _block_grid
 from specshift.catalog import ScalarFunction, max_quotient, pointwise
 from specshift.search import _Evaluator, _scalar_probe
@@ -209,54 +209,6 @@ class TestArrayRules:
             f.values_at([1.0, 2.0, -1.0, 0.0])
 
 
-class TestLipschitzEstimate:
-    def test_identity_on_symmetric_interval(self):
-        f = get_function("identity")
-        assert lipschitz_seminorm_estimate(f, (-1, 1), 101) == pytest.approx(1.0, abs=1e-12)
-
-    def test_abs_on_symmetric_interval(self):
-        f = get_function("abs")
-        assert lipschitz_seminorm_estimate(f, (-1, 1), 101) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sqrt_abs_grows_with_grid(self):
-        # oracle: the adjacent pair (0, h) gives quotient h**-0.5 exactly
-        f = get_function("sqrt_abs")
-        est = lipschitz_seminorm_estimate(f, (0, 1), 1001)
-        h = 1.0 / 1000.0
-        assert est == pytest.approx(h ** -0.5, rel=1e-12)
-        assert est > 31.6
-        est_finer = lipschitz_seminorm_estimate(f, (0, 1), 2001)
-        assert est_finer > est
-
-    def test_nondecreasing_on_nested_grids(self):
-        for fid, params in (("abs", ()), ("sin", ()), ("sqrt_abs", ()),
-                            ("poly", (0.0, 1.0, 2.0))):
-            f = get_function(fid, params)
-            for n in (11, 51, 201):
-                coarse = lipschitz_seminorm_estimate(f, (-1, 1), n)
-                fine = lipschitz_seminorm_estimate(f, (-1, 1), 2 * n - 1)
-                assert fine >= coarse
-
-    def test_large_grid_uses_adjacent_sweep(self):
-        f = get_function("identity")
-        assert lipschitz_seminorm_estimate(f, (0, 1), 4001) == pytest.approx(1.0, rel=1e-12)
-
-    @pytest.mark.parametrize("grid_n", [2000, 4001])
-    def test_points_that_round_together_are_merged(self, grid_n):
-        # the grid step is below one ulp of 1, so linspace repeats points
-        f = get_function("identity")
-        assert lipschitz_seminorm_estimate(f, (1, 1 + 1e-13), grid_n) == 1.0
-
-    def test_bad_interval(self):
-        f = get_function("identity")
-        with pytest.raises(BadInterval):
-            lipschitz_seminorm_estimate(f, (1, 1), 10)
-        with pytest.raises(BadInterval):
-            lipschitz_seminorm_estimate(f, (-1e308, 1e308), 10)
-        with pytest.raises(BadInterval):
-            lipschitz_seminorm_estimate(f, (0, 1), 1)
-
-
 class TestMaxQuotient:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(),
@@ -299,8 +251,8 @@ _FROZEN_PARAMS = {"constant": (0.5,), "poly": (0.5, -1.0, 2.0, 0.0, 1.5),
 
 
 class TestFrozenQuotientScans:
-    """Outputs recorded before the probe and the Lipschitz estimate shared
-    one quotient scan; both must reproduce them bit for bit."""
+    """Outputs recorded before the scalar probe and the grid Lipschitz
+    estimate shared one quotient scan; both must reproduce them bit for bit."""
 
     # sha256 of repr([(value.hex(), i, j) for k = 1..10]), the probe on
     # _block_grid(2**-k, k)
@@ -317,7 +269,9 @@ class TestFrozenQuotientScans:
         "xsin_inv": "b63be6488bab8d65af2960adaf6acb8297683c1e5b69dcb6d9a3b9162d5e7bc0",
     }
 
-    # lipschitz_seminorm_estimate(f, (-1, 1), n).hex() for n = 101, 2000, 2001
+    # the grid Lipschitz estimate: the max_quotient value over the n-point
+    # equispaced grid of [-1, 1] (points that round together merged), .hex(),
+    # for n = 101, 2000, 2001
     LIPSCHITZ = {
         "abs": ("0x1.0000000000000p+0",) * 3,
         "sqrt_abs": ("0x1.c48c6001f0abcp+2", "0x1.05d74a15aad3fp+4",
@@ -346,5 +300,6 @@ class TestFrozenQuotientScans:
     @pytest.mark.parametrize("fid", sorted(LIPSCHITZ))
     def test_lipschitz_estimate(self, fid):
         f = get_function(fid, _FROZEN_PARAMS.get(fid, ()))
-        assert tuple(lipschitz_seminorm_estimate(f, (-1, 1), n).hex()
-                     for n in (101, 2000, 2001)) == self.LIPSCHITZ[fid]
+        grids = (np.unique(np.linspace(-1.0, 1.0, n)) for n in (101, 2000, 2001))
+        assert tuple(max_quotient(xs, f.values_at(xs))[0].hex()
+                     for xs in grids) == self.LIPSCHITZ[fid]

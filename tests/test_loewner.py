@@ -149,9 +149,6 @@ class TestFiniteSpectrumSet:
         with pytest.raises(InvariantViolation):
             FiniteSpectrumSet([-1e308, 1e308])
 
-    def test_hull(self):
-        assert FiniteSpectrumSet([-2.0, 0.5, 3.0]).hull == (-2.0, 3.0)
-
 
 def _taylor_sin(m: np.ndarray, terms: int = 40) -> np.ndarray:
     """High-accuracy matrix sine by Taylor series; independent oracle for

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from specshift import (DomainError, FiniteSpectrumSet, HermitianOperator,
                        ScalarFunction, apply_function, catalog_ids, get_function,
-                       increment_ratio, lipschitz_seminorm_estimate, restrict_to_grid,
-                       search, seminorm_lower_bound, singular_values)
-from specshift.blocks import (_block_grid, _block_seed, build_divergent_family,
-                              default_delta_schedule)
+                       increment_ratio, restrict_to_grid, search, seminorm_lower_bound, singular_values)
+from specshift.blocks import _block_grid, _block_seed, build_divergent_family
 from specshift.catalog import pointwise
 from specshift.search import (_GOLDEN, _ascent, _Evaluator, _frames, _lane_bounds,
                               _norms, _restart_start, _scalar_probe,
@@ -57,7 +55,6 @@ def test_abs_on_two_point_set_is_exactly_zero():
 def test_single_point_grid_is_degenerate():
     res = seminorm_lower_bound(get_function("abs"),
                                FiniteSpectrumSet([0.5]), 2, "schatten1", 3, 0)
-    assert res.degenerate
     assert res.witness is None
     assert res.value == 0.0
 
@@ -140,7 +137,7 @@ class TestFrameKernelAccuracy:
         ev = _Evaluator(grid.points, f.values_at(grid.points), kind)
         starts = [_ascended_start(count, dim, seed, r) for r in range(2)]
         values, qs = _ascent(ev, ev.lanes(starts), np.stack([c[2] for c in starts]))
-        witnesses += [(value, _witness_from_candidate(f, ev, ia, ib, q))
+        witnesses += [(value, _witness_from_candidate(ev, ia, ib, q))
                       for (ia, ib, _), value, q in zip(starts, values, qs)]
         for value, w in witnesses:
             # a floored numerator scores an exact 0.0 and a floored
@@ -206,8 +203,6 @@ def test_dim1_operator_ratios_bounded_by_lipschitz_constant():
         f = get_function(fid, params)
         res = seminorm_lower_bound(f, _grid9(), 1, "operator", 4, 17)
         assert res.value <= lip + 1e-12
-        # the grid estimate is itself capped by the true constant
-        assert lipschitz_seminorm_estimate(f, (-1, 1), 9) <= lip + 1e-12
 
 
 def test_operator_kind_and_s1_kind_both_search(rng):
@@ -446,7 +441,7 @@ def _oracle_search(f, grid, dim, kind, budget, seed):
         value, q = _oracle_ascent(ev, ia, ib, q0)
         if value > best_val:
             best_val, best_cand = value, (ia, ib, q)
-    witness = _witness_from_candidate(f, ev, *best_cand)
+    witness = _witness_from_candidate(ev, *best_cand)
     value = witness.ratio_s1 if kind == "schatten1" else witness.ratio_op
     return value, ev.count, witness.b.matrix
 
@@ -734,8 +729,7 @@ class TestScreenedLanes:
     def test_divergence_makes_no_ascent(self, monkeypatch):
         # every restart of the 10 block searches is ruled out
         counts = self._lane_counts(monkeypatch)
-        family = build_divergent_family(get_function("sqrt_abs"),
-                                        default_delta_schedule(10), 10, 4, 1, dim=8)
+        family = build_divergent_family(get_function("sqrt_abs"), 10, 4, 1, dim=8)
         assert family.failure is None
         assert counts == []
 
@@ -744,8 +738,7 @@ class TestScreenedLanes:
         # slack scales with their entries, so it still rules out every
         # restart there
         counts = self._lane_counts(monkeypatch)
-        family = build_divergent_family(get_function("sqrt_abs"),
-                                        default_delta_schedule(30), 30, 4, 1, dim=4)
+        family = build_divergent_family(get_function("sqrt_abs"), 30, 4, 1, dim=4)
         assert family.failure is None
         assert counts == []
 
@@ -753,8 +746,7 @@ class TestScreenedLanes:
         # every restart of the divergence family is ruled out (above), so
         # no block search factors a random matrix
         calls = count_calls(monkeypatch, np.linalg, "qr")
-        family = build_divergent_family(get_function("sqrt_abs"),
-                                        default_delta_schedule(10), 10, 4, 1, dim=8)
+        family = build_divergent_family(get_function("sqrt_abs"), 10, 4, 1, dim=8)
         assert family.failure is None
         assert calls == []
 

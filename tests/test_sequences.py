@@ -30,7 +30,6 @@ class TestMakeSequenceWitness:
     def test_canonical_witness_validates(self):
         _, w = _canonical_sqrt_witness(30)
         assert w.length == 30
-        assert w.decay_constant == 1.0
 
     def test_rejects_equal_points(self):
         f = get_function("sqrt_abs")
@@ -216,7 +215,7 @@ class TestMultiplicitySequence:
     def test_floor_rule(self, gap, expected):
         # n = floor(1/gap) + 1 on the stored double
         f = get_function("identity")
-        w = SequenceWitness(f, (gap / 2,), (-gap / 2,), None, 1.0)
+        w = SequenceWitness(f, (gap / 2,), (-gap / 2,), None)
         filled = multiplicity_sequence(f, w)
         assert filled.n == (expected,)
 
@@ -229,7 +228,7 @@ class TestMultiplicitySequence:
 
     def test_degenerate_increment(self):
         f = get_function("constant", (1.0,))
-        w = SequenceWitness(f, (0.25,), (0.0,), None, 1.0)
+        w = SequenceWitness(f, (0.25,), (0.0,), None)
         with pytest.raises(DegenerateIncrement):
             multiplicity_sequence(f, w)
 
@@ -286,7 +285,7 @@ class TestDivergenceCheck:
     def test_bound_failure_names_level(self):
         # a deliberately oversized multiplicity breaks the per-level bound
         f, w = _canonical_sqrt_witness(3)
-        bad = SequenceWitness(f, w.t, w.s, (10 ** 9, 3, 3), w.decay_constant)
+        bad = SequenceWitness(f, w.t, w.s, (10 ** 9, 3, 3))
         with pytest.raises(InvariantViolation, match="level 1"):
             divergence_check(bad, 3)
 
@@ -294,14 +293,14 @@ class TestDivergenceCheck:
 class TestDiagonalEmbedding:
     def test_single_level_bookkeeping(self):
         f = get_function("identity")
-        w = SequenceWitness(f, (0.2,), (0.0,), (3,), 1.0)
+        w = SequenceWitness(f, (0.2,), (0.0,), (3,))
         ps, is_ = partial_sums(diagonal_embedding(w, 1), 1)
         assert ps == pytest.approx(0.6, rel=1e-15)
         assert is_ == pytest.approx(0.6, rel=1e-15)
 
     def test_identity_aggregate_ratio_one(self):
         f = get_function("identity")
-        w = SequenceWitness(f, (0.2, 0.1), (0.0, 0.0), (2, 5), 1.0)
+        w = SequenceWitness(f, (0.2, 0.1), (0.0, 0.0), (2, 5))
         ps, is_ = partial_sums(diagonal_embedding(w, 2), 2)
         assert is_ / ps == pytest.approx(1.0, rel=1e-15)
 
