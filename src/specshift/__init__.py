@@ -21,9 +21,9 @@ from .blocks import (BlockRecord, DivergentFamily, SumBlock, amplify_to_unit,
                      partial_sums, segment_refine, weighted)
 from .catalog import FunctionMetadata, ScalarFunction, catalog_ids, get_function
 from .errors import (BadInterval, BadParams, ConfigError, ConvergenceFailure,
-                     DegenerateIncrement, DegeneratePair, DomainError,
-                     InvariantViolation, NonFinite, PreconditionViolated,
-                     RefinementOverflow, SpecshiftError, UnknownFunction)
+                     DegeneratePair, DomainError, InvariantViolation,
+                     NonFinite, PreconditionViolated, RefinementOverflow,
+                     SpecshiftError, UnknownFunction)
 from .hermitian import (HermitianOperator, RatioWitness, SpectralDecomposition,
                         TraceTransferReport, apply_function, decompose,
                         increment_ratio, operator_scale, schatten_norm,
@@ -33,8 +33,7 @@ from .loewner import (FiniteSpectrumSet, LoewnerMatrix, divided_difference,
                       loewner_matrix, perturbation_identity_residual,
                       restrict_to_grid)
 from .search import NORM_KINDS, SeminormLowerBound, seminorm_lower_bound
-from .sequences import (NotFound, SequenceWitness, diagonal_embedding,
-                        divergence_check, make_sequence_witness,
-                        multiplicity_sequence, scalar_ratio_witnesses)
+from .sequences import (NotFound, SequenceWitness, divergence_check,
+                        make_sequence_witness, scalar_ratio_witnesses)
 
 __version__ = "0.1.0"

@@ -177,7 +177,6 @@ class DivergentFamily:
     """Blocks whose aggregate ratios exceed 2**n inside shrinking spectra
     windows, truncated at the first block that missed its target."""
 
-    function: ScalarFunction
     records: Tuple[BlockRecord, ...]
     failure: Optional[BlockRecord]
 
@@ -208,11 +207,19 @@ class DivergentFamily:
         return self.records + (self.failure,)
 
 
-def default_delta_schedule(count: int, delta0: float = 1.0) -> Tuple[float, ...]:
-    """delta_n = delta0 * 2**-n for n = 1..count."""
+def default_delta_schedule(block_count: int, delta0: float = 1.0) -> Tuple[float, ...]:
+    """delta_n = delta0 * 2**-n for n = 1..block_count; ValueError unless
+    block_count >= 1, delta0 > 0 and the windows stay positive, finite and
+    strictly shrinking (delta0 * 2**-n may underflow)."""
+    if block_count < 1:
+        raise ValueError(f"block_count must be >= 1, got {block_count}")
     if not delta0 > 0:
         raise ValueError(f"delta0 must be positive, got {delta0!r}")
-    return tuple(delta0 * 2.0 ** -n for n in range(1, count + 1))
+    schedule = tuple(delta0 * 2.0 ** -n for n in range(1, block_count + 1))
+    if not all(0.0 < d < prev for d, prev in zip(schedule, (math.inf,) + schedule)):
+        raise ValueError(f"delta0 * 2**-n is not positive, finite and decreasing "
+                         f"for n = 1..{block_count}")
+    return schedule
 
 
 def _block_grid(delta: float, level: int) -> FiniteSpectrumSet:
@@ -255,25 +262,18 @@ def build_divergent_family(f: ScalarFunction, block_count: int,
     Each block is searched on its own (``seminorm_lower_bound``), then
     refined and amplified, in block order; no block after a failed one is
     searched, so a family that stops at block m has searched exactly m
-    blocks.  ValueError if block_count < 1, or if the windows do not stay
-    positive, finite and strictly shrinking (delta0 * 2**-n underflows).
+    blocks.  The schedule's ValueError comes before any search.
     """
-    if block_count < 1:
-        raise ValueError(f"block_count must be >= 1, got {block_count}")
     schedule = default_delta_schedule(block_count, delta0)
-    if not all(0.0 < d < prev for d, prev in zip(schedule, (math.inf,) + schedule)):
-        raise ValueError(f"delta0 * 2**-n is not positive, finite and decreasing "
-                         f"for n = 1..{block_count}")
-
     records = []
     for index, delta in enumerate(schedule, start=1):
         bound = seminorm_lower_bound(f, _block_grid(delta, index), dim, "schatten1",
                                      per_block_budget, _block_seed(seed, index))
         record = _block_record(f, index, delta, bound)
         if record.status == "failed":
-            return DivergentFamily(f, tuple(records), record)
+            return DivergentFamily(tuple(records), record)
         records.append(record)
-    return DivergentFamily(f, tuple(records), None)
+    return DivergentFamily(tuple(records), None)
 
 
 def partial_sums(blocks: Sequence[SumBlock], upto: int) -> Tuple[float, float]:

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blocks import build_divergent_family, partial_sums
+from .blocks import build_divergent_family, default_delta_schedule, partial_sums
 from .catalog import get_function
 from .errors import (BadInterval, BadParams, ConfigError, SpecshiftError,
                      UnknownFunction)
@@ -34,8 +34,7 @@ from .hermitian import (HermitianOperator, apply_function, decompose,
                         trace_transfer_check)
 from .loewner import divided_difference, perturbation_identity_residual, restrict_to_grid
 from .search import NORM_KINDS, random_orthogonal, seminorm_lower_bound
-from .sequences import (NotFound, divergence_check, multiplicity_sequence,
-                        scalar_ratio_witnesses)
+from .sequences import NotFound, divergence_check, scalar_ratio_witnesses
 from .serialize import (dump_json, family_to_json, matrix_from_json,
                         sequence_witness_to_json, witness_to_json, write_text)
 
@@ -215,10 +214,10 @@ def run_divergence(cfg: dict) -> int:
         ok = False
     if not ok:
         raise ConfigError(f"delta0 must be a positive real, got {delta0!r}")
-    # delta0 * 2**-n as the schedule computes it must stay positive and halving
-    last, prev = (delta0 * math.ldexp(1.0, -n) for n in (block_count, block_count - 1))
-    if not 0.0 < last < prev:
-        raise ConfigError(f"K = {block_count} is too large: delta0 * 2**-K underflows")
+    try:  # the family's own schedule check, before anything is computed
+        default_delta_schedule(block_count, float(delta0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     output = _get_output(cfg)
     fmt = _get_format(cfg)
 
@@ -258,14 +257,11 @@ def run_commuting(cfg: dict) -> int:
     columns = ("k", "t", "s", "n", "weighted_perturbation", "weighted_increment",
                "bound_2_pow_1_minus_k", "ok")
     rows = []
-    if isinstance(outcome, NotFound):
-        witness_doc = sequence_witness_to_json(outcome, f.reference(), levels)
-    else:
-        witness = multiplicity_sequence(f, outcome)
-        witness_doc = sequence_witness_to_json(witness, f.reference(), levels)
-        blocks = divergence_check(witness, levels)
+    witness_doc = sequence_witness_to_json(outcome, f.reference(), levels)
+    if not isinstance(outcome, NotFound):
+        blocks = divergence_check(outcome, levels)
         # ok: always true (divergence_check raises first); frozen reports read it
-        for k, (t, s, blk) in enumerate(zip(witness.t, witness.s, blocks), start=1):
+        for k, (t, s, blk) in enumerate(zip(outcome.t, outcome.s, blocks), start=1):
             rows.append((k, _fmt(t), _fmt(s), str(blk.multiplicity),
                          _fmt(blk.weighted_delta_s1), _fmt(blk.weighted_increment_s1),
                          _fmt(2.0 ** (1 - k)), "true"))

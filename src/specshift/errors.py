@@ -47,9 +47,5 @@ class PreconditionViolated(SpecshiftError):
     """Operation precondition not met."""
 
 
-class DegenerateIncrement(SpecshiftError):
-    """A function increment vanishes where a nonzero value is required."""
-
-
 class InvariantViolation(SpecshiftError):
     """A stated invariant failed to hold on constructed data."""

@@ -96,7 +96,6 @@ class _Evaluator:
         self.pts = pts
         self.fvals = fvals
         self.kind = kind
-        self.count = 0
 
     def lanes(self, starts) -> _Lanes:
         """Lanes for a list of candidates (ia, ib, ...), one lane each."""
@@ -109,7 +108,7 @@ class _Evaluator:
 
     def ratios(self, lanes: _Lanes, m: np.ndarray) -> np.ndarray:
         """(L, k) ratios of the (2, L, k, n, n) stack ``m`` of denominator
-        and numerator matrices; counts nothing."""
+        and numerator matrices."""
         s1, op = _norms(m)
         den, num = s1 if self.kind == "schatten1" else op
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -123,7 +122,6 @@ class _Evaluator:
         -s^2 D at (i, i), s^2 D at (j, j) and cs D at (i, j) and (j, i), with
         D = b_i - b_j: each candidate patches its own copy of the frame, so it
         scores bit for bit as it would alone."""
-        self.count += thetas.size
         c, s = _COS(thetas), _SIN(thetas)
         gap = (lanes.spec[..., i] - lanes.spec[..., j])[..., None]
         ss, cs = s * s * gap, c * s * gap
@@ -225,12 +223,11 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
     evaluation in the lanes' frames, rebuilt only on an accepted move.  The
     objective is pi-periodic in each angle (a sign flip of two columns leaves
     Q diag(b) Q^T unchanged), so [-pi/2, pi/2] covers each coordinate.
-    Returns the final frames' uncounted scores, as the witness rescores
-    them, and the final rotations.
+    Returns the final frames' scores, as the witness rescores them, and the
+    final rotations.
     """
     dim = q.shape[-1]
     frames = _frames(lanes, q)
-    ev.count += len(q)
     best = ev.ratios(lanes, frames[:, :, None])[:, 0]
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
     window = math.pi / 8
@@ -257,11 +254,8 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
 def _scalar_probe(ev: _Evaluator, dim: int):
     """Best quotient over all pairs of grid points, embedded at ``dim``
     by padding both spectra with the first point of the pair.  The pair is
-    adjacent, and ties go to the first adjacent maximiser.  The count still
-    grows by all C(n, 2) pairs: the mediant inequality settles each of
-    them."""
+    adjacent, and ties go to the first adjacent maximiser."""
     value, i, j = max_quotient(ev.pts, ev.fvals)
-    ev.count += ev.pts.size * (ev.pts.size - 1) // 2
     ia = np.full(dim, i, dtype=np.intp)
     ib = ia.copy()
     ib[0] = j
@@ -350,12 +344,13 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
         qs[keep] = [random_orthogonal(starts[r][2], dim) for r in np.flatnonzero(keep)]
         values[keep], qs[keep] = _ascent(ev, _Lanes(
             lanes.spec[:, keep], lanes.diag[:, keep], lanes.floor[:, keep]), qs[keep])
-    # a screened restart counts as settled: a start, then per coordinate pair
-    # 8 coarse angles, 2 golden-section seeds and the golden-section steps
-    ev.count += int((~keep).sum()) * (1 + (10 + _GOLDEN_ITERS) * math.comb(dim, 2))
     # ties go to the earliest phase: the probe, then the first restart
     r = int(np.argmax(values))
     best = (*starts[r][:2], qs[r]) if values[r] > probe_value else probe
     witness = _witness_from_candidate(ev, *best)
     value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
-    return SeminormLowerBound(value, witness, norm_kind, ev.count, seed, budget)
+    # C(n, 2) probe pairs (the mediant inequality settles them all), then per
+    # restart, ascended or screened, a start and per coordinate pair 8 coarse
+    # angles, 2 golden-section seeds and the golden-section steps
+    used = math.comb(pts.size, 2) + budget * (1 + (10 + _GOLDEN_ITERS) * math.comb(dim, 2))
+    return SeminormLowerBound(value, witness, norm_kind, used, seed, budget)

@@ -9,20 +9,22 @@ orthonormal basis, so its increment bookkeeping reduces to scalar sequences
 Choosing the multiplicity n_k = floor(1/|f(t_k) - f(s_k)|) + 1 then makes the
 weighted increments sum past any bound (each term is at least 1) while the
 weighted perturbations stay below the geometric majorant 2**(1-k) per level.
-Level k is the 1x1 direct-sum block (t_k) vs (s_k) with multiplicity n_k, a
-``blocks.SumBlock`` from ``diagonal_embedding``; the multiplicity rule, ladder
-grid and partial sums come from ``blocks``.
+A witness is built complete: ``make_sequence_witness`` validates the levels
+and fills n_k from the f-values it has just computed.  Level k is the 1x1
+direct-sum block (t_k) vs (s_k) with multiplicity n_k, a ``blocks.SumBlock``
+from ``divergence_check``; the multiplicity rule, ladder grid and partial
+sums come from ``blocks``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .blocks import SumBlock, floor_reciprocal, ladder_grid
 from .catalog import ScalarFunction, max_quotient
-from .errors import DegenerateIncrement, InvariantViolation
+from .errors import InvariantViolation
 from .hermitian import HermitianOperator
 
 __all__ = [
@@ -30,21 +32,19 @@ __all__ = [
     "NotFound",
     "make_sequence_witness",
     "scalar_ratio_witnesses",
-    "multiplicity_sequence",
     "divergence_check",
-    "diagonal_embedding",
 ]
 
 
 @dataclass(frozen=True)
 class SequenceWitness:
     """Finite prefix of sequences violating a uniform difference-quotient
-    bound at every level; ``n`` holds multiplicities once filled."""
+    bound at every level, with the multiplicity n_k of each level."""
 
     function: ScalarFunction
     t: Tuple[float, ...]
     s: Tuple[float, ...]
-    n: Optional[Tuple[int, ...]]
+    n: Tuple[int, ...]
 
     @property
     def length(self) -> int:
@@ -64,31 +64,28 @@ class NotFound:
     levels_found: int
 
 
-def make_sequence_witness(f: ScalarFunction, t, s, n=None) -> SequenceWitness:
-    """Validate the per-level constraints."""
+def make_sequence_witness(f: ScalarFunction, t, s) -> SequenceWitness:
+    """Validate the per-level constraints and fill the multiplicities
+    n_k = floor(1/|f(t_k) - f(s_k)|) + 1 in exact integer arithmetic on the
+    double-precision increments, which are nonzero: a validated level has
+    quotient > 2**k."""
     t = tuple(float(x) for x in t)
     s = tuple(float(x) for x in s)
     if len(t) != len(s):
         raise InvariantViolation(f"length mismatch: {len(t)} != {len(s)}")
-    if n is not None:
-        n = tuple(int(x) for x in n)
-        if len(n) != len(t):
-            raise InvariantViolation(
-                f"multiplicity length mismatch: {len(n)} != {len(t)}")
-        if any(x < 1 for x in n):
-            raise InvariantViolation("multiplicities must be positive")
     ft, fs = f.values_at(np.array([t, s])).tolist()
+    n = []
     for k, (tk, sk, ftk, fsk) in enumerate(zip(t, s, ft, fs), start=1):
-        level_scale = 2.0 ** -k
         gap = abs(tk - sk)
-        if not 0.0 < gap < level_scale:
+        if not 0.0 < gap < 2.0 ** -k:
             raise InvariantViolation(
                 f"level {k}: |t-s| = {gap!r} not in (0, 2**-{k})")
         quotient = abs(ftk - fsk) / gap
         if not quotient > 2.0 ** k:
             raise InvariantViolation(
                 f"level {k}: quotient {quotient!r} does not exceed 2**{k}")
-    return SequenceWitness(f, t, s, n)
+        n.append(floor_reciprocal(abs(ftk - fsk)) + 1)
+    return SequenceWitness(f, t, s, tuple(n))
 
 
 def _level_points(level: int, search_grid: int, total_levels: int,
@@ -130,7 +127,8 @@ def scalar_ratio_witnesses(f: ScalarFunction, levels: int,
         radius = 2.0 ** -k
         pts = _level_points(k, search_grid, levels, seed)
         best_q, best_pair = _best_level_pair(f, pts, radius)
-        if best_pair is None or not best_q > 2.0 ** k:
+        # past 2**1023 the target exceeds every finite quotient
+        if best_pair is None or not (k < 1024 and best_q > 2.0 ** k):
             return NotFound(level=k, best_quotient=best_q, levels_found=k - 1)
         x, y = best_pair
         t_seq.append(max(x, y))
@@ -138,45 +136,27 @@ def scalar_ratio_witnesses(f: ScalarFunction, levels: int,
     return make_sequence_witness(f, t_seq, s_seq)
 
 
-def multiplicity_sequence(f: ScalarFunction, witness: SequenceWitness) -> SequenceWitness:
-    """Fill n_k = floor(1 / |f(t_k) - f(s_k)|) + 1 with exact integer
-    arithmetic on the double-precision increments."""
-    mults = []
-    ft, fs = f.values_at(np.array([witness.t, witness.s])).tolist()
-    for k, gap in enumerate((abs(a - b) for a, b in zip(ft, fs)), start=1):
-        if gap == 0.0:
-            raise DegenerateIncrement(f"level {k}: f(t) = f(s)")
-        mults.append(floor_reciprocal(gap) + 1)
-    return SequenceWitness(witness.function, witness.t, witness.s, tuple(mults))
-
-
 def divergence_check(witness: SequenceWitness, upto: int) -> Tuple[SumBlock, ...]:
-    """Verify n_k |t_k - s_k| < 2**(1-k) on each of the first ``upto`` levels
-    and return their 1x1 blocks from ``diagonal_embedding``.
+    """Realise the first ``upto`` levels as 1x1 blocks (t_k) vs (s_k) with
+    multiplicity n_k and verify n_k |t_k - s_k| < 2**(1-k) on each.
 
-    The per-level bound is implied by the witness invariants, so its failure
-    raises InvariantViolation naming the level.
+    The trace norms of a 1x1 block are |t_k - s_k| and |f(t_k) - f(s_k)|,
+    so each block is built from them with no eigensolve.  The per-level
+    bound is implied by the witness invariants, so its failure raises
+    InvariantViolation naming the level.
     """
-    blocks = diagonal_embedding(witness, upto)
-    for k, blk in enumerate(blocks, start=1):
+    if not 0 <= upto <= witness.length:
+        raise IndexError(f"upto = {upto} outside [0, {witness.length}]")
+    ft, fs = witness.function.values_at(np.array([witness.t, witness.s])).tolist()
+    blocks = []
+    for k, (t, s, n, a, b) in enumerate(
+            zip(witness.t[:upto], witness.s, witness.n, ft, fs), start=1):
+        blk = SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
+                       abs(t - s), abs(a - b))
         wp = blk.weighted_delta_s1
         bound = 2.0 ** (1 - k)
         if not wp < bound:
             raise InvariantViolation(
                 f"level {k}: n|t-s| = {wp!r} reaches the bound {bound!r}")
-    return blocks
-
-
-def diagonal_embedding(witness: SequenceWitness, upto: int) -> Tuple[SumBlock, ...]:
-    """Realise the first ``upto`` levels as 1x1 blocks (t_k) vs (s_k) with
-    multiplicity n_k.  The trace norms of a 1x1 block are |t_k - s_k| and
-    |f(t_k) - f(s_k)|, so each block is built from them with no eigensolve."""
-    if witness.n is None:
-        raise ValueError("witness has no multiplicities; fill them first")
-    if not 0 <= upto <= witness.length:
-        raise IndexError(f"upto = {upto} outside [0, {witness.length}]")
-    ft, fs = witness.function.values_at(np.array([witness.t, witness.s])).tolist()
-    return tuple(
-        SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
-                 abs(t - s), abs(a - b))
-        for t, s, n, a, b in zip(witness.t[:upto], witness.s, witness.n, ft, fs))
+        blocks.append(blk)
+    return tuple(blocks)

@@ -16,7 +16,7 @@ from .blocks import BlockRecord, DivergentFamily
 from .errors import DomainError, NonFinite
 from .hermitian import HermitianOperator
 from .search import SeminormLowerBound
-from .sequences import NotFound, SequenceWitness
+from .sequences import NotFound
 
 __all__ = [
     "matrix_to_json",
@@ -123,10 +123,9 @@ def sequence_witness_to_json(witness, function_ref: dict, levels: int) -> dict:
         doc["failed_level"] = witness.level
         doc["best_quotient"] = witness.best_quotient
         return doc
-    assert isinstance(witness, SequenceWitness)
     doc["t"] = list(witness.t)
     doc["s"] = list(witness.s)
-    doc["n"] = [str(m) for m in witness.n] if witness.n is not None else []
+    doc["n"] = [str(m) for m in witness.n]
     doc["status"] = "ok"
     return doc
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specshift import HermitianOperator
+from specshift import HermitianOperator, SumBlock
 
 
 def random_hermitian(rng, dim, scale=1.0, complex_entries=False):
@@ -55,6 +55,16 @@ def assert_same_blocks(got, want) -> None:
         assert g.increment_s1 == w.increment_s1
         assert np.array_equal(g.a.matrix, w.a.matrix)
         assert np.array_equal(g.b.matrix, w.b.matrix)
+
+
+def one_by_one_blocks(witness, upto):
+    """Oracle for a sequence witness's first ``upto`` levels: level k as the
+    1x1 pair (t_k) vs (s_k), repeated n_k times, with trace norms
+    |t_k - s_k| and |f(t_k) - f(s_k)| from scalar calls of f."""
+    f = witness.function
+    return tuple(SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
+                          abs(t - s), abs(f(t) - f(s)))
+                 for t, s, n in zip(witness.t[:upto], witness.s, witness.n))
 
 
 def count_calls(monkeypatch, module, name) -> list:

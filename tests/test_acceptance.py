@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from specshift import (FiniteSpectrumSet, HermitianOperator, apply_function,
-                       build_divergent_family, diagonal_embedding, divergence_check, get_function,
-                       increment_ratio, make_sequence_witness,
-                       multiplicity_sequence, operator_scale, partial_sums,
-                       perturbation_identity_residual, restrict_to_grid,
+                       build_divergent_family, divergence_check, get_function,
+                       increment_ratio, make_sequence_witness, operator_scale,
+                       partial_sums, perturbation_identity_residual, restrict_to_grid,
                        schatten_norm, segment_refine, seminorm_lower_bound,
                        trace_transfer_check)
 from specshift.cli import main
 
-from conftest import assert_same_blocks, random_hermitian
+from conftest import assert_same_blocks, one_by_one_blocks, random_hermitian
 
 
 def _report(name: str) -> None:
@@ -156,14 +155,15 @@ def test_criterion_7_sequence_machinery_sqrt_abs():
     f = get_function("sqrt_abs")
     levels = 30
     t = [5.0 ** -k for k in range(1, levels + 1)]
-    witness = multiplicity_sequence(f, make_sequence_witness(f, t, [0.0] * levels))
+    witness = make_sequence_witness(f, t, [0.0] * levels)
     blocks = divergence_check(witness, levels)
     for k, blk in enumerate(blocks, start=1):
         assert blk.weighted_delta_s1 < 2.0 ** (1 - k)
     pert, incr = partial_sums(blocks, levels)
     assert pert < 2.0
     assert incr >= 30.0
-    assert_same_blocks(blocks, diagonal_embedding(witness, levels))
+    # bridge: level k is the 1x1 pair (t_k) vs (s_k) repeated n_k times
+    assert_same_blocks(blocks, one_by_one_blocks(witness, levels))
     _report("7 sequence machinery (30 levels, bridge identity)")
 
 

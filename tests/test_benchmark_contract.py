@@ -1,10 +1,10 @@
 """The benchmark under ``perfbench/`` reads the package through public names
 and result shapes (``spans.py``): ``segment_refine``'s pair,
-``build_divergent_family``'s ``.records``/``.failure``, ``divergence_check``,
-``multiplicity_sequence`` and ``scalar_ratio_witnesses``' ``.length`` /
-``.levels_found``.  These tests run the benchmark's own self-test and each
-workload's warm-up config under its tracer, so a change to those names or
-shapes fails here rather than only in a benchmark run."""
+``build_divergent_family``'s ``.records``/``.failure``, ``divergence_check``
+(the span behind ``sequences.bookkeeping_s``) and ``scalar_ratio_witnesses``'
+``.length`` / ``.levels_found``.  These tests run the benchmark's own
+self-test and each workload's warm-up config under its tracer, so a change to
+those names or shapes fails here rather than only in a benchmark run."""
 
 import json
 import subprocess

@@ -266,7 +266,7 @@ class TestBuildDivergentFamily:
         bad = rec.__class__(rec.index, rec.delta, rec.target_ratio,
                             rec.achieved_ratio, bad_block, "ok")
         with pytest.raises(InvariantViolation):
-            DivergentFamily(f, (bad,), None)
+            DivergentFamily((bad,), None)
 
 
 class TestBatchedBlockSearches:

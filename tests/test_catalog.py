@@ -292,7 +292,6 @@ class TestFrozenQuotientScans:
             pts = _block_grid(2.0 ** -k, k).points
             ev = _Evaluator(pts, np.array([f(x) for x in pts]), "schatten1")
             value, (ia, ib, _) = _scalar_probe(ev, 3)
-            assert ev.count == pts.size * (pts.size - 1) // 2
             assert (ia == ia[0]).all() and (ib[1:] == ia[0]).all()
             rows.append((value.hex(), int(ia[0]), int(ib[0])))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.PROBE[fid]

@@ -323,6 +323,21 @@ class TestCommutingCommand:
         doc = json.loads((tmp_path / "report_witness.json").read_text())
         assert doc["status"] == "not_found"
 
+    def test_level_past_float_range_not_found(self, tmp_path):
+        # f(x) = 1.7e308 x beats 2**k at every level up to 1023; the target
+        # 2**1024 exceeds every finite double, so level 1024 is a miss
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "poly", "params": [0.0, 1.7e308]},
+            "K": 1030, "search_grid": 101, "seed": 0, "output": str(out)})
+        assert main(["commuting", cfg]) == 0
+        _, rows = _read_rows(out)
+        assert rows == []
+        doc = json.loads((tmp_path / "report_witness.json").read_text())
+        assert doc["status"] == "not_found"
+        assert doc["failed_level"] == 1024
+        assert doc["best_quotient"] == 1.7040632840882369e+308
+
 
 class TestVerifyCommand:
     def test_default_config_passes(self, tmp_path):

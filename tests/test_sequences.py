@@ -1,5 +1,6 @@
 """Tests for the scalar sequence machinery."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,19 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specshift import (DegenerateIncrement, InvariantViolation, NotFound,
-                       SequenceWitness, diagonal_embedding, divergence_check,
-                       get_function, make_sequence_witness,
-                       multiplicity_sequence, partial_sums,
-                       scalar_ratio_witnesses)
+from specshift import (InvariantViolation, NotFound, SequenceWitness,
+                       divergence_check, get_function, make_sequence_witness,
+                       partial_sums, scalar_ratio_witnesses)
 from specshift.sequences import _best_level_pair
 
-from conftest import assert_near_exact, assert_same_blocks, exact_quotient_maxima
+from conftest import (assert_near_exact, assert_same_blocks, exact_quotient_maxima,
+                      one_by_one_blocks)
 
 
 def _canonical_sqrt_witness(levels):
     """The closed-form witness t_k = 5**-k, s_k = 0: quotient 5**(k/2) > 2**k
-    and |t_k - s_k| = 5**-k < 2**-k at every level."""
+    and |t_k - s_k| = 5**-k < 2**-k at every level; its multiplicities are
+    filled as it is built."""
     f = get_function("sqrt_abs")
     t = [5.0 ** -k for k in range(1, levels + 1)]
     return f, make_sequence_witness(f, t, [0.0] * levels)
@@ -209,36 +210,38 @@ class TestFrozenWitnesses:
         assert (out.level, out.levels_found) == (17, 16)
         assert out.best_quotient.hex() == "0x1.7ee74b0652a93p+15"
 
+    def test_sqrt_abs_grid_801_seed_1_multiplicities(self):
+        # n_k = floor(1 / |f(t_k) - f(s_k)|) + 1 in exact rationals on the
+        # stored doubles, with f(x) = sqrt(|x|) correctly rounded
+        w = scalar_ratio_witnesses(get_function("sqrt_abs"), 12, 801, 1)
+        increments = [Fraction(abs(math.sqrt(abs(t)) - math.sqrt(abs(s))))
+                      for t, s in zip(w.t, w.s)]
+        assert w.n == tuple(math.floor(1 / d) + 1 for d in increments)
+
 
 class TestMultiplicitySequence:
+    """The multiplicities ``make_sequence_witness`` fills as it builds."""
+
     @pytest.mark.parametrize("gap,expected", [(0.3, 4), (1.0, 2), (0.5, 3)])
     def test_floor_rule(self, gap, expected):
-        # n = floor(1/gap) + 1 on the stored double
-        f = get_function("identity")
-        w = SequenceWitness(f, (gap / 2,), (-gap / 2,), None)
-        filled = multiplicity_sequence(f, w)
-        assert filled.n == (expected,)
+        # n = floor(1/gap) + 1 on the stored double: f(x) = 8x turns
+        # |t - s| = gap/8 into the increment gap exactly, with quotient 8 > 2
+        f = get_function("poly", (0.0, 8.0))
+        w = make_sequence_witness(f, [gap / 16], [-gap / 16])
+        assert w.n == (expected,)
 
     def test_canonical_values_exact(self):
-        f, w = _canonical_sqrt_witness(30)
-        filled = multiplicity_sequence(f, w)
-        for k, n in enumerate(filled.n, start=1):
+        _, w = _canonical_sqrt_witness(30)
+        for k, n in enumerate(w.n, start=1):
             gap = math.sqrt(5.0 ** -k)
             assert n == int(Fraction(1) / Fraction(gap)) + 1
-
-    def test_degenerate_increment(self):
-        f = get_function("constant", (1.0,))
-        w = SequenceWitness(f, (0.25,), (0.0,), None)
-        with pytest.raises(DegenerateIncrement):
-            multiplicity_sequence(f, w)
 
 
 class TestDivergenceCheck:
     def test_canonical_witness_30_levels(self):
         f, w = _canonical_sqrt_witness(30)
-        filled = multiplicity_sequence(f, w)
-        blocks = divergence_check(filled, 30)
-        levels = list(zip(filled.t, filled.s, blocks))
+        blocks = divergence_check(w, 30)
+        levels = list(zip(w.t, w.s, blocks))
         for k, (_, _, blk) in enumerate(levels, start=1):
             assert blk.weighted_delta_s1 < 2.0 ** (1 - k)
             assert blk.weighted_increment_s1 >= 1.0
@@ -257,30 +260,25 @@ class TestDivergenceCheck:
         assert perturbation_sum == pytest.approx(float(rational_pert), rel=1e-12)
 
     def test_zero_levels(self):
-        f, w = _canonical_sqrt_witness(5)
-        filled = multiplicity_sequence(f, w)
-        perturbation_sum, increment_sum = partial_sums(divergence_check(filled, 0), 0)
+        _, w = _canonical_sqrt_witness(5)
+        perturbation_sum, increment_sum = partial_sums(divergence_check(w, 0), 0)
         assert perturbation_sum == 0.0
         assert increment_sum == 0.0
 
     def test_hand_built_unit_products(self):
         # t_k = 4**-(k+1) with sqrt_abs: |df| = 2**-(k+1), quotient 2**(k+1),
-        # and the hand-chosen n_k = 2**(k+1) makes every product exactly 1
+        # and the hand-chosen n_k = 2**(k+1) (the floor rule gives one more)
+        # makes every product exactly 1
         f = get_function("sqrt_abs")
         levels = 10
         t = [4.0 ** -(k + 1) for k in range(1, levels + 1)]
         s = [0.0] * levels
         n = [2 ** (k + 1) for k in range(1, levels + 1)]
-        w = make_sequence_witness(f, t, s, n)
+        w = dataclasses.replace(make_sequence_witness(f, t, s), n=tuple(n))
         blocks = divergence_check(w, levels)
         for blk in blocks:
             assert blk.weighted_increment_s1 == 1.0
         assert partial_sums(blocks, levels)[1] == float(levels)
-
-    def test_requires_multiplicities(self):
-        f, w = _canonical_sqrt_witness(3)
-        with pytest.raises(ValueError):
-            divergence_check(w, 3)
 
     def test_bound_failure_names_level(self):
         # a deliberately oversized multiplicity breaks the per-level bound
@@ -289,27 +287,29 @@ class TestDivergenceCheck:
         with pytest.raises(InvariantViolation, match="level 1"):
             divergence_check(bad, 3)
 
+    @pytest.mark.parametrize("upto", [-1, 4])
+    def test_upto_out_of_range(self, upto):
+        _, w = _canonical_sqrt_witness(3)
+        with pytest.raises(IndexError):
+            divergence_check(w, upto)
+
 
 class TestDiagonalEmbedding:
+    """Commuting levels as 1x1 blocks, as ``divergence_check`` builds them."""
+
     def test_single_level_bookkeeping(self):
         f = get_function("identity")
         w = SequenceWitness(f, (0.2,), (0.0,), (3,))
-        ps, is_ = partial_sums(diagonal_embedding(w, 1), 1)
+        ps, is_ = partial_sums(divergence_check(w, 1), 1)
         assert ps == pytest.approx(0.6, rel=1e-15)
         assert is_ == pytest.approx(0.6, rel=1e-15)
 
     def test_identity_aggregate_ratio_one(self):
         f = get_function("identity")
-        w = SequenceWitness(f, (0.2, 0.1), (0.0, 0.0), (2, 5))
-        ps, is_ = partial_sums(diagonal_embedding(w, 2), 2)
+        w = SequenceWitness(f, (0.2, 0.1), (0.0, 0.0), (2, 4))
+        ps, is_ = partial_sums(divergence_check(w, 2), 2)
         assert is_ / ps == pytest.approx(1.0, rel=1e-15)
 
     def test_bridge_identity_exact(self):
-        f, w = _canonical_sqrt_witness(30)
-        filled = multiplicity_sequence(f, w)
-        assert_same_blocks(divergence_check(filled, 30), diagonal_embedding(filled, 30))
-
-    def test_requires_multiplicities(self):
-        f, w = _canonical_sqrt_witness(2)
-        with pytest.raises(ValueError):
-            diagonal_embedding(w, 2)
+        _, w = _canonical_sqrt_witness(30)
+        assert_same_blocks(divergence_check(w, 30), one_by_one_blocks(w, 30))

@@ -90,6 +90,10 @@ ONE_PATH = {
     "np.linalg.qr": {"search.random_orthogonal"},
     # the one per-element map, for math functions NumPy rounds differently
     "np.fromiter": {"catalog.pointwise"},
+    # one multiplicity rule per kind of block: amplified pairs, and commuting
+    # levels as their witness is built (no separate fill step)
+    "floor_reciprocal": {"blocks.amplify_to_unit", "sequences",
+                         "sequences.make_sequence_witness"},
     # its definition, and the check that enforces it
     "_EIG_TOL": {"hermitian", "hermitian.decompose"},
 }
