@@ -4,7 +4,8 @@ Library layout:
 
 - ``hermitian``: dense self-adjoint core (decomposition, functional calculus,
   Schatten norms, truncation, increment ratios);
-- ``catalog``: scalar test functions with derivatives and theory metadata;
+- ``catalog``: scalar test functions with derivatives and the paper's
+  verdict (operator Lipschitz near 0 or not);
 - ``loewner``: divided differences, Loewner matrices, grids and the
   mixed-basis perturbation identity;
 - ``search``: seeded lower-bound search for the increment-ratio seminorms;
@@ -19,7 +20,7 @@ Library layout:
 from .blocks import (BlockRecord, DivergentFamily, SumBlock, amplify_to_unit,
                      build_divergent_family, default_delta_schedule,
                      partial_sums, segment_refine, weighted)
-from .catalog import FunctionMetadata, ScalarFunction, catalog_ids, get_function
+from .catalog import ScalarFunction, catalog_ids, get_function
 from .errors import (BadInterval, BadParams, ConfigError, ConvergenceFailure,
                      DegeneratePair, DomainError, InvariantViolation,
                      NonFinite, PreconditionViolated, RefinementOverflow,

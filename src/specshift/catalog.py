@@ -1,15 +1,16 @@
 """Catalog of scalar test functions used by the experiments.
 
 Each entry is a :class:`ScalarFunction`: an array rule, an optional
-analytic derivative (``None`` at declared kinks), and advisory theory
-metadata.  Metadata is never consulted by numerical kernels; it only feeds
-reports.
+analytic derivative (``None`` where f has none), and the paper's verdict:
+whether f is operator Lipschitz near 0, which holds exactly when f(B) - f(A)
+is trace class for every trace-class B - A.  No numerical kernel reads the
+verdict.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -17,22 +18,12 @@ import numpy as np
 from .errors import BadInterval, BadParams, DomainError, UnknownFunction
 
 __all__ = [
-    "FunctionMetadata",
     "ScalarFunction",
     "get_function",
     "catalog_ids",
     "max_quotient",
     "pointwise",
 ]
-
-
-@dataclass(frozen=True)
-class FunctionMetadata:
-    """Advisory facts about a catalog function."""
-
-    known_lipschitz_on_unit_interval: Optional[float] = None
-    known_operator_lipschitz_near_zero: Optional[bool] = None
-    citation_note: str = ""
 
 
 @dataclass(frozen=True)
@@ -44,8 +35,7 @@ class ScalarFunction:
     params: tuple
     rule: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Optional[Callable[[float], Optional[float]]] = None
-    kinks: tuple = ()
-    metadata: FunctionMetadata = field(default_factory=FunctionMetadata)
+    operator_lipschitz_near_zero: Optional[bool] = None  # None: not known
 
     def __call__(self, x: float) -> float:
         return float(self.values_at(float(x)))
@@ -70,7 +60,7 @@ class ScalarFunction:
         return None if d is None else float(d)
 
     def shifted(self, c: float) -> "ScalarFunction":
-        """Descriptor for x -> f(x) - c; derivative and kinks unchanged."""
+        """Descriptor for x -> f(x) - c; derivative and verdict unchanged."""
         rule = self.rule
         c = float(c)
         return ScalarFunction(
@@ -78,8 +68,7 @@ class ScalarFunction:
             params=self.params + (c,),
             rule=lambda x: rule(x) - c,
             deriv_fn=self.deriv_fn,
-            kinks=self.kinks,
-            metadata=self.metadata,
+            operator_lipschitz_near_zero=self.operator_lipschitz_near_zero,
         )
 
     def reference(self) -> dict:
@@ -113,8 +102,7 @@ def _no_params(fid: str, params: tuple) -> None:
 def _build_identity(params):
     _no_params("identity", params)
     return ScalarFunction(
-        "identity", (), np.copy, lambda x: 1.0,
-        metadata=FunctionMetadata(1.0, True, "linear"))
+        "identity", (), np.copy, lambda x: 1.0, True)
 
 
 def _build_constant(params):
@@ -122,8 +110,7 @@ def _build_constant(params):
         raise BadParams(f"constant takes exactly one parameter, got {params!r}")
     c = params[0]
     return ScalarFunction(
-        "constant", (c,), lambda x: np.full_like(x, c), lambda x: 0.0,
-        metadata=FunctionMetadata(0.0, True, "constant"))
+        "constant", (c,), lambda x: np.full_like(x, c), lambda x: 0.0, True)
 
 
 def _build_poly(params):
@@ -134,27 +121,20 @@ def _build_poly(params):
     return ScalarFunction(
         "poly", coeffs,
         lambda x: _horner(coeffs, x),
-        lambda x: _horner(dcoeffs, x) if dcoeffs else 0.0,
-        metadata=FunctionMetadata(None, True, "polynomial, ascending coefficients"))
+        lambda x: _horner(dcoeffs, x) if dcoeffs else 0.0, True)
 
 
 def _build_abs(params):
     _no_params("abs", params)
     return ScalarFunction(
         "abs", (), np.abs,
-        lambda x: None if x == 0.0 else math.copysign(1.0, x),
-        kinks=(0.0,),
-        metadata=FunctionMetadata(
-            1.0, False,
-            "Lipschitz with constant 1; trace-norm increments of matrix "
-            "arguments are not controlled by the perturbation near 0"))
+        lambda x: None if x == 0.0 else math.copysign(1.0, x), False)
 
 
 def _build_signed_square(params):
     _no_params("signed_square", params)
     return ScalarFunction(
-        "signed_square", (), lambda x: x * np.abs(x), lambda x: 2.0 * abs(x),
-        metadata=FunctionMetadata(2.0, True, "x|x|; derivative 2|x| is Lipschitz"))
+        "signed_square", (), lambda x: x * np.abs(x), lambda x: 2.0 * abs(x), True)
 
 
 def _build_sqrt_abs(params):
@@ -162,10 +142,7 @@ def _build_sqrt_abs(params):
     return ScalarFunction(
         "sqrt_abs", (), lambda x: np.sqrt(np.abs(x)),
         lambda x: None if x == 0.0 else math.copysign(0.5 / math.sqrt(abs(x)), x),
-        kinks=(0.0,),
-        metadata=FunctionMetadata(
-            None, False,
-            "Hoelder-1/2 at the origin; difference quotients are unbounded"))
+        False)
 
 
 def _build_xsin_inv(params):
@@ -178,26 +155,19 @@ def _build_xsin_inv(params):
 
     return ScalarFunction(
         "xsin_inv", (), pointwise(lambda x: 0.0 if x == 0.0 else x * math.sin(1.0 / x)),
-        dv, kinks=(0.0,),
-        metadata=FunctionMetadata(
-            None, False,
-            "x*sin(1/x) extended by 0; bounded by |x| but the derivative "
-            "sin(1/x) - cos(1/x)/x is unbounded near 0, so the function is "
-            "not Lipschitz on any neighbourhood of the origin"))
+        dv, False)
 
 
 def _build_sin(params):
     _no_params("sin", params)
     return ScalarFunction(
-        "sin", (), pointwise(math.sin), math.cos,
-        metadata=FunctionMetadata(1.0, True, "entire, derivative bounded by 1"))
+        "sin", (), pointwise(math.sin), math.cos, True)
 
 
 def _build_exp(params):
     _no_params("exp", params)
     return ScalarFunction(
-        "exp", (), pointwise(math.exp), math.exp,
-        metadata=FunctionMetadata(math.e, True, "entire; constant e on [-1,1]"))
+        "exp", (), pointwise(math.exp), math.exp, True)
 
 
 def _build_smoothed_abs(params):
@@ -209,9 +179,7 @@ def _build_smoothed_abs(params):
     return ScalarFunction(
         "smoothed_abs", (eps,),
         pointwise(lambda x: math.hypot(x, eps)),
-        lambda x: x / math.hypot(x, eps),
-        metadata=FunctionMetadata(
-            1.0, True, "sqrt(x^2 + eps^2), smooth mollification of abs"))
+        lambda x: x / math.hypot(x, eps), True)
 
 
 _BUILDERS = {
@@ -243,15 +211,21 @@ def get_function(fid: str, params=()) -> ScalarFunction:
     except KeyError:
         raise UnknownFunction(
             f"unknown function id {fid!r}; known: {', '.join(catalog_ids())}") from None
-    if any(isinstance(p, (bool, np.bool_)) for p in params):
+    if not _all_real(params):
         raise BadParams(f"parameters for {fid!r} must be real numbers, got {params!r}")
     try:
         clean = tuple(float(p) for p in params)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise BadParams(f"parameters for {fid!r} must be real numbers: {exc}") from None
     if not all(math.isfinite(p) for p in clean):
         raise BadParams(f"parameters for {fid!r} must be finite, got {clean!r}")
     return builder(clean)
+
+
+def _all_real(xs) -> bool:
+    """True when every element is a real number and none is a bool (JSON's
+    true and false are not numbers; np.bool_ is not numbers.Real either)."""
+    return all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in xs)
 
 
 def interval_bounds(interval) -> Tuple[float, float]:
@@ -259,8 +233,7 @@ def interval_bounds(interval) -> Tuple[float, float]:
     a < b whose width b - a is a finite float; anything else raises
     BadInterval."""
     if (not isinstance(interval, (list, tuple)) or len(interval) != 2
-            or any(isinstance(x, bool) or not isinstance(x, numbers.Real)
-                   for x in interval)):
+            or not _all_real(interval)):
         raise BadInterval(f"need a list of two numbers [a, b], got {interval!r}")
     try:
         a, b = float(interval[0]), float(interval[1])

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from specshift import (FiniteSpectrumSet, HermitianOperator, apply_function,
-                       build_divergent_family, divergence_check, get_function,
-                       increment_ratio, make_sequence_witness, operator_scale,
-                       partial_sums, perturbation_identity_residual, restrict_to_grid,
-                       schatten_norm, segment_refine, seminorm_lower_bound,
+                       build_divergent_family, catalog_ids, divergence_check,
+                       get_function, increment_ratio, make_sequence_witness,
+                       operator_scale, partial_sums, perturbation_identity_residual,
+                       restrict_to_grid, schatten_norm, segment_refine, seminorm_lower_bound,
                        trace_transfer_check)
 from specshift.cli import main
 
 from conftest import assert_same_blocks, one_by_one_blocks, random_hermitian
+from test_catalog import _FROZEN_PARAMS
 
 
 def _report(name: str) -> None:
@@ -201,3 +202,33 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert out.read_bytes() == first
     assert (tmp_path / "report_family.json").read_bytes() == family_first
     _report("9 CLI determinism (byte-identical reruns)")
+
+
+def _split_family(fid, seed):
+    f = get_function(fid, _FROZEN_PARAMS.get(fid, ()))
+    return f, build_divergent_family(f, 4, 1, seed, dim=2)
+
+
+def test_criterion_10_verdict_split_matches_evidence():
+    """Each catalog function's verdict agrees with its divergent family:
+    operator Lipschitz near 0 stops early, the others pass every block."""
+    start = time.perf_counter()
+    for fid in catalog_ids():
+        for seed in (0, 1):
+            f, fam = _split_family(fid, seed)
+            assert isinstance(f.operator_lipschitz_near_zero, bool)
+            if f.operator_lipschitz_near_zero:
+                assert fam.failure is not None
+                assert fam.failure.index == (2 if fid == "poly" else 1)
+            elif fid in ("sqrt_abs", "xsin_inv"):
+                assert fam.failure is None and len(fam.records) == 4
+    elapsed = time.perf_counter() - start
+    _report(f"10 verdict split (10 functions, 2 seeds, {elapsed:.2f}s)")
+
+
+@pytest.mark.xfail(strict=True, reason="abs needs non-commuting rank-one ladder "
+                   "blocks (ROADMAP item 1); float64 caps it at block 2")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_10_abs_passes_block_1(seed):
+    _, fam = _split_family("abs", seed)
+    assert fam.failure is None or fam.failure.index > 1

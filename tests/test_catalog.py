@@ -23,32 +23,30 @@ def test_identity_entry():
     f = get_function("identity", [])
     assert f(2.0) == 2.0
     assert f.derivative_at(2.0) == 1.0
-    assert f.metadata.known_operator_lipschitz_near_zero is True
+    assert f.operator_lipschitz_near_zero is True
 
 
 def test_abs_entry():
     f = get_function("abs", [])
     assert f(-3.0) == 3.0
-    assert f.kinks == (0.0,)
     assert f.derivative_at(0.0) is None
     assert f.derivative_at(-2.0) == -1.0
-    # Lipschitz, yet the matrix-increment flag is off
-    assert f.metadata.known_lipschitz_on_unit_interval == 1.0
-    assert f.metadata.known_operator_lipschitz_near_zero is False
+    # Lipschitz, yet not operator Lipschitz near 0
+    assert f.operator_lipschitz_near_zero is False
 
 
 def test_smoothed_abs_entry():
     f = get_function("smoothed_abs", [0.1])
     assert f(0.0) == pytest.approx(0.1, rel=1e-15)
     assert f.derivative_at(0.0) == 0.0
-    assert f.metadata.known_operator_lipschitz_near_zero is True
+    assert f.operator_lipschitz_near_zero is True
 
 
 def test_sqrt_abs_and_xsin_inv_flags():
     for fid in ("sqrt_abs", "xsin_inv"):
         f = get_function(fid)
-        assert f.kinks == (0.0,)
-        assert f.metadata.known_operator_lipschitz_near_zero is False
+        assert f.derivative_at(0.0) is None
+        assert f.operator_lipschitz_near_zero is False
     assert get_function("xsin_inv")(0.0) == 0.0
     assert get_function("xsin_inv").derivative_at(0.0) is None
 
@@ -68,10 +66,20 @@ def test_unknown_function():
     ("smoothed_abs", [0.1, 0.2]),
     ("poly", ["x"]),
     ("poly", [10**400]),
+    ("constant", ["0.5"]),
+    ("smoothed_abs", ["0.05"]),
+    ("poly", [1.0, "2"]),
+    ("constant", [np.bool_(True)]),
 ])
 def test_bad_params(fid, params):
     with pytest.raises(BadParams):
         get_function(fid, params)
+
+
+def test_numpy_real_params_are_read_as_floats():
+    f = get_function("poly", [np.float64(0.5), np.int64(2)])
+    assert f.params == (0.5, 2.0)
+    assert all(type(p) is float for p in f.params)
 
 
 def test_poly_matches_horner_exactly(rng):
@@ -85,7 +93,8 @@ def test_poly_matches_horner_exactly(rng):
 
 
 def test_derivatives_match_central_differences(rng):
-    """Declared derivatives agree with central differences away from kinks."""
+    """Declared derivatives agree with central differences, away from 0 for
+    the functions with no derivative at 0."""
     entries = [
         get_function("identity"), get_function("poly", (1.0, -2.0, 0.0, 3.0)),
         get_function("abs"), get_function("signed_square"),
@@ -96,7 +105,7 @@ def test_derivatives_match_central_differences(rng):
         checked = 0
         for x in rng.uniform(-2.0, 2.0, 400):
             x = float(x)
-            if any(abs(x - kink) < 0.1 for kink in f.kinks):
+            if abs(x) < 0.1 and f.derivative_at(0.0) is None:
                 continue
             d = f.derivative_at(x)
             assert d is not None
@@ -240,9 +249,8 @@ def test_smoothed_abs_converges_to_abs():
         assert gap <= eps
 
 
-def test_metadata_is_plain_data():
+def test_reference_is_plain_data():
     f = get_function("sin")
-    assert isinstance(f.metadata.citation_note, str)
     assert f.reference() == {"id": "sin", "params": []}
 
 

@@ -150,9 +150,10 @@ class TestRatioSearchCommand:
     @pytest.mark.parametrize("ref", [{"id": "constant", "params": "5"},
                                      {"id": "poly", "params": {"1": 2}},
                                      {"id": "constant", "params": [True]},
-                                     {"id": ["abs"]}, {"id": 5}],
+                                     {"id": ["abs"]}, {"id": 5},
+                                     {"id": "smoothed_abs", "params": ["0.05"]}],
                              ids=["params_string", "params_object", "params_boolean",
-                                  "id_list", "id_number"])
+                                  "id_list", "id_number", "params_string_element"])
     def test_malformed_function_exits_2(self, tmp_path, capsys, ref, monkeypatch):
         def no_search(*args, **kwargs):
             raise AssertionError("the search ran")
