@@ -96,6 +96,11 @@ def _path_point(a: HermitianOperator, diff: np.ndarray, t: float) -> HermitianOp
     return HermitianOperator(a.matrix + t * diff)
 
 
+class _RefinedPair(tuple):
+    """The pair (A', B') ``segment_refine`` returns, with f(A') and f(B') as
+    ``images``: a divergent family amplifies it without forming them again."""
+
+
 def segment_refine(f: ScalarFunction, a: HermitianOperator,
                    b: HermitianOperator,
                    n_max: int = MAX_SUBDIVISION) -> Tuple[HermitianOperator, HermitianOperator]:
@@ -126,7 +131,9 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
         if np.all(increments < 1.0):
             k = int(np.argmax(increments))  # first maximum: smallest k
             right = b if k + 1 == n else _path_point(a, diff, (k + 1) / n)
-            return _path_point(a, diff, k / n), right
+            refined = _RefinedPair((_path_point(a, diff, k / n), right))
+            refined.images = images[k], images[k + 1]
+            return refined
         if n * increments.max() > 2 * n_max:
             break
         n *= 2
@@ -146,12 +153,18 @@ def amplify_to_unit(f: ScalarFunction, a: HermitianOperator,
     aggregate ratio equals the block ratio because both norms scale by the
     same integer.  The block carries the two trace norms computed here, both
     from one stacked SVD call.  f is evaluated before A = B is rejected, so
-    f's DomainError comes first; in a divergent family ``segment_refine`` has
-    already evaluated f on the same pair.
+    f's DomainError comes first.
     """
     fb, fa = apply_function(f, b), apply_function(f, a)
+    return _unit_block(a, b, fa.matrix, fb.matrix)
+
+
+def _unit_block(a: HermitianOperator, b: HermitianOperator,
+                fa: np.ndarray, fb: np.ndarray) -> SumBlock:
+    """``amplify_to_unit`` from the images fa = f(A) and fb = f(B); a
+    divergent family passes the images ``segment_refine`` returned."""
     delta_s1, increment = schatten_from_singular(singular_values(
-        np.stack([b.matrix - a.matrix, fb.matrix - fa.matrix])), 1).tolist()
+        np.stack([b.matrix - a.matrix, fb - fa])), 1).tolist()
     if not delta_s1 > 0.0:
         raise DegeneratePair("cannot amplify a pair with A = B")
     if not 0.0 < increment < 1.0:
@@ -238,8 +251,8 @@ def _block_record(f: ScalarFunction, index: int, delta: float,
     target, achieved, block = 2.0 ** index, 0.0, None
     if bound.witness is not None:
         try:
-            refined_a, refined_b = segment_refine(f, bound.witness.a, bound.witness.b)
-            block = amplify_to_unit(f, refined_a, refined_b)
+            pair = segment_refine(f, bound.witness.a, bound.witness.b)
+            block = _unit_block(*pair, *pair.images)
             achieved = block.weighted_increment_s1 / block.weighted_delta_s1
         except (PreconditionViolated, DegeneratePair, RefinementOverflow):
             pass

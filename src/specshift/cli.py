@@ -28,11 +28,10 @@ from .blocks import build_divergent_family, default_delta_schedule, partial_sums
 from .catalog import get_function
 from .errors import (BadInterval, BadParams, ConfigError, SpecshiftError,
                      UnknownFunction)
-from .hermitian import (HermitianOperator, apply_function, decompose,
-                        increment_ratio, operator_scale, schatten_from_singular,
-                        schatten_norm, singular_values, spectral_truncation,
-                        trace_transfer_check)
-from .loewner import divided_difference, perturbation_identity_residual, restrict_to_grid
+from .hermitian import (calculus_stack, decompose, decompose_stack, hermitian_part,
+                        increment_ratio_stack, operator_scale, schatten_from_singular,
+                        singular_values, trace_transfer_stack, truncation_stack)
+from .loewner import divided_difference, perturbation_identity_stack, restrict_to_grid
 from .search import NORM_KINDS, random_orthogonal, seminorm_lower_bound
 from .sequences import NotFound, divergence_check, scalar_ratio_witnesses
 from .serialize import (dump_json, family_to_json, matrix_from_json,
@@ -274,8 +273,16 @@ def run_commuting(cfg: dict) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _random_hermitian(rng, dim: int) -> HermitianOperator:
-    return HermitianOperator(rng.uniform(-1.0, 1.0, (dim, dim)))
+def _uniform(rng, dim: int) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, (dim, dim))
+
+
+def _diagonal(rng, dim: int) -> np.ndarray:
+    return np.diag(rng.uniform(-2.0, 2.0, dim))
+
+
+def _level(rng, _) -> float:
+    return float(rng.uniform(0.2, 1.5))
 
 
 _SCHATTEN_PS = (1, 2, np.inf)
@@ -283,91 +290,108 @@ _POLY4 = (0.5, -1.0, 2.0, 0.0, 1.5)
 _TRIALS = 12
 
 
-def _schatten_norms(*mats) -> list:
-    """Per matrix, its norms for each p of ``_SCHATTEN_PS``, from one SVD call."""
-    s = singular_values(np.stack(mats))
+def _schatten_norms(*stacks) -> list:
+    """Per stack and matrix, its norms for each p of ``_SCHATTEN_PS``, from
+    one SVD call."""
+    s = singular_values(np.stack(stacks))
     return np.stack([schatten_from_singular(s, p) for p in _SCHATTEN_PS], -1).tolist()
 
 
-def _unitary_invariance(rng, dim: int, _) -> list:
-    x = rng.uniform(-1.0, 1.0, (dim, dim))
-    q = random_orthogonal(rng, dim)
-    base, turned = _schatten_norms(x, q @ x @ q.T)
-    return [abs(t - b) / b for b, t in zip(base, turned)]
+def _unitary_invariance(fs, x, q) -> list:
+    base, turned = _schatten_norms(x, q @ x @ q.swapaxes(-1, -2))
+    return [[abs(t - b) / b for b, t in zip(bs, ts)] for bs, ts in zip(base, turned)]
 
 
-def _norm_ordering(rng, dim: int, _) -> list:
-    x = rng.uniform(-1.0, 1.0, (dim, dim))
-    (n1, n2, ninf), = _schatten_norms(x)
-    return [max((ninf - n2) / n1, (n2 - n1) / n1, (n1 - dim * ninf) / n1)]
+def _norm_ordering(fs, x) -> list:
+    dim = x.shape[-1]
+    (norms,) = _schatten_norms(x)
+    return [[max((ninf - n2) / n1, (n2 - n1) / n1, (n1 - dim * ninf) / n1)]
+            for n1, n2, ninf in norms]
 
 
-def _triangle_inequality(rng, dim: int, _) -> list:
-    x = rng.uniform(-1.0, 1.0, (dim, dim))
-    y = rng.uniform(-1.0, 1.0, (dim, dim))
-    norms = zip(*_schatten_norms(x, y, x + y))
-    return [max((nxy - (nx + ny)) / (nx + ny) for nx, ny, nxy in norms)]
+def _triangle_inequality(fs, x, y) -> list:
+    return [[max((nxy - (nx + ny)) / (nx + ny) for nx, ny, nxy in zip(*norms))]
+            for norms in zip(*_schatten_norms(x, y, x + y))]
 
 
-def _poly4_calculus(rng, dim: int, poly4) -> list:
-    a = _random_hermitian(rng, dim)
-    direct = np.zeros_like(a.matrix)
-    power = np.eye(dim)
+def _poly4_calculus(fs, x) -> list:
+    a = hermitian_part(x)
+    direct, power = np.zeros_like(a), np.eye(a.shape[-1])
     for c in _POLY4:
         direct = direct + c * power
-        power = power @ a.matrix
-    err = np.abs(apply_function(poly4, a).matrix - direct).max()
-    return [err / (1.0 + schatten_norm(a, np.inf)) ** 4]
+        power = power @ a
+    dec = decompose_stack(a)
+    calc = calculus_stack(dec.eigenvectors, fs[0].values_at(dec.eigenvalues))
+    err = np.abs(calc - direct).max(axis=(-2, -1))
+    return [[e / (1.0 + top) ** 4]
+            for e, top in zip(err.tolist(), singular_values(a)[:, 0].tolist())]
 
 
-def _scalar_reduction(rng, dim: int, f) -> list:
-    diag_vals = rng.uniform(-2.0, 2.0, dim)
-    fa = apply_function(f, HermitianOperator(np.diag(diag_vals))).matrix
-    return [float(np.abs(fa - np.diag(np.abs(diag_vals))).max())]
+def _scalar_reduction(fs, d) -> list:
+    dec = decompose_stack(d)
+    fd = calculus_stack(dec.eigenvectors, fs[0].values_at(dec.eigenvalues))
+    return np.abs(fd - np.abs(d)).max(axis=(-2, -1))[:, None].tolist()
 
 
-def _truncation_rank(rng, dim: int, _) -> list:
-    a = _random_hermitian(rng, dim)
-    delta = float(rng.uniform(0.2, 1.5))
-    a_d, discarded = spectral_truncation(a, delta)
-    eigs = decompose(a).eigenvalues
-    kept = decompose(a_d).eigenvalues
-    return [int(discarded != int(np.count_nonzero(np.abs(eigs) > delta)))
-            + int(np.any((np.abs(kept) > delta) & (kept != 0.0)))]
+def _truncation_rank(fs, x, delta) -> list:
+    dec = decompose_stack(hermitian_part(x))
+    a_d, discarded = truncation_stack(dec, delta)
+    kept = decompose_stack(a_d).eigenvalues
+    level = delta[:, None]
+    return [[int(n != int(m)) + int(bad)] for n, m, bad in zip(
+        discarded, np.count_nonzero(np.abs(dec.eigenvalues) > level, axis=-1),
+        np.any((np.abs(kept) > level) & (kept != 0.0), axis=-1))]
 
 
-def _identity_ratio(rng, dim: int, identity) -> list:
-    a = _random_hermitian(rng, dim)
-    b = _random_hermitian(rng, dim)
-    return [abs(increment_ratio(identity, a, b).ratio_s1 - 1.0)]
+def _identity_ratio(fs, x, y) -> list:
+    ratio_s1, _, _ = increment_ratio_stack(fs[0], hermitian_part(x), hermitian_part(y))
+    return [[abs(r - 1.0)] for r in ratio_s1.tolist()]
 
 
-def _loewner_identity(rng, dim: int, f) -> list:
-    a = _random_hermitian(rng, dim)
-    b = _random_hermitian(rng, dim)
-    return [perturbation_identity_residual(f, a, b) / operator_scale(a, b)]
+def _loewner_identity(fs, x, y) -> list:
+    a, b = hermitian_part(x), hermitian_part(y)
+    return (perturbation_identity_stack(fs[0], a, b) / operator_scale(a, b))[:, None].tolist()
 
 
-def _trace_transfer(rng, dim: int, f) -> list:
-    a = _random_hermitian(rng, dim)
-    b = _random_hermitian(rng, dim)
-    delta = float(rng.uniform(0.2, 1.5))
-    report = trace_transfer_check(f, delta, a, b)
-    return [report.reassembly_residual_s1 / report.scale]
+def _trace_transfer(fs, x, y, delta) -> list:
+    return [[r.reassembly_residual_s1 / r.scale] for r in trace_transfer_stack(
+        fs, delta, hermitian_part(x), hermitian_part(y))]
 
 
 class _Check(NamedTuple):
-    """A verify check: ``_TRIALS`` calls trial(rng, dim, f) per entry f of
-    ``functions``, all drawn from substream (seed, *stream).  Each call
-    returns one residual per row in ``names``; a row's residuals start at
-    0.0 and are folded with ``combine``."""
+    """A verify check: ``_TRIALS`` trials per entry f of ``functions``, all
+    drawn from substream (seed, *stream) in a fixed order: per trial its dim,
+    then one array per sampler in ``draws``.  ``score`` takes the trials of
+    one dim at a time, as a tuple of their functions and one stack per
+    sampler, and returns one residual per row in ``names`` for each trial
+    (per-trial arithmetic on Python floats, so each residual has the bits a
+    trial scored alone gets).  A row's residuals start at 0.0 and are folded
+    with ``combine`` in trial order."""
 
     stream: tuple
     names: tuple
     tolerance: float
-    trial: Callable
+    score: Callable
+    draws: tuple
     functions: tuple = (None,)
     combine: Callable = max
+
+
+def _run_check(check: _Check, seed: int) -> list:
+    """The check's rows (name, residual, tolerance)."""
+    rng = np.random.default_rng([seed, *check.stream])
+    by_dim = {}  # dim -> [(trial index, f, draws)]
+    for i, f in enumerate(fn for fn in check.functions for _ in range(_TRIALS)):
+        dim = int(rng.integers(2, 9))
+        by_dim.setdefault(dim, []).append((i, f, [draw(rng, dim) for draw in check.draws]))
+    residuals = {}
+    for trials in by_dim.values():
+        index, fs, draws = zip(*trials)
+        residuals.update(zip(index, check.score(fs, *(np.stack(d) for d in zip(*draws)))))
+    worst = [0.0] * len(check.names)
+    for i in sorted(residuals):
+        worst = [check.combine(w, r) for w, r in zip(worst, residuals[i])]
+    return [(name, w, check.tolerance) for name, w in zip(check.names, worst)]
 
 
 def _verify_checks(seed: int, fixtures) -> list:
@@ -377,39 +401,33 @@ def _verify_checks(seed: int, fixtures) -> list:
     square = get_function("poly", (0.0, 0.0, 1.0))
     table = [
         _Check((1,), ("unitary_invariance_s1", "unitary_invariance_s2",
-                      "unitary_invariance_sinf"), 1e-9, _unitary_invariance),
-        _Check((2,), ("norm_ordering",), 1e-12, _norm_ordering),
-        _Check((3,), ("triangle_inequality",), 1e-10, _triangle_inequality),
-        _Check((4,), ("functional_calculus_poly4",), 1e-9, _poly4_calculus,
+                      "unitary_invariance_sinf"), 1e-9, _unitary_invariance,
+               (_uniform, random_orthogonal)),
+        _Check((2,), ("norm_ordering",), 1e-12, _norm_ordering, (_uniform,)),
+        _Check((3,), ("triangle_inequality",), 1e-10, _triangle_inequality,
+               (_uniform, _uniform)),
+        _Check((4,), ("functional_calculus_poly4",), 1e-9, _poly4_calculus, (_uniform,),
                (get_function("poly", _POLY4),)),
-        _Check((5,), ("scalar_reduction_diagonal",), 0.0, _scalar_reduction,
+        _Check((5,), ("scalar_reduction_diagonal",), 0.0, _scalar_reduction, (_diagonal,),
                (get_function("abs"),)),
         # counts mismatches rather than keeping the worst trial
         _Check((6,), ("spectral_truncation_rank",), 0.0, _truncation_rank,
-               combine=operator.add),
-        _Check((7,), ("identity_ratio",), 1e-12, _identity_ratio,
+               (_uniform, _level), combine=operator.add),
+        _Check((7,), ("identity_ratio",), 1e-12, _identity_ratio, (_uniform, _uniform),
                (get_function("identity"),)),
     ]
     for sub, (name, fn) in enumerate((
             ("loewner_identity_poly", get_function("poly", (1.0, -2.0, 0.0, 3.0))),
             ("loewner_identity_sin", get_function("sin")),
             ("loewner_identity_exp", get_function("exp")))):
-        table.append(_Check((8, sub), (name,), 1e-8, _loewner_identity, (fn,)))
+        table.append(_Check((8, sub), (name,), 1e-8, _loewner_identity,
+                            (_uniform, _uniform), (fn,)))
     table.append(_Check((9,), ("trace_transfer_reassembly",), 1e-9, _trace_transfer,
+                        (_uniform, _uniform, _level),
                         (get_function("abs"), square,
                          get_function("smoothed_abs", (0.05,)))))
 
-    results = []  # (check, residual, tolerance)
-    for check in table:
-        rng = np.random.default_rng([seed, *check.stream])
-        worst = [0.0] * len(check.names)
-        for f in check.functions:
-            for _ in range(_TRIALS):
-                residuals = check.trial(rng, int(rng.integers(2, 9)), f)
-                worst = [check.combine(w, r) for w, r in zip(worst, residuals)]
-        results.extend((name, residual, check.tolerance)
-                       for name, residual in zip(check.names, worst))
-
+    results = [row for check in table for row in _run_check(check, seed)]
     results.append(("divided_difference_tie",
                     abs(divided_difference(square, 2.0, 2.0) - 4.0), 1e-12))
 

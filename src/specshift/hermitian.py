@@ -4,6 +4,10 @@ Spectral decomposition, functional calculus f(A) = U diag(f(lambda)) U*,
 Schatten norms from singular values, spectral truncation, and the
 trace-norm / operator-norm increment ratios that the searches maximise.
 
+The kernels take stacks (..., n, n) with one LAPACK or BLAS call each, and
+every matrix of a stack gets the bits it gets alone; the functions of one
+operator or one pair are the one-matrix cases of the stacked ones.
+
 Accuracy checks are relative to ``operator_scale`` = max(1, ||A||, ||B||);
 ``noise_floor`` judges what counts as zero relative to the quantity judged.
 """
@@ -22,12 +26,18 @@ __all__ = [
     "SpectralDecomposition",
     "RatioWitness",
     "TraceTransferReport",
+    "hermitian_part",
+    "decompose_stack",
     "decompose",
+    "calculus_stack",
     "apply_function",
     "schatten_norm",
     "singular_values",
+    "truncation_stack",
     "spectral_truncation",
+    "increment_ratio_stack",
     "increment_ratio",
+    "trace_transfer_stack",
     "trace_transfer_check",
     "operator_scale",
 ]
@@ -38,13 +48,18 @@ DEGENERATE_REL = 1e-14
 _EIG_TOL = 1e-10
 
 
-class HermitianOperator:
-    """Square self-adjoint matrix.
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of a matrix or of each matrix of a stack, as a real array
+    when no entry has an imaginary part.  The map is exact on matrices that
+    are already Hermitian and makes entries[j][k] == conj(entries[k][j]) bit
+    for bit."""
+    m = (m + m.conj().swapaxes(-1, -2)) / 2
+    return m.real.copy() if m.dtype.kind == "c" and not m.imag.any() else m
 
-    The constructor replaces its input by (M + M*)/2.  That map is exact on
-    matrices that are already Hermitian and guarantees the storage invariant
-    entries[j][k] == conj(entries[k][j]) bit for bit.  Matrices with no
-    imaginary part are kept in a real float64 array.
+
+class HermitianOperator:
+    """Square self-adjoint matrix, stored as the ``hermitian_part`` of its
+    input in a float64 or complex128 array.
 
     The entries never change, so ``decompose`` keeps its first success in a
     slot: read-only arrays, the bits a fresh eigensolve would give again.
@@ -60,9 +75,7 @@ class HermitianOperator:
         arr = arr.astype(dtype, copy=False)
         if not np.isfinite(arr).all():
             raise NonFinite("matrix entries must be finite")
-        mat = (arr + arr.conj().T) / 2
-        if np.iscomplexobj(mat) and not mat.imag.any():
-            mat = mat.real.copy()
+        mat = hermitian_part(arr)
         mat.setflags(write=False)
         self._mat = mat
         self._dec = None
@@ -84,8 +97,9 @@ class HermitianOperator:
 class SpectralDecomposition:
     """Eigenvalues in ascending order, a unitary matrix of column
     eigenvectors, the max-entry reconstruction residual
-    |U diag(lambda) U* - A| with the tolerance ``decompose`` held it to, and
-    the max-entry orthonormality residual |U* U - I| (held to 1e-10)."""
+    |U diag(lambda) U* - A| with the tolerance it was held to, and the
+    max-entry orthonormality residual |U* U - I| (held to 1e-10).  For a
+    stack every field carries its leading axes."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -94,35 +108,46 @@ class SpectralDecomposition:
     orthonormality_residual: float
 
 
-def operator_scale(a: HermitianOperator, b: HermitianOperator) -> float:
-    """max(1, ||a||, ||b||) in operator norm; normalises relative tolerances."""
-    return max(1.0, *singular_values(np.stack([a.matrix, b.matrix]))[:, 0].tolist())
+def operator_scale(a, b):
+    """max(1, ||a||, ||b||) in operator norm; normalises relative tolerances.
+    For two stacks of matrices, one scale per pair."""
+    top = singular_values(np.stack([_coerce_matrix(a), _coerce_matrix(b)]))[..., 0]
+    return np.maximum(1.0, top.max(axis=0))
 
 
-def decompose(a: HermitianOperator) -> SpectralDecomposition:
-    """Eigendecomposition A = U diag(lambda) U* with verified accuracy.
+def decompose_stack(mats) -> SpectralDecomposition:
+    """Eigendecomposition A = U diag(lambda) U* of a Hermitian matrix or of
+    each matrix of a stack (..., n, n), with verified accuracy.
 
-    Raises ConvergenceFailure if the orthonormality residual exceeds 1e-10
-    or the reconstruction residual 1e-10 relative to max(1, max-entry of A).
-    Both residuals, and the reconstruction tolerance, are returned with it.
-    A success is kept on ``a`` and returned by later calls; a failure is not.
+    Raises NonFinite for a non-finite entry, and ConvergenceFailure naming
+    the first matrix whose orthonormality residual exceeds 1e-10 or whose
+    reconstruction residual exceeds 1e-10 relative to max(1, its max-entry).
     """
-    if a._dec is not None:
-        return a._dec
-    m = a.matrix
+    m = _coerce_matrix(mats)
     try:
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from None
-    ortho = np.abs(u.conj().T @ u - np.eye(a.dim)).max()
-    recon = np.abs((u * w) @ u.conj().T - m).max()
-    tol = _EIG_TOL * max(1.0, np.abs(m).max())
-    if ortho > _EIG_TOL or recon > tol:
+    uh = u.conj().swapaxes(-1, -2)
+    ortho = np.abs(uh @ u - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    recon = np.abs((u * w[..., None, :]) @ uh - m).max(axis=(-2, -1))
+    tol = _EIG_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    bad = np.ravel(~((ortho <= _EIG_TOL) & (recon <= tol)))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ConvergenceFailure(
-            f"eigendecomposition out of tolerance: ortho={ortho:g}, recon={recon:g}")
+            f"eigendecomposition of matrix {i} out of tolerance: "
+            f"ortho={np.ravel(ortho)[i]:g}, recon={np.ravel(recon)[i]:g}")
     w.setflags(write=False)
     u.setflags(write=False)
-    a._dec = SpectralDecomposition(w, u, float(recon), float(tol), float(ortho))
+    return SpectralDecomposition(w, u, recon, tol, ortho)
+
+
+def decompose(a: HermitianOperator) -> SpectralDecomposition:
+    """``decompose_stack`` of one operator.  A success is kept on ``a`` and
+    returned by later calls; a failure is not."""
+    if a._dec is None:
+        a._dec = decompose_stack(a)
     return a._dec
 
 
@@ -134,6 +159,14 @@ def noise_floor(dim: int, scale, rel: float = DEGENERATE_REL):
     return rel * dim * scale + dim * dim * 2.0 ** -1022
 
 
+def calculus_stack(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``hermitian_part`` of U diag(values) U* for each eigenvector matrix U
+    of a stack and its row of values: the functional calculus when the
+    values are f at the eigenvalues."""
+    return hermitian_part((vectors * values[..., None, :])
+                          @ vectors.conj().swapaxes(-1, -2))
+
+
 def apply_function(f: ScalarFunction, a: HermitianOperator) -> HermitianOperator:
     """Functional calculus: U diag(f(lambda_1), ..., f(lambda_n)) U*.
 
@@ -141,8 +174,7 @@ def apply_function(f: ScalarFunction, a: HermitianOperator) -> HermitianOperator
     non-finite at some eigenvalue.
     """
     dec = decompose(a)
-    vals = f.values_at(dec.eigenvalues)
-    return HermitianOperator((dec.eigenvectors * vals) @ dec.eigenvectors.conj().T)
+    return HermitianOperator(calculus_stack(dec.eigenvectors, f.values_at(dec.eigenvalues)))
 
 
 def _coerce_matrix(x) -> np.ndarray:
@@ -180,19 +212,23 @@ def schatten_norm(x, p) -> float:
     return float(schatten_from_singular(singular_values(x), p))
 
 
-def spectral_truncation(a: HermitianOperator, delta: float) -> Tuple[HermitianOperator, int]:
-    """Zero out every eigenvalue with |lambda| > delta.
+def truncation_stack(dec: SpectralDecomposition, deltas) -> Tuple[np.ndarray, np.ndarray]:
+    """Zero out every eigenvalue with |lambda| > delta, per matrix of a
+    (stacked) decomposition, deltas broadcasting over its leading axes.
+    Returns the truncated matrices and the number of eigenvalues each
+    discards, which equals rank(A - A_delta)."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if not np.all((deltas > 0) & np.isfinite(deltas)):
+        raise ValueError(f"delta must be positive and finite, got {deltas!r}")
+    keep = np.abs(dec.eigenvalues) <= deltas[..., None]
+    return (calculus_stack(dec.eigenvectors, np.where(keep, dec.eigenvalues, 0.0)),
+            np.count_nonzero(~keep, axis=-1))
 
-    Returns the truncated operator and the number of discarded eigenvalues,
-    which equals rank(A - A_delta).
-    """
-    if not (delta > 0 and np.isfinite(delta)):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    dec = decompose(a)
-    keep = np.abs(dec.eigenvalues) <= delta
-    trimmed = np.where(keep, dec.eigenvalues, 0.0)
-    truncated = HermitianOperator((dec.eigenvectors * trimmed) @ dec.eigenvectors.conj().T)
-    return truncated, int(np.count_nonzero(~keep))
+
+def spectral_truncation(a: HermitianOperator, delta: float) -> Tuple[HermitianOperator, int]:
+    """The one-operator case of ``truncation_stack``."""
+    truncated, discarded = truncation_stack(decompose(a), delta)
+    return HermitianOperator(truncated), int(discarded)
 
 
 @dataclass(frozen=True)
@@ -210,28 +246,32 @@ class RatioWitness:
     increment_s1: float
 
 
-def increment_ratio(f: ScalarFunction, a: HermitianOperator,
-                    b: HermitianOperator) -> RatioWitness:
-    """Compute the trace-norm and operator-norm increment ratios of (A, B).
+def increment_ratio_stack(f: ScalarFunction, a: np.ndarray,
+                          b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ratio_s1, ratio_op, increment_s1) arrays (see ``RatioWitness``) over
+    the pairs of two stacks (k, n, n), with one evaluation of f.
 
-    Raises DegeneratePair when ||B-A||_1 is at most ``noise_floor`` at
+    Raises DegeneratePair when some ||B-A||_1 is at most ``noise_floor`` at
     scale max(||A||, ||B||) (this also rejects A = B).
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    s_a, s_b, den = singular_values(np.stack([a.matrix, b.matrix, b.matrix - a.matrix]))
-    den_s1 = float(den.sum())
-    if den_s1 <= noise_floor(a.dim, max(float(s_a[0]), float(s_b[0]))):
+    s_a, s_b, den = singular_values(np.stack([a, b, b - a]))
+    den_s1 = den.sum(axis=-1)
+    low = den_s1 <= noise_floor(a.shape[-1], np.maximum(s_a[:, 0], s_b[:, 0]))
+    if low.any():
         raise DegeneratePair(
-            f"||B-A||_1 = {den_s1:g} is below the degeneracy floor")
-    num = singular_values(apply_function(f, b).matrix - apply_function(f, a).matrix)
-    num_s1 = float(num.sum())
-    return RatioWitness(
-        a=a, b=b,
-        ratio_s1=num_s1 / den_s1,
-        ratio_op=float(num[0]) / float(den[0]),
-        increment_s1=num_s1,
-    )
+            f"||B-A||_1 = {den_s1[np.argmax(low)]:g} is below the degeneracy floor")
+    dec = decompose_stack(np.stack([a, b]))
+    fa, fb = calculus_stack(dec.eigenvectors, f.values_at(dec.eigenvalues))
+    num = singular_values(fb - fa)
+    num_s1 = num.sum(axis=-1)
+    return num_s1 / den_s1, num[:, 0] / den[:, 0], num_s1
+
+
+def increment_ratio(f: ScalarFunction, a: HermitianOperator,
+                    b: HermitianOperator) -> RatioWitness:
+    """The one-pair case of ``increment_ratio_stack``."""
+    ratios = increment_ratio_stack(f, a.matrix[None], b.matrix[None])
+    return RatioWitness(a, b, *(float(r[0]) for r in ratios))
 
 
 @dataclass(frozen=True)
@@ -257,40 +297,43 @@ class TraceTransferReport:
     scale: float
 
 
-def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
-                         b: HermitianOperator) -> TraceTransferReport:
-    """Split ||f(A)-f(B)||_1 across the truncation A_delta, B_delta.
+def trace_transfer_stack(fs, deltas, a: np.ndarray, b: np.ndarray) -> list:
+    """Split ||f(A)-f(B)||_1 across the truncation A_delta, B_delta, for
+    pair i of two stacks (k, n, n) with function fs[i] and level deltas[i].
 
     f is normalised to f - f(0) first, so the tails vanish exactly when
     nothing is discarded.  Each tail's singular values give both its trace
     norm and its numerical rank: the count above ``noise_floor`` at scale
-    max(||A||, ||B||) with rel 1e-10.
+    max(||A||, ||B||) with rel 1e-10.  Each distinct f is evaluated once.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    g = f.shifted(f(0.0))
-    a_d, rank_a = spectral_truncation(a, delta)
-    b_d, rank_b = spectral_truncation(b, delta)
-    ga, gb, gad, gbd = (apply_function(g, x).matrix for x in (a, b, a_d, b_d))
+    deltas = np.asarray(deltas, dtype=np.float64)
+    dec = decompose_stack(np.stack([a, b]))
+    truncated, (rank_a, rank_b) = truncation_stack(dec, deltas)
+    dec_d = decompose_stack(truncated)
+    w = np.stack([dec.eigenvalues, dec_d.eigenvalues])
+    vals = np.empty_like(w)
+    for f in dict.fromkeys(fs):
+        rows = np.array([h == f for h in fs])
+        vals[..., rows, :] = f.shifted(f(0.0)).values_at(w[..., rows, :])
+    (ga, gb), (gad, gbd) = calculus_stack(
+        np.stack([dec.eigenvectors, dec_d.eigenvectors]), vals)
     tail_a = ga - gad
     tail_b = gb - gbd
     core = gad - gbd
     total = ga - gb
     residual = total - (tail_a + core - tail_b)
-    sv = singular_values(np.stack([a.matrix, b.matrix, tail_a, tail_b, core, total, residual]))
-    s1 = schatten_from_singular(sv, 1).tolist()
-    top = max(float(sv[0, 0]), float(sv[1, 0]))
-    rank_floor = noise_floor(a.dim, top, 1e-10)
-    return TraceTransferReport(
-        delta=float(delta),
-        tail_a_s1=s1[2],
-        tail_b_s1=s1[3],
-        tail_a_rank=int(np.count_nonzero(sv[2] > rank_floor)),
-        tail_b_rank=int(np.count_nonzero(sv[3] > rank_floor)),
-        discarded_rank_a=rank_a,
-        discarded_rank_b=rank_b,
-        core_increment_s1=s1[4],
-        total_increment_s1=s1[5],
-        reassembly_residual_s1=s1[6],
-        scale=max(1.0, top),
-    )
+    sv = singular_values(np.stack([a, b, tail_a, tail_b, core, total, residual]))
+    s1 = schatten_from_singular(sv, 1).T.tolist()
+    top = np.maximum(sv[0, :, 0], sv[1, :, 0])
+    tail_ranks = np.count_nonzero(
+        sv[2:4] > noise_floor(a.shape[-1], top, 1e-10)[:, None], axis=-1)
+    return [TraceTransferReport(delta, s[2], s[3], int(ta), int(tb), int(da), int(db),
+                                s[4], s[5], s[6], max(1.0, t))
+            for delta, s, ta, tb, da, db, t in zip(
+                deltas.tolist(), s1, *tail_ranks, rank_a, rank_b, top.tolist())]
+
+
+def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
+                         b: HermitianOperator) -> TraceTransferReport:
+    """The one-pair case of ``trace_transfer_stack``."""
+    return trace_transfer_stack((f,), (delta,), a.matrix[None], b.matrix[None])[0]

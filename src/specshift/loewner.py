@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import ScalarFunction, interval_bounds
 from .errors import BadInterval, InvariantViolation
-from .hermitian import HermitianOperator, decompose
+from .hermitian import HermitianOperator, decompose_stack
 
 __all__ = [
     "TIE_EPS",
@@ -26,6 +26,7 @@ __all__ = [
     "restrict_to_grid",
     "divided_difference",
     "loewner_matrix",
+    "perturbation_identity_stack",
     "perturbation_identity_residual",
 ]
 
@@ -100,34 +101,39 @@ class LoewnerMatrix:
 
 def loewner_matrix(f: ScalarFunction, lam, mu, values=None) -> LoewnerMatrix:
     """Divided differences L[j][k] = dd(f, lam[j], mu[k]); point by point only
-    at ties.  ``values`` = (f(lam), f(mu)) spares evaluating f when known."""
+    at ties.  ``values`` = (f(lam), f(mu)) spares evaluating f when known.
+    Leading axes of lam and mu broadcast: stacked grids give stacked
+    matrices."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
     f_lam, f_mu = (f.values_at(lam), f.values_at(mu)) if values is None else values
-    x, y = lam[:, None], mu[None, :]
+    x, y = np.broadcast_arrays(lam[..., :, None], mu[..., None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        entries = (f_lam[:, None] - f_mu[None, :]) / (x - y)
+        entries = (f_lam[..., :, None] - f_mu[..., None, :]) / (x - y)
     fallback = False
-    for j, k in zip(*np.nonzero(~(np.abs(x - y) > TIE_EPS * (np.abs(x) + np.abs(y))))):
-        entries[j, k], used = _divided(f, float(lam[j]), float(mu[k]))
+    for idx in zip(*np.nonzero(~(np.abs(x - y) > TIE_EPS * (np.abs(x) + np.abs(y))))):
+        entries[idx], used = _divided(f, float(x[idx]), float(y[idx]))
         fallback = fallback or used
     entries.setflags(write=False)
     return LoewnerMatrix(entries, fallback)
 
 
+def perturbation_identity_stack(f: ScalarFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-entry residual of the mixed-basis identity relating f(A)-f(B)
+    to the Loewner matrix acting entrywise on A-B, for each pair of two
+    stacks (k, n, n) of Hermitian matrices."""
+    dec = decompose_stack(np.stack([a, b]))
+    (lam, mu), (u, v) = dec.eigenvalues, dec.eigenvectors
+    fa, fb = f.values_at(dec.eigenvalues)
+    uh, vh = u.conj().swapaxes(-1, -2), v.conj().swapaxes(-1, -2)
+    f_incr = (u * fa[:, None, :]) @ uh - (v * fb[:, None, :]) @ vh
+    lhs = uh @ f_incr @ v
+    rhs = uh @ (a - b) @ v
+    loewner = loewner_matrix(f, lam, mu, (fa, fb))
+    return np.abs(lhs - loewner.entries * rhs).max(axis=(-2, -1))
+
+
 def perturbation_identity_residual(f: ScalarFunction, a: HermitianOperator,
                                    b: HermitianOperator) -> float:
-    """Max-entry residual of the mixed-basis identity relating f(A)-f(B)
-    to the Loewner matrix acting entrywise on A-B."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    da = decompose(a)
-    db = decompose(b)
-    u, v = da.eigenvectors, db.eigenvectors
-    fa = f.values_at(da.eigenvalues)
-    fb = f.values_at(db.eigenvalues)
-    f_incr = (u * fa) @ u.conj().T - (v * fb) @ v.conj().T
-    lhs = u.conj().T @ f_incr @ v
-    rhs = u.conj().T @ (a.matrix - b.matrix) @ v
-    loewner = loewner_matrix(f, da.eigenvalues, db.eigenvalues, (fa, fb))
-    return float(np.abs(lhs - loewner.entries * rhs).max())
+    """The one-pair case of ``perturbation_identity_stack``."""
+    return float(perturbation_identity_stack(f, a.matrix[None], b.matrix[None])[0])

@@ -202,6 +202,21 @@ class TestBuildDivergentFamily:
         assert fam.failure is None
         assert len(calls) == 2 * len(fam.records) == 20
 
+    def test_each_block_forms_its_two_images_once(self, monkeypatch):
+        # segment_refine forms f(A) and f(B); the amplification reads them
+        calls = count_calls(monkeypatch, blocks, "apply_function")
+        fam = build_divergent_family(get_function("sqrt_abs"), 10, 4, 1, dim=8)
+        assert fam.failure is None
+        assert len(calls) == 2 * len(fam.records) == 20
+
+    def test_refined_pair_carries_its_endpoint_images(self):
+        f = get_function("sqrt_abs")
+        a, b = HermitianOperator([[0.0]]), HermitianOperator([[100.0]])
+        pair = segment_refine(f, a, b)
+        assert pair[1] is not b
+        for end, image in zip(pair, pair.images):
+            assert np.array_equal(image, apply_function(f, end).matrix)
+
     def test_refined_blocks_take_one_svd_call_per_level(self, monkeypatch):
         # the blocks refine at depths 256, 64 and 16: 9 + 7 + 5 levels, plus
         # one amplification call each

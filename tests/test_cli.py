@@ -11,10 +11,11 @@ import pytest
 from specshift import (DomainError, HermitianOperator, NonFinite, decompose,
                        get_function)
 from specshift import cli, hermitian
+from specshift.catalog import ScalarFunction
 from specshift.cli import main
 from specshift.serialize import matrix_from_json, matrix_to_json, write_text
 
-from conftest import random_hermitian
+from conftest import count_calls, random_hermitian
 
 
 def _write_cfg(path, doc):
@@ -445,6 +446,47 @@ class TestVerifyCommand:
         assert main(["verify", cfg]) == 0
         _, rows = _read_rows(out)
         assert any(r["check"] == "fixture_0_reconstruction" for r in rows)
+
+
+class TestVerifyByStacks:
+    """verify scores each check's trials one same-dim stack at a time."""
+
+    @staticmethod
+    def _exits_3_without_report(tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {"seed": 1, "output": str(out)})
+        assert main(["verify", cfg]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_domain_error_in_a_stack_exits_3(self, tmp_path, monkeypatch, capsys):
+        real = cli.get_function
+
+        def sin_without_values(fid, params=()):
+            if fid == "sin":
+                return ScalarFunction("sin", (), lambda x: np.full_like(x, np.nan))
+            return real(fid, params)
+
+        monkeypatch.setattr(cli, "get_function", sin_without_values)
+        self._exits_3_without_report(tmp_path, capsys)
+
+    def test_convergence_failure_in_a_stack_exits_3(self, tmp_path, monkeypatch, capsys):
+        real_eigh = np.linalg.eigh
+
+        def eigh_spoiling_stacks(m):
+            w, u = real_eigh(m)
+            return (w, 2.0 * u) if m.ndim > 2 else (w, u)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spoiling_stacks)
+        self._exits_3_without_report(tmp_path, capsys)
+
+    def test_one_eigensolve_per_stack(self, tmp_path, monkeypatch):
+        # seed 30, the benchmark's first invocation: 288 solves one by one
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        cfg = _write_cfg(tmp_path / "cfg.json",
+                         {"seed": 30, "output": str(tmp_path / "report.csv")})
+        assert main(["verify", cfg]) == 0
+        assert len(calls) <= 80
 
 
 class TestOutputPath:

@@ -19,6 +19,10 @@ FIXTURE = {"dim": 3, "re": [[0.5, -0.25, 0.125], [-0.25, 1.0, 0.75],
 
 CONFIGS = {
     "verify": ("verify", {"seed": 42, "matrices": [FIXTURE]}),
+    # no fixtures; seed 30 is the first invocation of the perfbench verify workload
+    "verify-seed1": ("verify", {"seed": 1}),
+    "verify-seed17": ("verify", {"seed": 17}),
+    "verify-seed30": ("verify", {"seed": 30}),
     "divergence": ("divergence", {"function": {"id": "sqrt_abs"}, "K": 4,
                                   "dim": 2, "budget": 1, "seed": 0}),
     "ratio-search-csv": ("ratio-search", {
@@ -182,6 +186,18 @@ EXPECTED = {
     "verify": {
         "report.csv":
             "100ce85b3ceee511444bc6f5b6d8c2e7ed0461f386c3254f478b6e2a6394537a",
+    },
+    "verify-seed1": {
+        "report.csv":
+            "635fbb129825ca199787b9571dc210d40952473a54d53eaf58b1d85a82ad94c4",
+    },
+    "verify-seed17": {
+        "report.csv":
+            "ded056946481d4f5a065a0d327173f778778692bf5d494dc7ad2acfbd713bc74",
+    },
+    "verify-seed30": {
+        "report.csv":
+            "5856f6b64748acfe362bb650fcd988e17d8085dc9c5ccde5364723739c86033a",
     },
 }
 

@@ -10,7 +10,7 @@ from specshift import (ConvergenceFailure, DegeneratePair, HermitianOperator,
                        get_function, increment_ratio, operator_scale,
                        schatten_norm, singular_values, spectral_truncation,
                        trace_transfer_check)
-from specshift.hermitian import schatten_from_singular
+from specshift.hermitian import calculus_stack, decompose_stack, schatten_from_singular
 
 from conftest import count_calls, random_hermitian
 
@@ -432,12 +432,12 @@ class TestDecompositionIsKept:
         assert not kept.eigenvectors.flags.writeable
 
     def test_trace_transfer_solves_four_spectra(self, rng, monkeypatch):
-        # A and B once each (truncation and calculus share them), then the
-        # two truncations
+        # A and B in one stacked call (truncation and calculus share them),
+        # then the two truncations in another
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
         calls = count_calls(monkeypatch, np.linalg, "eigh")
         trace_transfer_check(get_function("abs"), 0.5, a, b)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_trace_transfer_takes_one_svd_call(self, rng, monkeypatch):
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
@@ -469,3 +469,57 @@ class TestDecompositionIsKept:
         assert dec is decompose(op)
         fresh = decompose(HermitianOperator(op.matrix))
         assert dec.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+
+
+class TestStackKernels:
+    """Each matrix of a stack gets, from the stacked eigensolve and the
+    stacked calculus, the bits ``decompose`` and ``apply_function`` give it
+    alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fid=st.sampled_from(catalog_ids()), dim=st.integers(1, 8),
+           count=st.integers(1, 12), complex_entries=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_single_operator_calls(self, fid, dim, count,
+                                              complex_entries, seed):
+        f = get_function(fid, _PARAMS.get(fid, ()))
+        rng = np.random.default_rng(seed)
+        ops = [random_hermitian(rng, dim, complex_entries=complex_entries)
+               for _ in range(count)]
+        dec = decompose_stack(np.stack([op.matrix for op in ops]))
+        images = calculus_stack(dec.eigenvectors, f.values_at(dec.eigenvalues))
+        for i, op in enumerate(ops):
+            one = decompose(op)
+            assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+            assert dec.reconstruction_residual[i] == one.reconstruction_residual
+            assert dec.reconstruction_tolerance[i] == one.reconstruction_tolerance
+            assert dec.orthonormality_residual[i] == one.orthonormality_residual
+            assert np.array_equal(images[i], apply_function(f, op).matrix)
+
+    @pytest.mark.parametrize("bad", [2, 0])
+    def test_non_finite_matrix_raises(self, rng, bad):
+        ops = [random_hermitian(rng, 4) for _ in range(3)]
+        mats = np.stack([op.matrix for op in ops])
+        mats[bad, 1, 2] = np.nan
+        with pytest.raises(NonFinite):
+            decompose_stack(mats)
+        assert all(op._dec is None for op in ops)
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_out_of_tolerance_matrix_raises_and_names_it(self, rng, monkeypatch, bad):
+        ops = [random_hermitian(rng, 4, complex_entries=True) for _ in range(3)]
+        real_eigh = np.linalg.eigh
+
+        def eigh_spoiling_one(m):
+            w, u = real_eigh(m)
+            u = u.copy()
+            u[bad] *= 2.0  # far from orthonormal
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spoiling_one)
+        with pytest.raises(ConvergenceFailure, match=f"matrix {bad} out of tolerance"):
+            decompose_stack(np.stack([op.matrix for op in ops]))
+        assert all(op._dec is None for op in ops)
+        monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+        assert decompose(ops[bad]) is decompose(ops[bad])

@@ -86,16 +86,16 @@ def test_no_unused_imports(module):
 ONE_PATH = {
     "np.linalg.svd": {"hermitian.singular_values"},
     "np.linalg.eigvalsh": {"search._norms"},
-    "np.linalg.eigh": {"hermitian.decompose"},
+    "np.linalg.eigh": {"hermitian.decompose_stack"},
     "np.linalg.qr": {"search.random_orthogonal"},
     # the one per-element map, for math functions NumPy rounds differently
     "np.fromiter": {"catalog.pointwise"},
     # one multiplicity rule per kind of block: amplified pairs, and commuting
     # levels as their witness is built (no separate fill step)
-    "floor_reciprocal": {"blocks.amplify_to_unit", "sequences",
+    "floor_reciprocal": {"blocks._unit_block", "sequences",
                          "sequences.make_sequence_witness"},
     # its definition, and the check that enforces it
-    "_EIG_TOL": {"hermitian", "hermitian.decompose"},
+    "_EIG_TOL": {"hermitian", "hermitian.decompose_stack"},
 }
 #: name -> the only module that may use or import it
 ONE_MODULE = {"Fraction": "blocks", "DEGENERATE_REL": "hermitian"}
