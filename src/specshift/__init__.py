@@ -2,8 +2,9 @@
 
 Library layout:
 
-- ``hermitian``: dense self-adjoint core (decomposition, functional calculus,
-  Schatten norms, truncation, increment ratios);
+- ``hermitian``: dense self-adjoint core, one function per kernel, each
+  taking an operator, a matrix or a stack (decomposition, functional
+  calculus, singular values, truncation, increment ratios, trace transfer);
 - ``catalog``: scalar test functions with derivatives and the paper's
   verdict (operator Lipschitz near 0 or not);
 - ``loewner``: divided differences, Loewner matrices, grids and the
@@ -27,9 +28,8 @@ from .errors import (BadInterval, BadParams, ConfigError, ConvergenceFailure,
                      SpecshiftError, UnknownFunction)
 from .hermitian import (HermitianOperator, RatioWitness, SpectralDecomposition,
                         TraceTransferReport, apply_function, decompose,
-                        increment_ratio, operator_scale, schatten_norm,
-                        singular_values, spectral_truncation,
-                        trace_transfer_check)
+                        increment_ratio, operator_scale, singular_values,
+                        spectral_truncation, trace_transfer_check)
 from .loewner import (FiniteSpectrumSet, LoewnerMatrix, divided_difference,
                       loewner_matrix, perturbation_identity_residual,
                       restrict_to_grid)

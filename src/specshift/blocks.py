@@ -124,7 +124,7 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     diff = b.matrix - a.matrix
-    images = [apply_function(f, a).matrix, apply_function(f, b).matrix]
+    images = [apply_function(f, a), apply_function(f, b)]
     n = 1
     while n <= n_max:
         increments = schatten_from_singular(singular_values(np.diff(images, axis=0)), 1)
@@ -137,32 +137,24 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
         if n * increments.max() > 2 * n_max:
             break
         n *= 2
-        mids = (apply_function(f, _path_point(a, diff, k / n)).matrix
-                for k in range(1, n, 2))
+        mids = (apply_function(f, _path_point(a, diff, k / n)) for k in range(1, n, 2))
         images[1:] = [x for pair in zip(mids, images[1:]) for x in pair]
     raise RefinementOverflow(
         f"no subdivision up to {n_max} brought all increments below 1")
 
 
-def amplify_to_unit(f: ScalarFunction, a: HermitianOperator,
-                    b: HermitianOperator) -> SumBlock:
-    """Repeat the pair so the aggregate increment lands in [1/2, 1].
+def amplify_to_unit(a: HermitianOperator, b: HermitianOperator,
+                    fa: np.ndarray, fb: np.ndarray) -> SumBlock:
+    """Repeat the pair so the aggregate increment lands in [1/2, 1], given
+    its images fa = f(A) and fb = f(B) (a divergent family passes the ones
+    ``segment_refine`` returned).
 
     Requires 0 < ||f(B)-f(A)||_1 < 1 (refine first if needed).  The
     multiplicity is the exact floor of the reciprocal increment; the
     aggregate ratio equals the block ratio because both norms scale by the
     same integer.  The block carries the two trace norms computed here, both
-    from one stacked SVD call.  f is evaluated before A = B is rejected, so
-    f's DomainError comes first.
+    from one stacked SVD call.
     """
-    fb, fa = apply_function(f, b), apply_function(f, a)
-    return _unit_block(a, b, fa.matrix, fb.matrix)
-
-
-def _unit_block(a: HermitianOperator, b: HermitianOperator,
-                fa: np.ndarray, fb: np.ndarray) -> SumBlock:
-    """``amplify_to_unit`` from the images fa = f(A) and fb = f(B); a
-    divergent family passes the images ``segment_refine`` returned."""
     delta_s1, increment = schatten_from_singular(singular_values(
         np.stack([b.matrix - a.matrix, fb - fa])), 1).tolist()
     if not delta_s1 > 0.0:
@@ -252,7 +244,7 @@ def _block_record(f: ScalarFunction, index: int, delta: float,
     if bound.witness is not None:
         try:
             pair = segment_refine(f, bound.witness.a, bound.witness.b)
-            block = _unit_block(*pair, *pair.images)
+            block = amplify_to_unit(*pair, *pair.images)
             achieved = block.weighted_increment_s1 / block.weighted_delta_s1
         except (PreconditionViolated, DegeneratePair, RefinementOverflow):
             pass

@@ -28,10 +28,10 @@ from .blocks import build_divergent_family, default_delta_schedule, partial_sums
 from .catalog import get_function
 from .errors import (BadInterval, BadParams, ConfigError, SpecshiftError,
                      UnknownFunction)
-from .hermitian import (calculus_stack, decompose, decompose_stack, hermitian_part,
-                        increment_ratio_stack, operator_scale, schatten_from_singular,
-                        singular_values, trace_transfer_stack, truncation_stack)
-from .loewner import divided_difference, perturbation_identity_stack, restrict_to_grid
+from .hermitian import (apply_function, decompose, hermitian_part, increment_ratio,
+                        operator_scale, schatten_from_singular, singular_values,
+                        spectral_truncation, trace_transfer_check)
+from .loewner import divided_difference, perturbation_identity_residual, restrict_to_grid
 from .search import NORM_KINDS, random_orthogonal, seminorm_lower_bound
 from .sequences import NotFound, divergence_check, scalar_ratio_witnesses
 from .serialize import (dump_json, family_to_json, matrix_from_json,
@@ -320,23 +320,21 @@ def _poly4_calculus(fs, x) -> list:
     for c in _POLY4:
         direct = direct + c * power
         power = power @ a
-    dec = decompose_stack(a)
-    calc = calculus_stack(dec.eigenvectors, fs[0].values_at(dec.eigenvalues))
+    calc = apply_function(fs[0], a)
     err = np.abs(calc - direct).max(axis=(-2, -1))
     return [[e / (1.0 + top) ** 4]
             for e, top in zip(err.tolist(), singular_values(a)[:, 0].tolist())]
 
 
 def _scalar_reduction(fs, d) -> list:
-    dec = decompose_stack(d)
-    fd = calculus_stack(dec.eigenvectors, fs[0].values_at(dec.eigenvalues))
+    fd = apply_function(fs[0], d)
     return np.abs(fd - np.abs(d)).max(axis=(-2, -1))[:, None].tolist()
 
 
 def _truncation_rank(fs, x, delta) -> list:
-    dec = decompose_stack(hermitian_part(x))
-    a_d, discarded = truncation_stack(dec, delta)
-    kept = decompose_stack(a_d).eigenvalues
+    dec = decompose(hermitian_part(x))
+    a_d, discarded = spectral_truncation(dec, delta)
+    kept = decompose(a_d).eigenvalues
     level = delta[:, None]
     return [[int(n != int(m)) + int(bad)] for n, m, bad in zip(
         discarded, np.count_nonzero(np.abs(dec.eigenvalues) > level, axis=-1),
@@ -344,17 +342,17 @@ def _truncation_rank(fs, x, delta) -> list:
 
 
 def _identity_ratio(fs, x, y) -> list:
-    ratio_s1, _, _ = increment_ratio_stack(fs[0], hermitian_part(x), hermitian_part(y))
-    return [[abs(r - 1.0)] for r in ratio_s1.tolist()]
+    ratios = increment_ratio(fs[0], hermitian_part(x), hermitian_part(y))
+    return [[abs(r - 1.0)] for r in ratios.ratio_s1.tolist()]
 
 
 def _loewner_identity(fs, x, y) -> list:
     a, b = hermitian_part(x), hermitian_part(y)
-    return (perturbation_identity_stack(fs[0], a, b) / operator_scale(a, b))[:, None].tolist()
+    return (perturbation_identity_residual(fs[0], a, b) / operator_scale(a, b))[:, None].tolist()
 
 
 def _trace_transfer(fs, x, y, delta) -> list:
-    return [[r.reassembly_residual_s1 / r.scale] for r in trace_transfer_stack(
+    return [[r.reassembly_residual_s1 / r.scale] for r in trace_transfer_check(
         fs, delta, hermitian_part(x), hermitian_part(y))]
 
 

@@ -4,9 +4,9 @@ Spectral decomposition, functional calculus f(A) = U diag(f(lambda)) U*,
 Schatten norms from singular values, spectral truncation, and the
 trace-norm / operator-norm increment ratios that the searches maximise.
 
-The kernels take stacks (..., n, n) with one LAPACK or BLAS call each, and
-every matrix of a stack gets the bits it gets alone; the functions of one
-operator or one pair are the one-matrix cases of the stacked ones.
+Each kernel is one function.  It takes a ``HermitianOperator``, a matrix or
+a stack (..., n, n) with one LAPACK or BLAS call, and every matrix of a
+stack gets the bits it gets alone; a single pair is a stack of one.
 
 Accuracy checks are relative to ``operator_scale`` = max(1, ||A||, ||B||);
 ``noise_floor`` judges what counts as zero relative to the quantity judged.
@@ -27,17 +27,11 @@ __all__ = [
     "RatioWitness",
     "TraceTransferReport",
     "hermitian_part",
-    "decompose_stack",
     "decompose",
-    "calculus_stack",
     "apply_function",
-    "schatten_norm",
     "singular_values",
-    "truncation_stack",
     "spectral_truncation",
-    "increment_ratio_stack",
     "increment_ratio",
-    "trace_transfer_stack",
     "trace_transfer_check",
     "operator_scale",
 ]
@@ -52,9 +46,14 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M*)/2 of a matrix or of each matrix of a stack, as a real array
     when no entry has an imaginary part.  The map is exact on matrices that
     are already Hermitian and makes entries[j][k] == conj(entries[k][j]) bit
-    for bit."""
-    m = (m + m.conj().swapaxes(-1, -2)) / 2
-    return m.real.copy() if m.dtype.kind == "c" and not m.imag.any() else m
+    for bit.  Where M + M* overflows, the entry is M/2 + M*/2."""
+    mh = m.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (m + mh) / 2
+    over = ~np.isfinite(h)
+    if over.any():
+        h[over] = m[over] / 2 + mh[over] / 2
+    return h.real.copy() if h.dtype.kind == "c" and not h.imag.any() else h
 
 
 class HermitianOperator:
@@ -115,15 +114,19 @@ def operator_scale(a, b):
     return np.maximum(1.0, top.max(axis=0))
 
 
-def decompose_stack(mats) -> SpectralDecomposition:
-    """Eigendecomposition A = U diag(lambda) U* of a Hermitian matrix or of
-    each matrix of a stack (..., n, n), with verified accuracy.
+def decompose(a) -> SpectralDecomposition:
+    """Eigendecomposition A = U diag(lambda) U* of a HermitianOperator, a
+    Hermitian matrix or each matrix of a stack (..., n, n), with verified
+    accuracy.  An operator keeps its first success and returns it on later
+    calls; a failure is not kept.
 
     Raises NonFinite for a non-finite entry, and ConvergenceFailure naming
     the first matrix whose orthonormality residual exceeds 1e-10 or whose
     reconstruction residual exceeds 1e-10 relative to max(1, its max-entry).
     """
-    m = _coerce_matrix(mats)
+    if isinstance(a, HermitianOperator) and a._dec is not None:
+        return a._dec
+    m = _coerce_matrix(a)
     try:
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -140,15 +143,10 @@ def decompose_stack(mats) -> SpectralDecomposition:
             f"ortho={np.ravel(ortho)[i]:g}, recon={np.ravel(recon)[i]:g}")
     w.setflags(write=False)
     u.setflags(write=False)
-    return SpectralDecomposition(w, u, recon, tol, ortho)
-
-
-def decompose(a: HermitianOperator) -> SpectralDecomposition:
-    """``decompose_stack`` of one operator.  A success is kept on ``a`` and
-    returned by later calls; a failure is not."""
-    if a._dec is None:
-        a._dec = decompose_stack(a)
-    return a._dec
+    dec = SpectralDecomposition(w, u, recon, tol, ortho)
+    if isinstance(a, HermitianOperator):
+        a._dec = dec
+    return dec
 
 
 def noise_floor(dim: int, scale, rel: float = DEGENERATE_REL):
@@ -159,7 +157,7 @@ def noise_floor(dim: int, scale, rel: float = DEGENERATE_REL):
     return rel * dim * scale + dim * dim * 2.0 ** -1022
 
 
-def calculus_stack(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _calculus(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``hermitian_part`` of U diag(values) U* for each eigenvector matrix U
     of a stack and its row of values: the functional calculus when the
     values are f at the eigenvalues."""
@@ -167,14 +165,15 @@ def calculus_stack(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
                           @ vectors.conj().swapaxes(-1, -2))
 
 
-def apply_function(f: ScalarFunction, a: HermitianOperator) -> HermitianOperator:
-    """Functional calculus: U diag(f(lambda_1), ..., f(lambda_n)) U*.
+def apply_function(f: ScalarFunction, a) -> np.ndarray:
+    """Functional calculus U diag(f(lambda_1), ..., f(lambda_n)) U* of a
+    HermitianOperator, a matrix or each matrix of a stack, as an array.
 
     Raises DomainError (from the function itself) if f is undefined or
     non-finite at some eigenvalue.
     """
     dec = decompose(a)
-    return HermitianOperator(calculus_stack(dec.eigenvectors, f.values_at(dec.eigenvalues)))
+    return _calculus(dec.eigenvectors, f.values_at(dec.eigenvalues))
 
 
 def _coerce_matrix(x) -> np.ndarray:
@@ -207,12 +206,7 @@ def schatten_from_singular(s: np.ndarray, p):
     raise ValueError(f"p must be 1, 2 or inf, got {p!r}")
 
 
-def schatten_norm(x, p) -> float:
-    """Schatten p-norm of one matrix from its singular values."""
-    return float(schatten_from_singular(singular_values(x), p))
-
-
-def truncation_stack(dec: SpectralDecomposition, deltas) -> Tuple[np.ndarray, np.ndarray]:
+def spectral_truncation(dec: SpectralDecomposition, deltas) -> Tuple[np.ndarray, np.ndarray]:
     """Zero out every eigenvalue with |lambda| > delta, per matrix of a
     (stacked) decomposition, deltas broadcasting over its leading axes.
     Returns the truncated matrices and the number of eigenvalues each
@@ -221,14 +215,8 @@ def truncation_stack(dec: SpectralDecomposition, deltas) -> Tuple[np.ndarray, np
     if not np.all((deltas > 0) & np.isfinite(deltas)):
         raise ValueError(f"delta must be positive and finite, got {deltas!r}")
     keep = np.abs(dec.eigenvalues) <= deltas[..., None]
-    return (calculus_stack(dec.eigenvectors, np.where(keep, dec.eigenvalues, 0.0)),
+    return (_calculus(dec.eigenvectors, np.where(keep, dec.eigenvalues, 0.0)),
             np.count_nonzero(~keep, axis=-1))
-
-
-def spectral_truncation(a: HermitianOperator, delta: float) -> Tuple[HermitianOperator, int]:
-    """The one-operator case of ``truncation_stack``."""
-    truncated, discarded = truncation_stack(decompose(a), delta)
-    return HermitianOperator(truncated), int(discarded)
 
 
 @dataclass(frozen=True)
@@ -236,7 +224,8 @@ class RatioWitness:
     """A pair (A, B) with its function-increment ratios.
 
     ratio_s1 = ||f(B)-f(A)||_1 / ||B-A||_1 and ratio_op is the same quotient
-    in operator norm; increment_s1 stores the numerator of ratio_s1.
+    in operator norm; increment_s1 stores the numerator of ratio_s1.  For
+    two stacks, a and b are the stacks and the ratios (k,) arrays.
     """
 
     a: HermitianOperator
@@ -246,32 +235,28 @@ class RatioWitness:
     increment_s1: float
 
 
-def increment_ratio_stack(f: ScalarFunction, a: np.ndarray,
-                          b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ratio_s1, ratio_op, increment_s1) arrays (see ``RatioWitness``) over
-    the pairs of two stacks (k, n, n), with one evaluation of f.
+def increment_ratio(f: ScalarFunction, a, b) -> RatioWitness:
+    """The ratios of two operators, as floats, or of the pairs of two stacks
+    (k, n, n), as (k,) arrays with one evaluation of f.
 
     Raises DegeneratePair when some ||B-A||_1 is at most ``noise_floor`` at
     scale max(||A||, ||B||) (this also rejects A = B).
     """
-    s_a, s_b, den = singular_values(np.stack([a, b, b - a]))
+    one = isinstance(a, HermitianOperator)
+    ma, mb = (a.matrix[None], b.matrix[None]) if one else (a, b)
+    s_a, s_b, den = singular_values(np.stack([ma, mb, mb - ma]))
     den_s1 = den.sum(axis=-1)
-    low = den_s1 <= noise_floor(a.shape[-1], np.maximum(s_a[:, 0], s_b[:, 0]))
+    low = den_s1 <= noise_floor(ma.shape[-1], np.maximum(s_a[:, 0], s_b[:, 0]))
     if low.any():
         raise DegeneratePair(
             f"||B-A||_1 = {den_s1[np.argmax(low)]:g} is below the degeneracy floor")
-    dec = decompose_stack(np.stack([a, b]))
-    fa, fb = calculus_stack(dec.eigenvectors, f.values_at(dec.eigenvalues))
+    fa, fb = apply_function(f, np.stack([ma, mb]))
     num = singular_values(fb - fa)
     num_s1 = num.sum(axis=-1)
-    return num_s1 / den_s1, num[:, 0] / den[:, 0], num_s1
-
-
-def increment_ratio(f: ScalarFunction, a: HermitianOperator,
-                    b: HermitianOperator) -> RatioWitness:
-    """The one-pair case of ``increment_ratio_stack``."""
-    ratios = increment_ratio_stack(f, a.matrix[None], b.matrix[None])
-    return RatioWitness(a, b, *(float(r[0]) for r in ratios))
+    ratios = (num_s1 / den_s1, num[:, 0] / den[:, 0], num_s1)
+    if one:
+        ratios = (float(r[0]) for r in ratios)
+    return RatioWitness(a, b, *ratios)
 
 
 @dataclass(frozen=True)
@@ -297,7 +282,7 @@ class TraceTransferReport:
     scale: float
 
 
-def trace_transfer_stack(fs, deltas, a: np.ndarray, b: np.ndarray) -> list:
+def trace_transfer_check(fs, deltas, a: np.ndarray, b: np.ndarray) -> list:
     """Split ||f(A)-f(B)||_1 across the truncation A_delta, B_delta, for
     pair i of two stacks (k, n, n) with function fs[i] and level deltas[i].
 
@@ -307,15 +292,15 @@ def trace_transfer_stack(fs, deltas, a: np.ndarray, b: np.ndarray) -> list:
     max(||A||, ||B||) with rel 1e-10.  Each distinct f is evaluated once.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
-    dec = decompose_stack(np.stack([a, b]))
-    truncated, (rank_a, rank_b) = truncation_stack(dec, deltas)
-    dec_d = decompose_stack(truncated)
+    dec = decompose(np.stack([a, b]))
+    truncated, (rank_a, rank_b) = spectral_truncation(dec, deltas)
+    dec_d = decompose(truncated)
     w = np.stack([dec.eigenvalues, dec_d.eigenvalues])
     vals = np.empty_like(w)
     for f in dict.fromkeys(fs):
         rows = np.array([h == f for h in fs])
         vals[..., rows, :] = f.shifted(f(0.0)).values_at(w[..., rows, :])
-    (ga, gb), (gad, gbd) = calculus_stack(
+    (ga, gb), (gad, gbd) = _calculus(
         np.stack([dec.eigenvectors, dec_d.eigenvectors]), vals)
     tail_a = ga - gad
     tail_b = gb - gbd
@@ -331,9 +316,3 @@ def trace_transfer_stack(fs, deltas, a: np.ndarray, b: np.ndarray) -> list:
                                 s[4], s[5], s[6], max(1.0, t))
             for delta, s, ta, tb, da, db, t in zip(
                 deltas.tolist(), s1, *tail_ranks, rank_a, rank_b, top.tolist())]
-
-
-def trace_transfer_check(f: ScalarFunction, delta: float, a: HermitianOperator,
-                         b: HermitianOperator) -> TraceTransferReport:
-    """The one-pair case of ``trace_transfer_stack``."""
-    return trace_transfer_stack((f,), (delta,), a.matrix[None], b.matrix[None])[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import ScalarFunction, interval_bounds
 from .errors import BadInterval, InvariantViolation
-from .hermitian import HermitianOperator, decompose_stack
+from .hermitian import decompose
 
 __all__ = [
     "TIE_EPS",
@@ -26,7 +26,6 @@ __all__ = [
     "restrict_to_grid",
     "divided_difference",
     "loewner_matrix",
-    "perturbation_identity_stack",
     "perturbation_identity_residual",
 ]
 
@@ -118,11 +117,12 @@ def loewner_matrix(f: ScalarFunction, lam, mu, values=None) -> LoewnerMatrix:
     return LoewnerMatrix(entries, fallback)
 
 
-def perturbation_identity_stack(f: ScalarFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def perturbation_identity_residual(f: ScalarFunction, a: np.ndarray,
+                                   b: np.ndarray) -> np.ndarray:
     """Max-entry residual of the mixed-basis identity relating f(A)-f(B)
     to the Loewner matrix acting entrywise on A-B, for each pair of two
     stacks (k, n, n) of Hermitian matrices."""
-    dec = decompose_stack(np.stack([a, b]))
+    dec = decompose(np.stack([a, b]))
     (lam, mu), (u, v) = dec.eigenvalues, dec.eigenvectors
     fa, fb = f.values_at(dec.eigenvalues)
     uh, vh = u.conj().swapaxes(-1, -2), v.conj().swapaxes(-1, -2)
@@ -131,9 +131,3 @@ def perturbation_identity_stack(f: ScalarFunction, a: np.ndarray, b: np.ndarray)
     rhs = uh @ (a - b) @ v
     loewner = loewner_matrix(f, lam, mu, (fa, fb))
     return np.abs(lhs - loewner.entries * rhs).max(axis=(-2, -1))
-
-
-def perturbation_identity_residual(f: ScalarFunction, a: HermitianOperator,
-                                   b: HermitianOperator) -> float:
-    """The one-pair case of ``perturbation_identity_stack``."""
-    return float(perturbation_identity_stack(f, a.matrix[None], b.matrix[None])[0])

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specshift import HermitianOperator, SumBlock
+from specshift import HermitianOperator, SumBlock, singular_values
+from specshift.hermitian import schatten_from_singular
 
 
 def random_hermitian(rng, dim, scale=1.0, complex_entries=False):
@@ -14,6 +15,11 @@ def random_hermitian(rng, dim, scale=1.0, complex_entries=False):
     if complex_entries:
         m = m + 1j * rng.uniform(-scale, scale, (dim, dim))
     return HermitianOperator(m)
+
+
+def schatten(x, p) -> float:
+    """Schatten p-norm (p = 1, 2 or inf) of one matrix or operator."""
+    return float(schatten_from_singular(singular_values(x), p))
 
 
 def exact_quotient_maxima(pts, vals, radius=math.inf):

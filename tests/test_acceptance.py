@@ -11,15 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specshift import (FiniteSpectrumSet, HermitianOperator, apply_function,
-                       build_divergent_family, catalog_ids, divergence_check,
-                       get_function, increment_ratio, make_sequence_witness,
-                       operator_scale, partial_sums, perturbation_identity_residual,
-                       restrict_to_grid, schatten_norm, segment_refine, seminorm_lower_bound,
-                       trace_transfer_check)
+from specshift import (FiniteSpectrumSet, HermitianOperator, amplify_to_unit,
+                       apply_function, build_divergent_family, catalog_ids,
+                       divergence_check, get_function, increment_ratio,
+                       make_sequence_witness, operator_scale, partial_sums,
+                       perturbation_identity_residual, restrict_to_grid,
+                       segment_refine, seminorm_lower_bound, trace_transfer_check)
 from specshift.cli import main
 
-from conftest import assert_same_blocks, one_by_one_blocks, random_hermitian
+from conftest import assert_same_blocks, one_by_one_blocks, random_hermitian, schatten
 from test_catalog import _FROZEN_PARAMS
 
 
@@ -37,14 +37,14 @@ def test_criterion_1_functional_calculus_exactness():
         dim = int(rng.integers(2, 9))
         a = random_hermitian(rng, dim)
         m = a.matrix
-        bound = 1e-9 * (1.0 + schatten_norm(a, np.inf)) ** 3
+        bound = 1e-9 * (1.0 + schatten(a, np.inf)) ** 3
         for f in functions:
             direct = np.zeros_like(m)
             power = np.eye(dim)
             for c in f.params:
                 direct = direct + c * power
                 power = power @ m
-            err = np.abs(apply_function(f, a).matrix - direct).max()
+            err = np.abs(apply_function(f, a) - direct).max()
             assert err <= bound
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -61,7 +61,8 @@ def test_criterion_2_perturbation_identity():
         b = random_hermitian(rng, dim)
         scale = operator_scale(a, b)
         for f in functions:
-            assert perturbation_identity_residual(f, a, b) <= 1e-8 * scale
+            (residual,) = perturbation_identity_residual(f, a.matrix[None], b.matrix[None])
+            assert residual <= 1e-8 * scale
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(f"2 perturbation identity (100 pairs, {elapsed:.2f}s)")
@@ -72,8 +73,7 @@ def test_criterion_3_segment_refine_contract():
     f = get_function("smoothed_abs", (0.05,))
 
     def increment(x, y):
-        return schatten_norm(apply_function(f, y).matrix
-                             - apply_function(f, x).matrix, 1)
+        return schatten(apply_function(f, y) - apply_function(f, x), 1)
 
     checked = 0
     while checked < 50:
@@ -96,12 +96,11 @@ def test_criterion_3_segment_refine_contract():
 
 def test_criterion_4_amplification_contract():
     rng = np.random.default_rng(104)
-    from specshift import amplify_to_unit
     f = get_function("identity")
     for _ in range(1000):
         inc = float(rng.uniform(1e-6, 1.0 - 1e-12))
-        blk = amplify_to_unit(f, HermitianOperator([[0.0]]),
-                              HermitianOperator([[inc]]))
+        a, b = HermitianOperator([[0.0]]), HermitianOperator([[inc]])
+        blk = amplify_to_unit(a, b, apply_function(f, a), apply_function(f, b))
         total = blk.weighted_increment_s1
         assert 0.5 <= total <= 1.0
         block_ratio = blk.increment_s1 / blk.delta_s1
@@ -147,7 +146,7 @@ def test_criterion_6_controlled_functions_fail_fast_and_reassemble():
         b = random_hermitian(rng, dim)
         delta = float(rng.uniform(0.2, 1.5))
         for f in (identity, square):
-            rep = trace_transfer_check(f, delta, a, b)
+            (rep,) = trace_transfer_check((f,), (delta,), a.matrix[None], b.matrix[None])
             assert rep.reassembly_residual_s1 <= 1e-9 * rep.scale
     _report("6 controlled functions: block 1 fails, reassembly holds (50 inputs)")
 

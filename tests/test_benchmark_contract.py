@@ -1,10 +1,11 @@
 """The benchmark under ``perfbench/`` reads the package through public names
 and result shapes (``spans.py``): ``segment_refine``'s pair,
 ``build_divergent_family``'s ``.records``/``.failure``, ``divergence_check``
-(the span behind ``sequences.bookkeeping_s``) and ``scalar_ratio_witnesses``'
-``.length`` / ``.levels_found``.  These tests run the benchmark's own
-self-test and each workload's warm-up config under its tracer, so a change to
-those names or shapes fails here rather than only in a benchmark run."""
+(the span behind ``sequences.bookkeeping_s``), ``scalar_ratio_witnesses``'
+``.length`` / ``.levels_found`` and the hermitian kernels that
+``layer_metrics`` names.  These tests run the benchmark's own self-test and
+each workload's warm-up config under its tracer, so a change to those names
+or shapes fails here rather than only in a benchmark run."""
 
 import json
 import subprocess
@@ -58,3 +59,9 @@ def test_commuting_warmup_times_its_bookkeeping(tmp_path, monkeypatch):
     metrics = _traced_warmup("commuting", tmp_path, monkeypatch)
     assert metrics["sequences.levels"] >= 1
     assert metrics["sequences.bookkeeping_s"] > 0
+
+
+def test_verify_warmup_reaches_the_traced_kernels(tmp_path, monkeypatch):
+    metrics = _traced_warmup("verify", tmp_path, monkeypatch)
+    for fn in ("decompose", "increment_ratio", "trace_transfer_check"):
+        assert metrics[f"hermitian.{fn}.calls"] > 0

@@ -14,17 +14,20 @@ from specshift import (DivergentFamily, DomainError, HermitianOperator,
                        RefinementOverflow, ScalarFunction, SumBlock,
                        amplify_to_unit, apply_function, build_divergent_family,
                        decompose, get_function,
-                       increment_ratio, partial_sums,
-                       schatten_norm, segment_refine, weighted)
+                       increment_ratio, partial_sums, segment_refine, weighted)
 
 from specshift.catalog import max_quotient, pointwise
 from specshift.serialize import dump_json, family_to_json
 
-from conftest import count_calls, random_hermitian
+from conftest import count_calls, random_hermitian, schatten
 
 
 def _increment(f, a, b):
-    return schatten_norm(apply_function(f, b).matrix - apply_function(f, a).matrix, 1)
+    return schatten(apply_function(f, b) - apply_function(f, a), 1)
+
+
+def _amplify(f, a, b):
+    return amplify_to_unit(a, b, apply_function(f, a), apply_function(f, b))
 
 
 class TestSegmentRefine:
@@ -113,27 +116,25 @@ class TestAmplifyToUnit:
         (0.3, 3, 0.9), (0.6, 1, 0.6), (0.49, 2, 0.98)])
     def test_multiplicity_arithmetic(self, increment, expected_n, expected_total):
         f = get_function("identity")
-        blk = amplify_to_unit(f, HermitianOperator([[0.0]]),
-                              HermitianOperator([[increment]]))
+        blk = _amplify(f, HermitianOperator([[0.0]]), HermitianOperator([[increment]]))
         assert blk.multiplicity == expected_n
         assert blk.weighted_increment_s1 == pytest.approx(expected_total, rel=1e-15)
 
     def test_rejects_increment_at_least_one(self):
         f = get_function("identity")
         with pytest.raises(PreconditionViolated):
-            amplify_to_unit(f, HermitianOperator([[0.0]]), HermitianOperator([[1.5]]))
+            _amplify(f, HermitianOperator([[0.0]]), HermitianOperator([[1.5]]))
 
     def test_rejects_zero_increment(self):
         f = get_function("constant", (1.0,))
         with pytest.raises(PreconditionViolated):
-            amplify_to_unit(f, HermitianOperator([[0.0]]), HermitianOperator([[0.5]]))
+            _amplify(f, HermitianOperator([[0.0]]), HermitianOperator([[0.5]]))
 
     def test_aggregate_always_lands_in_half_one(self, rng):
         f = get_function("identity")
         for _ in range(300):
             inc = float(rng.uniform(1e-6, 1.0 - 1e-9))
-            blk = amplify_to_unit(f, HermitianOperator([[0.0]]),
-                                  HermitianOperator([[inc]]))
+            blk = _amplify(f, HermitianOperator([[0.0]]), HermitianOperator([[inc]]))
             total = blk.weighted_increment_s1
             assert 0.5 <= total <= 1.0
 
@@ -144,7 +145,7 @@ class TestAmplifyToUnit:
             b = random_hermitian(rng, 3, scale=0.4)
             if not 0.0 < _increment(f, a, b) < 1.0:
                 continue
-            blk = amplify_to_unit(f, a, b)
+            blk = _amplify(f, a, b)
             block_ratio = blk.increment_s1 / blk.delta_s1
             aggregate_ratio = blk.weighted_increment_s1 / blk.weighted_delta_s1
             assert aggregate_ratio == pytest.approx(block_ratio, abs=1e-12)
@@ -215,7 +216,7 @@ class TestBuildDivergentFamily:
         pair = segment_refine(f, a, b)
         assert pair[1] is not b
         for end, image in zip(pair, pair.images):
-            assert np.array_equal(image, apply_function(f, end).matrix)
+            assert np.array_equal(image, apply_function(f, end))
 
     def test_refined_blocks_take_one_svd_call_per_level(self, monkeypatch):
         # the blocks refine at depths 256, 64 and 16: 9 + 7 + 5 levels, plus
@@ -407,8 +408,7 @@ class TestPartialSums:
     def test_single_block_bookkeeping(self):
         f = get_function("sqrt_abs")
         # increment sqrt(0.81) = 0.9, perturbation 0.81, multiplicity 1
-        blk = amplify_to_unit(f, HermitianOperator([[0.0]]),
-                              HermitianOperator([[0.81]]))
+        blk = _amplify(f, HermitianOperator([[0.0]]), HermitianOperator([[0.81]]))
         ps, is_ = partial_sums((blk,), 1)
         assert is_ == pytest.approx(0.9, rel=1e-15)
         assert ps == pytest.approx(0.81, rel=1e-15)

@@ -400,6 +400,17 @@ class TestVerifyCommand:
         assert main(["verify", cfg]) == 3
         assert not out.exists()
 
+    def test_fixture_near_the_float_limit_passes(self, tmp_path):
+        # finite and Hermitian, although M + M* overflows at 1e308
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "seed": 1, "output": str(out),
+            "matrices": [{"dim": 2, "re": [[1.0, 0.0], [0.0, 1e308]]}]})
+        assert main(["verify", cfg]) == 0
+        _, rows = _read_rows(out)
+        row = {r["check"]: r for r in rows}["fixture_0_reconstruction"]
+        assert row["status"] == "pass" and row["tolerance"] == f"{1e-10 * 1e308:.17g}"
+
     def test_fixture_row_reports_decompose_residual(self, tmp_path, rng):
         out = tmp_path / "report.csv"
         ops = [random_hermitian(rng, 4), random_hermitian(rng, 5, complex_entries=True)]

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from specshift import (ConvergenceFailure, DegeneratePair, HermitianOperator,
                        NonFinite, apply_function, catalog_ids, decompose,
                        get_function, increment_ratio, operator_scale,
-                       schatten_norm, singular_values, spectral_truncation,
-                       trace_transfer_check)
-from specshift.hermitian import calculus_stack, decompose_stack, schatten_from_singular
+                       singular_values, spectral_truncation, trace_transfer_check)
+from specshift.hermitian import schatten_from_singular
 
-from conftest import count_calls, random_hermitian
+from conftest import count_calls, random_hermitian, schatten
+
+
+def _transfer(f, delta, a, b):
+    """``trace_transfer_check`` of one pair, as a stack of one."""
+    return trace_transfer_check((f,), (delta,), a.matrix[None], b.matrix[None])[0]
 
 
 class TestHermitianOperator:
@@ -36,6 +40,18 @@ class TestHermitianOperator:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             HermitianOperator([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def test_entries_near_the_float_limit_stay_finite(self):
+        # M + M* overflows above about 8.99e307; those entries are halved
+        # before they are added, and every other entry keeps its bits
+        op = HermitianOperator([[1.0, 0.0], [0.0, 1e308]])
+        assert op.matrix.tolist() == [[1.0, 0.0], [0.0, 1e308]]
+        m = np.array([[1e308, 1.7e308 + 1j], [1.5e308 - 2j, 0.1 + 0.3j]])
+        h = HermitianOperator(m).matrix
+        assert np.array_equal(h, h.conj().T)
+        assert h[0, 1] == m[0, 1] / 2 + np.conj(m[1, 0]) / 2
+        assert h[1, 1] == (m[1, 1] + np.conj(m[1, 1])) / 2
+        assert h[0, 0] == 1e308
 
     def test_matrix_is_read_only(self):
         op = HermitianOperator([[1.0]])
@@ -79,17 +95,17 @@ class TestApplyFunction:
     def test_identity_returns_same_matrix(self, rng):
         a = random_hermitian(rng, 5)
         out = apply_function(get_function("identity"), a)
-        np.testing.assert_allclose(out.matrix, a.matrix, atol=1e-10)
+        np.testing.assert_allclose(out, a.matrix, atol=1e-10)
 
     def test_square_of_involution_is_identity(self):
         a = HermitianOperator([[0.0, 1.0], [1.0, 0.0]])
         out = apply_function(get_function("poly", (0, 0, 1)), a)
-        np.testing.assert_allclose(out.matrix, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(out, np.eye(2), atol=1e-14)
 
     def test_abs_on_diagonal(self):
         a = HermitianOperator(np.diag([-3.0, 2.0]))
         out = apply_function(get_function("abs"), a)
-        np.testing.assert_allclose(out.matrix, np.diag([3.0, 2.0]))
+        np.testing.assert_allclose(out, np.diag([3.0, 2.0]))
 
     def test_polynomial_homomorphism(self, rng):
         coeffs = (1.0, 0.5, -2.0, 0.0, 0.25)
@@ -103,37 +119,37 @@ class TestApplyFunction:
             for c in coeffs:
                 direct = direct + c * power
                 power = power @ m
-            err = np.abs(apply_function(f, a).matrix - direct).max()
-            assert err <= 1e-9 * (1 + schatten_norm(a, np.inf)) ** 4
+            err = np.abs(apply_function(f, a) - direct).max()
+            assert err <= 1e-9 * (1 + schatten(a, np.inf)) ** 4
 
     def test_diagonal_entrywise_exact(self, rng):
         vals = rng.uniform(-2, 2, 6)
         a = HermitianOperator(np.diag(vals))
         out = apply_function(get_function("abs"), a)
-        assert np.array_equal(out.matrix, np.diag(np.abs(vals)))
+        assert np.array_equal(out, np.diag(np.abs(vals)))
 
 
 class TestSchattenNorm:
     def test_diagonal_trace_norm(self):
-        assert schatten_norm(np.diag([1.0, -2.0, 3.0]), 1) == 6.0
+        assert schatten(np.diag([1.0, -2.0, 3.0]), 1) == 6.0
 
     def test_frobenius(self):
-        assert schatten_norm(np.array([[0.0, 1.0], [1.0, 0.0]]), 2) == pytest.approx(
+        assert schatten(np.array([[0.0, 1.0], [1.0, 0.0]]), 2) == pytest.approx(
             np.sqrt(2), rel=1e-15)
 
     def test_rank_one_operator_norm(self, rng):
         u = rng.standard_normal(4)
         u *= np.sqrt(5.0) / np.linalg.norm(u)
         x = np.outer(u, u)
-        assert schatten_norm(x, np.inf) == pytest.approx(5.0, rel=1e-12)
+        assert schatten(x, np.inf) == pytest.approx(5.0, rel=1e-12)
 
     def test_rejects_other_p(self):
         with pytest.raises(ValueError):
-            schatten_norm(np.eye(2), 3)
+            schatten(np.eye(2), 3)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFinite):
-            schatten_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
+            schatten(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
 
     def test_unitary_invariance(self, rng):
         for _ in range(20):
@@ -142,15 +158,15 @@ class TestSchattenNorm:
             q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
             q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
             for p in (1, 2, np.inf):
-                base = schatten_norm(x, p)
-                assert abs(schatten_norm(q @ x @ q.T, p) - base) <= 1e-9 * base
+                base = schatten(x, p)
+                assert abs(schatten(q @ x @ q.T, p) - base) <= 1e-9 * base
 
     def test_norm_ordering(self, rng):
         for _ in range(20):
             dim = int(rng.integers(2, 9))
             x = rng.uniform(-1, 1, (dim, dim))
-            n1, n2, ninf = (schatten_norm(x, 1), schatten_norm(x, 2),
-                            schatten_norm(x, np.inf))
+            n1, n2, ninf = (schatten(x, 1), schatten(x, 2),
+                            schatten(x, np.inf))
             slack = 1e-12 * n1
             assert ninf <= n2 + slack
             assert n2 <= n1 + slack
@@ -162,48 +178,48 @@ class TestSchattenNorm:
             x = rng.uniform(-1, 1, (dim, dim))
             y = rng.uniform(-1, 1, (dim, dim))
             for p in (1, 2, np.inf):
-                lhs = schatten_norm(x + y, p)
-                rhs = schatten_norm(x, p) + schatten_norm(y, p)
+                lhs = schatten(x + y, p)
+                rhs = schatten(x, p) + schatten(y, p)
                 assert lhs <= rhs * (1 + 1e-10)
 
 
 class TestSpectralTruncation:
     def test_keeps_small_eigenvalues(self):
         a = HermitianOperator(np.diag([0.1, 0.5, 2.0]))
-        a_d, discarded = spectral_truncation(a, 1.0)
-        np.testing.assert_allclose(a_d.matrix, np.diag([0.1, 0.5, 0.0]), atol=1e-14)
+        a_d, discarded = spectral_truncation(decompose(a), 1.0)
+        np.testing.assert_allclose(a_d, np.diag([0.1, 0.5, 0.0]), atol=1e-14)
         assert discarded == 1
 
     def test_large_delta_keeps_everything(self, rng):
         a = random_hermitian(rng, 4)
-        delta = schatten_norm(a, np.inf) + 1.0
-        a_d, discarded = spectral_truncation(a, delta)
+        delta = schatten(a, np.inf) + 1.0
+        a_d, discarded = spectral_truncation(decompose(a), delta)
         assert discarded == 0
-        np.testing.assert_allclose(a_d.matrix, a.matrix, atol=1e-12)
+        np.testing.assert_allclose(a_d, a.matrix, atol=1e-12)
 
     def test_zero_operator(self):
         a = HermitianOperator(np.zeros((2, 2)))
-        a_d, discarded = spectral_truncation(a, 0.5)
+        a_d, discarded = spectral_truncation(decompose(a), 0.5)
         assert discarded == 0
-        np.testing.assert_allclose(a_d.matrix, np.zeros((2, 2)))
+        np.testing.assert_allclose(a_d, np.zeros((2, 2)))
 
     def test_rank_and_spectrum_contract(self, rng):
         for _ in range(20):
             dim = int(rng.integers(2, 9))
             a = random_hermitian(rng, dim)
             delta = float(rng.uniform(0.2, 1.5))
-            a_d, discarded = spectral_truncation(a, delta)
+            a_d, discarded = spectral_truncation(decompose(a), delta)
             eigs = decompose(a).eigenvalues
             assert discarded == int(np.count_nonzero(np.abs(eigs) > delta))
             kept = decompose(a_d).eigenvalues
             assert np.all((np.abs(kept) <= delta + 1e-12) | (np.abs(kept) < 1e-12))
             # rank of the difference matches the discarded count exactly
-            s = np.linalg.svd(a.matrix - a_d.matrix, compute_uv=False)
+            s = np.linalg.svd(a.matrix - a_d, compute_uv=False)
             assert int(np.count_nonzero(s > 1e-10)) == discarded
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
-            spectral_truncation(HermitianOperator([[1.0]]), 0.0)
+            spectral_truncation(decompose(HermitianOperator([[1.0]])), 0.0)
 
 
 class TestIncrementRatio:
@@ -254,6 +270,19 @@ class TestIncrementRatio:
         assert w.ratio_s1 >= 0.0 and np.isfinite(w.ratio_s1)
         assert w.ratio_op >= 0.0 and np.isfinite(w.ratio_op)
 
+    def test_stack_rows_match_single_pairs(self, rng):
+        # two stacks give (k,) arrays; two operators the floats of each row
+        f = get_function("smoothed_abs", (0.1,))
+        pairs = [(random_hermitian(rng, 4), random_hermitian(rng, 4)) for _ in range(5)]
+        a, b = (np.stack([op.matrix for op in ops]) for ops in zip(*pairs))
+        stacked = increment_ratio(f, a, b)
+        assert stacked.a is a and stacked.ratio_s1.shape == (5,)
+        for i, pair in enumerate(pairs):
+            one = increment_ratio(f, *pair)
+            assert type(one.ratio_s1) is float
+            assert (one.ratio_s1, one.ratio_op, one.increment_s1) == (
+                stacked.ratio_s1[i], stacked.ratio_op[i], stacked.increment_s1[i])
+
     def test_ratios_recomputable(self, rng):
         f = get_function("smoothed_abs", (0.1,))
         for _ in range(10):
@@ -269,7 +298,7 @@ class TestIncrementRatio:
 class TestTraceTransfer:
     def test_equal_pair_all_zero(self, rng):
         a = random_hermitian(rng, 4)
-        rep = trace_transfer_check(get_function("abs"), 0.5, a, a)
+        rep = _transfer(get_function("abs"), 0.5, a, a)
         assert rep.total_increment_s1 <= 1e-14
         assert rep.reassembly_residual_s1 <= 1e-14
 
@@ -279,7 +308,7 @@ class TestTraceTransfer:
             dim = int(rng.integers(2, 9))
             a = random_hermitian(rng, dim)
             b = random_hermitian(rng, dim)
-            rep = trace_transfer_check(f, float(rng.uniform(0.2, 1.5)), a, b)
+            rep = _transfer(f, float(rng.uniform(0.2, 1.5)), a, b)
             assert rep.reassembly_residual_s1 <= 1e-12 * rep.scale
 
     def test_abs_rank_one_tail(self):
@@ -287,7 +316,7 @@ class TestTraceTransfer:
         # tail |A| - |A_delta| = diag(0, 3) has rank 1
         a = HermitianOperator(np.diag([0.5, 3.0]))
         b = HermitianOperator(np.diag([0.4, 3.0]))
-        rep = trace_transfer_check(get_function("abs"), 1.0, a, b)
+        rep = _transfer(get_function("abs"), 1.0, a, b)
         assert rep.discarded_rank_a == 1
         assert rep.tail_a_rank == 1
         assert rep.tail_a_s1 == pytest.approx(3.0, rel=1e-12)
@@ -299,7 +328,7 @@ class TestTraceTransfer:
             dim = int(rng.integers(2, 8))
             a = random_hermitian(rng, dim, scale=1.5)
             b = random_hermitian(rng, dim, scale=1.5)
-            rep = trace_transfer_check(f, float(rng.uniform(0.3, 1.2)), a, b)
+            rep = _transfer(f, float(rng.uniform(0.3, 1.2)), a, b)
             assert rep.tail_a_rank <= rep.discarded_rank_a
             assert rep.tail_b_rank <= rep.discarded_rank_b
             assert rep.reassembly_residual_s1 <= 1e-9 * rep.scale
@@ -313,9 +342,9 @@ class TestTraceTransfer:
         for _ in range(5):
             a = random_hermitian(rng, 4)
             b = random_hermitian(rng, 4)
-            plain = trace_transfer_check(f, 0.5, a, b)
-            scaled = trace_transfer_check(f, 0.5 * s, HermitianOperator(s * a.matrix),
-                                          HermitianOperator(s * b.matrix))
+            plain = _transfer(f, 0.5, a, b)
+            scaled = _transfer(f, 0.5 * s, HermitianOperator(s * a.matrix),
+                               HermitianOperator(s * b.matrix))
             assert (scaled.tail_a_rank, scaled.tail_b_rank) == \
                 (plain.tail_a_rank, plain.tail_b_rank)
             assert (scaled.discarded_rank_a, scaled.discarded_rank_b) == \
@@ -325,7 +354,7 @@ class TestTraceTransfer:
         # functions differing by a constant produce identical reports
         a = random_hermitian(rng, 4)
         b = random_hermitian(rng, 4)
-        r1 = trace_transfer_check(get_function("exp"), 0.7, a, b)
+        r1 = _transfer(get_function("exp"), 0.7, a, b)
         assert r1.reassembly_residual_s1 <= 1e-9 * r1.scale
         assert r1.tail_a_rank <= r1.discarded_rank_a
 
@@ -358,10 +387,10 @@ class TestOneSpectrumPerMatrix:
         a, b = _pair(seed, dim, complex_entries)
         w = increment_ratio(f, a, b)
         diff = b.matrix - a.matrix
-        num = apply_function(f, b).matrix - apply_function(f, a).matrix
-        assert w.ratio_s1 == schatten_norm(num, 1) / schatten_norm(diff, 1)
-        assert w.ratio_op == schatten_norm(num, np.inf) / schatten_norm(diff, np.inf)
-        assert w.increment_s1 == schatten_norm(num, 1)
+        num = apply_function(f, b) - apply_function(f, a)
+        assert w.ratio_s1 == schatten(num, 1) / schatten(diff, 1)
+        assert w.ratio_op == schatten(num, np.inf) / schatten(diff, np.inf)
+        assert w.increment_s1 == schatten(num, 1)
 
     @settings(max_examples=80, deadline=None)
     @given(fid=st.sampled_from(catalog_ids()), dim=st.integers(1, 8),
@@ -371,15 +400,15 @@ class TestOneSpectrumPerMatrix:
                                                 seed, delta):
         f = get_function(fid, _PARAMS.get(fid, ()))
         a, b = _pair(seed, dim, complex_entries, scale=1.5)
-        rep = trace_transfer_check(f, delta, a, b)
+        rep = _transfer(f, delta, a, b)
         g = f.shifted(f(0.0))
-        top = max(schatten_norm(a, np.inf), schatten_norm(b, np.inf))
+        top = max(schatten(a, np.inf), schatten(b, np.inf))
         for op, tail_s1, tail_rank in ((a, rep.tail_a_s1, rep.tail_a_rank),
                                        (b, rep.tail_b_s1, rep.tail_b_rank)):
-            truncated, _ = spectral_truncation(op, delta)
-            tail = apply_function(g, op).matrix - apply_function(g, truncated).matrix
+            truncated, _ = spectral_truncation(decompose(op), delta)
+            tail = apply_function(g, op) - apply_function(g, truncated)
             floor = 1e-10 * dim * top + dim * dim * 2.0 ** -1022
-            assert tail_s1 == schatten_norm(tail, 1)
+            assert tail_s1 == schatten(tail, 1)
             assert tail_rank == int(np.count_nonzero(singular_values(tail) > floor))
 
     @settings(max_examples=80, deadline=None)
@@ -408,7 +437,7 @@ class TestOneSpectrumPerMatrix:
         for i, m in enumerate(mats):
             assert stacked[i].tobytes() == singular_values(m).tobytes()
             for p in (1, 2, np.inf):
-                assert schatten_from_singular(stacked, p)[i] == schatten_norm(m, p)
+                assert schatten_from_singular(stacked, p)[i] == schatten(m, p)
 
 
 class TestDecompositionIsKept:
@@ -436,13 +465,13 @@ class TestDecompositionIsKept:
         # then the two truncations in another
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
         calls = count_calls(monkeypatch, np.linalg, "eigh")
-        trace_transfer_check(get_function("abs"), 0.5, a, b)
+        _transfer(get_function("abs"), 0.5, a, b)
         assert len(calls) == 2
 
     def test_trace_transfer_takes_one_svd_call(self, rng, monkeypatch):
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
         calls = count_calls(monkeypatch, np.linalg, "svd")
-        trace_transfer_check(get_function("abs"), 0.5, a, b)
+        _transfer(get_function("abs"), 0.5, a, b)
         assert len(calls) == 1
 
     def test_increment_ratio_takes_two_svd_calls(self, rng, monkeypatch):
@@ -486,8 +515,9 @@ class TestStackKernels:
         rng = np.random.default_rng(seed)
         ops = [random_hermitian(rng, dim, complex_entries=complex_entries)
                for _ in range(count)]
-        dec = decompose_stack(np.stack([op.matrix for op in ops]))
-        images = calculus_stack(dec.eigenvectors, f.values_at(dec.eigenvalues))
+        stack = np.stack([op.matrix for op in ops])
+        dec = decompose(stack)
+        images = apply_function(f, stack)
         for i, op in enumerate(ops):
             one = decompose(op)
             assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
@@ -495,7 +525,7 @@ class TestStackKernels:
             assert dec.reconstruction_residual[i] == one.reconstruction_residual
             assert dec.reconstruction_tolerance[i] == one.reconstruction_tolerance
             assert dec.orthonormality_residual[i] == one.orthonormality_residual
-            assert np.array_equal(images[i], apply_function(f, op).matrix)
+            assert np.array_equal(images[i], apply_function(f, op))
 
     @pytest.mark.parametrize("bad", [2, 0])
     def test_non_finite_matrix_raises(self, rng, bad):
@@ -503,7 +533,7 @@ class TestStackKernels:
         mats = np.stack([op.matrix for op in ops])
         mats[bad, 1, 2] = np.nan
         with pytest.raises(NonFinite):
-            decompose_stack(mats)
+            decompose(mats)
         assert all(op._dec is None for op in ops)
 
     @pytest.mark.parametrize("bad", [1, 2])
@@ -519,7 +549,7 @@ class TestStackKernels:
 
         monkeypatch.setattr(np.linalg, "eigh", eigh_spoiling_one)
         with pytest.raises(ConvergenceFailure, match=f"matrix {bad} out of tolerance"):
-            decompose_stack(np.stack([op.matrix for op in ops]))
+            decompose(np.stack([op.matrix for op in ops]))
         assert all(op._dec is None for op in ops)
         monkeypatch.setattr(np.linalg, "eigh", real_eigh)
         assert decompose(ops[bad]) is decompose(ops[bad])

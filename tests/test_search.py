@@ -106,7 +106,7 @@ def _quotient_conditioning(f, a, b):
     basis."""
     cond = np.zeros(2)
     for x, y in ((a.matrix, b.matrix),
-                 (apply_function(f, a).matrix, apply_function(f, b).matrix)):
+                 (apply_function(f, a), apply_function(f, b))):
         s = singular_values(y - x)
         with np.errstate(divide="ignore"):
             cond += max(np.abs(x).max(), np.abs(y).max()) / np.array([s.sum(), s[0]])
