@@ -4,12 +4,16 @@ Usage:
 
     specshift <command> <config.json> [--seed N] [--output PATH] [--format csv|json]
 
-with command one of ratio-search | divergence | commuting | verify.  The
-config is a single JSON file; the flags override the matching config fields.
-Reports are byte-deterministic for a fixed config: floats are printed with 17
+with command one of ratio-search | divergence | commuting | verify.  ``main``
+is the one path from a config to files: it reads the JSON config, applies the
+flags over the matching fields and checks ``experiment``, ``output`` and
+``format``; the command checks its own fields and computes; ``main`` then
+serialises every file and writes the report, then its sidecars.  Reports are
+byte-deterministic for a fixed config: floats are printed with 17
 significant digits, row order is fixed, line endings are "\\n".
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error (any ``ConfigError``), 3 numeric
+failure (any other error, or a failed verify check).
 """
 from __future__ import annotations
 
@@ -26,8 +30,7 @@ import numpy as np
 
 from .blocks import build_divergent_family, default_delta_schedule, partial_sums
 from .catalog import get_function
-from .errors import (BadInterval, BadParams, ConfigError, SpecshiftError,
-                     UnknownFunction)
+from .errors import ConfigError, SpecshiftError
 from .hermitian import (apply_function, decompose, hermitian_part, increment_ratio,
                         operator_scale, schatten_from_singular, singular_values,
                         spectral_truncation, trace_transfer_check)
@@ -88,34 +91,12 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
-def _load_config(path: str) -> dict:
-    cfg = _read_json(path, "config")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
-
-
-def _merge_overrides(cfg: dict, args) -> None:
-    for key in ("seed", "output", "format"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-
-
-def _check_experiment(cfg: dict, command: str) -> None:
-    exp = cfg.get("experiment")
-    if exp is not None and exp != command:
-        raise ConfigError(f"config is for experiment {exp!r}, not {command!r}")
-
-
 def _get_function(cfg: dict):
     ref = cfg.get("function")
     if (not isinstance(ref, dict) or not isinstance(ref.get("id"), str)
             or not isinstance(ref.get("params", []), list)):
         raise ConfigError('config needs "function": {"id": "...", "params": [...]}')
-    try:
-        return get_function(ref["id"], ref.get("params", ()))
-    except (UnknownFunction, BadParams) as exc:
-        raise ConfigError(str(exc)) from None
+    return get_function(ref["id"], ref.get("params", ()))
 
 
 def _check_int(value, minimum: int, what: str) -> int:
@@ -156,7 +137,7 @@ def _get_format(cfg: dict) -> str:
 # ratio-search
 # ---------------------------------------------------------------------------
 
-def run_ratio_search(cfg: dict) -> int:
+def run_ratio_search(cfg: dict) -> tuple:
     f = _get_function(cfg)
     dims = cfg.get("dims")
     if not isinstance(dims, list) or not dims:
@@ -167,40 +148,33 @@ def run_ratio_search(cfg: dict) -> int:
     if not isinstance(grid_cfg, dict) or "interval" not in grid_cfg:
         raise ConfigError('config needs "grid": {"interval": [a, b], "count": n}')
     count = _check_int(grid_cfg.get("count"), 2, "grid count")
-    try:
-        grid = restrict_to_grid(grid_cfg["interval"], count)
-    except BadInterval as exc:
-        raise ConfigError(f"grid interval: {exc}") from None
+    grid = restrict_to_grid(grid_cfg["interval"], count)
     budget = _get_int(cfg, "budget", 1)
     seed = _get_int(cfg, "seed", 0)
-    output = _get_output(cfg)
-    fmt = _get_format(cfg)
 
     columns = ("dim", "norm_kind", "budget", "seed", "best_ratio", "witness_file")
-    rows, files = [], []
+    rows, sidecars = [], []
     for dim in dims:
         by_kind = {kind: seminorm_lower_bound(f, grid, dim, kind, budget, seed)
                    for kind in NORM_KINDS}
         for kind, result in by_kind.items():
-            witness_path = _sidecar(output, f"_dim{dim}_{kind}.json")
-            files.append((witness_path,
-                          dump_json(witness_to_json(result, f.reference()))))
+            suffix = f"_dim{dim}_{kind}.json"
+            sidecars.append((suffix, witness_to_json(result, f.reference())))
             rows.append((dim, kind, budget, seed, _fmt(result.value),
-                         os.path.basename(witness_path)))
+                         os.path.basename(_sidecar(cfg["output"], suffix))))
         m_op, m_s1 = by_kind["operator"].value, by_kind["schatten1"].value
         if m_s1 > 2.0 * m_op * DIAGNOSTIC_SLACK or m_op > 2.0 * m_s1 * DIAGNOSTIC_SLACK:
             print(f"warning: dim {dim}: lower bounds operator={m_op:g} and "
                   f"schatten1={m_s1:g} sit outside the factor-2 band by more "
                   f"than the search-gap heuristic", file=sys.stderr)
-    _write_all(files + [(output, _report_text(columns, rows, fmt))])
-    return EXIT_OK
+    return columns, rows, sidecars, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
 
-def run_divergence(cfg: dict) -> int:
+def run_divergence(cfg: dict) -> tuple:
     f = _get_function(cfg)
     block_count = _get_int(cfg, "K", 1)
     budget = _get_int(cfg, "budget", 1)
@@ -217,8 +191,6 @@ def run_divergence(cfg: dict) -> int:
         default_delta_schedule(block_count, float(delta0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    output = _get_output(cfg)
-    fmt = _get_format(cfg)
 
     family = build_divergent_family(f, block_count, budget, seed, dim, float(delta0))
     docs = family_to_json(family)
@@ -235,22 +207,18 @@ def run_divergence(cfg: dict) -> int:
                      _fmt(doc["achieved_ratio"]), doc["multiplicity"],
                      _fmt(doc["increment_s1"]), _fmt(pert_sum), _fmt(incr_sum),
                      doc["status"]))
-    _write_all([(output, _report_text(columns, rows, fmt)),
-                (_sidecar(output, "_family.json"), dump_json(docs))])
-    return EXIT_OK
+    return columns, rows, [("_family.json", docs)], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # commuting
 # ---------------------------------------------------------------------------
 
-def run_commuting(cfg: dict) -> int:
+def run_commuting(cfg: dict) -> tuple:
     f = _get_function(cfg)
     levels = _get_int(cfg, "K", 1)
     search_grid = _get_int(cfg, "search_grid", 3, default=2001)
     seed = _get_int(cfg, "seed", 0)
-    output = _get_output(cfg)
-    fmt = _get_format(cfg)
 
     outcome = scalar_ratio_witnesses(f, levels, search_grid, seed)
     columns = ("k", "t", "s", "n", "weighted_perturbation", "weighted_increment",
@@ -264,9 +232,7 @@ def run_commuting(cfg: dict) -> int:
             rows.append((k, _fmt(t), _fmt(s), str(blk.multiplicity),
                          _fmt(blk.weighted_delta_s1), _fmt(blk.weighted_increment_s1),
                          _fmt(2.0 ** (1 - k)), "true"))
-    _write_all([(output, _report_text(columns, rows, fmt)),
-                (_sidecar(output, "_witness.json"), dump_json(witness_doc))])
-    return EXIT_OK
+    return columns, rows, [("_witness.json", witness_doc)], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +403,9 @@ def _verify_checks(seed: int, fixtures) -> list:
             for name, residual, tolerance in results]
 
 
-def run_verify(cfg: dict) -> int:
+def run_verify(cfg: dict) -> tuple:
+    """The check table; a failed check still gets its report, with exit 3."""
     seed = _get_int(cfg, "seed", 0, default=20260810)
-    output = _get_output(cfg)
-    fmt = _get_format(cfg)
     fixtures = []
     raw_fixtures = cfg.get("matrices", [])
     if not isinstance(raw_fixtures, list):
@@ -454,18 +419,18 @@ def run_verify(cfg: dict) -> int:
     columns = ("check", "residual", "tolerance", "status")
     rows = [(name, _fmt(residual), _fmt(tolerance), "pass" if ok else "fail")
             for name, residual, tolerance, ok in checks]
-    _write_all([(output, _report_text(columns, rows, fmt))])
     failed = [name for name, _, _, ok in checks if not ok]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return columns, rows, [], EXIT_NUMERIC if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
+#: command -> runner(cfg), which checks the command's own config fields and
+#: returns (columns, rows, [(path suffix, JSON document)], exit code)
 _RUNNERS = {
     "ratio-search": run_ratio_search,
     "divergence": run_divergence,
@@ -501,10 +466,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        _merge_overrides(cfg, args)
-        _check_experiment(cfg, args.command)
-        return _RUNNERS[args.command](cfg)
+        cfg = _read_json(args.config, "config")
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
+        cfg.update((key, getattr(args, key)) for key in ("seed", "output", "format")
+                   if getattr(args, key) is not None)
+        if cfg.get("experiment") not in (None, args.command):
+            raise ConfigError(f"config is for experiment {cfg['experiment']!r}, "
+                              f"not {args.command!r}")
+        output, fmt = _get_output(cfg), _get_format(cfg)
+        columns, rows, sidecars, code = _RUNNERS[args.command](cfg)
+        _write_all([(output, _report_text(columns, rows, fmt))]
+                   + [(_sidecar(output, suffix), dump_json(doc)) for suffix, doc in sidecars])
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -514,11 +488,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - exit-code contract allows only 0/2/3
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-def main_entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

@@ -6,7 +6,8 @@ class SpecshiftError(Exception):
 
 
 class ConfigError(SpecshiftError):
-    """Invalid experiment configuration or command-line usage."""
+    """Invalid experiment configuration or command-line usage; the CLI exits
+    2 on it and on its subclasses, raised where the input is first read."""
 
 
 class NonFinite(SpecshiftError):
@@ -26,15 +27,15 @@ class DegeneratePair(SpecshiftError):
     """Operator pair too close together to define an increment ratio."""
 
 
-class BadInterval(SpecshiftError):
+class BadInterval(ConfigError):
     """Interval endpoints are not finite, not ordered, or the grid is too small."""
 
 
-class BadParams(SpecshiftError):
+class BadParams(ConfigError):
     """Catalog function parameters are malformed."""
 
 
-class UnknownFunction(SpecshiftError):
+class UnknownFunction(ConfigError):
     """Catalog function id is not recognised."""
 
 

@@ -88,14 +88,14 @@ def make_sequence_witness(f: ScalarFunction, t, s) -> SequenceWitness:
     return SequenceWitness(f, t, s, tuple(n))
 
 
-def _level_points(level: int, search_grid: int, total_levels: int,
-                  seed: int) -> np.ndarray:
-    """Search backbone at one level: an equispaced grid on [-2**-k, 2**-k],
-    a dyadic ladder accumulating at 0 (the equispaced grid alone cannot
-    resolve quotients past ~2**log2(grid)), and seeded random points."""
+def _level_points(level: int, search_grid: int, seed: int) -> np.ndarray:
+    """Search backbone at level k, a function of (k, search_grid, seed) only:
+    an equispaced grid on [-2**-k, 2**-k], a dyadic ladder of max(64, 2k)
+    rungs accumulating at 0 (the equispaced grid alone cannot resolve
+    quotients past ~2**log2(grid)), and seeded random points."""
     radius = 2.0 ** -level
     extras = np.random.default_rng([seed, level]).uniform(-radius, radius, size=64)
-    return ladder_grid(radius, search_grid, max(64, 2 * total_levels), extras)
+    return ladder_grid(radius, search_grid, max(64, 2 * level), extras)
 
 
 def _best_level_pair(f: ScalarFunction, pts: np.ndarray, radius: float):
@@ -125,7 +125,7 @@ def scalar_ratio_witnesses(f: ScalarFunction, levels: int,
     s_seq = []
     for k in range(1, levels + 1):
         radius = 2.0 ** -k
-        pts = _level_points(k, search_grid, levels, seed)
+        pts = _level_points(k, search_grid, seed)
         best_q, best_pair = _best_level_pair(f, pts, radius)
         # past 2**1023 the target exceeds every finite quotient
         if best_pair is None or not (k < 1024 and best_q > 2.0 ** k):

@@ -209,6 +209,27 @@ class TestRatioSearchCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("function", {"id": "nope", "params": []}),
+    ("function", {"id": "smoothed_abs", "params": [-1.0]}),
+    ("grid", {"interval": [1.0, -1.0], "count": 5})],
+    ids=["unknown_function_id", "bad_function_params", "reversed_grid_interval"])
+def test_library_input_errors_exit_2(tmp_path, capsys, monkeypatch, field, value):
+    # catalog and grid errors are configuration errors, raised before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "seminorm_lower_bound", no_search)
+    cfg = _write_cfg(tmp_path / "cfg.json", dict({
+        "function": {"id": "abs"}, "dims": [1], "budget": 1, "seed": 0,
+        "grid": {"interval": [-1, 1], "count": 5},
+        "output": str(tmp_path / "report.csv")}, **{field: value}))
+    assert main(["ratio-search", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 class TestDivergenceCommand:
     def _cfg(self, tmp_path, fid, levels, out_name="report.csv"):
         out = tmp_path / out_name
@@ -324,6 +345,20 @@ class TestCommutingCommand:
         assert main(["commuting", cfg]) == 0
         doc = json.loads((tmp_path / "report_witness.json").read_text())
         assert doc["status"] == "not_found"
+
+    def test_xsin_inv_many_levels_not_found_at_level_17(self, tmp_path):
+        # level 17 misses whatever K is; each level's ladder has max(64, 2k)
+        # rungs, so no grid holds a subnormal where 1/x overflows
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "xsin_inv", "params": []},
+            "K": 600, "search_grid": 2001, "seed": 1, "output": str(out)})
+        assert main(["commuting", cfg]) == 0
+        _, rows = _read_rows(out)
+        assert rows == []
+        doc = json.loads((tmp_path / "report_witness.json").read_text())
+        assert doc["status"] == "not_found"
+        assert doc["failed_level"] == 17
 
     def test_level_past_float_range_not_found(self, tmp_path):
         # f(x) = 1.7e308 x beats 2**k at every level up to 1023; the target
@@ -457,6 +492,20 @@ class TestVerifyCommand:
         assert main(["verify", cfg]) == 0
         _, rows = _read_rows(out)
         assert any(r["check"] == "fixture_0_reconstruction" for r in rows)
+
+
+    def test_failed_check_writes_the_report_and_exits_3(self, tmp_path, monkeypatch,
+                                                         capsys):
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {"seed": 1, "output": str(out)})
+        monkeypatch.setattr(cli, "_norm_ordering", lambda fs, x: [[1.0]] * len(x))
+        assert main(["verify", cfg]) == 3
+        assert capsys.readouterr().err == "verification failed: norm_ordering\n"
+        _, rows = _read_rows(out)
+        status = {r["check"]: r["status"] for r in rows}
+        assert status.pop("norm_ordering") == "fail"
+        assert len(status) == 13 and set(status.values()) == {"pass"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.csv"]
 
 
 class TestVerifyByStacks:

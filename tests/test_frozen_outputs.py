@@ -39,6 +39,13 @@ CONFIGS = {
     # ends not_found at level 17: the report has a header and no rows
     "commuting-xsin_inv-K30": ("commuting", {"function": {"id": "xsin_inv"}, "K": 30,
                                              "search_grid": 2001, "seed": 1}),
+    # many levels: each level's grid depends on its level only, so sqrt_abs
+    # at K 60 starts with the K 40 witness, and xsin_inv at K 600 misses at
+    # level 12 as it does at K 30 (before, 1/x overflowed on a subnormal rung)
+    "commuting-sqrt_abs-K60-grid301": ("commuting", {
+        "function": {"id": "sqrt_abs"}, "K": 60, "search_grid": 301, "seed": 1}),
+    "commuting-xsin_inv-K600-grid301": ("commuting", {
+        "function": {"id": "xsin_inv"}, "K": 600, "search_grid": 301, "seed": 1}),
     # divergent families at dim 4: all seven sqrt_abs blocks succeed;
     # xsin_inv fails at block 6; abs fails at block 1
     "divergence-sqrt_abs-K7": ("divergence", {"function": {"id": "sqrt_abs"}, "K": 7,
@@ -88,6 +95,18 @@ EXPECTED = {
             "ea2b0b6fed8e371327055fd2b3dfba1f40ee99dc8ebdf3aa2232c748e99edacf",
         "report_witness.json":
             "35733a9331c150be46096f64705afc438fe2e356076ab64d164cfdad36e857d1",
+    },
+    "commuting-sqrt_abs-K60-grid301": {
+        "report.csv":
+            "bb5275d53eccbf99188436fd24cf06bc809726824a5689205f3d6f6ca1ef6475",
+        "report_witness.json":
+            "8d8fc6475efd280566eddeeb2b3cf3cda44c2cd8f3067918888bf12a50260bb6",
+    },
+    "commuting-xsin_inv-K600-grid301": {
+        "report.csv":
+            "ea2b0b6fed8e371327055fd2b3dfba1f40ee99dc8ebdf3aa2232c748e99edacf",
+        "report_witness.json":
+            "a1337115a7bdd0f4673090d42c669a20c9efde06fbc3f7872780bab0ec1b1ff4",
     },
     "divergence": {
         "report.csv":

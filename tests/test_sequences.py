@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from specshift import (InvariantViolation, NotFound, SequenceWitness,
                        divergence_check, get_function, make_sequence_witness,
                        partial_sums, scalar_ratio_witnesses)
+from specshift import sequences
 from specshift.sequences import _best_level_pair
 
 from conftest import (assert_near_exact, assert_same_blocks, exact_quotient_maxima,
@@ -109,6 +110,30 @@ class TestScalarRatioWitnesses:
             out = scalar_ratio_witnesses(f, 3, 301, 5)
             assert isinstance(out, NotFound)
             assert 2.0 ** out.level > lip
+
+    def test_first_levels_do_not_depend_on_the_level_count(self):
+        # a level's grid is a function of (level, search_grid, seed) only, so
+        # the first 40 levels of a 60-level witness are the 40-level witness
+        f = get_function("sqrt_abs")
+        w40 = scalar_ratio_witnesses(f, 40, 301, 1)
+        w60 = scalar_ratio_witnesses(f, 60, 301, 1)
+        assert w60.length == 60
+        assert (w60.t[:40], w60.s[:40], w60.n[:40]) == (w40.t, w40.s, w40.n)
+
+    def test_level_grid_size_does_not_depend_on_the_level_count(self, monkeypatch):
+        # identity misses at level 1, so each search builds one level grid
+        sizes = []
+        real = sequences._level_points
+
+        def recorded(*args):
+            pts = real(*args)
+            sizes.append(pts.size)
+            return pts
+
+        monkeypatch.setattr(sequences, "_level_points", recorded)
+        for levels in (1, 40, 5000):
+            scalar_ratio_witnesses(get_function("identity"), levels, 101, 0)
+        assert len(sizes) == 3 and len(set(sizes)) == 1
 
     def test_invalid_arguments(self):
         f = get_function("identity")

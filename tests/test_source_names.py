@@ -9,14 +9,18 @@ home is reached only from that home: the SVD, the eigensolver, the
 search's stacked eigenvalue kernel, the QR sampler, exact rational
 arithmetic and the per-element map of scalar functions.  The noise-floor
 rule and the eigensolver tolerance have one owner each.  A function takes
-each matrix's singular values once, and files are written through one
-function.
+each matrix's singular values once.  Files are written through one
+function, which only ``cli.main`` calls, after it has checked the output
+path and format once; catalog and grid input errors are configuration
+errors that no module catches.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from specshift import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "specshift"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -193,3 +197,24 @@ def test_no_function_takes_the_same_singular_values_twice():
 
 def test_files_are_written_only_through_write_all():
     assert {scope for callee, scope, _ in CALLS if callee == "write_text"} == {"cli._write_all"}
+
+
+@pytest.mark.parametrize("name", ["_write_all", "_get_output", "_get_format"])
+def test_output_handled_only_in_main(name):
+    assert {scope for callee, scope, _ in CALLS if callee == name} == {"cli.main"}
+
+
+INPUT_ERRORS = ("BadParams", "UnknownFunction", "BadInterval")
+
+
+def test_input_errors_are_never_caught():
+    # they reach cli.main, whose one ``except ConfigError`` exits 2
+    caught = [(path, name) for path, tree in MODULES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              for name in _used_names(node.type) & set(INPUT_ERRORS)]
+    assert caught == []
+
+
+@pytest.mark.parametrize("name", INPUT_ERRORS)
+def test_input_errors_are_config_errors(name):
+    assert issubclass(getattr(errors, name), errors.ConfigError)
