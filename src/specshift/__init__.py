@@ -22,10 +22,10 @@ from .blocks import (BlockRecord, DivergentFamily, SumBlock, amplify_to_unit,
                      build_divergent_family, default_delta_schedule,
                      partial_sums, segment_refine, weighted)
 from .catalog import ScalarFunction, catalog_ids, get_function
-from .errors import (BadInterval, BadParams, ConfigError, ConvergenceFailure,
-                     DegeneratePair, DomainError, InvariantViolation,
-                     NonFinite, PreconditionViolated, RefinementOverflow,
-                     SpecshiftError, UnknownFunction)
+from .errors import (BadInterval, BadParams, BadSchedule, ConfigError,
+                     ConvergenceFailure, DegeneratePair, DomainError,
+                     InvariantViolation, NonFinite, PreconditionViolated,
+                     RefinementOverflow, SpecshiftError, UnknownFunction)
 from .hermitian import (HermitianOperator, RatioWitness, SpectralDecomposition,
                         TraceTransferReport, apply_function, decompose,
                         increment_ratio, operator_scale, singular_values,

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .catalog import ScalarFunction
-from .errors import (DegeneratePair, InvariantViolation, PreconditionViolated,
-                     RefinementOverflow)
+from .errors import (BadSchedule, DegeneratePair, InvariantViolation,
+                     PreconditionViolated, RefinementOverflow)
 from .hermitian import (HermitianOperator, apply_function, decompose,
                         schatten_from_singular, singular_values)
 from .loewner import FiniteSpectrumSet
@@ -102,8 +102,7 @@ class _RefinedPair(tuple):
 
 
 def segment_refine(f: ScalarFunction, a: HermitianOperator,
-                   b: HermitianOperator,
-                   n_max: int = MAX_SUBDIVISION) -> Tuple[HermitianOperator, HermitianOperator]:
+                   b: HermitianOperator) -> Tuple[HermitianOperator, HermitianOperator]:
     """Shrink (A, B) along the straight segment until the function increment
     drops below 1, without decreasing the trace-norm increment ratio.
 
@@ -118,15 +117,15 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
     its n increments from one stacked SVD call.
 
     By the same inequality no n' below n * max(increments) can succeed, so
-    RefinementOverflow is raised as soon as that product passes 2 * n_max
-    (n_max with slack for rounding).
+    RefinementOverflow is raised as soon as that product passes
+    2 * MAX_SUBDIVISION (the cap with slack for rounding).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     diff = b.matrix - a.matrix
     images = [apply_function(f, a), apply_function(f, b)]
     n = 1
-    while n <= n_max:
+    while n <= MAX_SUBDIVISION:
         increments = schatten_from_singular(singular_values(np.diff(images, axis=0)), 1)
         if np.all(increments < 1.0):
             k = int(np.argmax(increments))  # first maximum: smallest k
@@ -134,13 +133,13 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
             refined = _RefinedPair((_path_point(a, diff, k / n), right))
             refined.images = images[k], images[k + 1]
             return refined
-        if n * increments.max() > 2 * n_max:
+        if n * increments.max() > 2 * MAX_SUBDIVISION:
             break
         n *= 2
         mids = (apply_function(f, _path_point(a, diff, k / n)) for k in range(1, n, 2))
         images[1:] = [x for pair in zip(mids, images[1:]) for x in pair]
     raise RefinementOverflow(
-        f"no subdivision up to {n_max} brought all increments below 1")
+        f"no subdivision up to {MAX_SUBDIVISION} brought all increments below 1")
 
 
 def amplify_to_unit(a: HermitianOperator, b: HermitianOperator,
@@ -212,19 +211,21 @@ class DivergentFamily:
         return self.records + (self.failure,)
 
 
-def default_delta_schedule(block_count: int, delta0: float = 1.0) -> Tuple[float, ...]:
-    """delta_n = delta0 * 2**-n for n = 1..block_count; ValueError unless
-    block_count >= 1, delta0 > 0 and the windows stay positive, finite and
-    strictly shrinking (delta0 * 2**-n may underflow)."""
+def default_delta_schedule(block_count: int, delta0: float = 1.0) -> Iterator[float]:
+    """delta_n = delta0 * 2**-n for n = 1..block_count, yielded lazily;
+    BadSchedule unless block_count >= 1 and the windows are positive, finite
+    and strictly shrinking (so delta0 > 0; delta0 * 2**-n may underflow).
+    The computed windows never grow, and two are equal only at the smallest
+    subnormal, with 0.0 next: the last two decide (delta_0 = inf), in O(1)."""
     if block_count < 1:
-        raise ValueError(f"block_count must be >= 1, got {block_count}")
-    if not delta0 > 0:
-        raise ValueError(f"delta0 must be positive, got {delta0!r}")
-    schedule = tuple(delta0 * 2.0 ** -n for n in range(1, block_count + 1))
-    if not all(0.0 < d < prev for d, prev in zip(schedule, (math.inf,) + schedule)):
-        raise ValueError(f"delta0 * 2**-n is not positive, finite and decreasing "
-                         f"for n = 1..{block_count}")
-    return schedule
+        raise BadSchedule(f"block_count must be >= 1, got {block_count}")
+    # 2.0 ** -n is 0.0 from n = 1075 on, and raises OverflowError for huge n
+    last, before = (delta0 * 2.0 ** -min(n, 1075) if n else math.inf
+                    for n in (block_count, block_count - 1))
+    if not 0.0 < last < before:
+        raise BadSchedule(f"delta0 * 2**-n with delta0 = {delta0!r} is not positive, "
+                          f"finite and decreasing for n = 1..{block_count}")
+    return (delta0 * 2.0 ** -n for n in range(1, block_count + 1))
 
 
 def _block_grid(delta: float, level: int) -> FiniteSpectrumSet:
@@ -267,7 +268,7 @@ def build_divergent_family(f: ScalarFunction, block_count: int,
     Each block is searched on its own (``seminorm_lower_bound``), then
     refined and amplified, in block order; no block after a failed one is
     searched, so a family that stops at block m has searched exactly m
-    blocks.  The schedule's ValueError comes before any search.
+    blocks.  The schedule's BadSchedule comes before any search.
     """
     schedule = default_delta_schedule(block_count, delta0)
     records = []

@@ -20,6 +20,7 @@ from .errors import BadInterval, BadParams, DomainError, UnknownFunction
 __all__ = [
     "ScalarFunction",
     "get_function",
+    "finite_reals",
     "catalog_ids",
     "max_quotient",
     "pointwise",
@@ -58,18 +59,6 @@ class ScalarFunction:
             return None
         d = self.deriv_fn(float(x))
         return None if d is None else float(d)
-
-    def shifted(self, c: float) -> "ScalarFunction":
-        """Descriptor for x -> f(x) - c; derivative and verdict unchanged."""
-        rule = self.rule
-        c = float(c)
-        return ScalarFunction(
-            id=f"{self.id}-shifted",
-            params=self.params + (c,),
-            rule=lambda x: rule(x) - c,
-            deriv_fn=self.deriv_fn,
-            operator_lipschitz_near_zero=self.operator_lipschitz_near_zero,
-        )
 
     def reference(self) -> dict:
         """JSON-friendly reference: {"id": ..., "params": [...]}."""
@@ -211,34 +200,28 @@ def get_function(fid: str, params=()) -> ScalarFunction:
     except KeyError:
         raise UnknownFunction(
             f"unknown function id {fid!r}; known: {', '.join(catalog_ids())}") from None
-    if not _all_real(params):
-        raise BadParams(f"parameters for {fid!r} must be real numbers, got {params!r}")
-    try:
-        clean = tuple(float(p) for p in params)
-    except OverflowError as exc:
-        raise BadParams(f"parameters for {fid!r} must be real numbers: {exc}") from None
-    if not all(math.isfinite(p) for p in clean):
-        raise BadParams(f"parameters for {fid!r} must be finite, got {clean!r}")
-    return builder(clean)
+    return builder(finite_reals(params, f"parameters for {fid!r}", BadParams))
 
 
-def _all_real(xs) -> bool:
-    """True when every element is a real number and none is a bool (JSON's
-    true and false are not numbers; np.bool_ is not numbers.Real either)."""
-    return all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in xs)
+def finite_reals(values, what: str, error) -> Tuple[float, ...]:
+    """``values`` as finite floats, the one check of JSON reals: ``error`` naming
+    ``what`` for a bool, a non-real, or a number that overflows or is not finite."""
+    try:  # isfinite raises OverflowError on an int too large for a float
+        if all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+               for x in values):
+            return tuple(float(x) for x in values)
+    except OverflowError:
+        pass
+    raise error(f"{what}: each must be a finite real number, got {values!r}")
 
 
 def interval_bounds(interval) -> Tuple[float, float]:
     """Endpoints of an interval given as a list or tuple of two real numbers
     a < b whose width b - a is a finite float; anything else raises
     BadInterval."""
-    if (not isinstance(interval, (list, tuple)) or len(interval) != 2
-            or not _all_real(interval)):
+    if not isinstance(interval, (list, tuple)) or len(interval) != 2:
         raise BadInterval(f"need a list of two numbers [a, b], got {interval!r}")
-    try:
-        a, b = float(interval[0]), float(interval[1])
-    except OverflowError:
-        raise BadInterval(f"interval endpoints too large for a float: {interval!r}") from None
+    a, b = finite_reals(interval, "interval endpoints", BadInterval)
     if not (a < b and math.isfinite(b - a)):
         raise BadInterval(f"need finite a < b with a finite width, got [{a}, {b}]")
     return a, b

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import operator
 import os
 import sys
@@ -28,8 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blocks import build_divergent_family, default_delta_schedule, partial_sums
-from .catalog import get_function
+from .blocks import build_divergent_family, partial_sums
+from .catalog import finite_reals, get_function
 from .errors import ConfigError, SpecshiftError
 from .hermitian import (apply_function, decompose, hermitian_part, increment_ratio,
                         operator_scale, schatten_from_singular, singular_values,
@@ -180,19 +179,9 @@ def run_divergence(cfg: dict) -> tuple:
     budget = _get_int(cfg, "budget", 1)
     seed = _get_int(cfg, "seed", 0)
     dim = _get_int(cfg, "dim", 1, default=2)
-    delta0 = cfg.get("delta0", 1.0)
-    try:  # isfinite raises on a non-number and on an int too large for a float
-        ok = not isinstance(delta0, bool) and math.isfinite(delta0) and delta0 > 0
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"delta0 must be a positive real, got {delta0!r}")
-    try:  # the family's own schedule check, before anything is computed
-        default_delta_schedule(block_count, float(delta0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    family = build_divergent_family(f, block_count, budget, seed, dim, float(delta0))
+    (delta0,) = finite_reals([cfg.get("delta0", 1.0)], "delta0", ConfigError)
+    # the family checks its schedule (BadSchedule, exit 2) before any search
+    family = build_divergent_family(f, block_count, budget, seed, dim, delta0)
     docs = family_to_json(family)
 
     columns = ("n", "delta", "target_ratio", "achieved_ratio", "multiplicity",
@@ -226,7 +215,7 @@ def run_commuting(cfg: dict) -> tuple:
     rows = []
     witness_doc = sequence_witness_to_json(outcome, f.reference(), levels)
     if not isinstance(outcome, NotFound):
-        blocks = divergence_check(outcome, levels)
+        blocks = divergence_check(outcome)
         # ok: always true (divergence_check raises first); frozen reports read it
         for k, (t, s, blk) in enumerate(zip(outcome.t, outcome.s, blocks), start=1):
             rows.append((k, _fmt(t), _fmt(s), str(blk.multiplicity),

@@ -7,7 +7,7 @@ class SpecshiftError(Exception):
 
 class ConfigError(SpecshiftError):
     """Invalid experiment configuration or command-line usage; the CLI exits
-    2 on it and on its subclasses, raised where the input is first read."""
+    2 on it and on its subclasses, raised by the one check of each input."""
 
 
 class NonFinite(SpecshiftError):
@@ -37,6 +37,10 @@ class BadParams(ConfigError):
 
 class UnknownFunction(ConfigError):
     """Catalog function id is not recognised."""
+
+
+class BadSchedule(ConfigError, ValueError):
+    """K < 1, or windows delta0 * 2**-n, n = 1..K, not positive and strictly shrinking."""
 
 
 class RefinementOverflow(SpecshiftError):

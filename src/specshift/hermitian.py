@@ -299,7 +299,7 @@ def trace_transfer_check(fs, deltas, a: np.ndarray, b: np.ndarray) -> list:
     vals = np.empty_like(w)
     for f in dict.fromkeys(fs):
         rows = np.array([h == f for h in fs])
-        vals[..., rows, :] = f.shifted(f(0.0)).values_at(w[..., rows, :])
+        vals[..., rows, :] = f.values_at(w[..., rows, :]) - f(0.0)
     (ga, gb), (gad, gbd) = _calculus(
         np.stack([dec.eigenvectors, dec_d.eigenvectors]), vals)
     tail_a = ga - gad

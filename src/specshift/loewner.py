@@ -54,20 +54,20 @@ class FiniteSpectrumSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def size(self) -> int:
-        return int(self.points.size)
-
 
 def restrict_to_grid(interval, n: int) -> FiniteSpectrumSet:
-    """n equispaced points spanning [a, b], endpoints included."""
+    """n >= 2 distinct equispaced points spanning [a, b], endpoints included."""
     a, b = interval_bounds(interval)
     if n < 2:
         raise BadInterval(f"need n >= 2 grid points, got {n}")
-    pts = np.linspace(a, b, n)
-    if np.any(pts[1:] <= pts[:-1]):
-        raise BadInterval(f"[{a}, {b}] holds no {n} distinct equispaced floats")
-    return FiniteSpectrumSet(pts)
+    # count the doubles in [a, b] by order-preserving codes (-0.0 and 0.0 share 0)
+    lo, hi = (c if c >= 0 else -(c & (2 ** 63 - 1))
+              for c in np.array([a, b]).view(np.int64).tolist())
+    if n <= hi - lo + 1:
+        pts = np.linspace(a, b, n)
+        if np.all(pts[1:] > pts[:-1]):
+            return FiniteSpectrumSet(pts)
+    raise BadInterval(f"[{a}, {b}] holds no {n} distinct equispaced floats")
 
 
 def _divided(f: ScalarFunction, x: float, y: float):

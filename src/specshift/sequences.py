@@ -136,8 +136,8 @@ def scalar_ratio_witnesses(f: ScalarFunction, levels: int,
     return make_sequence_witness(f, t_seq, s_seq)
 
 
-def divergence_check(witness: SequenceWitness, upto: int) -> Tuple[SumBlock, ...]:
-    """Realise the first ``upto`` levels as 1x1 blocks (t_k) vs (s_k) with
+def divergence_check(witness: SequenceWitness) -> Tuple[SumBlock, ...]:
+    """Realise every level k as the 1x1 block (t_k) vs (s_k) with
     multiplicity n_k and verify n_k |t_k - s_k| < 2**(1-k) on each.
 
     The trace norms of a 1x1 block are |t_k - s_k| and |f(t_k) - f(s_k)|,
@@ -145,12 +145,10 @@ def divergence_check(witness: SequenceWitness, upto: int) -> Tuple[SumBlock, ...
     bound is implied by the witness invariants, so its failure raises
     InvariantViolation naming the level.
     """
-    if not 0 <= upto <= witness.length:
-        raise IndexError(f"upto = {upto} outside [0, {witness.length}]")
     ft, fs = witness.function.values_at(np.array([witness.t, witness.s])).tolist()
     blocks = []
     for k, (t, s, n, a, b) in enumerate(
-            zip(witness.t[:upto], witness.s, witness.n, ft, fs), start=1):
+            zip(witness.t, witness.s, witness.n, ft, fs), start=1):
         blk = SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
                        abs(t - s), abs(a - b))
         wp = blk.weighted_delta_s1

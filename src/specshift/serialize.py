@@ -75,21 +75,15 @@ def matrix_from_json(doc: dict) -> HermitianOperator:
 
 
 def witness_to_json(result: SeminormLowerBound, function_ref: dict) -> dict:
-    doc = {
+    return {
         "function": function_ref,
         "norm_kind": result.norm_kind,
         "value": result.value,
         "seed": result.seed,
         "budget": result.budget,
+        "A": matrix_to_json(result.witness.a),
+        "B": matrix_to_json(result.witness.b),
     }
-    if result.witness is None:
-        doc["degenerate"] = True
-        doc["A"] = None
-        doc["B"] = None
-    else:
-        doc["A"] = matrix_to_json(result.witness.a)
-        doc["B"] = matrix_to_json(result.witness.b)
-    return doc
 
 
 def _record_to_json(rec: BlockRecord) -> dict:

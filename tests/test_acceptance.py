@@ -156,7 +156,7 @@ def test_criterion_7_sequence_machinery_sqrt_abs():
     levels = 30
     t = [5.0 ** -k for k in range(1, levels + 1)]
     witness = make_sequence_witness(f, t, [0.0] * levels)
-    blocks = divergence_check(witness, levels)
+    blocks = divergence_check(witness)
     for k, blk in enumerate(blocks, start=1):
         assert blk.weighted_delta_s1 < 2.0 ** (1 - k)
     pert, incr = partial_sums(blocks, levels)

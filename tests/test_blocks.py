@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 from specshift import blocks, search
 
-from specshift import (DivergentFamily, DomainError, HermitianOperator,
-                       InvariantViolation, PreconditionViolated,
+from specshift import (BadSchedule, ConfigError, DivergentFamily, DomainError,
+                       HermitianOperator, InvariantViolation, PreconditionViolated,
                        RefinementOverflow, ScalarFunction, SumBlock,
                        amplify_to_unit, apply_function, build_divergent_family,
                        decompose, get_function,
@@ -87,14 +88,16 @@ class TestSegmentRefine:
             assert increment_ratio(f, a2, b2).ratio_s1 >= ratio_in - 1e-12
             done += 1
 
-    def test_overflow_on_jump_function(self):
+    def test_overflow_on_jump_function(self, monkeypatch):
+        monkeypatch.setattr(blocks, "MAX_SUBDIVISION", 64)
         step = ScalarFunction("step", (), pointwise(lambda x: 0.0 if x < 0.5 else 2.0))
         a = HermitianOperator([[0.0]])
         b = HermitianOperator([[1.0]])
-        with pytest.raises(RefinementOverflow):
-            segment_refine(step, a, b, n_max=64)
+        with pytest.raises(RefinementOverflow, match="up to 64 "):
+            segment_refine(step, a, b)
 
     def test_hopeless_refinement_raises_early(self, monkeypatch):
+        monkeypatch.setattr(blocks, "MAX_SUBDIVISION", 64)
         # total increment 1000: the first halving leaves a piece of ~707, so
         # no n <= 64 can bring every piece below 1
         calls = []
@@ -107,7 +110,7 @@ class TestSegmentRefine:
         monkeypatch.setattr(blocks, "apply_function", counting)
         with pytest.raises(RefinementOverflow):
             segment_refine(get_function("sqrt_abs"), HermitianOperator([[-1e6]]),
-                           HermitianOperator([[0.0]]), n_max=64)
+                           HermitianOperator([[0.0]]))
         assert len(calls) <= 3
 
 
@@ -271,6 +274,18 @@ class TestBuildDivergentFamily:
         # delta0 * 2**-1100 underflows to 0: refused before any search
         with pytest.raises(ValueError, match="n = 1..1100"):
             build_divergent_family(f, 1100, 1, 0)
+        assert issubclass(BadSchedule, ConfigError)
+
+    def test_schedule_check_costs_nothing_that_grows_with_k(self):
+        # the windows of a million blocks are never formed to be refused
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadSchedule, match="n = 1..1000000$"):
+                build_divergent_family(get_function("sqrt_abs"), 10**6, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_family_rejects_bad_records(self):
         f = get_function("sqrt_abs")

@@ -1,5 +1,6 @@
 """End-to-end tests for the specshift command-line runner."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -124,6 +125,29 @@ class TestRatioSearchCommand:
             matrix_from_json(doc["A"])
             matrix_from_json(doc["B"])
 
+    def test_norm_kinds_far_apart_warn_once(self, tmp_path, capsys, monkeypatch):
+        # a Schatten-1 bound scaled by 4 leaves the factor-2 band around the
+        # operator bound by more than DIAGNOSTIC_SLACK: a warning, not an error
+        search = cli.seminorm_lower_bound
+
+        def scaled(f, grid, dim, kind, *args):
+            result = search(f, grid, dim, kind, *args)
+            if kind == "schatten1":
+                return dataclasses.replace(result, value=4.0 * result.value)
+            return result
+
+        monkeypatch.setattr(cli, "seminorm_lower_bound", scaled)
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "abs"}, "dims": [2],
+            "grid": {"interval": [-1, 1], "count": 5},
+            "budget": 1, "seed": 0, "output": str(out)})
+        assert main(["ratio-search", cfg]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: dim 2: ")
+        _, rows = _read_rows(out)
+        assert sorted(r["norm_kind"] for r in rows) == ["operator", "schatten1"]
+
     def test_config_errors_exit_2(self, tmp_path):
         bad = _write_cfg(tmp_path / "bad.json", {
             "function": {"id": "abs"}, "dims": [], "budget": 1, "seed": 0,
@@ -135,9 +159,10 @@ class TestRatioSearchCommand:
         assert main(["ratio-search", unknown]) == 2
         assert main(["ratio-search", str(tmp_path / "missing.json")]) == 2
 
+    # 10**20 points exceed the 9214364837600034817 doubles in [-1, 1]
     @pytest.mark.parametrize("dims, count", [([True], 5), ([1, True], 5),
                                              ([1, 2.0], 5), ([1], True),
-                                             ([1], 5.0)])
+                                             ([1], 5.0), ([1], 10**20)])
     def test_bad_dims_or_count_exits_2(self, tmp_path, capsys, dims, count):
         out = tmp_path / "report.csv"
         cfg = _write_cfg(tmp_path / "cfg.json", {
@@ -296,10 +321,12 @@ class TestDivergenceCommand:
             assert main(["divergence", cfg]) == 2
             assert not out.exists()
 
-    @pytest.mark.parametrize("levels,delta0", [(1080, 1.0), (5000, 1.0), (1074, 0.625)])
+    @pytest.mark.parametrize("levels,delta0", [(1080, 1.0), (5000, 1.0), (10**12, 1.0),
+                                               (1074, 0.625)])
     def test_schedule_underflow_exits_2(self, tmp_path, levels, delta0):
-        # delta0 * 2**-K is 0.0 for the first two; for the third the last two
-        # deltas both round to the smallest subnormal
+        # delta0 * 2**-K is 0.0 for the first three (the schedule is checked
+        # without being built); for the last the last two deltas both round
+        # to the smallest subnormal
         out = tmp_path / "report.csv"
         cfg = _write_cfg(tmp_path / "cfg.json", {
             "function": {"id": "sqrt_abs", "params": []},

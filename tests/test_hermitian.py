@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specshift import (ConvergenceFailure, DegeneratePair, HermitianOperator,
-                       NonFinite, apply_function, catalog_ids, decompose,
-                       get_function, increment_ratio, operator_scale,
+                       NonFinite, ScalarFunction, apply_function, catalog_ids,
+                       decompose, get_function, increment_ratio, operator_scale,
                        singular_values, spectral_truncation, trace_transfer_check)
 from specshift.hermitian import schatten_from_singular
 
@@ -401,7 +401,8 @@ class TestOneSpectrumPerMatrix:
         f = get_function(fid, _PARAMS.get(fid, ()))
         a, b = _pair(seed, dim, complex_entries, scale=1.5)
         rep = _transfer(f, delta, a, b)
-        g = f.shifted(f(0.0))
+        # f - f(0), as trace_transfer_check forms it: f's values, less f(0)
+        g = ScalarFunction(f.id, f.params, lambda x, c=f(0.0): f.values_at(x) - c)
         top = max(schatten(a, np.inf), schatten(b, np.inf))
         for op, tail_s1, tail_rank in ((a, rep.tail_a_s1, rep.tail_a_rank),
                                        (b, rep.tail_b_s1, rep.tail_b_rank)):

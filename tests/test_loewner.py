@@ -135,6 +135,16 @@ class TestRestrictToGrid:
         with pytest.raises(BadInterval):  # [1, 1 + 2 ulp] holds three floats
             restrict_to_grid((1, 1.0000000000000004), 5)
 
+    @pytest.mark.parametrize("interval, doubles", [((1, 1.0000000000001), 451),
+                                                   ((-5e-324, 5e-324), 3)])
+    def test_count_up_to_the_doubles_in_the_interval(self, interval, doubles):
+        # n = the number of doubles in [a, b] takes every one of them
+        pts = restrict_to_grid(interval, doubles).points
+        assert pts[0] == interval[0] and pts[-1] == interval[1]
+        assert np.all(np.diff(pts) > 0)
+        with pytest.raises(BadInterval, match=f"holds no {doubles + 1} distinct"):
+            restrict_to_grid(interval, doubles + 1)
+
 
 class TestFiniteSpectrumSet:
     def test_rejects_unsorted(self):

@@ -763,7 +763,7 @@ class TestScreenedLanes:
         f, grid, dim, budget = get_function("abs"), restrict_to_grid((-1, 1), 17), 4, 6
         ev = _Evaluator(grid.points, f.values_at(grid.points), "schatten1")
         probe, _ = _scalar_probe(ev, dim)
-        lanes = ev.lanes([_restart_start(grid.size, dim, 1, r) for r in range(budget)])
+        lanes = ev.lanes([_restart_start(grid.points.size, dim, 1, r) for r in range(budget)])
         kept = int((_lane_bounds(lanes, "schatten1") >= probe).sum())
         assert 0 < kept < budget
         calls = count_calls(monkeypatch, np.linalg, "qr")

@@ -265,7 +265,7 @@ class TestMultiplicitySequence:
 class TestDivergenceCheck:
     def test_canonical_witness_30_levels(self):
         f, w = _canonical_sqrt_witness(30)
-        blocks = divergence_check(w, 30)
+        blocks = divergence_check(w)
         levels = list(zip(w.t, w.s, blocks))
         for k, (_, _, blk) in enumerate(levels, start=1):
             assert blk.weighted_delta_s1 < 2.0 ** (1 - k)
@@ -286,7 +286,7 @@ class TestDivergenceCheck:
 
     def test_zero_levels(self):
         _, w = _canonical_sqrt_witness(5)
-        perturbation_sum, increment_sum = partial_sums(divergence_check(w, 0), 0)
+        perturbation_sum, increment_sum = partial_sums(divergence_check(w), 0)
         assert perturbation_sum == 0.0
         assert increment_sum == 0.0
 
@@ -300,7 +300,7 @@ class TestDivergenceCheck:
         s = [0.0] * levels
         n = [2 ** (k + 1) for k in range(1, levels + 1)]
         w = dataclasses.replace(make_sequence_witness(f, t, s), n=tuple(n))
-        blocks = divergence_check(w, levels)
+        blocks = divergence_check(w)
         for blk in blocks:
             assert blk.weighted_increment_s1 == 1.0
         assert partial_sums(blocks, levels)[1] == float(levels)
@@ -310,13 +310,7 @@ class TestDivergenceCheck:
         f, w = _canonical_sqrt_witness(3)
         bad = SequenceWitness(f, w.t, w.s, (10 ** 9, 3, 3))
         with pytest.raises(InvariantViolation, match="level 1"):
-            divergence_check(bad, 3)
-
-    @pytest.mark.parametrize("upto", [-1, 4])
-    def test_upto_out_of_range(self, upto):
-        _, w = _canonical_sqrt_witness(3)
-        with pytest.raises(IndexError):
-            divergence_check(w, upto)
+            divergence_check(bad)
 
 
 class TestDiagonalEmbedding:
@@ -325,16 +319,16 @@ class TestDiagonalEmbedding:
     def test_single_level_bookkeeping(self):
         f = get_function("identity")
         w = SequenceWitness(f, (0.2,), (0.0,), (3,))
-        ps, is_ = partial_sums(divergence_check(w, 1), 1)
+        ps, is_ = partial_sums(divergence_check(w), 1)
         assert ps == pytest.approx(0.6, rel=1e-15)
         assert is_ == pytest.approx(0.6, rel=1e-15)
 
     def test_identity_aggregate_ratio_one(self):
         f = get_function("identity")
         w = SequenceWitness(f, (0.2, 0.1), (0.0, 0.0), (2, 4))
-        ps, is_ = partial_sums(divergence_check(w, 2), 2)
+        ps, is_ = partial_sums(divergence_check(w), 2)
         assert is_ / ps == pytest.approx(1.0, rel=1e-15)
 
     def test_bridge_identity_exact(self):
         _, w = _canonical_sqrt_witness(30)
-        assert_same_blocks(divergence_check(w, 30), one_by_one_blocks(w, 30))
+        assert_same_blocks(divergence_check(w), one_by_one_blocks(w, 30))

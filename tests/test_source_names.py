@@ -11,8 +11,12 @@ arithmetic and the per-element map of scalar functions.  The noise-floor
 rule and the eigensolver tolerance have one owner each.  A function takes
 each matrix's singular values once.  Files are written through one
 function, which only ``cli.main`` calls, after it has checked the output
-path and format once; catalog and grid input errors are configuration
-errors that no module catches.
+path and format once; catalog, grid and schedule input errors are
+configuration errors that no module catches, and cli catches errors only
+where it reads a file and in ``main``.  Every parameter default is
+overridden by some caller in the package or the benchmark: an option with
+one value in use is a constant.  The divergence schedule is built in one
+place.
 """
 
 import ast
@@ -22,9 +26,12 @@ import pytest
 
 from specshift import errors
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "specshift"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "specshift"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(SRC.glob("*.py"))}
+BENCH = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted((ROOT / "perfbench").glob("*.py"))}
 
 
 def _exported(tree) -> set:
@@ -161,26 +168,28 @@ def test_numpy_reached_by_module_attribute_only():
     assert not {m for m in modules if m and m.split(".")[0] in ("numpy", "scipy")}
 
 
-def _calls(tree, module: str) -> list:
-    """(callee, scope, call) for every call in ``tree``: callee is the last
-    name of the called chain, scope the enclosing module.Class.function."""
-    found = []
-
+def _scoped(tree, module: str):
+    """(node, scope) for every node in ``tree``; scope is the enclosing
+    module.Class.function, a definition's own name included."""
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            if name is not None:
-                found.append((name.rsplit(".", 1)[-1], scope, node))
+        yield node, scope
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            yield from visit(child, scope)
 
-    visit(tree, module)
-    return found
+    return visit(tree, module)
+
+
+def _calls(tree, module: str) -> list:
+    """(callee, scope, call) for every call in ``tree``: callee is the last
+    name of the called chain, scope the enclosing module.Class.function."""
+    return [(name.rsplit(".", 1)[-1], scope, node) for node, scope in _scoped(tree, module)
+            if isinstance(node, ast.Call) and (name := _dotted(node.func)) is not None]
 
 
 CALLS = [call for path, tree in MODULES.items() for call in _calls(tree, path[:-3])]
+BENCH_CALLS = [call for path, tree in BENCH.items() for call in _calls(tree, path[:-3])]
 
 
 def test_no_function_takes_the_same_singular_values_twice():
@@ -204,7 +213,7 @@ def test_output_handled_only_in_main(name):
     assert {scope for callee, scope, _ in CALLS if callee == name} == {"cli.main"}
 
 
-INPUT_ERRORS = ("BadParams", "UnknownFunction", "BadInterval")
+INPUT_ERRORS = ("BadParams", "UnknownFunction", "BadInterval", "BadSchedule")
 
 
 def test_input_errors_are_never_caught():
@@ -218,3 +227,54 @@ def test_input_errors_are_never_caught():
 @pytest.mark.parametrize("name", INPUT_ERRORS)
 def test_input_errors_are_config_errors(name):
     assert issubclass(getattr(errors, name), errors.ConfigError)
+
+
+def test_cli_catches_only_where_it_reads_a_file_and_exits():
+    # every other error reaches main, which maps it to an exit code
+    assert {scope for node, scope in _scoped(MODULES["cli.py"], "cli")
+            if isinstance(node, ast.ExceptHandler)} == {"cli._read_json", "cli.main"}
+
+
+def test_schedule_built_only_by_the_family():
+    # the family checks its schedule before any search; nothing checks it first
+    assert ({scope for callee, scope, _ in CALLS if callee == "default_delta_schedule"}
+            == {"blocks.build_divergent_family"})
+
+
+def _defaulted_parameters(tree) -> list:
+    """(function, parameter, position) for every parameter with a default;
+    position counts call arguments (a method's self is not one), and is
+    None for a keyword-only parameter."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args, skip = node.args, int(id(node) in methods)
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, arg.arg, i - skip) for i, arg in enumerate(positional)
+                      if i >= first]
+            found += [(node.name, arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def _sets(call, name: str, position) -> bool:
+    """True when ``call`` passes the parameter, by keyword or by position."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_default_is_overridden_by_some_caller():
+    # a default that no caller in the package or the benchmark overrides is
+    # an option with one value in use: it should be a constant
+    unset = [(path, function, name)
+             for path, tree in MODULES.items()
+             for function, name, position in _defaulted_parameters(tree)
+             if not any(callee == function and _sets(call, name, position)
+                        for callee, _, call in CALLS + BENCH_CALLS)]
+    assert unset == []
