@@ -22,7 +22,7 @@ from .blocks import (BlockRecord, DivergentFamily, SumBlock, amplify_to_unit,
                      build_divergent_family, default_delta_schedule,
                      partial_sums, segment_refine, weighted)
 from .catalog import ScalarFunction, catalog_ids, get_function
-from .errors import (BadInterval, BadParams, BadSchedule, ConfigError,
+from .errors import (BadArgument, BadInterval, BadParams, BadSchedule, ConfigError,
                      ConvergenceFailure, DegeneratePair, DomainError,
                      InvariantViolation, NonFinite, PreconditionViolated,
                      RefinementOverflow, SpecshiftError, UnknownFunction)

@@ -16,8 +16,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .catalog import ScalarFunction
-from .errors import (BadSchedule, DegeneratePair, InvariantViolation,
+from .catalog import ScalarFunction, finite_reals, integer_at_least
+from .errors import (BadArgument, BadSchedule, DegeneratePair, InvariantViolation,
                      PreconditionViolated, RefinementOverflow)
 from .hermitian import (HermitianOperator, apply_function, decompose,
                         schatten_from_singular, singular_values)
@@ -211,14 +211,15 @@ class DivergentFamily:
         return self.records + (self.failure,)
 
 
-def default_delta_schedule(block_count: int, delta0: float = 1.0) -> Iterator[float]:
+def default_delta_schedule(block_count: int, delta0: float) -> Iterator[float]:
     """delta_n = delta0 * 2**-n for n = 1..block_count, yielded lazily;
-    BadSchedule unless block_count >= 1 and the windows are positive, finite
-    and strictly shrinking (so delta0 > 0; delta0 * 2**-n may underflow).
-    The computed windows never grow, and two are equal only at the smallest
-    subnormal, with 0.0 next: the last two decide (delta_0 = inf), in O(1)."""
-    if block_count < 1:
-        raise BadSchedule(f"block_count must be >= 1, got {block_count}")
+    BadSchedule unless block_count is an integer >= 1, delta0 a finite real
+    and the windows positive, finite and strictly shrinking (so delta0 > 0;
+    delta0 * 2**-n may underflow).  The computed windows never grow, and two
+    are equal only at the smallest subnormal, with 0.0 next: the last two
+    decide (delta_0 = inf), in O(1)."""
+    integer_at_least(block_count, 1, "K", BadSchedule)
+    (delta0,) = finite_reals([delta0], "delta0", BadSchedule)
     # 2.0 ** -n is 0.0 from n = 1075 on, and raises OverflowError for huge n
     last, before = (delta0 * 2.0 ** -min(n, 1075) if n else math.inf
                     for n in (block_count, block_count - 1))
@@ -268,9 +269,12 @@ def build_divergent_family(f: ScalarFunction, block_count: int,
     Each block is searched on its own (``seminorm_lower_bound``), then
     refined and amplified, in block order; no block after a failed one is
     searched, so a family that stops at block m has searched exactly m
-    blocks.  The schedule's BadSchedule comes before any search.
+    blocks.  The schedule's BadSchedule and the seed's BadArgument come
+    before any search; the seed is checked here, as the block seeds derive
+    from it.
     """
     schedule = default_delta_schedule(block_count, delta0)
+    integer_at_least(seed, 0, "seed", BadArgument)
     records = []
     for index, delta in enumerate(schedule, start=1):
         bound = seminorm_lower_bound(f, _block_grid(delta, index), dim, "schatten1",

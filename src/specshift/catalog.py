@@ -21,6 +21,7 @@ __all__ = [
     "ScalarFunction",
     "get_function",
     "finite_reals",
+    "integer_at_least",
     "catalog_ids",
     "max_quotient",
     "pointwise",
@@ -205,14 +206,26 @@ def get_function(fid: str, params=()) -> ScalarFunction:
 
 def finite_reals(values, what: str, error) -> Tuple[float, ...]:
     """``values`` as finite floats, the one check of JSON reals: ``error`` naming
-    ``what`` for a bool, a non-real, or a number that overflows or is not finite."""
-    try:  # isfinite raises OverflowError on an int too large for a float
-        if all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-               for x in values):
-            return tuple(float(x) for x in values)
-    except OverflowError:
-        pass
-    raise error(f"{what}: each must be a finite real number, got {values!r}")
+    ``what`` and the first bool, non-real, or number that overflows or is not
+    finite, with its index."""
+    out = []
+    for i, x in enumerate(values):
+        try:  # isfinite raises OverflowError on an int too large for a float
+            if isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x):
+                out.append(float(x))
+                continue
+        except OverflowError:
+            pass
+        raise error(f"{what}: each must be a finite real number, but entry {i} is {x!r}")
+    return tuple(out)
+
+
+def integer_at_least(value, minimum: int, what: str, error) -> int:
+    """``value`` as an int, the one check of JSON integers: ``error`` naming
+    ``what`` unless it is an integer, not a bool, and at least ``minimum``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 def interval_bounds(interval) -> Tuple[float, float]:

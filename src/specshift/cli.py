@@ -7,8 +7,10 @@ Usage:
 with command one of ratio-search | divergence | commuting | verify.  ``main``
 is the one path from a config to files: it reads the JSON config, applies the
 flags over the matching fields and checks ``experiment``, ``output`` and
-``format``; the command checks its own fields and computes; ``main`` then
-serialises every file and writes the report, then its sidecars.  Reports are
+``format``; the command routes its fields to the library functions, each of
+which checks the values it uses (an optional field the config leaves out
+gets the library default), and computes; ``main`` then serialises every
+file and writes the report, then its sidecars.  Reports are
 byte-deterministic for a fixed config: floats are printed with 17
 significant digits, row order is fixed, line endings are "\\n".
 
@@ -28,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .blocks import build_divergent_family, partial_sums
-from .catalog import finite_reals, get_function
+from .catalog import get_function, integer_at_least
 from .errors import ConfigError, SpecshiftError
 from .hermitian import (apply_function, decompose, hermitian_part, increment_ratio,
                         operator_scale, schatten_from_singular, singular_values,
@@ -98,17 +100,10 @@ def _get_function(cfg: dict):
     return get_function(ref["id"], ref.get("params", ()))
 
 
-def _check_int(value, minimum: int, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _get_int(cfg: dict, key: str, minimum: int, default=None) -> int:
-    value = cfg.get(key, default)
-    if value is None:
-        raise ConfigError(f"config needs integer field {key!r}")
-    return _check_int(value, minimum, key)
+def _given(cfg: dict, *keys) -> dict:
+    """The optional fields among ``keys`` that ``cfg`` has; the library
+    default applies to the others."""
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def _get_output(cfg: dict) -> str:
@@ -141,15 +136,11 @@ def run_ratio_search(cfg: dict) -> tuple:
     dims = cfg.get("dims")
     if not isinstance(dims, list) or not dims:
         raise ConfigError('config needs "dims": a list of positive integers')
-    for dim in dims:
-        _check_int(dim, 1, "each dim")
     grid_cfg = cfg.get("grid")
     if not isinstance(grid_cfg, dict) or "interval" not in grid_cfg:
         raise ConfigError('config needs "grid": {"interval": [a, b], "count": n}')
-    count = _check_int(grid_cfg.get("count"), 2, "grid count")
-    grid = restrict_to_grid(grid_cfg["interval"], count)
-    budget = _get_int(cfg, "budget", 1)
-    seed = _get_int(cfg, "seed", 0)
+    grid = restrict_to_grid(grid_cfg["interval"], grid_cfg.get("count"))
+    budget, seed = cfg.get("budget"), cfg.get("seed")
 
     columns = ("dim", "norm_kind", "budget", "seed", "best_ratio", "witness_file")
     rows, sidecars = [], []
@@ -175,13 +166,8 @@ def run_ratio_search(cfg: dict) -> tuple:
 
 def run_divergence(cfg: dict) -> tuple:
     f = _get_function(cfg)
-    block_count = _get_int(cfg, "K", 1)
-    budget = _get_int(cfg, "budget", 1)
-    seed = _get_int(cfg, "seed", 0)
-    dim = _get_int(cfg, "dim", 1, default=2)
-    (delta0,) = finite_reals([cfg.get("delta0", 1.0)], "delta0", ConfigError)
-    # the family checks its schedule (BadSchedule, exit 2) before any search
-    family = build_divergent_family(f, block_count, budget, seed, dim, delta0)
+    family = build_divergent_family(f, cfg.get("K"), cfg.get("budget"), cfg.get("seed"),
+                                    **_given(cfg, "dim", "delta0"))
     docs = family_to_json(family)
 
     columns = ("n", "delta", "target_ratio", "achieved_ratio", "multiplicity",
@@ -205,11 +191,9 @@ def run_divergence(cfg: dict) -> tuple:
 
 def run_commuting(cfg: dict) -> tuple:
     f = _get_function(cfg)
-    levels = _get_int(cfg, "K", 1)
-    search_grid = _get_int(cfg, "search_grid", 3, default=2001)
-    seed = _get_int(cfg, "seed", 0)
-
-    outcome = scalar_ratio_witnesses(f, levels, search_grid, seed)
+    levels = cfg.get("K")
+    outcome = scalar_ratio_witnesses(f, levels, seed=cfg.get("seed"),
+                                     **_given(cfg, "search_grid"))
     columns = ("k", "t", "s", "n", "weighted_perturbation", "weighted_increment",
                "bound_2_pow_1_minus_k", "ok")
     rows = []
@@ -394,7 +378,7 @@ def _verify_checks(seed: int, fixtures) -> list:
 
 def run_verify(cfg: dict) -> tuple:
     """The check table; a failed check still gets its report, with exit 3."""
-    seed = _get_int(cfg, "seed", 0, default=20260810)
+    seed = integer_at_least(cfg.get("seed", 20260810), 0, "seed", ConfigError)
     fixtures = []
     raw_fixtures = cfg.get("matrices", [])
     if not isinstance(raw_fixtures, list):
@@ -418,8 +402,9 @@ def run_verify(cfg: dict) -> tuple:
 # entry point
 # ---------------------------------------------------------------------------
 
-#: command -> runner(cfg), which checks the command's own config fields and
-#: returns (columns, rows, [(path suffix, JSON document)], exit code)
+#: command -> runner(cfg), which routes the command's config fields to the
+#: library functions that check them and returns (columns, rows,
+#: [(path suffix, JSON document)], exit code)
 _RUNNERS = {
     "ratio-search": run_ratio_search,
     "divergence": run_divergence,

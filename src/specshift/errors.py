@@ -7,7 +7,9 @@ class SpecshiftError(Exception):
 
 class ConfigError(SpecshiftError):
     """Invalid experiment configuration or command-line usage; the CLI exits
-    2 on it and on its subclasses, raised by the one check of each input."""
+    2 on it and on its subclasses.  Each config value is checked once, by the
+    function that uses it, through ``catalog.finite_reals`` (reals) or
+    ``catalog.integer_at_least`` (integers); the CLI only routes fields."""
 
 
 class NonFinite(SpecshiftError):
@@ -41,6 +43,11 @@ class UnknownFunction(ConfigError):
 
 class BadSchedule(ConfigError, ValueError):
     """K < 1, or windows delta0 * 2**-n, n = 1..K, not positive and strictly shrinking."""
+
+
+class BadArgument(ConfigError, ValueError):
+    """A search or sequence argument (dim, budget, seed, K, search_grid) is
+    not an integer at or above its minimum."""
 
 
 class RefinementOverflow(SpecshiftError):

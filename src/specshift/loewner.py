@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ScalarFunction, interval_bounds
+from .catalog import ScalarFunction, integer_at_least, interval_bounds
 from .errors import BadInterval, InvariantViolation
 from .hermitian import decompose
 
@@ -58,8 +58,7 @@ class FiniteSpectrumSet:
 def restrict_to_grid(interval, n: int) -> FiniteSpectrumSet:
     """n >= 2 distinct equispaced points spanning [a, b], endpoints included."""
     a, b = interval_bounds(interval)
-    if n < 2:
-        raise BadInterval(f"need n >= 2 grid points, got {n}")
+    integer_at_least(n, 2, "grid count", BadInterval)
     # count the doubles in [a, b] by order-preserving codes (-0.0 and 0.0 share 0)
     lo, hi = (c if c >= 0 else -(c & (2 ** 63 - 1))
               for c in np.array([a, b]).view(np.int64).tolist())

@@ -40,7 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import ScalarFunction, max_quotient, pointwise
+from .catalog import ScalarFunction, integer_at_least, max_quotient, pointwise
+from .errors import BadArgument
 from .hermitian import HermitianOperator, RatioWitness, noise_floor
 from .loewner import FiniteSpectrumSet
 
@@ -321,12 +322,8 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     """
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for value, minimum, what in ((dim, 1, "dim"), (budget, 1, "budget"), (seed, 0, "seed")):
+        integer_at_least(value, minimum, what, BadArgument)
     pts = f0.points
     if pts.size < 2:
         return SeminormLowerBound(0.0, None, norm_kind, 0, seed, budget)

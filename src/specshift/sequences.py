@@ -23,8 +23,8 @@ from typing import Tuple, Union
 import numpy as np
 
 from .blocks import SumBlock, floor_reciprocal, ladder_grid
-from .catalog import ScalarFunction, max_quotient
-from .errors import InvariantViolation
+from .catalog import ScalarFunction, integer_at_least, max_quotient
+from .errors import BadArgument, InvariantViolation
 from .hermitian import HermitianOperator
 
 __all__ = [
@@ -117,10 +117,9 @@ def scalar_ratio_witnesses(f: ScalarFunction, levels: int,
     NotFound carrying the first failing level and the best quotient seen
     there.  Deterministic given (seed, search_grid).
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if search_grid < 3:
-        raise ValueError(f"search_grid must be >= 3, got {search_grid}")
+    for value, minimum, what in ((levels, 1, "K"), (search_grid, 3, "search_grid"),
+                                 (seed, 0, "seed")):
+        integer_at_least(value, minimum, what, BadArgument)
     t_seq = []
     s_seq = []
     for k in range(1, levels + 1):

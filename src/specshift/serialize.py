@@ -7,13 +7,13 @@ arbitrary-precision integers survive CSV/JSON consumers.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 
 import numpy as np
 
 from .blocks import BlockRecord, DivergentFamily
-from .errors import DomainError, NonFinite
+from .catalog import finite_reals, integer_at_least
+from .errors import DomainError
 from .hermitian import HermitianOperator
 from .search import SeminormLowerBound
 from .sequences import NotFound
@@ -37,37 +37,31 @@ def matrix_to_json(op: HermitianOperator) -> dict:
 
 
 def _entries(doc: dict, key: str, dim: int) -> np.ndarray:
-    """doc[key] as a dim x dim float array.  Every entry must be a JSON
-    number; null reads as NaN and is rejected later as non-finite."""
+    """doc[key] as a dim x dim float array; every entry must be a finite JSON
+    number (``finite_reals``: null is not one)."""
     cells = np.asarray(doc[key], dtype=object)
     if cells.shape != (dim, dim):
         raise DomainError(f"'{key}' has shape {cells.shape}, expected ({dim}, {dim})")
-    for v in cells.flat:
-        if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-            raise DomainError(f"'{key}' entries must be JSON numbers, got {v!r}")
-    return cells.astype(np.float64)
+    return np.reshape(finite_reals(cells.flat, f"'{key}' entries", DomainError), (dim, dim))
 
 
 def matrix_from_json(doc: dict) -> HermitianOperator:
     """Strict loader for external matrix data.
 
-    Rejects entries that are not numbers, non-finite entries and matrices
-    that are visibly not Hermitian (asymmetry beyond 1e-8 relative); the
-    constructor's exact symmetrisation is reserved for floating-point dust,
-    not for repairing wrong data.
+    Rejects a 'dim' that is not an integer >= 1, entries that are not finite
+    numbers and matrices that are visibly not Hermitian (asymmetry beyond
+    1e-8 relative), all as DomainError; the constructor's exact
+    symmetrisation is reserved for floating-point dust, not for repairing
+    wrong data.
     """
     if not isinstance(doc, dict) or "dim" not in doc or "re" not in doc:
         raise DomainError("matrix JSON needs at least 'dim' and 're'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise DomainError(f"'dim' must be an integer, got {dim!r}")
+    dim = integer_at_least(doc["dim"], 1, "'dim'", DomainError)
     re = _entries(doc, "re", dim)
     if "im" in doc and doc["im"] is not None:
         mat = re + 1j * _entries(doc, "im", dim)
     else:
         mat = re
-    if not np.isfinite(mat).all():
-        raise NonFinite("matrix entries must be finite")
     asym = np.abs(mat - mat.conj().T).max()
     if asym > 1e-8 * max(1.0, np.abs(mat).max()):
         raise DomainError(f"matrix is not Hermitian (asymmetry {asym:g})")

@@ -267,7 +267,7 @@ class TestBuildDivergentFamily:
 
     def test_schedule_validation(self):
         f = get_function("identity")
-        with pytest.raises(ValueError, match="block_count"):
+        with pytest.raises(ValueError, match="K must be an integer >= 1, got 0"):
             build_divergent_family(f, 0, 1, 0)
         with pytest.raises(ValueError, match="delta0"):
             build_divergent_family(f, 2, 1, 0, delta0=-0.5)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from specshift import (BadParams, DomainError, UnknownFunction, catalog_ids,
                        get_function)
 from specshift.blocks import _block_grid
-from specshift.catalog import ScalarFunction, max_quotient, pointwise
+from specshift.catalog import (ScalarFunction, integer_at_least, max_quotient,
+                               pointwise)
 from specshift.search import _Evaluator, _scalar_probe
 
 from conftest import assert_near_exact, exact_quotient_maxima
@@ -74,6 +75,19 @@ def test_unknown_function():
 def test_bad_params(fid, params):
     with pytest.raises(BadParams):
         get_function(fid, params)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), 2.0, "2", None, 1, -3])
+def test_integer_rule_refuses(value):
+    expected = f"count must be an integer >= 2, got {value!r}"
+    with pytest.raises(BadParams, match=f"^{re.escape(expected)}$"):
+        integer_at_least(value, 2, "count", BadParams)
+
+
+def test_integer_rule_returns_a_python_int():
+    for value in (2, np.int64(7), 10**30):
+        got = integer_at_least(value, 2, "count", BadParams)
+        assert type(got) is int and got == value
 
 
 def test_numpy_real_params_are_read_as_floats():

@@ -9,8 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from specshift import (DomainError, HermitianOperator, NonFinite, decompose,
-                       get_function)
+from specshift import DomainError, HermitianOperator, decompose, get_function
 from specshift import cli, hermitian
 from specshift.catalog import ScalarFunction
 from specshift.cli import main
@@ -52,8 +51,17 @@ class TestMatrixJson:
             matrix_from_json({"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]})
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(NonFinite):
+        # null is not a JSON number
+        with pytest.raises(DomainError, match="entry 0 is None"):
             matrix_from_json({"dim": 1, "re": [[None]]})
+
+    def test_names_only_the_first_bad_entry(self):
+        re = np.eye(64).tolist()
+        re[3][5] = "x"
+        with pytest.raises(DomainError) as exc:
+            matrix_from_json({"dim": 64, "re": re})
+        assert str(exc.value) == ("'re' entries: each must be a finite real number, "
+                                  "but entry 197 is 'x'")
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DomainError):
@@ -72,7 +80,7 @@ class TestMatrixJson:
     def test_rejects_entries_that_are_not_numbers(self, key, entry):
         doc = {"dim": 2, "re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
         doc[key][0][0] = entry
-        with pytest.raises(DomainError, match=f"'{key}' entries must be JSON numbers"):
+        with pytest.raises(DomainError, match=f"'{key}' entries: each must be a finite real"):
             matrix_from_json(doc)
 
 
@@ -252,6 +260,21 @@ def test_library_input_errors_exit_2(tmp_path, capsys, monkeypatch, field, value
     assert main(["ratio-search", cfg]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("commuting", "seed", -1), ("divergence", "dim", 0), ("divergence", "K", "3"),
+    ("divergence", "seed", -1)])
+def test_library_argument_errors_exit_2(tmp_path, capsys, command, field, value):
+    # the library function that uses a field checks it and names the value
+    # the config gave (not a block seed derived from it)
+    cfg = _write_cfg(tmp_path / "cfg.json", dict({
+        "function": {"id": "sqrt_abs"}, "K": 2, "budget": 1, "seed": 0,
+        "output": str(tmp_path / "report.csv")}, **{field: value}))
+    assert main([command, cfg]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and line.endswith(f"got {value!r}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -533,6 +556,24 @@ class TestVerifyCommand:
         assert status.pop("norm_ordering") == "fail"
         assert len(status) == 13 and set(status.values()) == {"pass"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.csv"]
+
+    def test_trace_transfer_row_fails_when_the_truncation_moves(self, tmp_path,
+                                                                monkeypatch, capsys):
+        # A_delta moved by a relative 1e-6: f(A) - f(A_delta) no longer equals
+        # the tail formed from A's eigensolve alone
+        real = hermitian.spectral_truncation
+
+        def moved(dec, deltas):
+            truncated, discarded = real(dec, deltas)
+            return truncated * (1.0 + 1e-6), discarded
+
+        monkeypatch.setattr(hermitian, "spectral_truncation", moved)
+        cfg = _write_cfg(tmp_path / "cfg.json",
+                         {"seed": 1, "output": str(tmp_path / "report.csv")})
+        assert main(["verify", cfg]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("verification failed: ")
+        assert "trace_transfer_reassembly" in line
 
 
 class TestVerifyByStacks:

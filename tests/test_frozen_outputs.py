@@ -2,7 +2,8 @@
 
 The sha256 of every file a run writes was recorded from the search of the
 scalar probe and the restarts screened by their a-priori bound, with no
-ascent of the probe pair.  A refactor that changes a single byte of a verify
+ascent of the probe pair; the verify digests, from the trace-transfer row
+that forms each tail two ways.  A refactor that changes a single byte of a verify
 residual, a divergence partial sum, a witness matrix or the JSON layout
 fails here.
 """
@@ -204,19 +205,19 @@ EXPECTED = {
     },
     "verify": {
         "report.csv":
-            "100ce85b3ceee511444bc6f5b6d8c2e7ed0461f386c3254f478b6e2a6394537a",
+            "c67c8c7f736a68574bddf883fbbd16bc0c9dfb8300e6a73c182fc818bbd30c17",
     },
     "verify-seed1": {
         "report.csv":
-            "635fbb129825ca199787b9571dc210d40952473a54d53eaf58b1d85a82ad94c4",
+            "c59c27229a568db6333c6fd5f0b5399dd708f9b23118519e019f65ffc26676b3",
     },
     "verify-seed17": {
         "report.csv":
-            "ded056946481d4f5a065a0d327173f778778692bf5d494dc7ad2acfbd713bc74",
+            "30264d681fb4746f67b5a8aa59e2ab28648633d06e313a7202315c12473c277d",
     },
     "verify-seed30": {
         "report.csv":
-            "5856f6b64748acfe362bb650fcd988e17d8085dc9c5ccde5364723739c86033a",
+            "94d0695570ccd5ef25958bf650af479cec6219e66aa36ffb565f4b253f3c0164",
     },
 }
 

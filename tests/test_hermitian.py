@@ -299,7 +299,8 @@ class TestTraceTransfer:
     def test_equal_pair_all_zero(self, rng):
         a = random_hermitian(rng, 4)
         rep = _transfer(get_function("abs"), 0.5, a, a)
-        assert rep.total_increment_s1 <= 1e-14
+        # A = B: the two tails agree bit for bit, so their difference is zero
+        assert (rep.tail_a_s1, rep.tail_a_rank) == (rep.tail_b_s1, rep.tail_b_rank)
         assert rep.reassembly_residual_s1 <= 1e-14
 
     def test_identity_telescopes(self, rng):

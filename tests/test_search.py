@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specshift import (DomainError, FiniteSpectrumSet, HermitianOperator,
+from specshift import (BadArgument, ConfigError, DomainError, FiniteSpectrumSet,
+                       HermitianOperator,
                        ScalarFunction, apply_function, catalog_ids, get_function,
                        increment_ratio, restrict_to_grid, search, seminorm_lower_bound, singular_values)
 from specshift.blocks import _block_grid, _block_seed, build_divergent_family
@@ -234,15 +235,17 @@ def test_budget_used_is_probe_plus_ascent(count, dim, budget, expected, kind):
 
 
 def test_invalid_arguments():
+    # integer arguments raise a configuration error that is still a ValueError
+    assert issubclass(BadArgument, ConfigError) and issubclass(BadArgument, ValueError)
     f = get_function("abs")
     grid = _grid9()
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument, match="dim must be an integer >= 1, got 0"):
         seminorm_lower_bound(f, grid, 0, "schatten1", 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument, match="budget must be an integer >= 1, got 0"):
         seminorm_lower_bound(f, grid, 1, "schatten1", 0, 0)
     with pytest.raises(ValueError):
         seminorm_lower_bound(f, grid, 1, "nuclear", 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument, match="seed must be an integer >= 0, got -1"):
         seminorm_lower_bound(f, grid, 1, "schatten1", 1, -1)
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specshift import (InvariantViolation, NotFound, SequenceWitness,
+from specshift import (BadArgument, ConfigError, InvariantViolation, NotFound,
+                       SequenceWitness,
                        divergence_check, get_function, make_sequence_witness,
                        partial_sums, scalar_ratio_witnesses)
 from specshift import sequences
@@ -136,11 +137,15 @@ class TestScalarRatioWitnesses:
         assert len(sizes) == 3 and len(set(sizes)) == 1
 
     def test_invalid_arguments(self):
+        # a configuration error that is still a ValueError
+        assert issubclass(BadArgument, ConfigError) and issubclass(BadArgument, ValueError)
         f = get_function("identity")
-        with pytest.raises(ValueError):
+        with pytest.raises(BadArgument, match="K must be an integer >= 1, got 0"):
             scalar_ratio_witnesses(f, 0, 101, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadArgument, match="search_grid must be an integer >= 3, got 2"):
             scalar_ratio_witnesses(f, 1, 2, 0)
+        with pytest.raises(BadArgument, match="seed must be an integer >= 0, got -1"):
+            scalar_ratio_witnesses(f, 1, 101, -1)
 
 
 def _naive_level_pair(f, pts, radius):

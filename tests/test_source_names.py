@@ -11,9 +11,11 @@ arithmetic and the per-element map of scalar functions.  The noise-floor
 rule and the eigensolver tolerance have one owner each.  A function takes
 each matrix's singular values once.  Files are written through one
 function, which only ``cli.main`` calls, after it has checked the output
-path and format once; catalog, grid and schedule input errors are
-configuration errors that no module catches, and cli catches errors only
-where it reads a file and in ``main``.  Every parameter default is
+path and format once; catalog, grid, schedule and search-argument input
+errors are configuration errors that no module catches, and cli catches
+errors only where it reads a file and in ``main``.  The two input rules,
+for reals and for integers, are called only by the functions that use the
+values they check, and cli tests no integer itself.  Every parameter default is
 overridden by some caller in the package or the benchmark: an option with
 one value in use is a constant.  The divergence schedule is built in one
 place.
@@ -213,7 +215,8 @@ def test_output_handled_only_in_main(name):
     assert {scope for callee, scope, _ in CALLS if callee == name} == {"cli.main"}
 
 
-INPUT_ERRORS = ("BadParams", "UnknownFunction", "BadInterval", "BadSchedule")
+INPUT_ERRORS = ("BadParams", "UnknownFunction", "BadInterval", "BadSchedule",
+                "BadArgument")
 
 
 def test_input_errors_are_never_caught():
@@ -233,6 +236,30 @@ def test_cli_catches_only_where_it_reads_a_file_and_exits():
     # every other error reaches main, which maps it to an exit code
     assert {scope for node, scope in _scoped(MODULES["cli.py"], "cli")
             if isinstance(node, ast.ExceptHandler)} == {"cli._read_json", "cli.main"}
+
+
+#: input rule -> the only functions that call it: each config value is
+#: checked by the function that uses it, and by no other
+INPUT_RULES = {
+    "integer_at_least": {"search.seminorm_lower_bound", "sequences.scalar_ratio_witnesses",
+                         "blocks.default_delta_schedule", "blocks.build_divergent_family",
+                         "loewner.restrict_to_grid", "serialize.matrix_from_json",
+                         "cli.run_verify"},
+    "finite_reals": {"catalog.get_function", "catalog.interval_bounds",
+                     "blocks.default_delta_schedule", "serialize._entries"},
+}
+
+
+@pytest.mark.parametrize("rule", sorted(INPUT_RULES))
+def test_input_rule_called_only_by_its_owners(rule):
+    assert {scope for callee, scope, _ in CALLS if callee == rule} == INPUT_RULES[rule]
+
+
+def test_cli_checks_no_integer_itself():
+    # integer fields are routed to the library functions that check them
+    checks = [ast.unparse(call) for callee, _, call in _calls(MODULES["cli.py"], "cli")
+              if callee == "isinstance" and "int" in _used_names(call.args[1])]
+    assert checks == []
 
 
 def test_schedule_built_only_by_the_family():
