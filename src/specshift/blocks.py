@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -286,15 +286,13 @@ def build_divergent_family(f: ScalarFunction, block_count: int,
     return DivergentFamily(tuple(records), None)
 
 
-def partial_sums(blocks: Sequence[SumBlock], upto: int) -> Tuple[float, float]:
-    """(sum of N_n ||B_n - A_n||_1, sum of N_n ||f(B_n) - f(A_n)||_1) over the
-    first ``upto`` of ``blocks``."""
-    if not 0 <= upto <= len(blocks):
-        raise IndexError(
-            f"upto = {upto} outside [0, {len(blocks)}] available blocks")
-    perturbation_sum = 0.0
-    increment_sum = 0.0
-    for blk in blocks[:upto]:
-        perturbation_sum += blk.weighted_delta_s1
-        increment_sum += blk.weighted_increment_s1
-    return perturbation_sum, increment_sum
+def partial_sums(blocks: Sequence[SumBlock]) -> List[Tuple[float, float]]:
+    """Running sums (sum of N_n ||B_n - A_n||_1, sum of N_n ||f(B_n) - f(A_n)||_1)
+    over the first n of ``blocks`` for n = 0, 1, ..., len(blocks), the empty
+    prefix (0.0, 0.0) first; one pass, each sum the one before plus a block."""
+    sums = [(0.0, 0.0)]
+    for blk in blocks:
+        perturbation_sum, increment_sum = sums[-1]
+        sums.append((perturbation_sum + blk.weighted_delta_s1,
+                     increment_sum + blk.weighted_increment_s1))
+    return sums

@@ -1,10 +1,12 @@
 """Catalog of scalar test functions used by the experiments.
 
-Each entry is a :class:`ScalarFunction`: an array rule, an optional
-analytic derivative (``None`` where f has none), and the paper's verdict:
-whether f is operator Lipschitz near 0, which holds exactly when f(B) - f(A)
-is trace class for every trace-class B - A.  No numerical kernel reads the
-verdict.
+One table, keyed by id, holds one row per function: its array rule, an
+optional analytic derivative (``None`` where f has none), and the paper's
+verdict: whether f is operator Lipschitz near 0, which holds exactly when
+f(B) - f(A) is trace class for every trace-class B - A.  A function with
+parameters has a builder in its row instead, which checks them.
+:func:`get_function` turns a row into a :class:`ScalarFunction`.  No
+numerical kernel reads the verdict.
 """
 from __future__ import annotations
 
@@ -84,104 +86,67 @@ def _horner(coeffs: tuple, x):
     return acc
 
 
-def _no_params(fid: str, params: tuple) -> None:
-    if params:
-        raise BadParams(f"{fid} takes no parameters, got {params!r}")
+def _no_derivative_at_0(deriv):
+    """``deriv`` for a function with no derivative at 0."""
+    return lambda x: None if x == 0.0 else deriv(x)
 
 
-def _build_identity(params):
-    _no_params("identity", params)
-    return ScalarFunction(
-        "identity", (), np.copy, lambda x: 1.0, True)
+def _fixed(rule, deriv_fn, verdict: bool):
+    """The builder of a function without parameters."""
+    def build(fid: str, params: tuple) -> ScalarFunction:
+        if params:
+            raise BadParams(f"{fid} takes no parameters, got {params!r}")
+        return ScalarFunction(fid, (), rule, deriv_fn, verdict)
+    return build
 
 
-def _build_constant(params):
+def _one_param(fid: str, params: tuple) -> float:
     if len(params) != 1:
-        raise BadParams(f"constant takes exactly one parameter, got {params!r}")
-    c = params[0]
-    return ScalarFunction(
-        "constant", (c,), lambda x: np.full_like(x, c), lambda x: 0.0, True)
+        raise BadParams(f"{fid} takes exactly one parameter, got {params!r}")
+    return params[0]
 
 
-def _build_poly(params):
+def _build_constant(fid, params):
+    c = _one_param(fid, params)
+    return ScalarFunction(fid, (c,), lambda x: np.full_like(x, c), lambda x: 0.0, True)
+
+
+def _build_poly(fid, params):
     if not params:
-        raise BadParams("poly needs at least one coefficient")
+        raise BadParams(f"{fid} needs at least one coefficient")
     coeffs = params  # ascending: params[k] multiplies x**k
     dcoeffs = tuple(k * coeffs[k] for k in range(1, len(coeffs)))
     return ScalarFunction(
-        "poly", coeffs,
+        fid, coeffs,
         lambda x: _horner(coeffs, x),
         lambda x: _horner(dcoeffs, x) if dcoeffs else 0.0, True)
 
 
-def _build_abs(params):
-    _no_params("abs", params)
-    return ScalarFunction(
-        "abs", (), np.abs,
-        lambda x: None if x == 0.0 else math.copysign(1.0, x), False)
-
-
-def _build_signed_square(params):
-    _no_params("signed_square", params)
-    return ScalarFunction(
-        "signed_square", (), lambda x: x * np.abs(x), lambda x: 2.0 * abs(x), True)
-
-
-def _build_sqrt_abs(params):
-    _no_params("sqrt_abs", params)
-    return ScalarFunction(
-        "sqrt_abs", (), lambda x: np.sqrt(np.abs(x)),
-        lambda x: None if x == 0.0 else math.copysign(0.5 / math.sqrt(abs(x)), x),
-        False)
-
-
-def _build_xsin_inv(params):
-    _no_params("xsin_inv", params)
-
-    def dv(x):
-        if x == 0.0:
-            return None
-        return math.sin(1.0 / x) - math.cos(1.0 / x) / x
-
-    return ScalarFunction(
-        "xsin_inv", (), pointwise(lambda x: 0.0 if x == 0.0 else x * math.sin(1.0 / x)),
-        dv, False)
-
-
-def _build_sin(params):
-    _no_params("sin", params)
-    return ScalarFunction(
-        "sin", (), pointwise(math.sin), math.cos, True)
-
-
-def _build_exp(params):
-    _no_params("exp", params)
-    return ScalarFunction(
-        "exp", (), pointwise(math.exp), math.exp, True)
-
-
-def _build_smoothed_abs(params):
-    if len(params) != 1:
-        raise BadParams(f"smoothed_abs takes exactly one parameter, got {params!r}")
-    eps = params[0]
+def _build_smoothed_abs(fid, params):
+    eps = _one_param(fid, params)
     if not eps > 0.0:
-        raise BadParams(f"smoothed_abs width must be positive, got {eps!r}")
+        raise BadParams(f"{fid} width must be positive, got {eps!r}")
     return ScalarFunction(
-        "smoothed_abs", (eps,),
+        fid, (eps,),
         pointwise(lambda x: math.hypot(x, eps)),
         lambda x: x / math.hypot(x, eps), True)
 
 
+#: id -> builder(id, params); a function without parameters is one row
+#: (array rule, derivative, verdict)
 _BUILDERS = {
-    "identity": _build_identity,
+    "identity": _fixed(np.copy, lambda x: 1.0, True),
     "constant": _build_constant,
     "poly": _build_poly,
-    "abs": _build_abs,
-    "signed_square": _build_signed_square,
-    "sqrt_abs": _build_sqrt_abs,
-    "xsin_inv": _build_xsin_inv,
-    "sin": _build_sin,
-    "exp": _build_exp,
+    "abs": _fixed(np.abs, _no_derivative_at_0(lambda x: math.copysign(1.0, x)), False),
+    "signed_square": _fixed(lambda x: x * np.abs(x), lambda x: 2.0 * abs(x), True),
+    "sqrt_abs": _fixed(lambda x: np.sqrt(np.abs(x)), _no_derivative_at_0(
+        lambda x: math.copysign(0.5 / math.sqrt(abs(x)), x)), False),
+    "xsin_inv": _fixed(pointwise(lambda x: 0.0 if x == 0.0 else x * math.sin(1.0 / x)),
+                       _no_derivative_at_0(lambda x: math.sin(1.0 / x) - math.cos(1.0 / x) / x),
+                       False),
+    "sin": _fixed(pointwise(math.sin), math.cos, True),
+    "exp": _fixed(pointwise(math.exp), math.exp, True),
     "smoothed_abs": _build_smoothed_abs,
 }
 
@@ -201,7 +166,7 @@ def get_function(fid: str, params=()) -> ScalarFunction:
     except KeyError:
         raise UnknownFunction(
             f"unknown function id {fid!r}; known: {', '.join(catalog_ids())}") from None
-    return builder(finite_reals(params, f"parameters for {fid!r}", BadParams))
+    return builder(fid, finite_reals(params, f"parameters for {fid!r}", BadParams))
 
 
 def finite_reals(values, what: str, error) -> Tuple[float, ...]:

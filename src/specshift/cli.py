@@ -174,10 +174,10 @@ def run_divergence(cfg: dict) -> tuple:
                "increment_s1", "perturbation_partial_sum",
                "increment_partial_sum", "status")
     rows = []
-    blocks = family.blocks
+    sums = partial_sums(family.blocks)
     for doc in docs:
         # a failed block comes last and adds nothing to the partial sums
-        pert_sum, incr_sum = partial_sums(blocks, min(doc["n"], len(blocks)))
+        pert_sum, incr_sum = sums[min(doc["n"], len(sums) - 1)]
         rows.append((doc["n"], _fmt(doc["delta"]), _fmt(doc["target_ratio"]),
                      _fmt(doc["achieved_ratio"]), doc["multiplicity"],
                      _fmt(doc["increment_s1"]), _fmt(pert_sum), _fmt(incr_sum),
@@ -402,14 +402,14 @@ def run_verify(cfg: dict) -> tuple:
 # entry point
 # ---------------------------------------------------------------------------
 
-#: command -> runner(cfg), which routes the command's config fields to the
-#: library functions that check them and returns (columns, rows,
-#: [(path suffix, JSON document)], exit code)
-_RUNNERS = {
-    "ratio-search": run_ratio_search,
-    "divergence": run_divergence,
-    "commuting": run_commuting,
-    "verify": run_verify,
+#: command -> (runner(cfg), help text); the runner routes the command's config
+#: fields to the library functions that check them and returns (columns,
+#: rows, [(path suffix, JSON document)], exit code)
+_COMMANDS = {
+    "ratio-search": (run_ratio_search, "maximise increment ratios over a spectra grid"),
+    "divergence": (run_divergence, "assemble a family of blocks with ratio targets 2**n"),
+    "commuting": (run_commuting, "scalar sequence witnesses and divergence bookkeeping"),
+    "verify": (run_verify, "run the numerical invariant suites"),
 }
 
 
@@ -421,11 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trace-norm increment experiments for functions of "
                     "self-adjoint matrices")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("ratio-search", "maximise increment ratios over a spectra grid"),
-            ("divergence", "assemble a family of blocks with ratio targets 2**n"),
-            ("commuting", "scalar sequence witnesses and divergence bookkeeping"),
-            ("verify", "run the numerical invariant suites")):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="path to the JSON experiment config")
         cmd.add_argument("--seed", type=int, default=None,
@@ -449,7 +445,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is for experiment {cfg['experiment']!r}, "
                               f"not {args.command!r}")
         output, fmt = _get_output(cfg), _get_format(cfg)
-        columns, rows, sidecars, code = _RUNNERS[args.command](cfg)
+        columns, rows, sidecars, code = _COMMANDS[args.command][0](cfg)
         _write_all([(output, _report_text(columns, rows, fmt))]
                    + [(_sidecar(output, suffix), dump_json(doc)) for suffix, doc in sidecars])
         return code

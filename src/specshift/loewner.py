@@ -97,14 +97,13 @@ class LoewnerMatrix:
     tie_fallback_used: bool
 
 
-def loewner_matrix(f: ScalarFunction, lam, mu, values=None) -> LoewnerMatrix:
-    """Divided differences L[j][k] = dd(f, lam[j], mu[k]); point by point only
-    at ties.  ``values`` = (f(lam), f(mu)) spares evaluating f when known.
-    Leading axes of lam and mu broadcast: stacked grids give stacked
-    matrices."""
+def loewner_matrix(f: ScalarFunction, lam, mu, values) -> LoewnerMatrix:
+    """Divided differences L[j][k] = dd(f, lam[j], mu[k]) from ``values`` =
+    (f(lam), f(mu)); f is evaluated point by point only at ties.  Leading
+    axes of lam and mu broadcast: stacked grids give stacked matrices."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    f_lam, f_mu = (f.values_at(lam), f.values_at(mu)) if values is None else values
+    f_lam, f_mu = values
     x, y = np.broadcast_arrays(lam[..., :, None], mu[..., None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         entries = (f_lam[..., :, None] - f_mu[..., None, :]) / (x - y)

@@ -108,9 +108,8 @@ def _best_level_pair(f: ScalarFunction, pts: np.ndarray, radius: float):
     return q, None if i is None else (float(pts[i]), float(pts[j]))
 
 
-def scalar_ratio_witnesses(f: ScalarFunction, levels: int,
-                           search_grid: int = 2001,
-                           seed: int = 0) -> Union[SequenceWitness, NotFound]:
+def scalar_ratio_witnesses(f: ScalarFunction, levels: int, search_grid: int = 2001, *,
+                           seed: int) -> Union[SequenceWitness, NotFound]:
     """Search each level k = 1..levels for a pair beating quotient 2**k.
 
     Returns a validated witness when every level succeeds, otherwise a

@@ -115,7 +115,7 @@ def test_criterion_5_divergent_family_sqrt_abs():
     fam = build_divergent_family(f, 10, 4, 11, dim=2)
     assert fam.failure is None
     assert len(fam.records) == 10
-    pert, incr = partial_sums(fam.blocks, 10)
+    pert, incr = partial_sums(fam.blocks)[10]
     assert incr >= 5.0
     assert pert <= 1.1
     # exact-rational oracle for the canonical majorant sum(5**(-n/2) + 5**-n):
@@ -159,7 +159,7 @@ def test_criterion_7_sequence_machinery_sqrt_abs():
     blocks = divergence_check(witness)
     for k, blk in enumerate(blocks, start=1):
         assert blk.weighted_delta_s1 < 2.0 ** (1 - k)
-    pert, incr = partial_sums(blocks, levels)
+    pert, incr = partial_sums(blocks)[levels]
     assert pert < 2.0
     assert incr >= 30.0
     # bridge: level k is the 1x1 pair (t_k) vs (s_k) repeated n_k times

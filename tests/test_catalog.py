@@ -77,6 +77,45 @@ def test_bad_params(fid, params):
         get_function(fid, params)
 
 
+#: the paper's verdict per id: operator Lipschitz near 0, which holds exactly
+#: when f(B) - f(A) is trace class for every trace-class B - A
+_VERDICTS = {"identity": True, "constant": True, "poly": True, "abs": False,
+             "signed_square": True, "sqrt_abs": False, "xsin_inv": False,
+             "sin": True, "exp": True, "smoothed_abs": True}
+_WITH_PARAMS = {"constant", "poly", "smoothed_abs"}
+
+
+@pytest.mark.parametrize("fid", sorted(set(_VERDICTS) - _WITH_PARAMS))
+def test_parameterless_id_refuses_a_parameter(fid):
+    expected = f"{fid} takes no parameters, got (1.0,)"
+    with pytest.raises(BadParams, match=f"^{re.escape(expected)}$"):
+        get_function(fid, [1.0])
+
+
+@pytest.mark.parametrize("fid", ["constant", "smoothed_abs"])
+@pytest.mark.parametrize("params", [[], [0.1, 0.2]])
+def test_one_parameter_id_refuses_other_counts(fid, params):
+    expected = f"{fid} takes exactly one parameter, got {tuple(params)!r}"
+    with pytest.raises(BadParams, match=f"^{re.escape(expected)}$"):
+        get_function(fid, params)
+
+
+@pytest.mark.parametrize("fid,params,expected", [
+    ("poly", [], "poly needs at least one coefficient"),
+    ("smoothed_abs", [-0.1], "smoothed_abs width must be positive, got -0.1"),
+])
+def test_parameter_value_messages(fid, params, expected):
+    with pytest.raises(BadParams, match=f"^{re.escape(expected)}$"):
+        get_function(fid, params)
+
+
+@pytest.mark.parametrize("fid", sorted(_VERDICTS))
+def test_verdict_matches_the_paper(fid):
+    assert sorted(_VERDICTS) == list(catalog_ids())
+    f = get_function(fid, _FROZEN_PARAMS.get(fid, ()))
+    assert f.operator_lipschitz_near_zero is _VERDICTS[fid]
+
+
 @pytest.mark.parametrize("value", [True, np.bool_(False), 2.0, "2", None, 1, -3])
 def test_integer_rule_refuses(value):
     expected = f"count must be an integer >= 2, got {value!r}"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specshift import DomainError, HermitianOperator, decompose, get_function
-from specshift import cli, hermitian
+from specshift import blocks, cli, hermitian
 from specshift.catalog import ScalarFunction
 from specshift.cli import main
 from specshift.serialize import matrix_from_json, matrix_to_json, write_text
@@ -332,6 +332,18 @@ class TestDivergenceCommand:
         assert main(["divergence", cfg]) == 0
         assert out.read_bytes() == first
 
+    def test_partial_sums_take_one_pass(self, tmp_path, monkeypatch):
+        # a constant number of exact products per block: summing each row's
+        # prefix afresh makes K(K + 1) of them
+        levels = 40
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "sqrt_abs", "params": []},
+            "K": levels, "budget": 1, "seed": 0, "dim": 2, "output": str(out)})
+        calls = count_calls(monkeypatch, blocks, "weighted")
+        assert main(["divergence", cfg]) == 0
+        assert len(_read_rows(out)[1]) == levels
+        assert len(calls) <= 8 * levels
 
     def test_bool_delta0_exits_2(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -57,7 +57,7 @@ class TestMakeSequenceWitness:
 
 class TestScalarRatioWitnesses:
     def test_sqrt_abs_found_at_every_level(self):
-        w = scalar_ratio_witnesses(get_function("sqrt_abs"), 20, 801, 7)
+        w = scalar_ratio_witnesses(get_function("sqrt_abs"), 20, 801, seed=7)
         assert isinstance(w, SequenceWitness)
         assert w.length == 20
         for k in range(1, 21):
@@ -68,7 +68,7 @@ class TestScalarRatioWitnesses:
             assert abs(f(tk) - f(sk)) / gap > 2.0 ** k
 
     def test_identity_not_found_at_level_one(self):
-        out = scalar_ratio_witnesses(get_function("identity"), 5, 501, 7)
+        out = scalar_ratio_witnesses(get_function("identity"), 5, 501, seed=7)
         assert isinstance(out, NotFound)
         assert out.level == 1
         assert out.best_quotient == 1.0
@@ -76,7 +76,7 @@ class TestScalarRatioWitnesses:
 
     def test_abs_not_found_at_level_one(self):
         # quotient of abs never exceeds 1 < 2**1
-        out = scalar_ratio_witnesses(get_function("abs"), 4, 501, 7)
+        out = scalar_ratio_witnesses(get_function("abs"), 4, 501, seed=7)
         assert isinstance(out, NotFound)
         assert out.level == 1
         assert out.best_quotient <= 1.0
@@ -93,22 +93,22 @@ class TestScalarRatioWitnesses:
         grid_oracle = abs(f(x0 + h) - f(x0)) / h
         assert grid_oracle > 2.0
 
-        out = scalar_ratio_witnesses(f, 30, 2001, 7)
+        out = scalar_ratio_witnesses(f, 30, 2001, seed=7)
         assert isinstance(out, NotFound)
         assert out.levels_found >= 1
         assert out.level == 16  # frozen for seed 7, grid 2001
         assert out.best_quotient < 2.0 ** 16
 
     def test_deterministic(self):
-        w1 = scalar_ratio_witnesses(get_function("sqrt_abs"), 8, 801, 3)
-        w2 = scalar_ratio_witnesses(get_function("sqrt_abs"), 8, 801, 3)
+        w1 = scalar_ratio_witnesses(get_function("sqrt_abs"), 8, 801, seed=3)
+        w2 = scalar_ratio_witnesses(get_function("sqrt_abs"), 8, 801, seed=3)
         assert w1.t == w2.t and w1.s == w2.s
 
     def test_lipschitz_estimate_implies_not_found(self):
         # every level k with 2**k above the (true) constant fails
         for fid, lip in (("sin", 1.0), ("smoothed_abs", 1.0)):
             f = get_function(fid, (0.2,) if fid == "smoothed_abs" else ())
-            out = scalar_ratio_witnesses(f, 3, 301, 5)
+            out = scalar_ratio_witnesses(f, 3, 301, seed=5)
             assert isinstance(out, NotFound)
             assert 2.0 ** out.level > lip
 
@@ -116,8 +116,8 @@ class TestScalarRatioWitnesses:
         # a level's grid is a function of (level, search_grid, seed) only, so
         # the first 40 levels of a 60-level witness are the 40-level witness
         f = get_function("sqrt_abs")
-        w40 = scalar_ratio_witnesses(f, 40, 301, 1)
-        w60 = scalar_ratio_witnesses(f, 60, 301, 1)
+        w40 = scalar_ratio_witnesses(f, 40, 301, seed=1)
+        w60 = scalar_ratio_witnesses(f, 60, 301, seed=1)
         assert w60.length == 60
         assert (w60.t[:40], w60.s[:40], w60.n[:40]) == (w40.t, w40.s, w40.n)
 
@@ -133,7 +133,7 @@ class TestScalarRatioWitnesses:
 
         monkeypatch.setattr(sequences, "_level_points", recorded)
         for levels in (1, 40, 5000):
-            scalar_ratio_witnesses(get_function("identity"), levels, 101, 0)
+            scalar_ratio_witnesses(get_function("identity"), levels, 101, seed=0)
         assert len(sizes) == 3 and len(set(sizes)) == 1
 
     def test_invalid_arguments(self):
@@ -141,11 +141,11 @@ class TestScalarRatioWitnesses:
         assert issubclass(BadArgument, ConfigError) and issubclass(BadArgument, ValueError)
         f = get_function("identity")
         with pytest.raises(BadArgument, match="K must be an integer >= 1, got 0"):
-            scalar_ratio_witnesses(f, 0, 101, 0)
+            scalar_ratio_witnesses(f, 0, 101, seed=0)
         with pytest.raises(BadArgument, match="search_grid must be an integer >= 3, got 2"):
-            scalar_ratio_witnesses(f, 1, 2, 0)
+            scalar_ratio_witnesses(f, 1, 2, seed=0)
         with pytest.raises(BadArgument, match="seed must be an integer >= 0, got -1"):
-            scalar_ratio_witnesses(f, 1, 101, -1)
+            scalar_ratio_witnesses(f, 1, 101, seed=-1)
 
 
 def _naive_level_pair(f, pts, radius):
@@ -229,13 +229,13 @@ class TestFrozenWitnesses:
     reproduce them bit for bit."""
 
     def test_sqrt_abs_grid_801_seed_1(self):
-        w = scalar_ratio_witnesses(get_function("sqrt_abs"), 12, 801, 1)
+        w = scalar_ratio_witnesses(get_function("sqrt_abs"), 12, 801, seed=1)
         assert isinstance(w, SequenceWitness)
         assert [(t.hex(), s.hex()) for t, s in zip(w.t, w.s)] == [
             ("0x0.0p+0", f"-0x1.0000000000000p-{64 + k}") for k in range(1, 13)]
 
     def test_xsin_inv_grid_2001_seed_1(self):
-        out = scalar_ratio_witnesses(get_function("xsin_inv"), 30, 2001, 1)
+        out = scalar_ratio_witnesses(get_function("xsin_inv"), 30, 2001, seed=1)
         assert isinstance(out, NotFound)
         assert (out.level, out.levels_found) == (17, 16)
         assert out.best_quotient.hex() == "0x1.7ee74b0652a93p+15"
@@ -243,7 +243,7 @@ class TestFrozenWitnesses:
     def test_sqrt_abs_grid_801_seed_1_multiplicities(self):
         # n_k = floor(1 / |f(t_k) - f(s_k)|) + 1 in exact rationals on the
         # stored doubles, with f(x) = sqrt(|x|) correctly rounded
-        w = scalar_ratio_witnesses(get_function("sqrt_abs"), 12, 801, 1)
+        w = scalar_ratio_witnesses(get_function("sqrt_abs"), 12, 801, seed=1)
         increments = [Fraction(abs(math.sqrt(abs(t)) - math.sqrt(abs(s))))
                       for t, s in zip(w.t, w.s)]
         assert w.n == tuple(math.floor(1 / d) + 1 for d in increments)
@@ -275,7 +275,7 @@ class TestDivergenceCheck:
         for k, (_, _, blk) in enumerate(levels, start=1):
             assert blk.weighted_delta_s1 < 2.0 ** (1 - k)
             assert blk.weighted_increment_s1 >= 1.0
-        perturbation_sum, increment_sum = partial_sums(blocks, 30)
+        perturbation_sum, increment_sum = partial_sums(blocks)[30]
         assert perturbation_sum < 2.0
         assert increment_sum >= 30.0
         # exact-rational oracle over the stored floats
@@ -291,7 +291,7 @@ class TestDivergenceCheck:
 
     def test_zero_levels(self):
         _, w = _canonical_sqrt_witness(5)
-        perturbation_sum, increment_sum = partial_sums(divergence_check(w), 0)
+        perturbation_sum, increment_sum = partial_sums(divergence_check(w))[0]
         assert perturbation_sum == 0.0
         assert increment_sum == 0.0
 
@@ -308,7 +308,7 @@ class TestDivergenceCheck:
         blocks = divergence_check(w)
         for blk in blocks:
             assert blk.weighted_increment_s1 == 1.0
-        assert partial_sums(blocks, levels)[1] == float(levels)
+        assert partial_sums(blocks)[levels][1] == float(levels)
 
     def test_bound_failure_names_level(self):
         # a deliberately oversized multiplicity breaks the per-level bound
@@ -324,14 +324,14 @@ class TestDiagonalEmbedding:
     def test_single_level_bookkeeping(self):
         f = get_function("identity")
         w = SequenceWitness(f, (0.2,), (0.0,), (3,))
-        ps, is_ = partial_sums(divergence_check(w), 1)
+        ps, is_ = partial_sums(divergence_check(w))[1]
         assert ps == pytest.approx(0.6, rel=1e-15)
         assert is_ == pytest.approx(0.6, rel=1e-15)
 
     def test_identity_aggregate_ratio_one(self):
         f = get_function("identity")
         w = SequenceWitness(f, (0.2, 0.1), (0.0, 0.0), (2, 4))
-        ps, is_ = partial_sums(divergence_check(w), 2)
+        ps, is_ = partial_sums(divergence_check(w))[2]
         assert is_ / ps == pytest.approx(1.0, rel=1e-15)
 
     def test_bridge_identity_exact(self):

@@ -16,9 +16,10 @@ errors are configuration errors that no module catches, and cli catches
 errors only where it reads a file and in ``main``.  The two input rules,
 for reals and for integers, are called only by the functions that use the
 values they check, and cli tests no integer itself.  Every parameter default is
-overridden by some caller in the package or the benchmark: an option with
-one value in use is a constant.  The divergence schedule is built in one
-place.
+overridden by some caller in the package or the benchmark (an option with
+one value in use is a constant), and relied on by some caller there (a
+default that only tests use should be a required parameter).  The
+divergence schedule is built in one place.
 """
 
 import ast
@@ -305,3 +306,22 @@ def test_every_default_is_overridden_by_some_caller():
              if not any(callee == function and _sets(call, name, position)
                         for callee, _, call in CALLS + BENCH_CALLS)]
     assert unset == []
+
+
+def _relies(call, name: str, position) -> bool:
+    """True when ``call`` leaves the parameter to its default: it passes it
+    neither by position nor by explicit keyword (a ``**kwargs`` call relies)."""
+    if any(keyword.arg == name for keyword in call.keywords):
+        return False
+    return position is None or len(call.args) <= position
+
+
+def test_every_default_is_relied_on_by_some_caller():
+    # a default that every caller in the package and the benchmark overrides
+    # serves only tests: the parameter should be required
+    unused = [(path, function, name)
+              for path, tree in MODULES.items()
+              for function, name, position in _defaulted_parameters(tree)
+              if not any(callee == function and _relies(call, name, position)
+                         for callee, _, call in CALLS + BENCH_CALLS)]
+    assert unused == []
