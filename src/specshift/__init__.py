@@ -7,8 +7,8 @@ Library layout:
   calculus, singular values, truncation, increment ratios, trace transfer);
 - ``catalog``: scalar test functions with derivatives and the paper's
   verdict (operator Lipschitz near 0 or not);
-- ``loewner``: divided differences, Loewner matrices, grids and the
-  mixed-basis perturbation identity;
+- ``loewner``: divided differences (the one tie rule), Loewner matrices,
+  grids and the mixed-basis perturbation identity;
 - ``search``: seeded lower-bound search for the increment-ratio seminorms;
 - ``blocks``: ``SumBlock``, the one direct-sum type (a block pair with a
   symbolic multiplicity; a direct sum is a tuple of them), segment
@@ -27,9 +27,9 @@ from .errors import (BadArgument, BadInterval, BadParams, BadSchedule, ConfigErr
                      InvariantViolation, NonFinite, PreconditionViolated,
                      RefinementOverflow, SpecshiftError, UnknownFunction)
 from .hermitian import (HermitianOperator, RatioWitness, SpectralDecomposition,
-                        TraceTransferReport, apply_function, decompose,
-                        increment_ratio, operator_scale, singular_values,
-                        spectral_truncation, trace_transfer_check)
+                        apply_function, decompose, increment_ratio,
+                        operator_scale, singular_values, spectral_truncation,
+                        trace_transfer_check)
 from .loewner import (FiniteSpectrumSet, LoewnerMatrix, divided_difference,
                       loewner_matrix, perturbation_identity_residual,
                       restrict_to_grid)

@@ -291,8 +291,8 @@ def _loewner_identity(fs, x, y) -> list:
 
 
 def _trace_transfer(fs, x, y, delta) -> list:
-    return [[r.reassembly_residual_s1 / r.scale] for r in trace_transfer_check(
-        fs, delta, hermitian_part(x), hermitian_part(y))]
+    a, b = hermitian_part(x), hermitian_part(y)
+    return (trace_transfer_check(fs, delta, a, b) / operator_scale(a, b))[:, None].tolist()
 
 
 class _Check(NamedTuple):

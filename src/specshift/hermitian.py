@@ -1,8 +1,9 @@
 """Dense self-adjoint matrix core.
 
 Spectral decomposition, functional calculus f(A) = U diag(f(lambda)) U*,
-Schatten norms from singular values, spectral truncation, and the
-trace-norm / operator-norm increment ratios that the searches maximise.
+Schatten norms from singular values, spectral truncation, the
+trace-norm / operator-norm increment ratios that the searches maximise, and
+the trace-transfer residuals that verify checks.
 
 Each kernel is one function.  It takes a ``HermitianOperator``, a matrix or
 a stack (..., n, n) with one LAPACK or BLAS call, and every matrix of a
@@ -25,7 +26,6 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "RatioWitness",
-    "TraceTransferReport",
     "hermitian_part",
     "decompose",
     "apply_function",
@@ -95,16 +95,14 @@ class HermitianOperator:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues in ascending order, a unitary matrix of column
-    eigenvectors, the max-entry reconstruction residual
-    |U diag(lambda) U* - A| with the tolerance it was held to, and the
-    max-entry orthonormality residual |U* U - I| (held to 1e-10).  For a
-    stack every field carries its leading axes."""
+    eigenvectors, and the max-entry reconstruction residual
+    |U diag(lambda) U* - A| with the tolerance it was held to.  For a stack
+    every field carries its leading axes."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     reconstruction_residual: float
     reconstruction_tolerance: float
-    orthonormality_residual: float
 
 
 def operator_scale(a, b):
@@ -143,7 +141,7 @@ def decompose(a) -> SpectralDecomposition:
             f"ortho={np.ravel(ortho)[i]:g}, recon={np.ravel(recon)[i]:g}")
     w.setflags(write=False)
     u.setflags(write=False)
-    dec = SpectralDecomposition(w, u, recon, tol, ortho)
+    dec = SpectralDecomposition(w, u, recon, tol)
     if isinstance(a, HermitianOperator):
         a._dec = dec
     return dec
@@ -224,15 +222,14 @@ class RatioWitness:
     """A pair (A, B) with its function-increment ratios.
 
     ratio_s1 = ||f(B)-f(A)||_1 / ||B-A||_1 and ratio_op is the same quotient
-    in operator norm; increment_s1 stores the numerator of ratio_s1.  For
-    two stacks, a and b are the stacks and the ratios (k,) arrays.
+    in operator norm.  For two stacks, a and b are the stacks and the ratios
+    (k,) arrays.
     """
 
     a: HermitianOperator
     b: HermitianOperator
     ratio_s1: float
     ratio_op: float
-    increment_s1: float
 
 
 def increment_ratio(f: ScalarFunction, a, b) -> RatioWitness:
@@ -252,49 +249,27 @@ def increment_ratio(f: ScalarFunction, a, b) -> RatioWitness:
             f"||B-A||_1 = {den_s1[np.argmax(low)]:g} is below the degeneracy floor")
     fa, fb = apply_function(f, np.stack([ma, mb]))
     num = singular_values(fb - fa)
-    num_s1 = num.sum(axis=-1)
-    ratios = (num_s1 / den_s1, num[:, 0] / den[:, 0], num_s1)
+    ratios = (num.sum(axis=-1) / den_s1, num[:, 0] / den[:, 0])
     if one:
         ratios = (float(r[0]) for r in ratios)
     return RatioWitness(a, b, *ratios)
 
 
-@dataclass(frozen=True)
-class TraceTransferReport:
-    """How f(A) and f(B) split across a spectral truncation at delta.
+def trace_transfer_check(fs, deltas, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reassembly residuals of f(A) and f(B) across the truncations A_delta
+    and B_delta, for pair i of two stacks (k, n, n) with function fs[i] and
+    level deltas[i], as a (k,) array.
 
-    The tails f(A)-f(A_delta) and f(B)-f(B_delta) are supported on the
-    discarded eigenvectors, so their ranks never exceed the discarded ranks.
-    The reassembly residual is the larger, over A and B, of the trace norm
-    of [f(A) - f(A_delta)] - U diag(f(lambda) [|lambda| > delta]) U* with
-    A = U diag(lambda) U*: the tail from the eigensolves of A and A_delta
-    against the tail from A's alone, equal in exact arithmetic for f(0) = 0.
-    """
-
-    delta: float
-    tail_a_s1: float
-    tail_b_s1: float
-    tail_a_rank: int
-    tail_b_rank: int
-    discarded_rank_a: int
-    discarded_rank_b: int
-    reassembly_residual_s1: float
-    scale: float
-
-
-def trace_transfer_check(fs, deltas, a: np.ndarray, b: np.ndarray) -> list:
-    """Split f(A) and f(B) across the truncations A_delta and B_delta, for
-    pair i of two stacks (k, n, n) with function fs[i] and level deltas[i].
-
-    f is normalised to f - f(0) first, so the tails vanish exactly when
-    nothing is discarded, and each tail is formed both ways of the report.
-    Each tail's singular values give both its trace norm and its numerical
-    rank: the count above ``noise_floor`` at scale max(||A||, ||B||) with
-    rel 1e-10.  Each distinct f is evaluated once.
+    f is normalised to f - f(0) first, and each tail f(A) - f(A_delta) is
+    formed two ways: from the eigensolves of A and A_delta, and as
+    U diag(f(lambda) [|lambda| > delta]) U* with A = U diag(lambda) U* from
+    A's alone; the two are equal in exact arithmetic.  The residual is the
+    larger, over A and B, of the trace norm of their difference.  Each
+    distinct f is evaluated once.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     dec = decompose(np.stack([a, b]))
-    truncated, (rank_a, rank_b) = spectral_truncation(dec, deltas)
+    truncated, _ = spectral_truncation(dec, deltas)
     dec_d = decompose(truncated)
     w = np.stack([dec.eigenvalues, dec_d.eigenvalues])
     vals = np.empty_like(w)
@@ -302,15 +277,8 @@ def trace_transfer_check(fs, deltas, a: np.ndarray, b: np.ndarray) -> list:
         rows = np.array([h == f for h in fs])
         vals[..., rows, :] = f.values_at(w[..., rows, :]) - f(0.0)
     images = _calculus(np.stack([dec.eigenvectors, dec_d.eigenvectors]), vals)
-    tails = images[0] - images[1]
     discarded = np.abs(dec.eigenvalues) > deltas[:, None]
     direct = _calculus(dec.eigenvectors, np.where(discarded, vals[0], 0.0))
-    sv = singular_values(np.concatenate([np.stack([a, b]), tails, tails - direct]))
-    s1 = schatten_from_singular(sv, 1).tolist()
-    top = np.maximum(sv[0, :, 0], sv[1, :, 0])
-    tail_ranks = np.count_nonzero(
-        sv[2:4] > noise_floor(a.shape[-1], top, 1e-10)[:, None], axis=-1)
-    return [TraceTransferReport(delta, sa, sb, int(ta), int(tb), int(da), int(db),
-                                max(ra, rb), max(1.0, t))
-            for delta, sa, sb, ra, rb, ta, tb, da, db, t in zip(
-                deltas.tolist(), *s1[2:], *tail_ranks, rank_a, rank_b, top.tolist())]
+    residual_a, residual_b = schatten_from_singular(
+        singular_values(images[0] - images[1] - direct), 1)
+    return np.maximum(residual_a, residual_b)

@@ -6,7 +6,9 @@ For A = U diag(lambda) U* and B = V diag(mu) V* the entrywise identity
     [U* (f(A) - f(B)) V]_jk = L(lambda_j, mu_k) * [U* (A - B) V]_jk
 
 holds exactly, where L is the divided difference of f.  The residual of this
-identity is the main cross-check on the functional calculus.
+identity is the main cross-check on the functional calculus.  Near a tie,
+``divided_difference`` is the one rule, and a Loewner matrix takes its tie
+entries from it.
 """
 from __future__ import annotations
 
@@ -69,32 +71,23 @@ def restrict_to_grid(interval, n: int) -> FiniteSpectrumSet:
     raise BadInterval(f"[{a}, {b}] holds no {n} distinct equispaced floats")
 
 
-def _divided(f: ScalarFunction, x: float, y: float):
-    """Divided difference with tie handling; returns (value, used_fallback)."""
-    if abs(x - y) > TIE_EPS * (abs(x) + abs(y)):
-        return (f(x) - f(y)) / (x - y), False
-    d = f.derivative_at(x)
-    if d is not None:
-        return d, False
-    return (f(x + TIE_EPS) - f(x - TIE_EPS)) / (2.0 * TIE_EPS), True
-
-
 def divided_difference(f: ScalarFunction, x: float, y: float) -> float:
     """(f(x) - f(y)) / (x - y); near ties, the analytic derivative at x, or
     a central difference with step TIE_EPS when no derivative is declared."""
-    return _divided(f, float(x), float(y))[0]
+    x, y = float(x), float(y)
+    if abs(x - y) > TIE_EPS * (abs(x) + abs(y)):
+        return (f(x) - f(y)) / (x - y)
+    d = f.derivative_at(x)
+    if d is not None:
+        return d
+    return (f(x + TIE_EPS) - f(x - TIE_EPS)) / (2.0 * TIE_EPS)
 
 
 @dataclass(frozen=True)
 class LoewnerMatrix:
-    """Divided differences of f over a row grid and a column grid.
-
-    ``tie_fallback_used`` flags that at least one near-tie entry was filled
-    by a central difference because no analytic derivative was available.
-    """
+    """Divided differences of f over a row grid and a column grid."""
 
     entries: np.ndarray
-    tie_fallback_used: bool
 
 
 def loewner_matrix(f: ScalarFunction, lam, mu, values) -> LoewnerMatrix:
@@ -107,12 +100,10 @@ def loewner_matrix(f: ScalarFunction, lam, mu, values) -> LoewnerMatrix:
     x, y = np.broadcast_arrays(lam[..., :, None], mu[..., None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         entries = (f_lam[..., :, None] - f_mu[..., None, :]) / (x - y)
-    fallback = False
     for idx in zip(*np.nonzero(~(np.abs(x - y) > TIE_EPS * (np.abs(x) + np.abs(y))))):
-        entries[idx], used = _divided(f, float(x[idx]), float(y[idx]))
-        fallback = fallback or used
+        entries[idx] = divided_difference(f, x[idx], y[idx])
     entries.setflags(write=False)
-    return LoewnerMatrix(entries, fallback)
+    return LoewnerMatrix(entries)
 
 
 def perturbation_identity_residual(f: ScalarFunction, a: np.ndarray,

@@ -307,7 +307,6 @@ def _witness_from_candidate(ev: _Evaluator, ia, ib, q):
         b=HermitianOperator(b_mat),
         ratio_s1=0.0 if num_s1 <= floor else num_s1 / den_s1,
         ratio_op=0.0 if num_op <= floor else num_op / den_op,
-        increment_s1=num_s1,
     )
 
 

@@ -146,8 +146,8 @@ def test_criterion_6_controlled_functions_fail_fast_and_reassemble():
         b = random_hermitian(rng, dim)
         delta = float(rng.uniform(0.2, 1.5))
         for f in (identity, square):
-            (rep,) = trace_transfer_check((f,), (delta,), a.matrix[None], b.matrix[None])
-            assert rep.reassembly_residual_s1 <= 1e-9 * rep.scale
+            (residual,) = trace_transfer_check((f,), (delta,), a.matrix[None], b.matrix[None])
+            assert residual <= 1e-9 * operator_scale(a, b)
     _report("6 controlled functions: block 1 fails, reassembly holds (50 inputs)")
 
 

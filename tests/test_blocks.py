@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshift import blocks, search
 
@@ -25,6 +27,25 @@ from conftest import count_calls, random_hermitian, schatten
 
 def _increment(f, a, b):
     return schatten(apply_function(f, b) - apply_function(f, a), 1)
+
+
+def _path_point(a, b, k, n):
+    """A + (k/n)(B - A), with A and B themselves at k = 0 and k = n."""
+    if k == 0:
+        return a
+    if k == n:
+        return b
+    return HermitianOperator(a.matrix + (k / n) * (b.matrix - a.matrix))
+
+
+def _is_dyadic_piece(a, b, a2, b2, n) -> bool:
+    """(A', B') is piece k of the segment from A to B cut into n equal parts,
+    for the k nearest A' (bit for bit)."""
+    diff = b.matrix - a.matrix
+    t = np.vdot(diff, a2.matrix - a.matrix).real / np.vdot(diff, diff).real
+    k = int(round(t * n))
+    return 0 <= k < n and all(np.array_equal(got.matrix, _path_point(a, b, j, n).matrix)
+                              for got, j in ((a2, k), (b2, k + 1)))
 
 
 def _amplify(f, a, b):
@@ -69,24 +90,23 @@ class TestSegmentRefine:
         a2, b2 = segment_refine(f, a, b)
         assert a2 is a and b2 is b
 
-    def test_contract_on_seeded_pairs(self, rng):
-        f = get_function("smoothed_abs", (0.05,))
-        done = 0
-        while done < 12:
-            dim = int(rng.integers(2, 7))
-            a = random_hermitian(rng, dim, scale=1.5)
-            b = random_hermitian(rng, dim, scale=1.5)
-            for _ in range(40):
-                if _increment(f, a, b) >= 1.0:
-                    break
-                b = HermitianOperator(b.matrix * 1.5)
-            if _increment(f, a, b) < 1.0:
-                continue
-            ratio_in = increment_ratio(f, a, b).ratio_s1
-            a2, b2 = segment_refine(f, a, b)
-            assert _increment(f, a2, b2) < 1.0
-            assert increment_ratio(f, a2, b2).ratio_s1 >= ratio_in - 1e-12
-            done += 1
+    @settings(max_examples=40, deadline=None)
+    @given(fn=st.sampled_from([("abs", ()), ("sin", ()), ("exp", ()),
+                               ("smoothed_abs", (0.05,)), ("signed_square", ()),
+                               ("poly", (0.5, -1.0, 2.0))]),
+           dim=st.integers(1, 6), complex_entries=st.booleans(),
+           scale=st.floats(0.25, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_contract_on_seeded_pairs(self, fn, dim, complex_entries, scale, seed):
+        f = get_function(*fn)
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(rng, dim, scale, complex_entries)
+        b = random_hermitian(rng, dim, scale, complex_entries)
+        a2, b2 = segment_refine(f, a, b)
+        assert _increment(f, a2, b2) < 1.0
+        ratio_in = increment_ratio(f, a, b).ratio_s1
+        assert increment_ratio(f, a2, b2).ratio_s1 >= ratio_in * (1 - 1e-9)
+        # the ends are A + (k/n)(B - A) and A + ((k+1)/n)(B - A), n = 2**j
+        assert any(_is_dyadic_piece(a, b, a2, b2, 2 ** j) for j in range(21))
 
     def test_overflow_on_jump_function(self, monkeypatch):
         monkeypatch.setattr(blocks, "MAX_SUBDIVISION", 64)

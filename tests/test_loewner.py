@@ -12,7 +12,6 @@ from specshift import (BadInterval, DomainError, FiniteSpectrumSet, HermitianOpe
                        divided_difference, get_function, loewner_matrix, operator_scale,
                        perturbation_identity_residual, restrict_to_grid)
 from specshift.catalog import pointwise
-from specshift.loewner import TIE_EPS
 
 from conftest import count_calls, random_hermitian
 
@@ -58,7 +57,6 @@ class TestLoewnerMatrix:
         f = get_function("poly", (0, 0, 1))
         lm = _loewner(f, [1.0, 2.0], [0.0, 1.0])
         np.testing.assert_allclose(lm.entries, [[1.0, 2.0], [2.0, 3.0]], atol=1e-12)
-        assert not lm.tie_fallback_used
 
     def test_identity_all_ones(self, rng):
         lm = _loewner(get_function("identity"),
@@ -69,10 +67,6 @@ class TestLoewnerMatrix:
         lm = _loewner(get_function("abs"), [1.0], [-1.0])
         assert lm.entries[0, 0] == 0.0
 
-    def test_abs_kink_tie_is_flagged(self):
-        lm = _loewner(get_function("abs"), [0.0, 1.0], [0.0, 1.0])
-        assert lm.tie_fallback_used
-
 
 _PARAMS = {"constant": (0.5,), "poly": (0.5, -1.0, 2.0, 0.0, 1.5), "smoothed_abs": (0.05,)}
 #: x -> x**3 with no declared derivative: every tie takes the central difference
@@ -82,8 +76,7 @@ _POINTS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 0.3, -0.7, 1.5, 1e-10, -2e-10])
 
 class TestVectorisedLoewnerMatrix:
     """The matrix agrees bit for bit with ``divided_difference`` entry by
-    entry, ties and near-ties included, and flags the central-difference
-    fallback exactly when some tie entry takes it."""
+    entry, ties and near-ties included."""
 
     @settings(max_examples=200, deadline=None)
     @given(fid=st.sampled_from(catalog_ids() + ("cube",)),
@@ -105,15 +98,11 @@ class TestVectorisedLoewnerMatrix:
         lm = _loewner(f, lam, mu)
         assert [[v.hex() for v in row] for row in lm.entries.tolist()] == \
             [[v.hex() for v in row] for row in want]
-        fallback = any(abs(x - y) <= TIE_EPS * (abs(x) + abs(y)) and f.derivative_at(x) is None
-                       for x in lam for y in mu)
-        assert lm.tie_fallback_used == fallback
 
-    def test_function_without_derivative_flags_its_ties(self):
+    def test_function_without_derivative_takes_central_difference(self):
+        # the tie (2, 2) of x**3 takes the central difference, about 3 * 2**2
         lm = _loewner(_CUBE, [1.0, 2.0], [2.0, 3.0])
-        assert lm.tie_fallback_used
         assert lm.entries[1, 0] == pytest.approx(12.0, rel=1e-6)
-        assert not _loewner(_CUBE, [1.0], [3.0]).tie_fallback_used
 
 
 class TestRestrictToGrid:

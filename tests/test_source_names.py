@@ -19,7 +19,9 @@ values they check, and cli tests no integer itself.  Every parameter default is
 overridden by some caller in the package or the benchmark (an option with
 one value in use is a constant), and relied on by some caller there (a
 default that only tests use should be a required parameter).  The
-divergence schedule is built in one place.
+divergence schedule is built in one place.  Every annotated field of a
+package class is read by the package or the benchmark, save the paper's
+verdict on each catalog function.
 """
 
 import ast
@@ -325,3 +327,33 @@ def test_every_default_is_relied_on_by_some_caller():
               if not any(callee == function and _relies(call, name, position)
                          for callee, _, call in CALLS + BENCH_CALLS)]
     assert unused == []
+
+
+#: (class, field) -> why the field stays although no package or benchmark
+#: code reads it
+UNREAD_FIELDS = {
+    ("ScalarFunction", "operator_lipschitz_near_zero"):
+        "the paper's verdict, which acceptance criterion 10 checks against evidence",
+}
+
+
+def _fields(tree) -> list:
+    """(class, field) for every annotated field of a class in ``tree``."""
+    return [(cls.name, node.target.id) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def test_every_field_is_read():
+    """Every result field is loaded as an attribute somewhere in the package
+    or the benchmark: a field that only tests read is work that no output
+    needs.  The check matches by attribute name, so a field that shares its
+    name with a field read elsewhere passes unread: ``RatioWitness.increment_s1``
+    (beside ``SumBlock.increment_s1``) and ``TraceTransferReport.delta``
+    (beside ``BlockRecord.delta``) were found and removed by hand."""
+    loaded = {node.attr for tree in [*MODULES.values(), *BENCH.values()]
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [field for tree in MODULES.values() for field in _fields(tree)
+              if field[1] not in loaded and field not in UNREAD_FIELDS]
+    assert unread == []
