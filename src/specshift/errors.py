@@ -51,8 +51,8 @@ class BadArgument(ConfigError, ValueError):
 
 
 class RefinementOverflow(SpecshiftError):
-    """Segment refinement hit the subdivision cap; the function increment is
-    effectively discontinuous along the path at working precision."""
+    """Segment refinement hit the subdivision cap: a piece of the finest cut
+    still moves f by 1 or more, as f jumps or is steep (exp at large entries)."""
 
 
 class PreconditionViolated(SpecshiftError):

@@ -48,6 +48,15 @@ def _is_dyadic_piece(a, b, a2, b2, n) -> bool:
                               for got, j in ((a2, k), (b2, k + 1)))
 
 
+def _finest_end_increment(f, a, b) -> float:
+    """The larger trace-norm increment of the first and the last piece of the
+    segment from A to B cut into ``blocks.MAX_SUBDIVISION`` parts; at 1 or
+    more no refinement within the cap can succeed."""
+    n = blocks.MAX_SUBDIVISION
+    return max(_increment(f, _path_point(a, b, k, n), _path_point(a, b, k + 1, n))
+               for k in (0, n - 1))
+
+
 def _amplify(f, a, b):
     return amplify_to_unit(a, b, apply_function(f, a), apply_function(f, b))
 
@@ -101,7 +110,12 @@ class TestSegmentRefine:
         rng = np.random.default_rng(seed)
         a = random_hermitian(rng, dim, scale, complex_entries)
         b = random_hermitian(rng, dim, scale, complex_entries)
-        a2, b2 = segment_refine(f, a, b)
+        try:
+            a2, b2 = segment_refine(f, a, b)
+        except RefinementOverflow:
+            # only a genuine overflow: a piece at the cap still moves f by >= 1
+            assert _finest_end_increment(f, a, b) >= 1.0
+            return
         assert _increment(f, a2, b2) < 1.0
         ratio_in = increment_ratio(f, a, b).ratio_s1
         assert increment_ratio(f, a2, b2).ratio_s1 >= ratio_in * (1 - 1e-9)
@@ -115,6 +129,19 @@ class TestSegmentRefine:
         b = HermitianOperator([[1.0]])
         with pytest.raises(RefinementOverflow, match="up to 64 "):
             segment_refine(step, a, b)
+
+    def test_steep_smooth_function_overflows(self, monkeypatch):
+        # exp is smooth, but on this pair (a draw of the property above) the
+        # last of 2**20 pieces still moves f by 1.87 and refinement takes
+        # minutes; at a cap of 2**12 that piece moves it by 477.5
+        monkeypatch.setattr(blocks, "MAX_SUBDIVISION", 2 ** 12)
+        f = get_function("exp")
+        rng = np.random.default_rng(6)
+        a = random_hermitian(rng, 6, 4.0, True)
+        b = random_hermitian(rng, 6, 4.0, True)
+        with pytest.raises(RefinementOverflow, match="up to 4096 "):
+            segment_refine(f, a, b)
+        assert _finest_end_increment(f, a, b) == pytest.approx(477.51, rel=1e-4)
 
     def test_hopeless_refinement_raises_early(self, monkeypatch):
         monkeypatch.setattr(blocks, "MAX_SUBDIVISION", 64)
@@ -198,6 +225,17 @@ class TestBuildDivergentFamily:
         assert fam.failure is not None and fam.failure.index == 1
         # on [-delta/2, delta/2] the ratio is capped by delta = 1/2
         assert fam.failure.achieved_ratio <= 2.0 * 0.5
+
+    def test_window_underflowing_to_one_point_fails_block_1(self):
+        # delta_1 = 5e-324, so the grid of [-delta_1/2, delta_1/2] is the one
+        # point 0: the search has no pair, and the block fails unrefined
+        fam = build_divergent_family(get_function("sqrt_abs"), 1, 1, 0, delta0=1e-323)
+        assert fam.records == ()
+        assert blocks._block_grid(fam.failure.delta, 1).points.tolist() == [0.0]
+        assert (fam.failure.index, fam.failure.achieved_ratio, fam.failure.block,
+                fam.failure.status) == (1, 0.0, None, "failed")
+        (doc,) = family_to_json(fam)
+        assert (doc["multiplicity"], doc["A"], doc["B"]) == ("0", None, None)
 
     def test_sqrt_abs_all_blocks_succeed(self):
         f = get_function("sqrt_abs")

@@ -1,6 +1,5 @@
 """End-to-end tests for the specshift command-line runner."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -132,29 +131,6 @@ class TestRatioSearchCommand:
             assert doc["value"] == float(row["best_ratio"])
             matrix_from_json(doc["A"])
             matrix_from_json(doc["B"])
-
-    def test_norm_kinds_far_apart_warn_once(self, tmp_path, capsys, monkeypatch):
-        # a Schatten-1 bound scaled by 4 leaves the factor-2 band around the
-        # operator bound by more than DIAGNOSTIC_SLACK: a warning, not an error
-        search = cli.seminorm_lower_bound
-
-        def scaled(f, grid, dim, kind, *args):
-            result = search(f, grid, dim, kind, *args)
-            if kind == "schatten1":
-                return dataclasses.replace(result, value=4.0 * result.value)
-            return result
-
-        monkeypatch.setattr(cli, "seminorm_lower_bound", scaled)
-        out = tmp_path / "report.csv"
-        cfg = _write_cfg(tmp_path / "cfg.json", {
-            "function": {"id": "abs"}, "dims": [2],
-            "grid": {"interval": [-1, 1], "count": 5},
-            "budget": 1, "seed": 0, "output": str(out)})
-        assert main(["ratio-search", cfg]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("warning: dim 2: ")
-        _, rows = _read_rows(out)
-        assert sorted(r["norm_kind"] for r in rows) == ["operator", "schatten1"]
 
     def test_config_errors_exit_2(self, tmp_path):
         bad = _write_cfg(tmp_path / "bad.json", {
@@ -324,6 +300,19 @@ class TestDivergenceCommand:
             assert entry["status"] == "ok"
             assert int(entry["multiplicity"]) >= 1
             matrix_from_json(entry["A"])
+
+    def test_one_point_window_fails_block_1_and_exits_0(self, tmp_path):
+        # delta0 1e-323 halves to a window whose grid is the one point 0
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "function": {"id": "sqrt_abs"}, "K": 1, "delta0": 1e-323,
+            "budget": 1, "seed": 0, "output": str(out)})
+        assert main(["divergence", cfg]) == 0
+        _, rows = _read_rows(out)
+        assert [(r["n"], r["achieved_ratio"], r["multiplicity"], r["status"])
+                for r in rows] == [("1", "0", "0", "failed")]
+        (doc,) = json.loads((tmp_path / "report_family.json").read_text())
+        assert (doc["achieved_ratio"], doc["A"], doc["B"]) == (0.0, None, None)
 
     def test_byte_identical_reruns(self, tmp_path):
         out, cfg = self._cfg(tmp_path, "sqrt_abs", 6)
@@ -568,6 +557,17 @@ class TestVerifyCommand:
         assert status.pop("norm_ordering") == "fail"
         assert len(status) == 13 and set(status.values()) == {"pass"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.csv"]
+
+    def test_failed_row_reports_its_worst_trial(self, tmp_path, monkeypatch):
+        # trials mismatching in 0, 1 and 2 ways: the row reads 2, not their sum
+        out = tmp_path / "report.csv"
+        cfg = _write_cfg(tmp_path / "cfg.json", {"seed": 1, "output": str(out)})
+        monkeypatch.setattr(cli, "_truncation_rank",
+                            lambda fs, x, delta: [[i % 3] for i in range(len(x))])
+        assert main(["verify", cfg]) == 3
+        _, rows = _read_rows(out)
+        row = {r["check"]: r for r in rows}["spectral_truncation_rank"]
+        assert (row["residual"], row["status"]) == ("2", "fail")
 
     def test_trace_transfer_row_fails_when_the_truncation_moves(self, tmp_path,
                                                                 monkeypatch, capsys):

@@ -13,7 +13,8 @@ each matrix's singular values once.  Files are written through one
 function, which only ``cli.main`` calls, after it has checked the output
 path and format once; catalog, grid, schedule and search-argument input
 errors are configuration errors that no module catches, and cli catches
-errors only where it reads a file and in ``main``.  The two input rules,
+errors only where it reads a file and in ``main``; only ``main`` and
+``run_verify``, which explain a nonzero exit on stderr, print.  The two input rules,
 for reals and for integers, are called only by the functions that use the
 values they check, and cli tests no integer itself.  Every parameter default is
 overridden by some caller in the package or the benchmark (an option with
@@ -239,6 +240,12 @@ def test_cli_catches_only_where_it_reads_a_file_and_exits():
     # every other error reaches main, which maps it to an exit code
     assert {scope for node, scope in _scoped(MODULES["cli.py"], "cli")
             if isinstance(node, ast.ExceptHandler)} == {"cli._read_json", "cli.main"}
+
+
+def test_only_the_exit_code_contract_prints():
+    # stderr carries the line that explains a nonzero exit, and nothing else
+    assert {scope for callee, scope, _ in CALLS if callee == "print"} == {
+        "cli.main", "cli.run_verify"}
 
 
 #: input rule -> the only functions that call it: each config value is
