@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import ScalarFunction, finite_reals, integer_at_least
 from .errors import (BadArgument, BadSchedule, DegeneratePair, InvariantViolation,
                      PreconditionViolated, RefinementOverflow)
-from .hermitian import (HermitianOperator, apply_function, decompose,
+from .hermitian import (HermitianOperator, apply_function, decompose, hermitian_part,
                         schatten_from_singular, singular_values)
 from .loewner import FiniteSpectrumSet
 from .search import SeminormLowerBound, seminorm_lower_bound
@@ -97,8 +97,8 @@ def _path_point(a: HermitianOperator, diff: np.ndarray, t: float) -> HermitianOp
 
 
 class _RefinedPair(tuple):
-    """The pair (A', B') ``segment_refine`` returns, with f(A') and f(B') as
-    ``images``: a divergent family amplifies it without forming them again."""
+    """The pair (A', B') ``segment_refine`` returns, with the
+    ||f(B')-f(A')||_1 it measured as ``increment`` for the amplification."""
 
 
 def segment_refine(f: ScalarFunction, a: HermitianOperator,
@@ -112,9 +112,9 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
     returned, so a pair with ||f(B)-f(A)||_1 < 1 comes back as (A, B) itself.
     Its endpoints are dyadic, so the sub-segment length is exactly
     ||B-A||_1 / n, and the maximal sub-increment is at least 1/n of the total
-    by the triangle inequality, which preserves the ratio.  Each level keeps
-    the f-images of the last, evaluates f at the new midpoints only and takes
-    its n increments from one stacked SVD call.
+    by the triangle inequality, which preserves the ratio.  The f-images are
+    one stack; each level adds those of its midpoints A + (k/n)(B-A), k odd,
+    from one ``apply_function`` call and its n increments from one SVD call.
 
     By the same inequality no n' below n * max(increments) can succeed, so
     RefinementOverflow is raised as soon as that product passes
@@ -123,7 +123,7 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     diff = b.matrix - a.matrix
-    images = [apply_function(f, a), apply_function(f, b)]
+    images = np.array([apply_function(f, a), apply_function(f, b)])
     n = 1
     while n <= MAX_SUBDIVISION:
         increments = schatten_from_singular(singular_values(np.diff(images, axis=0)), 1)
@@ -131,31 +131,30 @@ def segment_refine(f: ScalarFunction, a: HermitianOperator,
             k = int(np.argmax(increments))  # first maximum: smallest k
             right = b if k + 1 == n else _path_point(a, diff, (k + 1) / n)
             refined = _RefinedPair((_path_point(a, diff, k / n), right))
-            refined.images = images[k], images[k + 1]
+            refined.increment = float(increments[k])
             return refined
         if n * increments.max() > 2 * MAX_SUBDIVISION:
             break
         n *= 2
-        mids = (apply_function(f, _path_point(a, diff, k / n)) for k in range(1, n, 2))
-        images[1:] = [x for pair in zip(mids, images[1:]) for x in pair]
+        t = np.arange(1, n, 2)[:, None, None] / n
+        mids = apply_function(f, hermitian_part(a.matrix + t * diff))
+        grown = np.empty((n + 1, *diff.shape), np.result_type(images, mids))
+        grown[::2], grown[1::2] = images, mids
+        images = grown
     raise RefinementOverflow(
         f"no subdivision up to {MAX_SUBDIVISION} brought all increments below 1")
 
 
 def amplify_to_unit(a: HermitianOperator, b: HermitianOperator,
-                    fa: np.ndarray, fb: np.ndarray) -> SumBlock:
+                    increment: float) -> SumBlock:
     """Repeat the pair so the aggregate increment lands in [1/2, 1], given
-    its images fa = f(A) and fb = f(B) (a divergent family passes the ones
-    ``segment_refine`` returned).
+    its increment ||f(B)-f(A)||_1 in (0, 1) as ``segment_refine`` measures it.
 
-    Requires 0 < ||f(B)-f(A)||_1 < 1 (refine first if needed).  The
-    multiplicity is the exact floor of the reciprocal increment; the
+    The multiplicity is the exact floor of the reciprocal increment; the
     aggregate ratio equals the block ratio because both norms scale by the
-    same integer.  The block carries the two trace norms computed here, both
-    from one stacked SVD call.
+    same integer.
     """
-    delta_s1, increment = schatten_from_singular(singular_values(
-        np.stack([b.matrix - a.matrix, fb - fa])), 1).tolist()
+    delta_s1 = float(schatten_from_singular(singular_values(b.matrix - a.matrix), 1))
     if not delta_s1 > 0.0:
         raise DegeneratePair("cannot amplify a pair with A = B")
     if not 0.0 < increment < 1.0:
@@ -246,7 +245,7 @@ def _block_record(f: ScalarFunction, index: int, delta: float,
     if bound.witness is not None:
         try:
             pair = segment_refine(f, bound.witness.a, bound.witness.b)
-            block = amplify_to_unit(*pair, *pair.images)
+            block = amplify_to_unit(*pair, pair.increment)
             achieved = block.weighted_increment_s1 / block.weighted_delta_s1
         except (PreconditionViolated, DegeneratePair, RefinementOverflow):
             pass

@@ -10,10 +10,10 @@ Choosing the multiplicity n_k = floor(1/|f(t_k) - f(s_k)|) + 1 then makes the
 weighted increments sum past any bound (each term is at least 1) while the
 weighted perturbations stay below the geometric majorant 2**(1-k) per level.
 A witness is built complete: ``make_sequence_witness`` validates the levels
-and fills n_k from the f-values it has just computed.  Level k is the 1x1
-direct-sum block (t_k) vs (s_k) with multiplicity n_k, a ``blocks.SumBlock``
-from ``divergence_check``; the multiplicity rule, ladder grid and partial
-sums come from ``blocks``.
+and keeps the increments |f(t_k) - f(s_k)| it computes, with n_k from them.
+Level k is the 1x1 direct-sum block (t_k) vs (s_k) with multiplicity n_k, a
+``blocks.SumBlock`` from ``divergence_check``, which evaluates no f; the
+multiplicity rule, ladder grid and partial sums come from ``blocks``.
 """
 from __future__ import annotations
 
@@ -39,12 +39,13 @@ __all__ = [
 @dataclass(frozen=True)
 class SequenceWitness:
     """Finite prefix of sequences violating a uniform difference-quotient
-    bound at every level, with the multiplicity n_k of each level."""
+    bound at every level, with each level's multiplicity n_k and increment
+    |f(t_k) - f(s_k)|."""
 
-    function: ScalarFunction
     t: Tuple[float, ...]
     s: Tuple[float, ...]
     n: Tuple[int, ...]
+    increments: Tuple[float, ...]
 
     @property
     def length(self) -> int:
@@ -65,27 +66,27 @@ class NotFound:
 
 
 def make_sequence_witness(f: ScalarFunction, t, s) -> SequenceWitness:
-    """Validate the per-level constraints and fill the multiplicities
-    n_k = floor(1/|f(t_k) - f(s_k)|) + 1 in exact integer arithmetic on the
-    double-precision increments, which are nonzero: a validated level has
-    quotient > 2**k."""
+    """Validate the per-level constraints and fill the increments
+    |f(t_k) - f(s_k)| and the multiplicities n_k = floor(1/increment) + 1, in
+    exact integer arithmetic on the double-precision increments, which are
+    nonzero: a validated level has quotient > 2**k."""
     t = tuple(float(x) for x in t)
     s = tuple(float(x) for x in s)
     if len(t) != len(s):
         raise InvariantViolation(f"length mismatch: {len(t)} != {len(s)}")
-    ft, fs = f.values_at(np.array([t, s])).tolist()
+    increments = tuple(np.abs(np.subtract(*f.values_at(np.array([t, s])))).tolist())
     n = []
-    for k, (tk, sk, ftk, fsk) in enumerate(zip(t, s, ft, fs), start=1):
+    for k, (tk, sk, inc) in enumerate(zip(t, s, increments), start=1):
         gap = abs(tk - sk)
         if not 0.0 < gap < 2.0 ** -k:
             raise InvariantViolation(
                 f"level {k}: |t-s| = {gap!r} not in (0, 2**-{k})")
-        quotient = abs(ftk - fsk) / gap
+        quotient = inc / gap
         if not quotient > 2.0 ** k:
             raise InvariantViolation(
                 f"level {k}: quotient {quotient!r} does not exceed 2**{k}")
-        n.append(floor_reciprocal(abs(ftk - fsk)) + 1)
-    return SequenceWitness(f, t, s, tuple(n))
+        n.append(floor_reciprocal(inc) + 1)
+    return SequenceWitness(t, s, tuple(n), increments)
 
 
 def _level_points(level: int, search_grid: int, seed: int) -> np.ndarray:
@@ -138,17 +139,16 @@ def divergence_check(witness: SequenceWitness) -> Tuple[SumBlock, ...]:
     """Realise every level k as the 1x1 block (t_k) vs (s_k) with
     multiplicity n_k and verify n_k |t_k - s_k| < 2**(1-k) on each.
 
-    The trace norms of a 1x1 block are |t_k - s_k| and |f(t_k) - f(s_k)|,
-    so each block is built from them with no eigensolve.  The per-level
-    bound is implied by the witness invariants, so its failure raises
-    InvariantViolation naming the level.
+    The trace norms of a 1x1 block are |t_k - s_k| and the witness's
+    increment |f(t_k) - f(s_k)|, so no eigensolve or f is needed.  The
+    per-level bound is implied by the witness invariants, so its failure
+    raises InvariantViolation naming the level.
     """
-    ft, fs = witness.function.values_at(np.array([witness.t, witness.s])).tolist()
     blocks = []
-    for k, (t, s, n, a, b) in enumerate(
-            zip(witness.t, witness.s, witness.n, ft, fs), start=1):
+    for k, (t, s, n, inc) in enumerate(
+            zip(witness.t, witness.s, witness.n, witness.increments), start=1):
         blk = SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
-                       abs(t - s), abs(a - b))
+                       abs(t - s), inc)
         wp = blk.weighted_delta_s1
         bound = 2.0 ** (1 - k)
         if not wp < bound:

@@ -63,11 +63,10 @@ def assert_same_blocks(got, want) -> None:
         assert np.array_equal(g.b.matrix, w.b.matrix)
 
 
-def one_by_one_blocks(witness, upto):
-    """Oracle for a sequence witness's first ``upto`` levels: level k as the
-    1x1 pair (t_k) vs (s_k), repeated n_k times, with trace norms
-    |t_k - s_k| and |f(t_k) - f(s_k)| from scalar calls of f."""
-    f = witness.function
+def one_by_one_blocks(f, witness, upto):
+    """Oracle for the first ``upto`` levels of a sequence witness of f:
+    level k as the 1x1 pair (t_k) vs (s_k), repeated n_k times, with trace
+    norms |t_k - s_k| and |f(t_k) - f(s_k)| from scalar calls of f."""
     return tuple(SumBlock(HermitianOperator([[t]]), HermitianOperator([[s]]), n,
                           abs(t - s), abs(f(t) - f(s)))
                  for t, s, n in zip(witness.t[:upto], witness.s, witness.n))

@@ -100,7 +100,7 @@ def test_criterion_4_amplification_contract():
     for _ in range(1000):
         inc = float(rng.uniform(1e-6, 1.0 - 1e-12))
         a, b = HermitianOperator([[0.0]]), HermitianOperator([[inc]])
-        blk = amplify_to_unit(a, b, apply_function(f, a), apply_function(f, b))
+        blk = amplify_to_unit(a, b, schatten(apply_function(f, b) - apply_function(f, a), 1))
         total = blk.weighted_increment_s1
         assert 0.5 <= total <= 1.0
         block_ratio = blk.increment_s1 / blk.delta_s1
@@ -163,7 +163,7 @@ def test_criterion_7_sequence_machinery_sqrt_abs():
     assert pert < 2.0
     assert incr >= 30.0
     # bridge: level k is the 1x1 pair (t_k) vs (s_k) repeated n_k times
-    assert_same_blocks(blocks, one_by_one_blocks(witness, levels))
+    assert_same_blocks(blocks, one_by_one_blocks(f, witness, levels))
     _report("7 sequence machinery (30 levels, bridge identity)")
 
 

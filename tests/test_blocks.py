@@ -17,9 +17,11 @@ from specshift import (BadSchedule, ConfigError, DivergentFamily, DomainError,
                        RefinementOverflow, ScalarFunction, SumBlock,
                        amplify_to_unit, apply_function, build_divergent_family,
                        decompose, get_function,
-                       increment_ratio, partial_sums, segment_refine, weighted)
+                       increment_ratio, partial_sums, segment_refine, singular_values,
+                       weighted)
 
 from specshift.catalog import max_quotient, pointwise
+from specshift.hermitian import schatten_from_singular
 from specshift.serialize import dump_json, family_to_json
 
 from conftest import count_calls, random_hermitian, schatten
@@ -57,8 +59,38 @@ def _finest_end_increment(f, a, b) -> float:
                for k in (0, n - 1))
 
 
+def _refine_by_midpoint(f, a, b):
+    """Reference refinement with one ``apply_function`` call per midpoint
+    and the images in a list: the pair ``segment_refine`` must return bit
+    for bit, and its subdivision n."""
+    images = [apply_function(f, a), apply_function(f, b)]
+    n = 1
+    while n <= blocks.MAX_SUBDIVISION:
+        increments = schatten_from_singular(singular_values(np.diff(images, axis=0)), 1)
+        if np.all(increments < 1.0):
+            k = int(np.argmax(increments))
+            return _path_point(a, b, k, n), _path_point(a, b, k + 1, n), n
+        n *= 2
+        mids = (apply_function(f, _path_point(a, b, k, n)) for k in range(1, n, 2))
+        images[1:] = [x for pair in zip(mids, images[1:]) for x in pair]
+    raise AssertionError("the reference pair does not refine within the cap")
+
+
+def _steep_pair(fn, seed, complex_entries):
+    """A seeded pair of dim 2 to 6 that f = ``fn`` moves a lot: entries up
+    to 1.5 for exp and poly; for sqrt_abs, A near 0 and B near 20 I, so the
+    pieces next to A are the steep ones."""
+    rng = np.random.default_rng(seed)
+    dim = 2 + seed % 5
+    if fn == "sqrt_abs":
+        near = random_hermitian(rng, dim, 0.5, complex_entries).matrix + 20.0 * np.eye(dim)
+        return random_hermitian(rng, dim, 1e-3, complex_entries), HermitianOperator(near)
+    return (random_hermitian(rng, dim, 1.5, complex_entries),
+            random_hermitian(rng, dim, 1.5, complex_entries))
+
+
 def _amplify(f, a, b):
-    return amplify_to_unit(a, b, apply_function(f, a), apply_function(f, b))
+    return amplify_to_unit(a, b, _increment(f, a, b))
 
 
 class TestSegmentRefine:
@@ -83,6 +115,29 @@ class TestSegmentRefine:
                                 HermitianOperator([[end]]))
         assert len(calls) == levels
         assert b2.matrix[0, 0] - a2.matrix[0, 0] == end / 2 ** (levels - 1)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("fn", [("exp", ()), ("sqrt_abs", ()), ("poly", (0, 0, 0, 5))])
+    def test_stacked_levels_match_per_midpoint_reference(self, monkeypatch, fn,
+                                                         complex_entries):
+        # each matrix of a stack gets the bits it gets alone, so one stacked
+        # f-evaluation per level refines to the reference's pair bit for bit;
+        # f is evaluated at both ends, then once per level (n = 2**levels)
+        f = get_function(*fn)
+        deep = 0
+        for seed in range(10):
+            a, b = _steep_pair(fn[0], seed, complex_entries)
+            want_a, want_b, n = _refine_by_midpoint(f, a, b)
+            calls = count_calls(monkeypatch, blocks, "apply_function")
+            pair = segment_refine(f, a, b)
+            monkeypatch.undo()
+            assert len(calls) == 2 + n.bit_length() - 1
+            for got, want in zip(pair, (want_a, want_b)):
+                assert got.matrix.dtype == want.matrix.dtype
+                assert np.array_equal(got.matrix, want.matrix)
+            assert pair.increment == _increment(f, *pair)
+            deep += n >= 64
+        assert deep >= 3
 
     def test_small_increment_returned_unchanged(self, rng):
         f = get_function("identity")
@@ -169,6 +224,20 @@ class TestAmplifyToUnit:
         blk = _amplify(f, HermitianOperator([[0.0]]), HermitianOperator([[increment]]))
         assert blk.multiplicity == expected_n
         assert blk.weighted_increment_s1 == pytest.approx(expected_total, rel=1e-15)
+
+    def test_one_svd_of_the_difference_alone(self, monkeypatch):
+        # the increment is given; only ||B-A||_1 is computed here
+        shapes = []
+        real = np.linalg.svd
+
+        def recording(m, **kwargs):
+            shapes.append(m.shape)
+            return real(m, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        blk = amplify_to_unit(HermitianOperator(np.eye(3)), HermitianOperator(2 * np.eye(3)), 0.3)
+        assert shapes == [(3, 3)]
+        assert (blk.multiplicity, blk.delta_s1, blk.increment_s1) == (3, 3.0, 0.3)
 
     def test_rejects_increment_at_least_one(self):
         f = get_function("identity")
@@ -258,26 +327,26 @@ class TestBuildDivergentFamily:
 
     def test_each_block_takes_two_svd_calls(self, monkeypatch):
         # no block refines: one call for segment_refine's only level, one for
-        # both of amplify_to_unit's trace norms
+        # amplify_to_unit's ||B-A||_1
         calls = count_calls(monkeypatch, np.linalg, "svd")
         fam = build_divergent_family(get_function("sqrt_abs"), 10, 4, 1, dim=8)
         assert fam.failure is None
         assert len(calls) == 2 * len(fam.records) == 20
 
     def test_each_block_forms_its_two_images_once(self, monkeypatch):
-        # segment_refine forms f(A) and f(B); the amplification reads them
+        # segment_refine forms f(A) and f(B); the amplification takes the
+        # increment it measured from them
         calls = count_calls(monkeypatch, blocks, "apply_function")
         fam = build_divergent_family(get_function("sqrt_abs"), 10, 4, 1, dim=8)
         assert fam.failure is None
         assert len(calls) == 2 * len(fam.records) == 20
 
-    def test_refined_pair_carries_its_endpoint_images(self):
+    def test_refined_pair_carries_its_increment(self):
         f = get_function("sqrt_abs")
         a, b = HermitianOperator([[0.0]]), HermitianOperator([[100.0]])
         pair = segment_refine(f, a, b)
         assert pair[1] is not b
-        for end, image in zip(pair, pair.images):
-            assert np.array_equal(image, apply_function(f, end))
+        assert pair.increment == _increment(f, *pair)
 
     def test_refined_blocks_take_one_svd_call_per_level(self, monkeypatch):
         # the blocks refine at depths 256, 64 and 16: 9 + 7 + 5 levels, plus
@@ -466,6 +535,44 @@ class TestUndefinedLaterGrid:
     def test_reaching_undefined_grid_raises(self):
         with pytest.raises(DomainError):
             build_divergent_family(_sqrt_partial(4.0 ** -9, self.TINY), 7, 1, 0, 2)
+
+
+def _direct_sum(mats):
+    """The block-diagonal matrix with ``mats`` down its diagonal."""
+    total = sum(m.shape[0] for m in mats)
+    out = np.zeros((total, total), np.result_type(*mats))
+    at = 0
+    for m in mats:
+        out[at:at + m.shape[0], at:at + m.shape[0]] = m
+        at += m.shape[0]
+    return out
+
+
+class TestDirectSumAdditivity:
+    @settings(max_examples=60, deadline=None)
+    @given(fid=st.sampled_from(["abs", "exp", "identity", "signed_square", "sin",
+                                "sqrt_abs"]),
+           dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           multiplicities=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+           complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_block_norms_add_up(self, fid, dims, multiplicities, complex_entries, seed):
+        # f acts block by block and the trace norm of a block-diagonal matrix
+        # is the sum over its blocks, so each prefix of partial_sums is the
+        # pair of trace norms of the direct sum, block n repeated N_n times
+        f = get_function(fid)
+        rng = np.random.default_rng(seed)
+        pairs = [(random_hermitian(rng, d, 1.0, complex_entries),
+                  random_hermitian(rng, d, 1.0, complex_entries)) for d in dims]
+        sums = partial_sums([SumBlock(a, b, n, schatten(b.matrix - a.matrix, 1),
+                                      _increment(f, a, b))
+                             for (a, b), n in zip(pairs, multiplicities)])
+        for count in range(1, len(pairs) + 1):
+            a, b = (HermitianOperator(_direct_sum(
+                        [p[side].matrix for p, n in zip(pairs[:count], multiplicities)
+                         for _ in range(n)])) for side in (0, 1))
+            perturbation, increment = sums[count]
+            assert schatten(b.matrix - a.matrix, 1) == pytest.approx(perturbation, rel=1e-12)
+            assert _increment(f, a, b) == pytest.approx(increment, rel=1e-12)
 
 
 class TestPartialSums:

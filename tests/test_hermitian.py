@@ -10,6 +10,7 @@ from specshift import (ConvergenceFailure, DegeneratePair, HermitianOperator,
                        decompose, get_function, increment_ratio, operator_scale,
                        singular_values, spectral_truncation, trace_transfer_check)
 from specshift.hermitian import hermitian_part, schatten_from_singular
+from specshift.search import random_orthogonal
 
 from conftest import count_calls, random_hermitian, schatten
 
@@ -539,3 +540,27 @@ class TestStackKernels:
         assert all(op._dec is None for op in ops)
         monkeypatch.setattr(np.linalg, "eigh", real_eigh)
         assert decompose(ops[bad]) is decompose(ops[bad])
+
+
+#: catalog functions Lipschitz on bounded sets, so their ratios are well
+#: conditioned; constant is left out (its increment is rounding noise), and
+#: so are xsin_inv (not Lipschitz) and sqrt_abs (a fresh eigensolve misreads
+#: it at a double eigenvalue 0, an open FOUND in CHANGES.md)
+_LIPSCHITZ = ("abs", "exp", "identity", "poly", "signed_square", "sin", "smoothed_abs")
+
+
+class TestUnitaryInvariance:
+    @settings(max_examples=80, deadline=None)
+    @given(fid=st.sampled_from(_LIPSCHITZ), dim=st.integers(1, 8),
+           complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_orthogonal_conjugation_keeps_both_ratios(self, fid, dim,
+                                                      complex_entries, seed):
+        # f(QAQ^T) = Q f(A) Q^T and both norms are unitarily invariant
+        f = get_function(fid, _PARAMS.get(fid, ()))
+        a, b = _pair(seed, dim, complex_entries)
+        q = random_orthogonal(np.random.default_rng([seed, 1]), dim)
+        plain = increment_ratio(f, a, b)
+        turned = increment_ratio(f, HermitianOperator(q @ a.matrix @ q.T),
+                                 HermitianOperator(q @ b.matrix @ q.T))
+        assert turned.ratio_s1 == pytest.approx(plain.ratio_s1, rel=1e-10)
+        assert turned.ratio_op == pytest.approx(plain.ratio_op, rel=1e-10)

@@ -312,8 +312,8 @@ class TestDivergenceCheck:
 
     def test_bound_failure_names_level(self):
         # a deliberately oversized multiplicity breaks the per-level bound
-        f, w = _canonical_sqrt_witness(3)
-        bad = SequenceWitness(f, w.t, w.s, (10 ** 9, 3, 3))
+        _, w = _canonical_sqrt_witness(3)
+        bad = dataclasses.replace(w, n=(10 ** 9, 3, 3))
         with pytest.raises(InvariantViolation, match="level 1"):
             divergence_check(bad)
 
@@ -322,18 +322,16 @@ class TestDiagonalEmbedding:
     """Commuting levels as 1x1 blocks, as ``divergence_check`` builds them."""
 
     def test_single_level_bookkeeping(self):
-        f = get_function("identity")
-        w = SequenceWitness(f, (0.2,), (0.0,), (3,))
+        w = SequenceWitness((0.2,), (0.0,), (3,), (0.2,))
         ps, is_ = partial_sums(divergence_check(w))[1]
         assert ps == pytest.approx(0.6, rel=1e-15)
         assert is_ == pytest.approx(0.6, rel=1e-15)
 
     def test_identity_aggregate_ratio_one(self):
-        f = get_function("identity")
-        w = SequenceWitness(f, (0.2, 0.1), (0.0, 0.0), (2, 4))
+        w = SequenceWitness((0.2, 0.1), (0.0, 0.0), (2, 4), (0.2, 0.1))
         ps, is_ = partial_sums(divergence_check(w))[2]
         assert is_ / ps == pytest.approx(1.0, rel=1e-15)
 
     def test_bridge_identity_exact(self):
-        _, w = _canonical_sqrt_witness(30)
-        assert_same_blocks(divergence_check(w), one_by_one_blocks(w, 30))
+        f, w = _canonical_sqrt_witness(30)
+        assert_same_blocks(divergence_check(w), one_by_one_blocks(f, w, 30))
