@@ -17,11 +17,12 @@ Search phases, in deterministic order:
      (seed, r).  A restart whose a-priori bound from its spectra alone (by
      Lidskii-Mirsky, ||X - Y|| >= ||sort(x) - sort(y)||) is below the probe
      can never win: it is not ascended and draws no rotation.  The kept
-     restarts draw Q0 next from their substreams and refine Q by
-     per-angle coordinate ascent (a coarse scan plus golden-section line
-     search) in one lockstep batch: every step scores one candidate of each
-     of them with a single stacked ``eigvalsh`` in the frame of its current
-     rotation, in one thread.  When every restart is ruled out no ascent runs.
+     restarts draw Q0 next from their substreams and refine Q in one
+     lockstep batch: a sweep of 8-angle coarse scans over the Givens
+     coordinates, then a polish of Cayley steps along the ratio's gradient
+     over all rotation generators.  Every step scores the candidates of all
+     of them with a single stacked ``eigvalsh`` in the frame of their current
+     rotations, in one thread.  When every restart is ruled out no ascent runs.
 
 The incumbent is the best value with the earliest phase index, so the result
 is deterministic given (seed, budget), independent of evaluation order, and
@@ -42,15 +43,16 @@ import numpy as np
 
 from .catalog import ScalarFunction, integer_at_least, max_quotient, pointwise
 from .errors import BadArgument
-from .hermitian import HermitianOperator, RatioWitness, noise_floor
+from .hermitian import (HermitianOperator, RatioWitness, decompose, hermitian_part,
+                        noise_floor)
 from .loewner import FiniteSpectrumSet
 
 __all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound"]
 
 NORM_KINDS = ("operator", "schatten1")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 18
+_STEPS = 4.0 * 2.0 ** -np.arange(12)  # the polish's steps along a unit gradient
+_POLISH_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,13 @@ class _Evaluator:
 
 
 def _frames(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
-    """(2, L, n, n) stack of diag(b) - Q^T diag(a) Q and its f-valued twin for
-    each lane and its Q in ``q``: orthogonally similar to the candidate."""
-    m = -(q.swapaxes(-1, -2) * lanes.diag[..., None, :]) @ q
+    """(2, L, ..., n, n) stack of diag(b) - Q^T diag(a) Q and its f-valued
+    twin for each lane and each of its rotations Q in the (L, ..., n, n)
+    stack ``q``: orthogonally similar to the candidate."""
+    shape = lanes.spec.shape[:2] + (1,) * (q.ndim - 3) + lanes.spec.shape[-1:]
+    m = -(q.swapaxes(-1, -2) * lanes.diag.reshape(shape)[..., None, :]) @ q
     d = np.arange(q.shape[-1])
-    m[..., d, d] += lanes.spec
+    m[..., d, d] += lanes.spec.reshape(shape)
     return m
 
 
@@ -188,68 +192,81 @@ def _givens(dim: int, i: int, j: int, thetas: np.ndarray) -> np.ndarray:
     return g
 
 
-def _golden_max(g, lo: np.ndarray, hi: np.ndarray):
-    """Golden-section maximisation on [lo[l], hi[l]] for every lane l at once.
+def _gradient(lanes: _Lanes, frames: np.ndarray, value: np.ndarray, kind: str):
+    """(L, n, n) gradient of each lane's log(ratio) at its frames in the skew
+    generators K of Q's rotations; zero where the lane scores -inf or 0.0.
 
-    ``g`` maps an (L, k) array of angles to an (L, k) array of values.
-    Returns the arrays (best_x, best_value)."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = g(np.stack([x1, x2], axis=1)).T
-    first = f1 >= f2
-    best_x, best_v = np.where(first, x1, x2), np.where(first, f1, f2)
-    for _ in range(_GOLDEN_ITERS):
-        # lanes with f1 < f2 keep [x1, hi] and probe a new x2; the others
-        # keep [lo, x2] and probe a new x1
-        right = f1 < f2
-        lo, hi = np.where(right, x1, lo), np.where(right, hi, x2)
-        x1, x2 = (np.where(right, x2, hi - _GOLDEN * (hi - lo)),
-                  np.where(right, lo + _GOLDEN * (hi - lo), x1))
-        v = g(np.where(right, x2, x1)[:, None])[:, 0]
-        f1, f2 = np.where(right, f2, v), np.where(right, v, f1)
-        for x, fx in ((x1, f1), (x2, f2)):
-            take = fx >= best_v
-            best_x, best_v = np.where(take, x, best_x), np.where(take, fx, best_v)
-    return best_x, best_v
+    Turning diag(x) by I + tK moves the frame by K_ij (x_j - x_i), so a norm
+    with subgradient S has slope 2 S_ij (x_j - x_i) in K_ij, i < j, a skew
+    matrix: S = U sign(Lambda) U^T for Schatten-1, sign(lam) u u^T at the
+    eigenvalue of largest modulus for the operator norm."""
+    dec = decompose(hermitian_part(frames))
+    lam, u = dec.eigenvalues, dec.eigenvectors
+    if kind == "schatten1":
+        s = (u * np.sign(lam)[..., None, :]) @ u.swapaxes(-1, -2)
+        norm = np.abs(lam).sum(axis=-1)
+    else:
+        top = np.argmax(np.abs(lam), axis=-1)[..., None]
+        v = np.take_along_axis(u, top[..., None], axis=-1)
+        peak = np.take_along_axis(lam, top, axis=-1)
+        s = np.sign(peak)[..., None] * v * v.swapaxes(-1, -2)
+        norm = np.abs(peak[..., 0])
+    live = value > 0
+    d = 2.0 * s * (lanes.spec[..., None, :] - lanes.spec[..., :, None])
+    d = d / np.where(live, norm, 1.0)[..., None, None]
+    return np.where(live[:, None, None], d[1] - d[0], 0.0)
+
+
+def _cayley(g: np.ndarray) -> np.ndarray:
+    """(I - tG/2)^-1 (I + tG/2) for G each skew matrix of the (L, n, n) stack
+    ``g`` scaled to unit Frobenius norm (zero stays zero) and each step t of
+    ``_STEPS``: shape (L, len(_STEPS), n, n)."""
+    size = np.linalg.norm(g, axis=(-2, -1), keepdims=True)
+    half = (g / np.where(size > 0, size, 1.0))[:, None] * (_STEPS[:, None, None] / 2.0)
+    eye = np.eye(g.shape[-1])
+    return np.linalg.solve(eye - half, eye + half)
 
 
 def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
-    """One sweep of per-angle coordinate ascent over Givens rotations applied
-    to Q, run in lockstep from each lane of ``lanes`` with starting rotation
-    ``q[l]`` (an (L, n, n) stack, updated in place).
+    """Lockstep ascent over rotations Q from each lane of ``lanes`` with
+    starting rotation ``q[l]`` (an (L, n, n) stack, updated in place).
 
-    Every lane makes the same sequence of evaluations (one start, then per
-    coordinate an 8-angle coarse scan and a golden-section search), so each
-    step scores one candidate per lane per angle with a single stacked
-    evaluation in the lanes' frames, rebuilt only on an accepted move.  The
-    objective is pi-periodic in each angle (a sign flip of two columns leaves
-    Q diag(b) Q^T unchanged), so [-pi/2, pi/2] covers each coordinate.
-    Returns the final frames' scores, as the witness rescores them, and the
-    final rotations.
+    One sweep over the Givens coordinates (i, j) scores 8 angles per lane,
+    one stacked evaluation in the lanes' frames, and takes the best if it
+    beats the lane; the objective is pi-periodic in each angle (a sign flip
+    of two columns leaves Q diag(b) Q^T unchanged).  Then each polish
+    iteration scores the Cayley retractions of Q along the unit gradient at
+    every ``_STEPS`` length, and a lane takes its best trial if it beats the
+    lane.  A lane that does not is at a fixed point and repeats its trials,
+    so it ends as it would alone.  The polish stops after ``_POLISH_ITERS``
+    iterations or once no lane moves.  Returns the final frames' scores, as
+    the witness rescores them, and the final rotations.
     """
-    dim = q.shape[-1]
+    dim, lane = q.shape[-1], np.arange(len(q))
     frames = _frames(lanes, q)
     best = ev.ratios(lanes, frames[:, :, None])[:, 0]
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
-    window = math.pi / 8
     for i in range(dim - 1):
         for j in range(i + 1, dim):
-            def g(thetas):
-                return ev.turned(lanes, frames, i, j, thetas)
-
-            coarse_vals = g(np.tile(coarse, (len(q), 1)))
-            k = np.argmax(coarse_vals, axis=1)
-            coarse_best = coarse_vals.max(axis=1)
-            theta, val = _golden_max(g, coarse[k] - window, coarse[k] + window)
-            use_coarse = coarse_best > val
-            theta = np.where(use_coarse, coarse[k], theta)
-            val = np.where(use_coarse, coarse_best, val)
-            better = val > best
+            vals = ev.turned(lanes, frames, i, j, np.tile(coarse, (len(q), 1)))
+            k = np.argmax(vals, axis=1)
+            better = vals[lane, k] > best
             if better.any():
-                q[better] = q[better] @ _givens(dim, i, j, theta[better])
+                q[better] = q[better] @ _givens(dim, i, j, coarse[k[better]])
                 frames = _frames(lanes, q)
-            best = np.where(better, val, best)
-    return ev.ratios(lanes, frames[:, :, None])[:, 0].tolist(), q
+            best = np.where(better, vals[lane, k], best)
+    best = ev.ratios(lanes, frames[:, :, None])[:, 0]
+    for _ in range(_POLISH_ITERS):
+        trials = q[:, None] @ _cayley(_gradient(lanes, frames, best, ev.kind))
+        vals = ev.ratios(lanes, _frames(lanes, trials))
+        k = np.argmax(vals, axis=1)
+        better = vals[lane, k] > best
+        if not better.any():
+            break
+        q[better] = trials[better, k[better]]
+        best = np.where(better, vals[lane, k], best)
+        frames = _frames(lanes, q)
+    return best.tolist(), q
 
 
 def _scalar_probe(ev: _Evaluator, dim: int):
@@ -315,9 +332,10 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     """Maximise the increment ratio of ``f`` over pairs with spectra in ``f0``.
 
     ``budget`` counts random restarts; ``budget_used`` reports the candidates
-    settled: the probe pairs and every restart's ascent candidates, scored
-    or ruled out by the restart's bound.  Deterministic given (seed, budget),
-    and nondecreasing in budget under a fixed seed.
+    settled: the probe pairs and every restart's ascent candidates, scored,
+    repeated by a lane at a fixed point or ruled out by the restart's bound.
+    Deterministic given (seed, budget), and nondecreasing in budget under a
+    fixed seed.
     """
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
@@ -346,7 +364,8 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     witness = _witness_from_candidate(ev, *best)
     value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
     # C(n, 2) probe pairs (the mediant inequality settles them all), then per
-    # restart, ascended or screened, a start and per coordinate pair 8 coarse
-    # angles, 2 golden-section seeds and the golden-section steps
-    used = math.comb(pts.size, 2) + budget * (1 + (10 + _GOLDEN_ITERS) * math.comb(dim, 2))
+    # restart, ascended or screened, a start, 8 coarse angles per coordinate
+    # pair and every polish trial (a lane that stalls settles the rest)
+    used = math.comb(pts.size, 2) + budget * (
+        1 + 8 * math.comb(dim, 2) + _STEPS.size * _POLISH_ITERS)
     return SeminormLowerBound(value, witness, norm_kind, used, seed, budget)

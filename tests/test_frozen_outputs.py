@@ -129,9 +129,9 @@ EXPECTED = {
     },
     "divergence-abs-K3": {
         "report.csv":
-            "238a5aeeee1cce37b92c3f7a2e40fdacde9b742648e2055adaf0e0d493a821e2",
+            "dee39f808f8208701a88cafbc81bdb555e67d6a7edccb9928d66f159425f0818",
         "report_family.json":
-            "37850f196a20675da30cee6671f9ef483a6f3d3eacc18c3dedf06ef34d00c8a1",
+            "ae76a0ff6c5136696565ba6be12339ea75d2d9d71eda838493657d9ff96734d0",
     },
     "divergence-xsin_inv-delta0-1e-300": {
         "report.csv":
@@ -193,13 +193,13 @@ EXPECTED = {
     },
     "ratio-search-smoothed_abs": {
         "report.csv":
-            "6ee652fed0450609dfa2abbdc1e23e65c696e3260667ba85ad24c2147c7559f6",
+            "8706a3287f678544ef20938cac84ec8eeddb6ed0050efc6c8e87dacc3d5eb018",
         "report_dim2_operator.json":
             "604e696aa0154a9dbf2b47a8e907badb89cd0db86ba3105f73957bcc13990306",
         "report_dim2_schatten1.json":
-            "32a4ed5862465997aed99f2d72e8bee8bb976605201e645ec9b900124c4a75c1",
+            "db8a1b310690493692f4bb57cf0bf7228a9985575d1b0e8669c52b364bb0b391",
         "report_dim4_operator.json":
-            "542bc5b61d5a07b838f6e99786808a28e185bfede8fa9d4f1d9af53bdddd8b0d",
+            "3ca871b9d798fe784a76c19c9a50ab6521ea320018540f19436b744a30676da2",
         "report_dim4_schatten1.json":
             "d7aa44c79e2a5acf1c8d336dfba08e2c1e4808ab68b365f88d0809b4bc2a2c16",
     },

@@ -1,28 +1,28 @@
 """Static checks on the package sources with the stdlib `ast` module.
 
-Every top-level name a module defines must be read somewhere in the
-package beyond its definition; an ``__all__`` entry does not count: a
-function that only tests call is a second path that the package no longer
-needs.  No module may import a name it does not use (``__init__`` is the
-package's export list, so its imports are exempt).  Each kernel with one
-home is reached only from that home: the SVD, the eigensolver, the
-search's stacked eigenvalue kernel, the QR sampler, exact rational
-arithmetic and the per-element map of scalar functions.  The noise-floor
-rule and the eigensolver tolerance have one owner each.  A function takes
-each matrix's singular values once.  Files are written through one
-function, which only ``cli.main`` calls, after it has checked the output
-path and format once; catalog, grid, schedule and search-argument input
-errors are configuration errors that no module catches, and cli catches
-errors only where it reads a file and in ``main``; only ``main`` and
-``run_verify``, which explain a nonzero exit on stderr, print.  The two input rules,
-for reals and for integers, are called only by the functions that use the
-values they check, and cli tests no integer itself.  Every parameter default is
-overridden by some caller in the package or the benchmark (an option with
-one value in use is a constant), and relied on by some caller there (a
-default that only tests use should be a required parameter).  The
-divergence schedule is built in one place.  Every annotated field of a
-package class is read by the package or the benchmark, save the paper's
-verdict on each catalog function.
+Every top-level name a module defines must be read somewhere in the package
+beyond its definition; an ``__all__`` entry does not count: a function that
+only tests call is a second path that the package no longer needs.  No
+module may import a name it does not use (``__init__`` is the package's
+export list, so its imports are exempt).  Each kernel with one home is
+reached only from that home: the SVD, the eigensolver, the search's stacked
+eigenvalue kernel, the QR sampler, the search's Cayley solve, exact
+rational arithmetic and the per-element map of scalar functions.  The
+noise-floor rule and the eigensolver tolerance have one owner each.  A
+function takes each matrix's singular values once.  Files are written
+through one function, which only ``cli.main`` calls, after it has checked
+the output path and format once; catalog, grid, schedule and
+search-argument input errors are configuration errors that no module
+catches, and cli catches errors only where it reads a file and in ``main``;
+only ``main`` and ``run_verify``, which explain a nonzero exit on stderr,
+print.  The two input rules, for reals and for integers, are called only by
+the functions that use the values they check, and cli tests no integer
+itself.  Every parameter default is overridden by some caller in the
+package or the benchmark (an option with one value in use is a constant),
+and relied on by some caller there (a default that only tests use should be
+a required parameter).  The divergence schedule is built in one place.
+Every annotated field of a package class is read by the package or the
+benchmark, save the paper's verdict on each catalog function.
 """
 
 import ast
@@ -102,6 +102,8 @@ ONE_PATH = {
     "np.linalg.svd": {"hermitian.singular_values"},
     "np.linalg.eigvalsh": {"search._norms"},
     "np.linalg.eigh": {"hermitian.decompose"},
+    # the polish's Cayley retractions
+    "np.linalg.solve": {"search._cayley"},
     "np.linalg.qr": {"search.random_orthogonal"},
     # the one per-element map, for math functions NumPy rounds differently
     "np.fromiter": {"catalog.pointwise"},
