@@ -19,10 +19,11 @@ Search phases, in deterministic order:
      can never win: it is not ascended and draws no rotation.  The kept
      restarts draw Q0 next from their substreams and refine Q in one
      lockstep batch: a sweep of 8-angle coarse scans over the Givens
-     coordinates, then a polish of Cayley steps along the ratio's gradient
-     over all rotation generators.  Every step scores the candidates of all
-     of them with a single stacked ``eigvalsh`` in the frame of their current
-     rotations, in one thread.  When every restart is ruled out no ascent runs.
+     coordinates at dims up to 11, then a polish of Cayley steps along the
+     ratio's gradient over all rotation generators.  Every step scores the
+     candidates of the lanes still improving with a single stacked
+     ``eigvalsh`` in the frame of their current rotations, in one thread.
+     When every restart is ruled out no ascent runs.
 
 The incumbent is the best value with the earliest phase index, so the result
 is deterministic given (seed, budget), independent of evaluation order, and
@@ -35,6 +36,7 @@ so the reported value equals the searched one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -53,6 +55,13 @@ NORM_KINDS = ("operator", "schatten1")
 
 _STEPS = 4.0 * 2.0 ** -np.arange(12)  # the polish's steps along a unit gradient
 _POLISH_ITERS = 40
+
+
+def _sweep_pairs(dim: int) -> list:
+    """Coordinate pairs (i, j) the coarse sweep turns: all C(dim, 2) where
+    their 8 angles each cost no more trials than the polish (dim <= 11), else none."""
+    pairs = list(itertools.combinations(range(dim), 2))
+    return pairs if 8 * len(pairs) <= _STEPS.size * _POLISH_ITERS else []
 
 
 @dataclass(frozen=True)
@@ -231,41 +240,42 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
     """Lockstep ascent over rotations Q from each lane of ``lanes`` with
     starting rotation ``q[l]`` (an (L, n, n) stack, updated in place).
 
-    One sweep over the Givens coordinates (i, j) scores 8 angles per lane,
-    one stacked evaluation in the lanes' frames, and takes the best if it
-    beats the lane; the objective is pi-periodic in each angle (a sign flip
-    of two columns leaves Q diag(b) Q^T unchanged).  Then each polish
-    iteration scores the Cayley retractions of Q along the unit gradient at
-    every ``_STEPS`` length, and a lane takes its best trial if it beats the
-    lane.  A lane that does not is at a fixed point and repeats its trials,
-    so it ends as it would alone.  The polish stops after ``_POLISH_ITERS``
-    iterations or once no lane moves.  Returns the final frames' scores, as
-    the witness rescores them, and the final rotations.
+    One sweep over the ``_sweep_pairs`` (i, j) scores 8 angles per lane, one
+    stacked evaluation in the lanes' frames, and takes the best if it beats
+    the lane; the objective is pi-periodic in each angle (a sign flip of two
+    columns leaves Q diag(b) Q^T unchanged).  Then each polish iteration
+    scores the Cayley retractions of Q along the unit gradient at every
+    ``_STEPS`` length, and a lane takes its best trial if it beats the lane.
+    A lane that does not is at a fixed point and would repeat its trials, so
+    it retires; every matrix of a stack gets the bits it gets alone, so each
+    lane ends as it would alone.  The polish stops after ``_POLISH_ITERS``
+    iterations or once every lane has retired.  Returns the final frames'
+    scores, as the witness rescores them, and the final rotations.
     """
     dim, lane = q.shape[-1], np.arange(len(q))
     frames = _frames(lanes, q)
     best = ev.ratios(lanes, frames[:, :, None])[:, 0]
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
-    for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            vals = ev.turned(lanes, frames, i, j, np.tile(coarse, (len(q), 1)))
-            k = np.argmax(vals, axis=1)
-            better = vals[lane, k] > best
-            if better.any():
-                q[better] = q[better] @ _givens(dim, i, j, coarse[k[better]])
-                frames = _frames(lanes, q)
-            best = np.where(better, vals[lane, k], best)
-    best = ev.ratios(lanes, frames[:, :, None])[:, 0]
-    for _ in range(_POLISH_ITERS):
-        trials = q[:, None] @ _cayley(_gradient(lanes, frames, best, ev.kind))
-        vals = ev.ratios(lanes, _frames(lanes, trials))
+    for i, j in _sweep_pairs(dim):
+        vals = ev.turned(lanes, frames, i, j, np.tile(coarse, (len(q), 1)))
         k = np.argmax(vals, axis=1)
         better = vals[lane, k] > best
-        if not better.any():
-            break
-        q[better] = trials[better, k[better]]
+        if better.any():
+            q[better] = q[better] @ _givens(dim, i, j, coarse[k[better]])
+            frames = _frames(lanes, q)
         best = np.where(better, vals[lane, k], best)
-        frames = _frames(lanes, q)
+    best = ev.ratios(lanes, frames[:, :, None])[:, 0]
+    for _ in range(_POLISH_ITERS):
+        live = _Lanes(lanes.spec[:, lane], lanes.diag[:, lane], lanes.floor[:, lane])
+        trials = q[lane, None] @ _cayley(
+            _gradient(live, _frames(live, q[lane]), best[lane], ev.kind))
+        vals = ev.ratios(live, _frames(live, trials))
+        k = np.argmax(vals, axis=1)
+        better = vals[np.arange(lane.size), k] > best[lane]
+        lane, k = lane[better], k[better]
+        if not lane.size:
+            break
+        q[lane], best[lane] = trials[better, k], vals[better, k]
     return best.tolist(), q
 
 
@@ -333,7 +343,7 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
 
     ``budget`` counts random restarts; ``budget_used`` reports the candidates
     settled: the probe pairs and every restart's ascent candidates, scored,
-    repeated by a lane at a fixed point or ruled out by the restart's bound.
+    settled by a retired lane or ruled out by the restart's bound.
     Deterministic given (seed, budget), and nondecreasing in budget under a
     fixed seed.
     """
@@ -364,8 +374,8 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     witness = _witness_from_candidate(ev, *best)
     value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
     # C(n, 2) probe pairs (the mediant inequality settles them all), then per
-    # restart, ascended or screened, a start, 8 coarse angles per coordinate
-    # pair and every polish trial (a lane that stalls settles the rest)
+    # restart, ascended or screened, a start, 8 angles per pair the sweep
+    # turns and every polish trial (a lane that retires settles the rest)
     used = math.comb(pts.size, 2) + budget * (
-        1 + 8 * math.comb(dim, 2) + _STEPS.size * _POLISH_ITERS)
+        1 + 8 * len(_sweep_pairs(dim)) + _STEPS.size * _POLISH_ITERS)
     return SeminormLowerBound(value, witness, norm_kind, used, seed, budget)

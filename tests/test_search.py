@@ -223,16 +223,51 @@ def test_budget_used_counts_evaluations():
 
 @pytest.mark.parametrize("count,dim,budget,expected", [
     (5, 1, 1, 491), (5, 2, 1, 499), (5, 3, 2, 1020), (5, 4, 1, 539),
-    (17, 2, 4, 2092), (17, 4, 4, 2252)])
+    (17, 2, 4, 2092), (17, 4, 4, 2252), (17, 11, 1, 1057), (17, 12, 1, 617),
+    (17, 16, 4, 2060)])
 @pytest.mark.parametrize("kind", ["operator", "schatten1"])
 def test_budget_used_is_probe_plus_ascent(count, dim, budget, expected, kind):
     # C(n, 2) probe pairs, then per restart, ascended or screened, one start,
-    # 8 coarse angles per coordinate pair and 40 polish iterations of 12
-    # trials each, settled alike by a lane that stalls at a fixed point
+    # 8 coarse angles per coordinate pair at dims <= 11, where the sweep
+    # runs, and 40 polish iterations of 12 trials each, settled alike by a
+    # lane that stalls at a fixed point
     res = seminorm_lower_bound(get_function("abs"), restrict_to_grid((-1, 1), count),
                                dim, kind, budget, 0)
     assert res.budget_used == expected == (
-        math.comb(count, 2) + budget * (1 + 8 * math.comb(dim, 2) + 12 * 40))
+        math.comb(count, 2) + budget * (1 + 8 * math.comb(dim, 2) * (dim <= 11) + 12 * 40))
+
+
+#: (dim, kind) -> matrices through np.linalg.eigvalsh and calls of
+#: _Evaluator.turned (one per coordinate pair the sweep turns)
+RATIO_SEARCH_WORK = {
+    (2, "operator"): (320, 1), (2, "schatten1"): (322, 1),
+    (4, "operator"): (1498, 6), (4, "schatten1"): (1282, 6),
+    (8, "operator"): (3898, 28), (8, "schatten1"): (3778, 28),
+    (16, "operator"): (3424, 0), (16, "schatten1"): (3640, 0),
+}
+
+
+def test_ratio_search_benchmark_counted_work(monkeypatch):
+    # the searches of perfbench's ratio_search config (abs, 17 points on
+    # [-1, 1], budget 4, seed 1): these counts repeat exactly, so they move
+    # only when the work the search does moves.  No sweep at dim 16.
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        matrices.append(math.prod(m.shape[:-2]))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    turned = count_calls(monkeypatch, _Evaluator, "turned")
+    work = {}
+    for dim, kind in RATIO_SEARCH_WORK:
+        matrices.clear()
+        turned.clear()
+        seminorm_lower_bound(get_function("abs"), restrict_to_grid((-1, 1), 17),
+                             dim, kind, 4, 1)
+        work[dim, kind] = (sum(matrices), len(turned))
+    assert work == RATIO_SEARCH_WORK
 
 
 def test_invalid_arguments():
@@ -273,9 +308,9 @@ class TestFrozenWitnesses:
                           "bbd231d85ea03d919bcb6004ba86422770c718f7ad554b27c0b8433380d575c8"),
         (8, "schatten1"): ("0x1.08adabae457b3p+0", 2956,
                            "54827891d77877579fc8ab82fdfa73c1e2dec90c1e36f38e4d68f8a1e4d4a9ce"),
-        (16, "operator"): ("0x1.0000000000000p+0", 5900,
+        (16, "operator"): ("0x1.0000000000000p+0", 2060,
                            "5efc48be61f78b87c87b6852f2871de11a48d820941b1cb794e495f962bd51b1"),
-        (16, "schatten1"): ("0x1.0000000000000p+0", 5900,
+        (16, "schatten1"): ("0x1.0000000000000p+0", 2060,
                             "5efc48be61f78b87c87b6852f2871de11a48d820941b1cb794e495f962bd51b1"),
     }
 
@@ -337,11 +372,14 @@ def _oracle_frame(ev, ia, ib, q):
 
 class _CountingEvaluator(_Evaluator):
     """The search's tables with a counter of the candidates the oracle
-    scores, one by one; the search itself reports its count in closed form."""
+    scores, one by one (the search itself reports its count in closed
+    form), and the polish iteration at which each ascent stalled
+    (``_POLISH_ITERS`` if it never did)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.count = 0
+        self.stalls = []
 
 
 def _oracle_score(ev, ia, ib, frame):
@@ -390,7 +428,8 @@ def _oracle_ascent(ev, ia, ib, q0):
     ev.count += 1
     best = _oracle_score(ev, ia, ib, frame)
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
-    for i in range(dim - 1):
+    # the sweep runs at dims <= 11 only: 8 C(11, 2) = 440 <= 12 * 40 < 8 C(12, 2)
+    for i in range(dim - 1 if dim <= 11 else 0):
         for j in range(i + 1, dim):
             coarse_vals = [_oracle_rotated(ev, ia, ib, frame, i, j, t) for t in coarse]
             k = int(np.argmax(coarse_vals))
@@ -414,6 +453,9 @@ def _oracle_ascent(ev, ia, ib, q0):
         ev.count += _STEPS.size
         q, best = q @ rotations[k], vals[k]
         frame = _oracle_frame(ev, ia, ib, q)
+    else:
+        step = _POLISH_ITERS
+    ev.stalls.append(step)
     return best, q
 
 
@@ -441,7 +483,7 @@ def _oracle_search(f, grid, dim, kind, budget, seed):
             best_val, best_cand = value, (ia, ib, q)
     witness = _witness_from_candidate(ev, *best_cand)
     value = witness.ratio_s1 if kind == "schatten1" else witness.ratio_op
-    return value, ev.count, witness.b.matrix
+    return value, ev.count, witness.b.matrix, ev.stalls
 
 
 _ORACLE_FUNCTIONS = (("abs", ()), ("sqrt_abs", ()), ("smoothed_abs", (0.05,)),
@@ -460,7 +502,7 @@ class TestLockstepMatchesOracle:
         f = get_function(*fn)
         grid = restrict_to_grid(interval, count)
         res = seminorm_lower_bound(f, grid, dim, kind, budget, seed)
-        value, used, b_matrix = _oracle_search(f, grid, dim, kind, budget, seed)
+        value, used, b_matrix, _ = _oracle_search(f, grid, dim, kind, budget, seed)
         assert res.value.hex() == value.hex()
         assert res.budget_used == used
         assert res.witness.b.matrix.tobytes() == b_matrix.tobytes()
@@ -490,6 +532,21 @@ class TestLockstepMatchesOracle:
             assert qs[lane].tobytes() == np.asarray(q).tobytes()
         assert oracle.count == lanes * (1 + 8 * math.comb(dim, 2) + 12 * 40)
 
+    def test_dim_12_lanes_retire_apart(self, monkeypatch):
+        # past the sweep's cutoff the polish starts from Q0; the four
+        # ascended restarts stall at four different polish iterations, so
+        # the lockstep polish retires them one at a time
+        turned = count_calls(monkeypatch, _Evaluator, "turned")
+        f = get_function("abs")
+        res = seminorm_lower_bound(f, _grid9(), 12, "schatten1", 4, 2)
+        assert turned == []
+        value, used, b_matrix, stalls = _oracle_search(f, _grid9(), 12, "schatten1", 4, 2)
+        assert len(set(stalls)) == 4 and max(stalls) < _POLISH_ITERS
+        assert res.value.hex() == value.hex()
+        assert res.budget_used == used == 36 + 4 * (1 + 12 * 40)
+        assert res.witness.b.matrix.tobytes() == b_matrix.tobytes()
+        assert res.value > 1.0  # a restart's witness, above abs's probe
+
     def test_degenerate_denominator_scores_minus_inf(self):
         grid = FiniteSpectrumSet([-1.0, 1.0])
         ev = _CountingEvaluator(grid.points, grid.points.copy(), "schatten1")
@@ -506,7 +563,7 @@ class TestLockstepMatchesOracle:
         f = get_function("constant", (1.0,))
         for dim in (1, 3):
             res = seminorm_lower_bound(f, _grid9(), dim, "schatten1", 3, 5)
-            value, used, b_matrix = _oracle_search(f, _grid9(), dim, "schatten1", 3, 5)
+            value, used, b_matrix, _ = _oracle_search(f, _grid9(), dim, "schatten1", 3, 5)
             assert res.value == value == 0.0
             assert res.budget_used == used
             assert res.witness.b.matrix.tobytes() == b_matrix.tobytes()
