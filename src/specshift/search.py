@@ -20,9 +20,9 @@ Search phases, in deterministic order:
      restarts draw Q0 next from their substreams and refine Q in one
      lockstep batch: a sweep of 8-angle coarse scans over the Givens
      coordinates at dims up to 11, then a polish of Cayley steps along the
-     ratio's gradient over all rotation generators.  Every step scores the
-     candidates of the lanes still improving with a single stacked
-     ``eigvalsh`` in the frame of their current rotations, in one thread.
+     ratio's gradient over all rotation generators.  Every candidate, sweep
+     or polish, is a rotation scored on its own frame, and each step scores
+     all of its candidates with one stacked ``eigvalsh``, in one thread.
      When every restart is ruled out no ascent runs.
 
 The incumbent is the best value with the earliest phase index, so the result
@@ -97,7 +97,7 @@ def _magnitudes(spec: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 
 class _Evaluator:
-    """Ratio evaluation for candidates over a fixed grid and function table.
+    """The one ratio scorer of ascent candidates, over a fixed grid and function table.
 
     Per lane, a denominator at most ``noise_floor`` of max|a_i|, |b_i|
     invalidates a candidate, and a numerator at most ``noise_floor`` of
@@ -126,23 +126,6 @@ class _Evaluator:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den <= lanes.floor[0], -np.inf,
                             np.where(num <= lanes.floor[1], 0.0, num / den))
-
-    def turned(self, lanes: _Lanes, frames: np.ndarray, i: int, j: int,
-               thetas: np.ndarray) -> np.ndarray:
-        """Ratios of each lane's frame turned by the (i, j) Givens rotation G
-        by each angle of the (L, k) array ``thetas``.  G diag(b) G^T adds
-        -s^2 D at (i, i), s^2 D at (j, j) and cs D at (i, j) and (j, i), with
-        D = b_i - b_j: each candidate patches its own copy of the frame, so it
-        scores bit for bit as it would alone."""
-        c, s = _COS(thetas), _SIN(thetas)
-        gap = (lanes.spec[..., i] - lanes.spec[..., j])[..., None]
-        ss, cs = s * s * gap, c * s * gap
-        m = np.repeat(frames[:, :, None], thetas.shape[1], axis=2)
-        m[..., i, i] -= ss
-        m[..., j, j] += ss
-        m[..., i, j] += cs
-        m[..., j, i] += cs
-        return self.ratios(lanes, m)
 
 
 def _frames(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
@@ -240,10 +223,13 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
     """Lockstep ascent over rotations Q from each lane of ``lanes`` with
     starting rotation ``q[l]`` (an (L, n, n) stack, updated in place).
 
-    One sweep over the ``_sweep_pairs`` (i, j) scores 8 angles per lane, one
-    stacked evaluation in the lanes' frames, and takes the best if it beats
-    the lane; the objective is pi-periodic in each angle (a sign flip of two
-    columns leaves Q diag(b) Q^T unchanged).  Then each polish iteration
+    One sweep over the ``_sweep_pairs`` (i, j) scores the rotations Q G(i, j,
+    theta) at 8 angles per lane on their own frames, like every polish
+    trial, and a lane takes its best if it beats the lane; the objective is
+    pi-periodic in each angle (a sign flip of two columns leaves Q diag(b)
+    Q^T unchanged).  Where b_i = b_j, G leaves the candidate as it is, so
+    those 8 scores are -inf: rounding never turns a no-op into a move, and
+    ``best`` stays the score of the lane's frame.  Then each polish iteration
     scores the Cayley retractions of Q along the unit gradient at every
     ``_STEPS`` length, and a lane takes its best trial if it beats the lane.
     A lane that does not is at a fixed point and would repeat its trials, so
@@ -253,18 +239,15 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
     scores, as the witness rescores them, and the final rotations.
     """
     dim, lane = q.shape[-1], np.arange(len(q))
-    frames = _frames(lanes, q)
-    best = ev.ratios(lanes, frames[:, :, None])[:, 0]
+    best = ev.ratios(lanes, _frames(lanes, q[:, None]))[:, 0]
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
     for i, j in _sweep_pairs(dim):
-        vals = ev.turned(lanes, frames, i, j, np.tile(coarse, (len(q), 1)))
+        trials = q[:, None] @ _givens(dim, i, j, coarse)
+        vals = ev.ratios(lanes, _frames(lanes, trials))
+        vals[lanes.spec[0, :, i] == lanes.spec[0, :, j]] = -np.inf  # G leaves B as it is
         k = np.argmax(vals, axis=1)
         better = vals[lane, k] > best
-        if better.any():
-            q[better] = q[better] @ _givens(dim, i, j, coarse[k[better]])
-            frames = _frames(lanes, q)
-        best = np.where(better, vals[lane, k], best)
-    best = ev.ratios(lanes, frames[:, :, None])[:, 0]
+        q[better], best[better] = trials[better, k[better]], vals[better, k[better]]
     for _ in range(_POLISH_ITERS):
         live = _Lanes(lanes.spec[:, lane], lanes.diag[:, lane], lanes.floor[:, lane])
         trials = q[lane, None] @ _cayley(

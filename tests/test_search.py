@@ -238,12 +238,12 @@ def test_budget_used_is_probe_plus_ascent(count, dim, budget, expected, kind):
 
 
 #: (dim, kind) -> matrices through np.linalg.eigvalsh and calls of
-#: _Evaluator.turned (one per coordinate pair the sweep turns)
+#: search._givens (one per coordinate pair the sweep turns)
 RATIO_SEARCH_WORK = {
-    (2, "operator"): (320, 1), (2, "schatten1"): (322, 1),
-    (4, "operator"): (1498, 6), (4, "schatten1"): (1282, 6),
-    (8, "operator"): (3898, 28), (8, "schatten1"): (3778, 28),
-    (16, "operator"): (3424, 0), (16, "schatten1"): (3640, 0),
+    (2, "operator"): (312, 1), (2, "schatten1"): (314, 1),
+    (4, "operator"): (1494, 6), (4, "schatten1"): (1278, 6),
+    (8, "operator"): (4152, 28), (8, "schatten1"): (3794, 28),
+    (16, "operator"): (3416, 0), (16, "schatten1"): (3632, 0),
 }
 
 
@@ -259,14 +259,14 @@ def test_ratio_search_benchmark_counted_work(monkeypatch):
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    turned = count_calls(monkeypatch, _Evaluator, "turned")
+    swept = count_calls(monkeypatch, search, "_givens")
     work = {}
     for dim, kind in RATIO_SEARCH_WORK:
         matrices.clear()
-        turned.clear()
+        swept.clear()
         seminorm_lower_bound(get_function("abs"), restrict_to_grid((-1, 1), 17),
                              dim, kind, 4, 1)
-        work[dim, kind] = (sum(matrices), len(turned))
+        work[dim, kind] = (sum(matrices), len(swept))
     assert work == RATIO_SEARCH_WORK
 
 
@@ -306,8 +306,8 @@ class TestFrozenWitnesses:
                            "a314770e5b180cc7bb9a2882fd246bcc053d4e92f8bf273451ef818743458f22"),
         (8, "operator"): ("0x1.0000000000000p+0", 2956,
                           "bbd231d85ea03d919bcb6004ba86422770c718f7ad554b27c0b8433380d575c8"),
-        (8, "schatten1"): ("0x1.08adabae457b3p+0", 2956,
-                           "54827891d77877579fc8ab82fdfa73c1e2dec90c1e36f38e4d68f8a1e4d4a9ce"),
+        (8, "schatten1"): ("0x1.065ea618ab8c7p+0", 2956,
+                           "796c4b5d750c7fada05031b0c298577a65a24740834b3f0dda19ee4d6d8841e4"),
         (16, "operator"): ("0x1.0000000000000p+0", 2060,
                            "5efc48be61f78b87c87b6852f2871de11a48d820941b1cb794e495f962bd51b1"),
         (16, "schatten1"): ("0x1.0000000000000p+0", 2060,
@@ -343,8 +343,8 @@ class TestFrozenWitnesses:
             "e29eb53aadcd0d2303b8cda8dc27626a43452c8ffae39f59de980dae72d67d36")
 
 
-# One-candidate-at-a-time reference: every candidate patches its own copy
-# of its restart's frame diag(b) - Q^T diag(a) Q, gets its own eigenvalue
+# One-candidate-at-a-time reference: every candidate builds its own frame
+# diag(b) - Q^T diag(a) Q from its own rotation, gets its own eigenvalue
 # solves, and every ascent runs alone.  The lockstep search must match it
 # bit for bit.
 
@@ -394,21 +394,14 @@ def _oracle_score(ev, ia, ib, frame):
     return num / den
 
 
-def _oracle_rotated(ev, ia, ib, frame, i, j, theta):
-    """Score of the frame turned by the Givens rotation G(i, j, theta):
-    G diag(b) G^T - diag(b) is nonzero only at (i, i), (j, j), (i, j), (j, i)."""
+def _oracle_rotated(ev, ia, ib, q, i, j, theta):
+    """Score of the candidate with rotation Q G(i, j, theta), on its own
+    frame; -inf where b_i = b_j, since G then leaves Q diag(b) Q^T as it is."""
     ev.count += 1
-    c, s = math.cos(theta), math.sin(theta)
-    turned = []
-    for m, x in zip(frame, (ev.pts, ev.fvals)):
-        gap = x[ib[i]] - x[ib[j]]
-        m = m.copy()
-        m[i, i] -= s * s * gap
-        m[j, j] += s * s * gap
-        m[i, j] += c * s * gap
-        m[j, i] += c * s * gap
-        turned.append(m)
-    return _oracle_score(ev, ia, ib, turned)
+    if ev.pts[ib[i]] == ev.pts[ib[j]]:
+        return -math.inf
+    turned = q @ _oracle_givens(ia.size, i, j, theta)
+    return _oracle_score(ev, ia, ib, _oracle_frame(ev, ia, ib, turned))
 
 
 def _oracle_givens(dim, i, j, theta):
@@ -431,7 +424,7 @@ def _oracle_ascent(ev, ia, ib, q0):
     # the sweep runs at dims <= 11 only: 8 C(11, 2) = 440 <= 12 * 40 < 8 C(12, 2)
     for i in range(dim - 1 if dim <= 11 else 0):
         for j in range(i + 1, dim):
-            coarse_vals = [_oracle_rotated(ev, ia, ib, frame, i, j, t) for t in coarse]
+            coarse_vals = [_oracle_rotated(ev, ia, ib, q, i, j, t) for t in coarse]
             k = int(np.argmax(coarse_vals))
             if coarse_vals[k] > best:
                 best = coarse_vals[k]
@@ -440,7 +433,6 @@ def _oracle_ascent(ev, ia, ib, q0):
     # the polish: this lane alone through the search's gradient and
     # retractions, each trial scored on its own frame
     lanes = ev.lanes([(ia, ib)])
-    best = _oracle_score(ev, ia, ib, frame)
     for step in range(_POLISH_ITERS):
         g = _gradient(lanes, np.stack(frame)[:, None], np.array([best]), ev.kind)
         rotations = _cayley(g)[0]
@@ -536,10 +528,10 @@ class TestLockstepMatchesOracle:
         # past the sweep's cutoff the polish starts from Q0; the four
         # ascended restarts stall at four different polish iterations, so
         # the lockstep polish retires them one at a time
-        turned = count_calls(monkeypatch, _Evaluator, "turned")
+        swept = count_calls(monkeypatch, search, "_givens")
         f = get_function("abs")
         res = seminorm_lower_bound(f, _grid9(), 12, "schatten1", 4, 2)
-        assert turned == []
+        assert swept == []
         value, used, b_matrix, stalls = _oracle_search(f, _grid9(), 12, "schatten1", 4, 2)
         assert len(set(stalls)) == 4 and max(stalls) < _POLISH_ITERS
         assert res.value.hex() == value.hex()
@@ -553,11 +545,26 @@ class TestLockstepMatchesOracle:
         ia, ib = np.array([0, 1]), np.array([1, 0])
         lanes = ev.lanes([(ia, ib, None)])
         q = np.eye(2)
-        frames = _frames(lanes, q[None])
-        swap = np.array([[-math.pi / 2]])
-        assert ev.turned(lanes, frames, 0, 1, swap)[0, 0] == -math.inf
-        frame = _oracle_frame(ev, ia, ib, q)
-        assert _oracle_rotated(ev, ia, ib, frame, 0, 1, -math.pi / 2) == -math.inf
+        swap = q @ search._givens(2, 0, 1, np.array([-math.pi / 2]))
+        assert ev.ratios(lanes, _frames(lanes, swap[None]))[0, 0] == -math.inf
+        assert _oracle_rotated(ev, ia, ib, q, 0, 1, -math.pi / 2) == -math.inf
+
+    @pytest.mark.parametrize("dim", range(2, 12))
+    @pytest.mark.parametrize("kind", ["operator", "schatten1"])
+    def test_constant_b_lanes_keep_q0(self, dim, kind):
+        # with b constant every rotation leaves B = b I, so a swept pair is a
+        # no-op whose rounded frame must not pass for a gain, and the
+        # gradient is zero: each lane ends at Q0 with its start score
+        rng = np.random.default_rng(dim)
+        grid = restrict_to_grid((-1, 1), 9)
+        ev = _Evaluator(grid.points, np.abs(grid.points), kind)
+        starts = [(rng.integers(0, 9, size=dim), np.full(dim, c)) for c in (0, 2, 4, 8)]
+        lanes = ev.lanes(starts)
+        q0 = np.stack([random_orthogonal(rng, dim) for _ in starts])
+        start = ev.ratios(lanes, _frames(lanes, q0[:, None]))[:, 0]
+        values, qs = _ascent(ev, lanes, q0.copy())
+        assert qs.tobytes() == q0.tobytes()
+        assert np.array(values).tobytes() == start.tobytes()
 
     def test_constant_function_scores_exact_zero(self):
         f = get_function("constant", (1.0,))

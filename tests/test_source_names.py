@@ -101,6 +101,9 @@ def test_no_unused_imports(module):
 ONE_PATH = {
     "np.linalg.svd": {"hermitian.singular_values"},
     "np.linalg.eigvalsh": {"search._norms"},
+    # every candidate, sweep or polish, is scored on its own frame by
+    # ev.ratios, and the witness rescores the winner the same way
+    "_norms": {"search._Evaluator.ratios", "search._witness_from_candidate"},
     "np.linalg.eigh": {"hermitian.decompose"},
     # the polish's Cayley retractions
     "np.linalg.solve": {"search._cayley"},
