@@ -19,10 +19,13 @@ Search phases, in deterministic order:
      can never win: it is not ascended and draws no rotation.  The kept
      restarts draw Q0 next from their substreams and refine Q in one
      lockstep batch: a sweep of 8-angle coarse scans over the Givens
-     coordinates at dims up to 11, then a polish of Cayley steps along the
-     ratio's gradient over all rotation generators.  Every candidate, sweep
-     or polish, is a rotation scored on its own frame, and each step scores
-     all of its candidates with one stacked ``eigvalsh``, in one thread.
+     coordinates at dims up to 11 (theta = 0, which turns nothing, is not
+     scored), then a polish of Cayley steps along the ratio's gradient over
+     all rotation generators, each iteration after the first scoring the 3
+     step lengths around a lane's last step, and the other 9 only where
+     those miss.  Every candidate, sweep or polish, is a rotation scored on
+     its own frame, and each step scores all of its candidates with one
+     stacked ``eigvalsh``, in one thread.
      When every restart is ruled out no ascent runs.
 
 The incumbent is the best value with the earliest phase index, so the result
@@ -90,6 +93,10 @@ class _Lanes:
     diag: np.ndarray   # (2, L, n): a and f(a) per lane
     floor: np.ndarray  # (2, L, 1): noise floors of the denominator and numerator
 
+    def take(self, lane) -> "_Lanes":
+        """The lanes selected by the index or mask ``lane``."""
+        return _Lanes(self.spec[:, lane], self.diag[:, lane], self.floor[:, lane])
+
 
 def _magnitudes(spec: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Largest |entry| of each lane's spectra (row 0) and f-values (row 1)."""
@@ -123,7 +130,8 @@ class _Evaluator:
         and numerator matrices."""
         s1, op = _norms(m)
         den, num = s1 if self.kind == "schatten1" else op
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a subnormal den below its floor may overflow num / den: masked, -inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(den <= lanes.floor[0], -np.inf,
                             np.where(num <= lanes.floor[1], 0.0, num / den))
 
@@ -209,14 +217,24 @@ def _gradient(lanes: _Lanes, frames: np.ndarray, value: np.ndarray, kind: str):
     return np.where(live[:, None, None], d[1] - d[0], 0.0)
 
 
-def _cayley(g: np.ndarray) -> np.ndarray:
+def _cayley(g: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """(I - tG/2)^-1 (I + tG/2) for G each skew matrix of the (L, n, n) stack
     ``g`` scaled to unit Frobenius norm (zero stays zero) and each step t of
-    ``_STEPS``: shape (L, len(_STEPS), n, n)."""
+    its row of the (L, s) array ``steps``: shape (L, s, n, n)."""
     size = np.linalg.norm(g, axis=(-2, -1), keepdims=True)
-    half = (g / np.where(size > 0, size, 1.0))[:, None] * (_STEPS[:, None, None] / 2.0)
+    half = (g / np.where(size > 0, size, 1.0))[:, None] * (steps[..., None, None] / 2.0)
     eye = np.eye(g.shape[-1])
     return np.linalg.solve(eye - half, eye + half)
+
+
+def _best_step(ev: _Evaluator, lanes: _Lanes, q: np.ndarray, g: np.ndarray, idx: np.ndarray):
+    """Each lane's best Cayley retraction of its rotation ``q[l]`` along
+    ``g[l]`` among the ``_STEPS`` indices in row l of ``idx``, all scored in
+    one stack: (rotations, scores, step indices)."""
+    trials = q[:, None] @ _cayley(g, _STEPS[idx])
+    vals = ev.ratios(lanes, _frames(lanes, trials))
+    row, k = np.arange(len(q)), np.argmax(vals, axis=1)
+    return trials[row, k], vals[row, k], idx[row, k]
 
 
 def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
@@ -224,23 +242,27 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
     starting rotation ``q[l]`` (an (L, n, n) stack, updated in place).
 
     One sweep over the ``_sweep_pairs`` (i, j) scores the rotations Q G(i, j,
-    theta) at 8 angles per lane on their own frames, like every polish
+    theta) at 7 angles per lane on their own frames, like every polish
     trial, and a lane takes its best if it beats the lane; the objective is
     pi-periodic in each angle (a sign flip of two columns leaves Q diag(b)
-    Q^T unchanged).  Where b_i = b_j, G leaves the candidate as it is, so
-    those 8 scores are -inf: rounding never turns a no-op into a move, and
+    Q^T unchanged), and theta = 0 would re-score the lane's own frame, which
+    never beats it.  Where b_i = b_j, G leaves the candidate as it is, so
+    those scores are -inf: rounding never turns a no-op into a move, and
     ``best`` stays the score of the lane's frame.  Then each polish iteration
-    scores the Cayley retractions of Q along the unit gradient at every
-    ``_STEPS`` length, and a lane takes its best trial if it beats the lane.
-    A lane that does not is at a fixed point and would repeat its trials, so
-    it retires; every matrix of a stack gets the bits it gets alone, so each
-    lane ends as it would alone.  The polish stops after ``_POLISH_ITERS``
-    iterations or once every lane has retired.  Returns the final frames'
-    scores, as the witness rescores them, and the final rotations.
+    retracts Q along the unit gradient by Cayley steps of the ``_STEPS``
+    lengths, and a lane takes its best trial if it beats the lane.  The
+    first iteration scores all 12 steps; later ones score the bracket of 3
+    steps around the lane's last step first, and only the lanes it misses
+    score their other 9.  A lane that none of the 12 beats is at a fixed
+    point and would repeat its trials, so it retires; every matrix of a
+    stack gets the bits it gets alone, so each lane ends as it would alone.
+    The polish stops after ``_POLISH_ITERS`` iterations or once every lane
+    has retired.  Returns the final frames' scores, as the witness rescores
+    them, and the final rotations.
     """
     dim, lane = q.shape[-1], np.arange(len(q))
     best = ev.ratios(lanes, _frames(lanes, q[:, None]))[:, 0]
-    coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
+    coarse = np.delete(np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1], 4)  # theta = 0: Q itself
     for i, j in _sweep_pairs(dim):
         trials = q[:, None] @ _givens(dim, i, j, coarse)
         vals = ev.ratios(lanes, _frames(lanes, trials))
@@ -248,17 +270,24 @@ def _ascent(ev: _Evaluator, lanes: _Lanes, q: np.ndarray):
         k = np.argmax(vals, axis=1)
         better = vals[lane, k] > best
         q[better], best[better] = trials[better, k[better]], vals[better, k[better]]
-    for _ in range(_POLISH_ITERS):
-        live = _Lanes(lanes.spec[:, lane], lanes.diag[:, lane], lanes.floor[:, lane])
-        trials = q[lane, None] @ _cayley(
-            _gradient(live, _frames(live, q[lane]), best[lane], ev.kind))
-        vals = ev.ratios(live, _frames(live, trials))
-        k = np.argmax(vals, axis=1)
-        better = vals[np.arange(lane.size), k] > best[lane]
-        lane, k = lane[better], k[better]
+    every, step = np.arange(_STEPS.size), np.zeros(len(q), dtype=np.intp)
+    for it in range(_POLISH_ITERS):
+        live = lanes.take(lane)
+        g = _gradient(live, _frames(live, q[lane]), best[lane], ev.kind)
+        lo = np.clip(step[lane] - 1, 0, every.size - 3)[:, None]
+        stages = ((lo + every[:3], every[:-3] + 3 * (every[:-3] >= lo)) if it else
+                  (np.broadcast_to(every, (lane.size, every.size)),))
+        stuck = np.ones(lane.size, dtype=bool)
+        for idx in stages:
+            at = lane[stuck]
+            if at.size:
+                trial, val, k = _best_step(ev, lanes.take(at), q[at], g[stuck], idx[stuck])
+                gain = val > best[at]
+                q[at[gain]], best[at[gain]], step[at[gain]] = trial[gain], val[gain], k[gain]
+                stuck[stuck] = ~gain
+        lane = lane[~stuck]
         if not lane.size:
             break
-        q[lane], best[lane] = trials[better, k], vals[better, k]
     return best.tolist(), q
 
 
@@ -326,7 +355,8 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
 
     ``budget`` counts random restarts; ``budget_used`` reports the candidates
     settled: the probe pairs and every restart's ascent candidates, scored,
-    settled by a retired lane or ruled out by the restart's bound.
+    settled unscored (theta = 0, the steps outside a bracket that gained, a
+    retired lane's trials) or ruled out by the restart's bound.
     Deterministic given (seed, budget), and nondecreasing in budget under a
     fixed seed.
     """
@@ -349,8 +379,7 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     qs = np.zeros((budget, dim, dim))
     if keep.any():
         qs[keep] = [random_orthogonal(starts[r][2], dim) for r in np.flatnonzero(keep)]
-        values[keep], qs[keep] = _ascent(ev, _Lanes(
-            lanes.spec[:, keep], lanes.diag[:, keep], lanes.floor[:, keep]), qs[keep])
+        values[keep], qs[keep] = _ascent(ev, lanes.take(keep), qs[keep])
     # ties go to the earliest phase: the probe, then the first restart
     r = int(np.argmax(values))
     best = (*starts[r][:2], qs[r]) if values[r] > probe_value else probe
@@ -358,7 +387,8 @@ def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,
     value = witness.ratio_s1 if norm_kind == "schatten1" else witness.ratio_op
     # C(n, 2) probe pairs (the mediant inequality settles them all), then per
     # restart, ascended or screened, a start, 8 angles per pair the sweep
-    # turns and every polish trial (a lane that retires settles the rest)
+    # turns and 12 polish trials per iteration (theta = 0, the steps outside
+    # a bracket that gained and a retired lane's trials are settled)
     used = math.comb(pts.size, 2) + budget * (
         1 + 8 * len(_sweep_pairs(dim)) + _STEPS.size * _POLISH_ITERS)
     return SeminormLowerBound(value, witness, norm_kind, used, seed, budget)

@@ -240,10 +240,10 @@ def test_budget_used_is_probe_plus_ascent(count, dim, budget, expected, kind):
 #: (dim, kind) -> matrices through np.linalg.eigvalsh and calls of
 #: search._givens (one per coordinate pair the sweep turns)
 RATIO_SEARCH_WORK = {
-    (2, "operator"): (312, 1), (2, "schatten1"): (314, 1),
-    (4, "operator"): (1494, 6), (4, "schatten1"): (1278, 6),
-    (8, "operator"): (4152, 28), (8, "schatten1"): (3794, 28),
-    (16, "operator"): (3416, 0), (16, "schatten1"): (3632, 0),
+    (2, "operator"): (304, 1), (2, "schatten1"): (306, 1),
+    (4, "operator"): (570, 6), (4, "schatten1"): (564, 6),
+    (8, "operator"): (2346, 28), (8, "schatten1"): (2286, 28),
+    (16, "operator"): (1036, 0), (16, "schatten1"): (1040, 0),
 }
 
 
@@ -300,14 +300,14 @@ class TestFrozenWitnesses:
                           "e4a4874ef08347adcf673e3a0e5ff38c174b3755702ac2306c6f0693ed8d2e8c"),
         (2, "schatten1"): ("0x1.0000000000000p+0", 2092,
                            "e4a4874ef08347adcf673e3a0e5ff38c174b3755702ac2306c6f0693ed8d2e8c"),
-        (4, "operator"): ("0x1.005543c318067p+0", 2252,
-                          "65ea774239eb9bdeadf30041a166abed41107b73873e673c6e721ba312846175"),
+        (4, "operator"): ("0x1.00529144f9525p+0", 2252,
+                          "31615c000e329811a6255f828d3dbec114c7abe3ed500127adfefc1db3a20f68"),
         (4, "schatten1"): ("0x1.0000000000000p+0", 2252,
                            "a314770e5b180cc7bb9a2882fd246bcc053d4e92f8bf273451ef818743458f22"),
-        (8, "operator"): ("0x1.0000000000000p+0", 2956,
-                          "bbd231d85ea03d919bcb6004ba86422770c718f7ad554b27c0b8433380d575c8"),
-        (8, "schatten1"): ("0x1.065ea618ab8c7p+0", 2956,
-                           "796c4b5d750c7fada05031b0c298577a65a24740834b3f0dda19ee4d6d8841e4"),
+        (8, "operator"): ("0x1.019f1632ffc77p+0", 2956,
+                          "726d7bdf300907922e9d43aa6a76858a3135f0d3a492bd63df1f50d9cf366fa4"),
+        (8, "schatten1"): ("0x1.0000000000000p+0", 2956,
+                           "bbd231d85ea03d919bcb6004ba86422770c718f7ad554b27c0b8433380d575c8"),
         (16, "operator"): ("0x1.0000000000000p+0", 2060,
                            "5efc48be61f78b87c87b6852f2871de11a48d820941b1cb794e495f962bd51b1"),
         (16, "schatten1"): ("0x1.0000000000000p+0", 2060,
@@ -373,13 +373,15 @@ def _oracle_frame(ev, ia, ib, q):
 class _CountingEvaluator(_Evaluator):
     """The search's tables with a counter of the candidates the oracle
     scores, one by one (the search itself reports its count in closed
-    form), and the polish iteration at which each ascent stalled
-    (``_POLISH_ITERS`` if it never did)."""
+    form), the polish iteration at which each ascent stalled
+    (``_POLISH_ITERS`` if it never did), and (ascent, iteration) of each
+    polish move that a lane's bracket missed and a far step made."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.count = 0
         self.stalls = []
+        self.far_moves = []
 
 
 def _oracle_score(ev, ia, ib, frame):
@@ -420,8 +422,10 @@ def _oracle_ascent(ev, ia, ib, q0):
     frame = _oracle_frame(ev, ia, ib, q)
     ev.count += 1
     best = _oracle_score(ev, ia, ib, frame)
+    # all 8 angles: theta = 0, which the search skips, re-scores the lane's
+    # own frame and so never gains.  The sweep runs at dims <= 11 only:
+    # 8 C(11, 2) = 440 <= 12 * 40 < 8 C(12, 2)
     coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
-    # the sweep runs at dims <= 11 only: 8 C(11, 2) = 440 <= 12 * 40 < 8 C(12, 2)
     for i in range(dim - 1 if dim <= 11 else 0):
         for j in range(i + 1, dim):
             coarse_vals = [_oracle_rotated(ev, ia, ib, q, i, j, t) for t in coarse]
@@ -431,19 +435,34 @@ def _oracle_ascent(ev, ia, ib, q0):
                 q = q @ _oracle_givens(dim, i, j, float(coarse[k]))
                 frame = _oracle_frame(ev, ia, ib, q)
     # the polish: this lane alone through the search's gradient and
-    # retractions, each trial scored on its own frame
+    # retractions, each trial scored on its own frame.  The first iteration
+    # tries all 12 steps; later ones the 3 around the last step taken, then,
+    # if none of those gains, the other 9
     lanes = ev.lanes([(ia, ib)])
+    last = None
     for step in range(_POLISH_ITERS):
         g = _gradient(lanes, np.stack(frame)[:, None], np.array([best]), ev.kind)
-        rotations = _cayley(g)[0]
-        vals = [_oracle_score(ev, ia, ib, _oracle_frame(ev, ia, ib, q @ r)) for r in rotations]
-        k = int(np.argmax(vals))
-        if not vals[k] > best:
+        if last is None:
+            stages = [list(range(_STEPS.size))]
+        else:
+            lo = min(max(last - 1, 0), _STEPS.size - 3)
+            bracket = [lo, lo + 1, lo + 2]
+            stages = [bracket, [s for s in range(_STEPS.size) if s not in bracket]]
+        for stage, steps in enumerate(stages):
+            rotations = _cayley(g, _STEPS[steps][None])[0]
+            vals = [_oracle_score(ev, ia, ib, _oracle_frame(ev, ia, ib, q @ r))
+                    for r in rotations]
+            k = int(np.argmax(vals))
+            if vals[k] > best:
+                break
+        else:
             # a fixed point: the remaining iterations would repeat these trials
             ev.count += (_POLISH_ITERS - step) * _STEPS.size
             break
+        if stage:
+            ev.far_moves.append((len(ev.stalls), step))
         ev.count += _STEPS.size
-        q, best = q @ rotations[k], vals[k]
+        q, best, last = q @ rotations[k], vals[k], steps[k]
         frame = _oracle_frame(ev, ia, ib, q)
     else:
         step = _POLISH_ITERS
@@ -453,7 +472,8 @@ def _oracle_ascent(ev, ia, ib, q0):
 
 def _oracle_search(f, grid, dim, kind, budget, seed):
     """The search with the scalar probe loop and one ascent per restart,
-    none of them screened."""
+    none of them screened: (value, candidates counted, witness B, the
+    counting evaluator)."""
     pts = grid.points
     ev = _CountingEvaluator(pts, np.array([f(x) for x in pts]), kind)
     best_val, best_pair = -math.inf, (0, 1)
@@ -475,7 +495,7 @@ def _oracle_search(f, grid, dim, kind, budget, seed):
             best_val, best_cand = value, (ia, ib, q)
     witness = _witness_from_candidate(ev, *best_cand)
     value = witness.ratio_s1 if kind == "schatten1" else witness.ratio_op
-    return value, ev.count, witness.b.matrix, ev.stalls
+    return value, ev.count, witness.b.matrix, ev
 
 
 _ORACLE_FUNCTIONS = (("abs", ()), ("sqrt_abs", ()), ("smoothed_abs", (0.05,)),
@@ -530,14 +550,49 @@ class TestLockstepMatchesOracle:
         # the lockstep polish retires them one at a time
         swept = count_calls(monkeypatch, search, "_givens")
         f = get_function("abs")
-        res = seminorm_lower_bound(f, _grid9(), 12, "schatten1", 4, 2)
+        res = seminorm_lower_bound(f, _grid9(), 12, "schatten1", 4, 4)
         assert swept == []
-        value, used, b_matrix, stalls = _oracle_search(f, _grid9(), 12, "schatten1", 4, 2)
-        assert len(set(stalls)) == 4 and max(stalls) < _POLISH_ITERS
+        value, used, b_matrix, oracle = _oracle_search(f, _grid9(), 12, "schatten1", 4, 4)
+        assert len(set(oracle.stalls)) == 4 and max(oracle.stalls) < _POLISH_ITERS
         assert res.value.hex() == value.hex()
         assert res.budget_used == used == 36 + 4 * (1 + 12 * 40)
         assert res.witness.b.matrix.tobytes() == b_matrix.tobytes()
         assert res.value > 1.0  # a restart's witness, above abs's probe
+
+    def test_bracket_miss_falls_back_to_every_step(self):
+        # the one restart's bracket misses at polish iterations 3 and 4,
+        # where a far step still gains, so the lane moves on; it stalls at
+        # iteration 6, once none of the 12 steps gains, above abs's probe
+        f = get_function("abs")
+        res = seminorm_lower_bound(f, _grid9(), 4, "schatten1", 1, 1)
+        value, used, b_matrix, oracle = _oracle_search(f, _grid9(), 4, "schatten1", 1, 1)
+        assert oracle.far_moves == [(0, 3), (0, 4)] and oracle.stalls == [6]
+        assert res.value.hex() == value.hex() and res.value > 1.0
+        assert res.budget_used == used == 36 + (1 + 8 * 6 + 12 * 40)
+        assert res.witness.b.matrix.tobytes() == b_matrix.tobytes()
+
+    @pytest.mark.parametrize("dim", range(2, 12))
+    @pytest.mark.parametrize("kind", ["operator", "schatten1"])
+    def test_sweep_angle_zero_rescores_the_lane(self, dim, kind):
+        # the 8-angle sweep on the ratio_search config's restarts (abs, 17
+        # points on [-1, 1], seed 1): Q G(i, j, 0) = Q, so at theta = 0 each
+        # lane's candidate scores its best bit for bit, and a strict gain
+        # can never take it; the search skips that angle
+        grid = restrict_to_grid((-1, 1), 17)
+        ev = _Evaluator(grid.points, get_function("abs").values_at(grid.points), kind)
+        starts = [_ascended_start(17, dim, 1, r) for r in range(4)]
+        lanes, q = ev.lanes(starts), np.stack([c[2] for c in starts])
+        best = ev.ratios(lanes, _frames(lanes, q[:, None]))[:, 0]
+        coarse = np.linspace(-math.pi / 2, math.pi / 2, 9)[:-1]
+        assert coarse[4] == 0.0
+        for i, j in search._sweep_pairs(dim):
+            trials = q[:, None] @ search._givens(dim, i, j, coarse)
+            vals = ev.ratios(lanes, _frames(lanes, trials))
+            assert vals[:, 4].tobytes() == best.tobytes()
+            vals[lanes.spec[0, :, i] == lanes.spec[0, :, j]] = -np.inf
+            k = np.argmax(vals, axis=1)
+            better = vals[np.arange(4), k] > best
+            q[better], best[better] = trials[better, k[better]], vals[better, k[better]]
 
     def test_degenerate_denominator_scores_minus_inf(self):
         grid = FiniteSpectrumSet([-1.0, 1.0])
@@ -636,7 +691,7 @@ class TestPolishGradient:
                 warnings.simplefilter("error")
                 value = ev.ratios(lanes, frames[:, :, None])[:, 0]
                 g = _gradient(lanes, frames, value, kind)
-                turns = _cayley(g)
+                turns = _cayley(g, np.broadcast_to(_STEPS, (3, _STEPS.size)))
             assert value[0] == -math.inf and value[1] == 0.0 and value[2] > 0
             assert not g[:2].any() and g[2].any() == (dim > 1)
             assert (turns[:2] == np.eye(dim)).all()
@@ -894,7 +949,7 @@ class TestScreenedLanes:
 
 @pytest.mark.xfail(strict=True, reason="a dim-n search is not seeded with the dim-(n-1) "
                    "winner (ROADMAP item 7, dimension monotonicity): abs reads "
-                   "1.0454594553685712 at dim 4 and 1.0041160324925114 at dim 8")
+                   "1.0455201188343886 at dim 4 and 1.0041160324925107 at dim 8")
 def test_ratio_search_nondecreasing_in_dim():
     # the ratio_search benchmark's search: abs on 17 points of [-1, 1], budget 4, seed 1
     f, grid = get_function("abs"), restrict_to_grid((-1.0, 1.0), 17)
