@@ -6,6 +6,9 @@ additive over blocks, so every aggregate is a sum of N * block quantity.
 ``weighted`` performs that product exactly (integer times the exact rational
 value of the stored float, rounded once), which keeps bookkeeping identities
 bitwise reproducible and safe for huge multiplicities.
+
+A divergent family builds its blocks from the scalar probe of each block
+grid, and runs the rotation search only at a block whose probe misses.
 """
 from __future__ import annotations
 
@@ -19,10 +22,10 @@ import numpy as np
 from .catalog import ScalarFunction, finite_reals, integer_at_least
 from .errors import (BadArgument, BadSchedule, DegeneratePair, InvariantViolation,
                      PreconditionViolated, RefinementOverflow)
-from .hermitian import (HermitianOperator, apply_function, decompose, hermitian_part,
-                        schatten_from_singular, singular_values)
+from .hermitian import (HermitianOperator, RatioWitness, apply_function, decompose,
+                        hermitian_part, schatten_from_singular, singular_values)
 from .loewner import FiniteSpectrumSet
-from .search import SeminormLowerBound, seminorm_lower_bound
+from .search import scalar_probe, seminorm_lower_bound
 
 __all__ = [
     "SumBlock",
@@ -52,13 +55,15 @@ def floor_reciprocal(value: float) -> int:
     return int(Fraction(1) / Fraction(value))
 
 
-def ladder_grid(half: float, count: int, rungs: int, extras=()) -> np.ndarray:
+def ladder_grid(half: float, count: int, rungs: int, sample, extras=()) -> np.ndarray:
     """Sorted unique points: ``count`` equispaced on [-half, half], the
     two-sided dyadic ladder +-half * 2**-r for r = 1..rungs accumulating at
-    0, the point 0 itself, and ``extras``."""
+    0, the point 0 itself, ``extras``, and ``sample(half)`` unless ``sample``
+    (a function's ``sample_points``) is None."""
     ladder = half * 0.5 ** np.arange(1, rungs + 1)
+    sampled = () if sample is None else sample(half)
     return np.unique(np.concatenate([
-        np.linspace(-half, half, count), ladder, -ladder, [0.0], extras]))
+        np.linspace(-half, half, count), ladder, -ladder, [0.0], extras, sampled]))
 
 
 @dataclass(frozen=True)
@@ -228,10 +233,11 @@ def default_delta_schedule(block_count: int, delta0: float) -> Iterator[float]:
     return (delta0 * 2.0 ** -n for n in range(1, block_count + 1))
 
 
-def _block_grid(delta: float, level: int) -> FiniteSpectrumSet:
+def _block_grid(delta: float, level: int, sample) -> FiniteSpectrumSet:
     """Grid inside [-delta/2, delta/2]: 65 equispaced points plus a dyadic
-    ladder accumulating at 0 so kink quotients can reach the 2**level target."""
-    return FiniteSpectrumSet(ladder_grid(delta / 2.0, 65, 2 * level + 8))
+    ladder accumulating at 0 so kink quotients can reach the 2**level target,
+    and the points ``sample`` (a function's ``sample_points`` or None) asks for."""
+    return FiniteSpectrumSet(ladder_grid(delta / 2.0, 65, 2 * level + 8, sample))
 
 
 def _block_seed(seed: int, index: int) -> int:
@@ -239,12 +245,12 @@ def _block_seed(seed: int, index: int) -> int:
 
 
 def _block_record(f: ScalarFunction, index: int, delta: float,
-                  bound: SeminormLowerBound) -> BlockRecord:
-    """Refine and amplify a block's search winner and score it against 2**index."""
+                  witness: Optional[RatioWitness]) -> BlockRecord:
+    """Refine and amplify a block's witness and score it against 2**index."""
     target, achieved, block = 2.0 ** index, 0.0, None
-    if bound.witness is not None:
+    if witness is not None:
         try:
-            pair = segment_refine(f, bound.witness.a, bound.witness.b)
+            pair = segment_refine(f, witness.a, witness.b)
             block = amplify_to_unit(*pair, pair.increment)
             achieved = block.weighted_increment_s1 / block.weighted_delta_s1
         except (PreconditionViolated, DegeneratePair, RefinementOverflow):
@@ -265,20 +271,27 @@ def build_divergent_family(f: ScalarFunction, block_count: int,
     as data, not raised.  That outcome is expected for functions whose
     increments stay controlled near 0.
 
-    Each block is searched on its own (``seminorm_lower_bound``), then
-    refined and amplified, in block order; no block after a failed one is
-    searched, so a family that stops at block m has searched exactly m
-    blocks.  The schedule's BadSchedule and the seed's BadArgument come
-    before any search; the seed is checked here, as the block seeds derive
-    from it.
+    Blocks go in order.  Each first refines and amplifies its scalar probe
+    (``scalar_probe``); only where that misses the target does it run the
+    search (``seminorm_lower_bound``, the only reader of ``dim`` and
+    ``per_block_budget``) and refine and amplify its winner instead.  No
+    block after a failed one is scored, so a family that stops at block m
+    has searched exactly one block, block m.  The schedule's BadSchedule and
+    the BadArgument of the seed, dim or budget come before block 1; they
+    are checked here, as a family may run no search.
     """
     schedule = default_delta_schedule(block_count, delta0)
-    integer_at_least(seed, 0, "seed", BadArgument)
+    for value, minimum, what in ((seed, 0, "seed"), (dim, 1, "dim"),
+                                 (per_block_budget, 1, "budget")):
+        integer_at_least(value, minimum, what, BadArgument)
     records = []
     for index, delta in enumerate(schedule, start=1):
-        bound = seminorm_lower_bound(f, _block_grid(delta, index), dim, "schatten1",
-                                     per_block_budget, _block_seed(seed, index))
-        record = _block_record(f, index, delta, bound)
+        grid = _block_grid(delta, index, f.sample_points)
+        record = _block_record(f, index, delta, scalar_probe(f, grid, dim))
+        if record.status == "failed":
+            bound = seminorm_lower_bound(f, grid, dim, "schatten1", per_block_budget,
+                                         _block_seed(seed, index))
+            record = _block_record(f, index, delta, bound.witness)
         if record.status == "failed":
             return DivergentFamily(tuple(records), record)
         records.append(record)

@@ -3,8 +3,9 @@
 One table, keyed by id, holds one row per function: its array rule, an
 optional analytic derivative (``None`` where f has none), and the paper's
 verdict: whether f is operator Lipschitz near 0, which holds exactly when
-f(B) - f(A) is trace class for every trace-class B - A.  A function with
-parameters has a builder in its row instead, which checks them.
+f(B) - f(A) is trace class for every trace-class B - A.  xsin_inv's row
+also names the sample points its grids add.  A function with parameters has
+a builder in its row instead, which checks them.
 :func:`get_function` turns a row into a :class:`ScalarFunction`.  No
 numerical kernel reads the verdict.
 """
@@ -40,6 +41,8 @@ class ScalarFunction:
     rule: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Optional[Callable[[float], Optional[float]]] = None
     operator_lipschitz_near_zero: Optional[bool] = None  # None: not known
+    #: half-width h -> points inside (-h, h) that grids of [-h, h] add
+    sample_points: Optional[Callable[[float], np.ndarray]] = None
 
     def __call__(self, x: float) -> float:
         return float(self.values_at(float(x)))
@@ -91,13 +94,27 @@ def _no_derivative_at_0(deriv):
     return lambda x: None if x == 0.0 else deriv(x)
 
 
-def _fixed(rule, deriv_fn, verdict: bool):
+def _fixed(rule, deriv_fn, verdict: bool, sample_points=None):
     """The builder of a function without parameters."""
     def build(fid: str, params: tuple) -> ScalarFunction:
         if params:
             raise BadParams(f"{fid} takes no parameters, got {params!r}")
-        return ScalarFunction(fid, (), rule, deriv_fn, verdict)
+        return ScalarFunction(fid, (), rule, deriv_fn, verdict, sample_points)
     return build
+
+
+def _xsin_inv_extrema(half: float) -> np.ndarray:
+    """+-1/(pi/2 + k pi), where x sin(1/x) = +-x, for the 8 smallest k with
+    1/(pi/2 + k pi) <= half/4.  Adjacent ones near x have quotient about
+    2/(pi x), so they must sit well inside the window to beat a target of
+    order 1/half.  None once adjacent ones would fall within about an ulp
+    of each other (k + 8 >= 2**52) or 4/half overflows."""
+    turns = (4.0 / half - math.pi / 2) / math.pi  # the k of half/4; inf on overflow
+    if not turns + 8 < 2.0 ** 52:
+        return np.empty(0)
+    x = 1.0 / (math.pi / 2 + (max(0, math.ceil(turns)) + np.arange(9.0)) * math.pi)
+    x = x[x <= half / 4][:8]
+    return np.concatenate([x, -x])
 
 
 def _one_param(fid: str, params: tuple) -> float:
@@ -144,7 +161,7 @@ _BUILDERS = {
         lambda x: math.copysign(0.5 / math.sqrt(abs(x)), x)), False),
     "xsin_inv": _fixed(pointwise(lambda x: 0.0 if x == 0.0 else x * math.sin(1.0 / x)),
                        _no_derivative_at_0(lambda x: math.sin(1.0 / x) - math.cos(1.0 / x) / x),
-                       False),
+                       False, _xsin_inv_extrema),
     "sin": _fixed(pointwise(math.sin), math.cos, True),
     "exp": _fixed(pointwise(math.exp), math.exp, True),
     "smoothed_abs": _build_smoothed_abs,

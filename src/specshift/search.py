@@ -12,7 +12,9 @@ Search phases, in deterministic order:
      points, embedded at the requested dimension.  By the mediant
      inequality it is attained at a pair of adjacent points, so
      ``catalog.max_quotient`` scans only those, and no diagonal pair scores
-     higher, in either norm;
+     higher, in either norm.  ``scalar_probe`` returns this phase's witness
+     alone: a divergent family scores it first and searches only where it
+     misses;
   1+ `budget` seeded random restarts, each drawing (a, b) from substream
      (seed, r).  A restart whose a-priori bound from its spectra alone (by
      Lidskii-Mirsky, ||X - Y|| >= ||sort(x) - sort(y)||) is below the probe
@@ -52,7 +54,7 @@ from .hermitian import (HermitianOperator, RatioWitness, decompose, hermitian_pa
                         noise_floor)
 from .loewner import FiniteSpectrumSet
 
-__all__ = ["NORM_KINDS", "SeminormLowerBound", "seminorm_lower_bound"]
+__all__ = ["NORM_KINDS", "SeminormLowerBound", "scalar_probe", "seminorm_lower_bound"]
 
 NORM_KINDS = ("operator", "schatten1")
 
@@ -347,6 +349,17 @@ def _witness_from_candidate(ev: _Evaluator, ia, ib, q):
         ratio_s1=0.0 if num_s1 <= floor else num_s1 / den_s1,
         ratio_op=0.0 if num_op <= floor else num_op / den_op,
     )
+
+
+def scalar_probe(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int) -> Optional[RatioWitness]:
+    """Phase 0 alone: the witness ``seminorm_lower_bound`` returns wherever
+    no restart beats the scalar probe, None where ``f0`` has a single point.
+    Both of its ratios are the probe's quotient, so no norm kind enters."""
+    pts = f0.points
+    if pts.size < 2:
+        return None
+    ev = _Evaluator(pts, f.values_at(pts), "schatten1")  # its kind scores nothing here
+    return _witness_from_candidate(ev, *_scalar_probe(ev, dim)[1])
 
 
 def seminorm_lower_bound(f: ScalarFunction, f0: FiniteSpectrumSet, dim: int,

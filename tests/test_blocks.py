@@ -300,7 +300,7 @@ class TestBuildDivergentFamily:
         # point 0: the search has no pair, and the block fails unrefined
         fam = build_divergent_family(get_function("sqrt_abs"), 1, 1, 0, delta0=1e-323)
         assert fam.records == ()
-        assert blocks._block_grid(fam.failure.delta, 1).points.tolist() == [0.0]
+        assert blocks._block_grid(fam.failure.delta, 1, None).points.tolist() == [0.0]
         assert (fam.failure.index, fam.failure.achieved_ratio, fam.failure.block,
                 fam.failure.status) == (1, 0.0, None, "failed")
         (doc,) = family_to_json(fam)
@@ -428,12 +428,13 @@ class TestBuildDivergentFamily:
 
 
 class TestBatchedBlockSearches:
-    """Deterministic cost guard: one search per block and none after the
-    block where the family stops, counted without timing."""
+    """Deterministic cost guard: a block runs the rotation search only where
+    its scalar probe misses the target, and no block after the one where
+    the family stops is scored, counted without timing."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"ascents": 0, "blocks": 0}
+        seen = {"ascents": 0, "searches": 0}
         ascent, bound = search._ascent, blocks.seminorm_lower_bound
 
         def counted_ascent(*args):
@@ -441,7 +442,7 @@ class TestBatchedBlockSearches:
             return ascent(*args)
 
         def counted_bound(*args):
-            seen["blocks"] += 1
+            seen["searches"] += 1
             return bound(*args)
 
         monkeypatch.setattr(search, "_ascent", counted_ascent)
@@ -449,47 +450,106 @@ class TestBatchedBlockSearches:
         return seen
 
     def test_sqrt_abs_seven_blocks_no_ascent(self, counts):
-        # every restart is ruled out by the screen
+        # every block passes on its probe
         fam = build_divergent_family(get_function("sqrt_abs"), 7, 1, 0, 2)
         assert fam.failure is None and len(fam.records) == 7
-        assert counts == {"ascents": 0, "blocks": 7}
+        assert counts == {"ascents": 0, "searches": 0}
+
+    def test_perfbench_divergence_config_runs_no_search(self, counts):
+        # sqrt_abs, K 10, dim 8, budget 4, seed 1: the benchmark's config
+        fam = build_divergent_family(get_function("sqrt_abs"), 10, 4, 1, 8, 1.0)
+        assert fam.failure is None and len(fam.records) == 10
+        assert counts == {"ascents": 0, "searches": 0}
 
     def test_abs_fails_first_block_one_ascent(self, counts):
         fam = build_divergent_family(get_function("abs"), 7, 1, 0, 4)
         assert fam.failure.index == 1
-        assert counts == {"ascents": 1, "blocks": 1}
+        assert counts == {"ascents": 1, "searches": 1}
 
     @pytest.mark.parametrize("level", range(2, 11))
     def test_probe_that_misses_target_ends_batch(self, counts, level):
         # sqrt(max(|x|, 4**-level)) is flat below 4**-level, which caps its
         # quotients near 0: the family fails at a block that grows with level,
-        # whose scalar probe already misses its target, and no block after
-        # it is searched
+        # whose scalar probe already misses its target; that block alone is
+        # searched, and no block after it is scored
         eps = 4.0 ** -level
         f = ScalarFunction("sqrt_floor", (eps,),
                            pointwise(lambda x: math.sqrt(max(abs(x), eps))))
         fam = build_divergent_family(f, 9, 1, 0, 2)
         assert fam.failure is not None
         m = fam.failure.index
-        pts = blocks._block_grid(2.0 ** -m, m).points
+        pts = blocks._block_grid(2.0 ** -m, m, None).points
         assert not max_quotient(pts, np.array([f(x) for x in pts]))[0] > 2.0 ** m
-        assert counts["blocks"] == m
+        assert counts["searches"] == 1
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_failure_at_block_m_searches_fewer_than_2m(self, counts, monkeypatch, m):
-        # block m fails after its search although its probe beats the target:
-        # exactly the m blocks up to it have been searched
+        # block m fails although its probe beats the target: the m - 1 blocks
+        # before it pass on their probes, and block m alone is searched
         record = blocks._block_record
 
-        def fail_at_m(f, index, delta, bound):
+        def fail_at_m(f, index, delta, witness):
             if index == m:
                 return blocks.BlockRecord(index, delta, 2.0 ** index, 0.0, None, "failed")
-            return record(f, index, delta, bound)
+            return record(f, index, delta, witness)
 
         monkeypatch.setattr(blocks, "_block_record", fail_at_m)
         fam = build_divergent_family(get_function("sqrt_abs"), 9, 1, 0, 2)
         assert fam.failure.index == m
-        assert counts == {"ascents": 0, "blocks": m}
+        assert counts == {"ascents": 0, "searches": 1}
+
+
+class TestProbeFirst:
+    """A block that passes on its scalar probe keeps the record the full
+    rotation search would have given it."""
+
+    @pytest.mark.parametrize("fid, dim, seed, delta0", [
+        (fid, dim, seed, delta0) for fid in ("sqrt_abs", "xsin_inv") for dim in (2, 8)
+        for seed in (0, 1) for delta0 in (1.0, 0.1)])
+    def test_probe_record_is_the_search_record(self, fid, dim, seed, delta0):
+        self._check(get_function(fid), 7, dim, seed, delta0)
+
+    def test_poly_block_1(self):
+        self._check(get_function("poly", (0.5, -1.0, 2.0, 0.0, 1.5)), 1, 2, 0, 1.0)
+
+    @staticmethod
+    def _check(f, count, dim, seed, delta0):
+        fam = build_divergent_family(f, count, 2, seed, dim, delta0)
+        assert fam.records
+        for rec in fam.records:
+            grid = blocks._block_grid(rec.delta, rec.index, f.sample_points)
+            bound = search.seminorm_lower_bound(f, grid, dim, "schatten1", 2,
+                                                blocks._block_seed(seed, rec.index))
+            full = blocks._block_record(f, rec.index, rec.delta, bound.witness)
+            assert full.achieved_ratio.hex() == rec.achieved_ratio.hex()
+            assert np.array_equal(full.block.a.matrix, rec.block.a.matrix)
+            assert np.array_equal(full.block.b.matrix, rec.block.b.matrix)
+
+
+class TestXsinInvExtrema:
+    """xsin_inv's grids carry its extrema +-1/(pi/2 + k pi) well inside the
+    window, where adjacent ones have quotients above the block targets."""
+
+    def test_fifty_blocks_certified_in_mpmath(self):
+        # every stored pair is diagonal, so its exact ratio is
+        # sum |f(b_ii) - f(a_ii)| / sum |b_ii - a_ii| on the stored doubles
+        import mpmath
+        fam = build_divergent_family(get_function("xsin_inv"), 60, 4, 1, dim=2, delta0=1.0)
+        assert len(fam.records) >= 50
+        with mpmath.workdps(80):
+            def f(x):
+                x = mpmath.mpf(float(x))
+                return x * mpmath.sin(1 / x) if x else x
+
+            for rec in fam.records:
+                a, b = rec.block.a.matrix, rec.block.b.matrix
+                assert np.array_equal(a, np.diag(np.diag(a)))
+                assert np.array_equal(b, np.diag(np.diag(b)))
+                pairs = list(zip(np.diag(a), np.diag(b)))
+                num = mpmath.fsum(abs(f(y) - f(x)) for x, y in pairs)
+                den = mpmath.fsum(abs(mpmath.mpf(float(y)) - mpmath.mpf(float(x)))
+                                  for x, y in pairs)
+                assert num / den > rec.target_ratio
 
 
 def _sqrt_partial(eps, tiny):
@@ -523,10 +583,10 @@ class TestUndefinedLaterGrid:
         # block 4 the family would go on to the undefined grids 5-7
         record = blocks._block_record
 
-        def fail_at_4(f, index, delta, bound):
+        def fail_at_4(f, index, delta, witness):
             if index == 4:
                 return blocks.BlockRecord(index, delta, 16.0, 0.0, None, "failed")
-            return record(f, index, delta, bound)
+            return record(f, index, delta, witness)
 
         monkeypatch.setattr(blocks, "_block_record", fail_at_4)
         fam = build_divergent_family(_sqrt_partial(0.0, self.TINY), 7, 1, 0, 2)

@@ -52,6 +52,32 @@ def test_sqrt_abs_and_xsin_inv_flags():
     assert get_function("xsin_inv").derivative_at(0.0) is None
 
 
+class TestXsinInvSamplePoints:
+    """xsin_inv asks its grids for +-1/(pi/2 + k pi), the 8 smallest k with
+    1/(pi/2 + k pi) <= h/4; no other catalog function asks for points."""
+
+    @pytest.mark.parametrize("half", [1.0, 0.5, 2.0 ** -20, 1e-10, 3.0, 1e300])
+    def test_eight_extrema_per_side_inside_a_quarter(self, half):
+        pts = get_function("xsin_inv").sample_points(half)
+        x = pts[:8]
+        assert np.array_equal(pts, np.concatenate([x, -x]))
+        assert np.all(np.diff(x) < 0) and x[0] <= half / 4
+        k = np.rint(1.0 / (x * math.pi) - 0.5)
+        assert np.array_equal(k, k[0] + np.arange(8))
+        assert k[0] == 0 or 1.0 / (math.pi / 2 + (k[0] - 1) * math.pi) > half / 4
+        assert np.all(np.abs(np.sin(1.0 / x)) > 1 - 1e-6)
+
+    @pytest.mark.parametrize("half", [2.0 ** -52, 1e-300, 5e-324])
+    def test_none_where_adjacent_extrema_merge(self, half):
+        # k + 8 >= 2**52, or 4/half overflows at the smallest subnormal
+        assert get_function("xsin_inv").sample_points(half).size == 0
+
+    def test_only_xsin_inv_asks(self):
+        asks = [fid for fid in catalog_ids()
+                if get_function(fid, _FROZEN_PARAMS.get(fid, ())).sample_points is not None]
+        assert asks == ["xsin_inv"]
+
+
 def test_unknown_function():
     with pytest.raises(UnknownFunction):
         get_function("sinh")
@@ -313,7 +339,7 @@ class TestFrozenQuotientScans:
     estimate shared one quotient scan; both must reproduce them bit for bit."""
 
     # sha256 of repr([(value.hex(), i, j) for k = 1..10]), the probe on
-    # _block_grid(2**-k, k)
+    # _block_grid(2**-k, k, None)
     PROBE = {
         "abs": "85973d18bac76e31058f27c900820e3475e3936f1f79f0ee99d4b1354548afd7",
         "constant": "7926450c3d5e050897fd1261f3442d5f312a17f6af579a17e0c4d5ea031427b4",
@@ -347,7 +373,7 @@ class TestFrozenQuotientScans:
         f = get_function(fid, _FROZEN_PARAMS.get(fid, ()))
         rows = []
         for k in range(1, 11):
-            pts = _block_grid(2.0 ** -k, k).points
+            pts = _block_grid(2.0 ** -k, k, None).points
             ev = _Evaluator(pts, np.array([f(x) for x in pts]), "schatten1")
             value, (ia, ib, _) = _scalar_probe(ev, 3)
             assert (ia == ia[0]).all() and (ib[1:] == ia[0]).all()

@@ -241,7 +241,7 @@ def test_library_input_errors_exit_2(tmp_path, capsys, monkeypatch, field, value
 
 @pytest.mark.parametrize("command, field, value", [
     ("commuting", "seed", -1), ("divergence", "dim", 0), ("divergence", "K", "3"),
-    ("divergence", "seed", -1)])
+    ("divergence", "seed", -1), ("divergence", "budget", 0)])
 def test_library_argument_errors_exit_2(tmp_path, capsys, command, field, value):
     # the library function that uses a field checks it and names the value
     # the config gave (not a block seed derived from it)
@@ -389,17 +389,19 @@ class TestCommutingCommand:
         assert doc["failed_level"] == 1
 
     def test_xsin_inv_not_found(self, tmp_path):
+        # xsin_inv's extrema carry it through level 51, not past it
         out = tmp_path / "report.csv"
         cfg = _write_cfg(tmp_path / "cfg.json", {
             "function": {"id": "xsin_inv", "params": []},
-            "K": 30, "search_grid": 2001, "seed": 7, "output": str(out)})
+            "K": 60, "search_grid": 2001, "seed": 7, "output": str(out)})
         assert main(["commuting", cfg]) == 0
         doc = json.loads((tmp_path / "report_witness.json").read_text())
         assert doc["status"] == "not_found"
 
-    def test_xsin_inv_many_levels_not_found_at_level_17(self, tmp_path):
-        # level 17 misses whatever K is; each level's ladder has max(64, 2k)
-        # rungs, so no grid holds a subnormal where 1/x overflows
+    def test_xsin_inv_many_levels_not_found_at_level_52(self, tmp_path):
+        # level 52 misses whatever K is: from there on adjacent extrema would
+        # fall within about an ulp, so the grid has none; each level's ladder
+        # has max(64, 2k) rungs, so no grid holds a subnormal where 1/x overflows
         out = tmp_path / "report.csv"
         cfg = _write_cfg(tmp_path / "cfg.json", {
             "function": {"id": "xsin_inv", "params": []},
@@ -409,7 +411,7 @@ class TestCommutingCommand:
         assert rows == []
         doc = json.loads((tmp_path / "report_witness.json").read_text())
         assert doc["status"] == "not_found"
-        assert doc["failed_level"] == 17
+        assert doc["failed_level"] == 52
 
     def test_level_past_float_range_not_found(self, tmp_path):
         # f(x) = 1.7e308 x beats 2**k at every level up to 1023; the target

@@ -37,18 +37,20 @@ CONFIGS = {
     # the perfbench commuting config: thirty levels summed as 1x1 blocks
     "commuting-sqrt_abs-K30": ("commuting", {"function": {"id": "sqrt_abs"}, "K": 30,
                                              "search_grid": 2001, "seed": 1}),
-    # ends not_found at level 17: the report has a header and no rows
+    # all thirty levels found on xsin_inv's extrema (without them it ended
+    # not_found at level 17)
     "commuting-xsin_inv-K30": ("commuting", {"function": {"id": "xsin_inv"}, "K": 30,
                                              "search_grid": 2001, "seed": 1}),
     # many levels: each level's grid depends on its level only, so sqrt_abs
     # at K 60 starts with the K 40 witness, and xsin_inv at K 600 misses at
-    # level 12 as it does at K 30 (before, 1/x overflowed on a subnormal rung)
+    # level 52, where its extrema stop: adjacent ones would fall within
+    # about an ulp (before, 1/x overflowed on a subnormal rung)
     "commuting-sqrt_abs-K60-grid301": ("commuting", {
         "function": {"id": "sqrt_abs"}, "K": 60, "search_grid": 301, "seed": 1}),
     "commuting-xsin_inv-K600-grid301": ("commuting", {
         "function": {"id": "xsin_inv"}, "K": 600, "search_grid": 301, "seed": 1}),
-    # divergent families at dim 4: all seven sqrt_abs blocks succeed;
-    # xsin_inv fails at block 6; abs fails at block 1
+    # divergent families at dim 4: all seven sqrt_abs blocks succeed, and
+    # all seven xsin_inv blocks on its extrema; abs fails at block 1
     "divergence-sqrt_abs-K7": ("divergence", {"function": {"id": "sqrt_abs"}, "K": 7,
                                               "dim": 4, "budget": 2, "seed": 0}),
     "divergence-xsin_inv-K7": ("divergence", {"function": {"id": "xsin_inv"}, "K": 7,
@@ -93,9 +95,9 @@ EXPECTED = {
     },
     "commuting-xsin_inv-K30": {
         "report.csv":
-            "ea2b0b6fed8e371327055fd2b3dfba1f40ee99dc8ebdf3aa2232c748e99edacf",
+            "eb9ce2fdfa500890633d74db2e57c2fa00280482f2604d90136ad4dec4916242",
         "report_witness.json":
-            "35733a9331c150be46096f64705afc438fe2e356076ab64d164cfdad36e857d1",
+            "2797568ddb10966242583c968875cff50fc998fcfd57799b2433d60e7b27ea4c",
     },
     "commuting-sqrt_abs-K60-grid301": {
         "report.csv":
@@ -107,7 +109,7 @@ EXPECTED = {
         "report.csv":
             "ea2b0b6fed8e371327055fd2b3dfba1f40ee99dc8ebdf3aa2232c748e99edacf",
         "report_witness.json":
-            "a1337115a7bdd0f4673090d42c669a20c9efde06fbc3f7872780bab0ec1b1ff4",
+            "3683b241f4dd84a2b2555c3296429e3c19129cb27687a4b0bbdb2cedab773f1d",
     },
     "divergence": {
         "report.csv":
@@ -123,9 +125,9 @@ EXPECTED = {
     },
     "divergence-xsin_inv-K7": {
         "report.csv":
-            "a0111f9e4c688f7f5b633a798ae2c6e57d2c5d97943d7af6048f7a8a7d0b6528",
+            "1da160890ef2222e1fa5c2443a049a57e62c19f95e504c2267b56ae6fa924dac",
         "report_family.json":
-            "d0b33afb30b09b1e6e7370bbcbbc12a2475cbb797fe792c90ea50309ad156100",
+            "46d74cf6e9d60da79bffe32155be67aa163c4d954646db717acfce15c799165f",
     },
     "divergence-abs-K3": {
         "report.csv":

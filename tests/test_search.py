@@ -331,8 +331,9 @@ class TestFrozenWitnesses:
 
     @pytest.mark.parametrize("level", sorted(SQRT_ABS_BLOCKS))
     def test_sqrt_abs_block_grids_dim_8(self, level):
-        res = seminorm_lower_bound(get_function("sqrt_abs"), _block_grid(2.0 ** -level, level),
-                                   8, "schatten1", 4, _block_seed(1, level))
+        grid = _block_grid(2.0 ** -level, level, None)
+        res = seminorm_lower_bound(get_function("sqrt_abs"), grid, 8, "schatten1", 4,
+                                   _block_seed(1, level))
         assert _fingerprint(res) == self.SQRT_ABS_BLOCKS[level]
 
     def test_smoothed_abs_grid9_seed_31(self):
@@ -762,7 +763,7 @@ class TestScaleInvariance:
     def test_xsin_inv_search_keeps_its_probe_at_delta0_1e_300(self):
         # the numerator is judged against the f-values near 1e-300, not 1
         f = get_function("xsin_inv")
-        grid = _block_grid(1e-300 / 2, 1)
+        grid = _block_grid(1e-300 / 2, 1, None)
         probe, _ = _scalar_probe(_Evaluator(grid.points, f.values_at(grid.points),
                                             "schatten1"), 4)
         res = seminorm_lower_bound(f, grid, 4, "schatten1", 2, _block_seed(0, 1))
@@ -825,7 +826,7 @@ class TestLaneBoundIsSound:
            grid=st.one_of(
                st.builds(restrict_to_grid, st.sampled_from(
                    [(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (-3.0, 0.25)]), st.integers(2, 17)),
-               st.builds(lambda level: _block_grid(2.0 ** -level, level), st.integers(1, 6))),
+               st.builds(lambda level: _block_grid(2.0 ** -level, level, None), st.integers(1, 6))),
            scale=st.sampled_from([0, 1, 27, 60, 500, 1000, 1030, 1060]),
            dim=st.integers(1, 6), seed=st.integers(0, 2**31),
            kind=st.sampled_from(["operator", "schatten1"]))
